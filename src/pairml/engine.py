@@ -16,7 +16,6 @@ import numpy as np
 from .fixedpoint import FixedPointCodec, exact_truncate, to_signed, truncate_share_vec
 from .gadgets import (
     ArgmaxMaterial,
-    IdentityMaterial,
     MaxPoolMaterial,
     SplineTable,
     WireMaterial,
@@ -224,7 +223,7 @@ class LinearPublic:
 
 @dataclass
 class GadgetLayer:
-    kind: str  # relu | sigmoid | tanh | maxpool | argmax | identity
+    kind: str  # relu | sigmoid | tanh | maxpool | argmax
     width: int
     k: int = 1
     table: SplineTable | None = None
@@ -234,11 +233,8 @@ class GadgetLayer:
         return self.width // self.k if self.kind == "maxpool" else self.width
 
 
-def lower_manifest(manifest: ModelManifest, params: ProtocolParams,
-                   weights_override: dict[int, np.ndarray] | None = None,
-                   truncation: bool = True) -> list:
-    """Lower manifest layers to linear + gadget steps; weights_override maps
-    manifest layer index to a share of the weight tensor (per-server use)."""
+def lower_manifest(manifest: ModelManifest, params: ProtocolParams) -> list:
+    """Lower manifest layers to linear + gadget steps."""
     lowered = []
     dim = manifest.input_dim
     scale = manifest.fp_scale
@@ -248,14 +244,7 @@ def lower_manifest(manifest: ModelManifest, params: ProtocolParams,
             if isinstance(layer, DenseLayer):
                 y = layer.weights
             else:
-                conv = layer
-                if weights_override and idx in weights_override:
-                    conv = ConvLayer(weights_override[idx], layer.in_shape,
-                                     layer.stride, layer.padding, layer.activation)
-                y = im2col_matrix(conv, params.p)
-            if isinstance(layer, DenseLayer) and weights_override and \
-                    idx in weights_override:
-                y = weights_override[idx]
+                y = im2col_matrix(layer, params.p)
             if y.shape[0] != dim:
                 raise ShapeError(
                     f"layer {idx}: expects input {y.shape[0]}, got {dim}")
@@ -294,8 +283,8 @@ def _spline_for(kind: str, scale: int, params: ProtocolParams) -> SplineTable | 
 # -- plaintext reference oracle -----------------------------------------------------------
 
 
-def reference_infer(manifest: ModelManifest, params: ProtocolParams, x_field,
-                    truncation: bool = True) -> list[int]:
+def reference_infer(manifest: ModelManifest, params: ProtocolParams,
+                    x_field) -> list[int]:
     """Fixed-point plaintext mirror of the protocol; the correctness oracle."""
     p = params.p
     scale = manifest.fp_scale
@@ -305,25 +294,18 @@ def reference_infer(manifest: ModelManifest, params: ProtocolParams, x_field,
         if isinstance(step, (LinearSecret, LinearPublic)):
             mat = step.y if isinstance(step, LinearSecret) else step.mat
             z = (np.array(x, dtype=object) @ mat) % p
-            x = [int(v) for v in z]
-            if truncation:
-                x = [exact_truncate(v, scale, p) for v in x]
+            x = [exact_truncate(int(v), scale, p) for v in z]
         else:
-            x = _reference_gadget(step, x, p, scale, truncation)
+            x = _reference_gadget(step, x, p, scale)
     return x
 
 
-def _reference_gadget(step: GadgetLayer, x: list[int], p: int, scale: int,
-                      truncation: bool) -> list[int]:
-    if step.kind == "identity":
-        return x
+def _reference_gadget(step: GadgetLayer, x: list[int], p: int,
+                      scale: int) -> list[int]:
     if step.kind == "relu":
         return [plain_relu(v, p) for v in x]
     if step.kind in ("sigmoid", "tanh"):
-        out = [step.table.reference(v, p) for v in x]
-        if truncation:
-            out = [exact_truncate(v, scale, p) for v in out]
-        return out
+        return [exact_truncate(step.table.reference(v, p), scale, p) for v in x]
     if step.kind == "maxpool":
         k = step.k
         return [plain_max(x[i:i + k], p) for i in range(0, len(x), k)]
@@ -458,7 +440,7 @@ class ServerRole:
 
     def __init__(self, b: int, params: ProtocolParams, peer: Channel,
                  dealer: Channel, owner: Channel, mode: str = "single-tee",
-                 rng=None, truncation: bool = True):
+                 rng=None):
         self.b = b
         self.params = params
         self.peer = peer
@@ -466,7 +448,6 @@ class ServerRole:
         self.owner = owner
         self.mode = mode
         self.rng = rng
-        self.truncation = truncation
         self.tee = None
         self.tee_channels: list[Channel] = []
         self.setup_msg = None
@@ -512,8 +493,7 @@ class ServerRole:
         head_len, = struct.unpack_from("<I", frame.payload, 0)
         manifest_blob = frame.payload[4:4 + head_len]
         self.manifest = parse_manifest(manifest_blob)
-        self.lowered = lower_manifest(self.manifest, self.params,
-                                      truncation=self.truncation)
+        self.lowered = lower_manifest(self.manifest, self.params)
         p = self.params.p
         # replace manifest weights (they arrived as this server's shares)
         jobs = []
@@ -593,8 +573,6 @@ class ServerRole:
                                                     gadgets=gadget_mats)
 
     def _gadget_material(self, step: GadgetLayer):
-        if step.kind == "identity":
-            return IdentityMaterial(self.b, self.params.p)
         if step.kind in ("relu", "sigmoid", "tanh"):
             return [self.tee.gadget_material(step.kind, table=step.table)
                     for _ in range(step.width)]
@@ -632,26 +610,20 @@ class ServerRole:
                 z = (xs @ self.f_public[step.job_id]
                      + e @ triple.b_mat
                      + triple.c.astype(object)) % p
-                x = [int(v) for v in z]
-                if self.truncation:
-                    x = list(truncate_share_vec(x, scale, self.b, p))
+                x = list(truncate_share_vec([int(v) for v in z], scale, self.b, p))
             elif isinstance(step, LinearPublic):
                 z = (np.array(x, dtype=object) @ step.mat) % p
-                x = [int(v) for v in z]
-                if self.truncation:
-                    x = list(truncate_share_vec(x, scale, self.b, p))
+                x = list(truncate_share_vec([int(v) for v in z], scale, self.b, p))
             else:
                 x = self._run_gadget(step, mat.gadgets[gadget_idx], x)
                 gadget_idx += 1
-                if step.kind in ("sigmoid", "tanh") and self.truncation:
+                if step.kind in ("sigmoid", "tanh"):
                     x = list(truncate_share_vec(x, scale, self.b, p))
         self.owner.send(KIND_SHARE_DELIVERY, PHASE_ONLINE, encode_vec(x))
         self.label_shares[session_id] = x
 
     def _run_gadget(self, step: GadgetLayer, material, x: list[int]) -> list[int]:
         p = self.params.p
-        if step.kind == "identity":
-            return x
         if step.kind in ("relu", "sigmoid", "tanh"):
             sessions = [make_session(m, [v]) for m, v in zip(material, x)]
         elif step.kind == "maxpool":
@@ -700,8 +672,6 @@ class ServerRole:
 def gadget_reveal_elements(step: GadgetLayer) -> int:
     if step.kind in ("relu", "sigmoid", "tanh"):
         return step.width
-    if step.kind == "identity":
-        return 0
     if step.kind == "maxpool":
         groups = step.width // step.k
         return groups * max2_count(step.k) * 7  # 3 + 4 reveals per max2 node

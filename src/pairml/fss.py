@@ -1,26 +1,32 @@
-"""Two-key function secret sharing: point functions (DPF), one-sided
-comparisons (DCF), and intervals built from comparison pairs.
+"""Two-key function secret sharing: point functions (DPF) and one-sided
+comparisons (DCF), after Boyle-Gilboa-Ishai, "Function Secret Sharing:
+Improvements and Extensions" (CCS'16).
 
 Keys are GGM-style trees: a root seed plus one correction word per domain
 bit.  The two keys of a pair share every correction word and differ only in
 the root seed and root control bit.  Outputs are additive shares over Z_p,
 vector payloads of length L.
+
+A DCF is a DPF walk plus a payload correction at each level, so both kinds
+come from one key generator, `_tree_gen`, and one evaluator, `_walk`.  The
+generator follows the path to the special point; the walker takes a set of
+points down the tree level by level and expands each node on their shared
+prefixes once, so one point costs one node per level and the whole domain
+costs one node per tree node.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from typing import ClassVar
 
 from . import prg
 
 
 class FssParameterError(ValueError):
     pass
-
-
-def _bits_msb(x: int, n: int) -> list[int]:
-    return [(x >> (n - 1 - i)) & 1 for i in range(n)]
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -32,11 +38,18 @@ def _seed_bytes(lam: int) -> int:
     return prg.BLOCKS * lam // 8
 
 
-# -- distributed point function -------------------------------------------------
+def _expand_lens(lam: int, with_v: bool) -> tuple[int, int, int]:
+    sb = _seed_bytes(lam)
+    vb = sb if with_v else 0
+    # layout: sL | vL | sR | vR | flags byte (bit0 = tL, bit1 = tR)
+    return sb, vb, 2 * (sb + vb) + 1
 
 
 @dataclass
 class DpfKey:
+    """Key for f(x) = beta * [x == alpha] over an n-bit domain."""
+
+    _variant: ClassVar[int] = 0x01
     party: int
     domain_bits: int
     p: int
@@ -49,137 +62,18 @@ class DpfKey:
     final_cw: list[int]
 
     def serialize(self) -> bytes:
-        return _serialize_tree(0x01, self, extra=b"")
+        return _serialize_tree(self)
 
     @classmethod
     def deserialize(cls, buf: bytes) -> "DpfKey":
-        variant, fields, _ = _deserialize_tree(buf)
-        if variant != 0x01:
-            raise ValueError("not a DPF key")
-        return cls(**fields)
-
-
-def _expand_lens(lam: int, with_v: bool) -> tuple[int, int, int]:
-    sb = _seed_bytes(lam)
-    vb = sb if with_v else 0
-    # layout: sL | vL | sR | vR | flags byte (bit0 = tL, bit1 = tR)
-    return sb, vb, 2 * (sb + vb) + 1
-
-
-def _parse_node(raw: bytes, sb: int, vb: int):
-    off = 0
-    s_l = raw[off:off + sb]; off += sb
-    v_l = raw[off:off + vb]; off += vb
-    s_r = raw[off:off + sb]; off += sb
-    v_r = raw[off:off + vb]; off += vb
-    flags = raw[off]
-    return s_l, v_l, s_r, v_r, flags & 1, (flags >> 1) & 1
-
-
-def dpf_gen(p: int, alpha: int, beta: list[int], rng, domain_bits: int | None = None,
-            lam: int = 128) -> tuple[DpfKey, DpfKey]:
-    """Keys k0, k1 with eval0(x) + eval1(x) = beta * [x == alpha] (mod p)."""
-    n = domain_bits if domain_bits is not None else (p - 1).bit_length()
-    if alpha >> n:
-        raise FssParameterError(f"alpha {alpha} outside {n}-bit domain")
-    beta = [int(v) % p for v in beta]
-    sb, vb, out_len = _expand_lens(lam, with_v=False)
-    s0, s1 = rng.randbytes(sb), rng.randbytes(sb)
-    roots = (s0, s1)
-    t0, t1 = 0, 1
-    seed_cws: list[bytes] = []
-    t_cws: list[tuple[int, int]] = []
-    for bit in _bits_msb(alpha, n):
-        n0 = _parse_node(prg.expand_seed(s0, out_len), sb, vb)
-        n1 = _parse_node(prg.expand_seed(s1, out_len), sb, vb)
-        s0_l, _, s0_r, _, t0_l, t0_r = n0
-        s1_l, _, s1_r, _, t1_l, t1_r = n1
-        if bit:
-            s_keep0, s_keep1, s_lose0, s_lose1 = s0_r, s1_r, s0_l, s1_l
-            t_keep0, t_keep1 = t0_r, t1_r
-        else:
-            s_keep0, s_keep1, s_lose0, s_lose1 = s0_l, s1_l, s0_r, s1_r
-            t_keep0, t_keep1 = t0_l, t1_l
-        s_cw = _xor(s_lose0, s_lose1)
-        t_cw_l = t0_l ^ t1_l ^ bit ^ 1
-        t_cw_r = t0_r ^ t1_r ^ bit
-        t_cw_keep = t_cw_r if bit else t_cw_l
-        seed_cws.append(s_cw)
-        t_cws.append((t_cw_l, t_cw_r))
-        s0 = _xor(s_keep0, s_cw) if t0 else s_keep0
-        s1 = _xor(s_keep1, s_cw) if t1 else s_keep1
-        t0 = t_keep0 ^ (t0 & t_cw_keep)
-        t1 = t_keep1 ^ (t1 & t_cw_keep)
-    c0 = prg.convert_seed(s0, len(beta), p)
-    c1 = prg.convert_seed(s1, len(beta), p)
-    sign = -1 if t1 else 1
-    final_cw = [sign * (b - a + c) % p for b, a, c in zip(beta, c0, c1)]
-    keys = []
-    for b, root in enumerate(roots):
-        keys.append(DpfKey(party=b, domain_bits=n, p=p, payload_len=len(beta),
-                           lam=lam, root_seed=root, root_t=b,
-                           seed_cws=list(seed_cws), t_cws=list(t_cws),
-                           final_cw=list(final_cw)))
-    return keys[0], keys[1]
-
-
-def dpf_eval(b: int, key: DpfKey, x: int) -> list[int]:
-    """Party b's share of f_{alpha,beta}(x); O(domain_bits) PRG calls."""
-    n, p = key.domain_bits, key.p
-    if x >> n:
-        raise FssParameterError(f"input {x} outside {n}-bit domain")
-    sb, vb, out_len = _expand_lens(key.lam, with_v=False)
-    s, t = key.root_seed, key.root_t
-    for i, bit in enumerate(_bits_msb(x, n)):
-        s_l, _, s_r, _, t_l, t_r = _parse_node(prg.expand_seed(s, out_len), sb, vb)
-        if t:
-            s_cw = key.seed_cws[i]
-            cw_l, cw_r = key.t_cws[i]
-            s_l, s_r = _xor(s_l, s_cw), _xor(s_r, s_cw)
-            t_l, t_r = t_l ^ cw_l, t_r ^ cw_r
-        s, t = (s_r, t_r) if bit else (s_l, t_l)
-    out = prg.convert_seed(s, key.payload_len, p)
-    if t:
-        out = [(a + c) % p for a, c in zip(out, key.final_cw)]
-    sign = -1 if b else 1
-    return [sign * v % p for v in out]
-
-
-def dpf_eval_all(b: int, key: DpfKey) -> list[list[int]]:
-    """Shares at every domain point via one tree walk (exhaustive tests)."""
-    n, p, L = key.domain_bits, key.p, key.payload_len
-    sb, vb, out_len = _expand_lens(key.lam, with_v=False)
-    level: list[tuple[bytes, int]] = [(key.root_seed, key.root_t)]
-    for i in range(n):
-        s_cw = key.seed_cws[i]
-        cw_l, cw_r = key.t_cws[i]
-        nxt = []
-        for s, t in level:
-            s_l, _, s_r, _, t_l, t_r = _parse_node(prg.expand_seed(s, out_len), sb, vb)
-            if t:
-                s_l, s_r = _xor(s_l, s_cw), _xor(s_r, s_cw)
-                t_l ^= cw_l
-                t_r ^= cw_r
-            nxt.append((s_l, t_l))
-            nxt.append((s_r, t_r))
-        level = nxt
-    sign = -1 if b else 1
-    out = []
-    for s, t in level:
-        conv = prg.convert_seed(s, L, p)
-        if t:
-            conv = [(a + c) % p for a, c in zip(conv, key.final_cw)]
-        out.append([sign * v % p for v in conv])
-    return out
-
-
-# -- distributed comparison function ---------------------------------------------
+        return cls(**_deserialize_tree(buf, cls))
 
 
 @dataclass
 class DcfKey:
     """Key for f(x) = beta * [x < threshold] over an n-bit domain."""
 
+    _variant: ClassVar[int] = 0x02
     party: int
     domain_bits: int
     p: int
@@ -193,286 +87,208 @@ class DcfKey:
     final_cw: list[int]
 
     def serialize(self) -> bytes:
-        extra = b"".join(
-            b"".join(int(v).to_bytes(8, "little") for v in vc) for vc in self.v_cws)
-        return _serialize_tree(0x02, self, extra=extra)
+        return _serialize_tree(self)
 
     @classmethod
     def deserialize(cls, buf: bytes) -> "DcfKey":
-        variant, fields, extra = _deserialize_tree(buf)
-        if variant != 0x02:
-            raise ValueError("not a DCF key")
-        n, pl = fields["domain_bits"], fields["payload_len"]
-        v_cws = []
-        off = 0
-        for _ in range(n):
-            v_cws.append([int.from_bytes(extra[off + 8 * i:off + 8 * i + 8], "little")
-                          for i in range(pl)])
-            off += 8 * pl
-        return cls(v_cws=v_cws, **fields)
+        return cls(**_deserialize_tree(buf, cls))
+
+
+# -- the key generator and the walker ---------------------------------------------
+
+
+def _tree_gen(p: int, alpha: int, beta: list[int], rng, n: int, lam: int,
+              cmp: bool):
+    """Key pair for beta * [x < alpha] (cmp) or beta * [x == alpha]."""
+    if alpha >> n:
+        raise FssParameterError(f"point {alpha} outside {n}-bit domain")
+    beta = [int(v) % p for v in beta]
+    L = len(beta)
+    sb, vb, out_len = _expand_lens(lam, with_v=cmp)
+    roots = (rng.randbytes(sb), rng.randbytes(sb))
+    s, t = list(roots), [0, 1]
+    # what the leaf correction must still pay out: a DPF pays all of beta
+    # there, a DCF whatever its level corrections left over
+    v_alpha = [0] * L if cmp else [-v for v in beta]
+    seed_cws: list[bytes] = []
+    v_cws: list[list[int]] = []
+    t_cws: list[tuple[int, int]] = []
+    for i in range(n - 1, -1, -1):
+        bit = (alpha >> i) & 1
+        raw = [prg.expand_seed(s[0], out_len), prg.expand_seed(s[1], out_len)]
+        keep, lose = bit * (sb + vb), (1 - bit) * (sb + vb)
+        s_cw = _xor(raw[0][lose:lose + sb], raw[1][lose:lose + sb])
+        flags = raw[0][-1] ^ raw[1][-1]
+        t_cw = ((flags ^ bit ^ 1) & 1, ((flags >> 1) ^ bit) & 1)
+        if cmp:
+            sign = -1 if t[1] else 1
+            cl0, cl1 = (prg.convert_seed(r[lose + sb:lose + sb + vb], L, p)
+                        for r in raw)
+            v_cw = [sign * (b1 - b0 - va) % p for b1, b0, va in zip(cl1, cl0, v_alpha)]
+            if bit:  # lose side is L: everything left of the path is below alpha
+                v_cw = [(v + sign * bv) % p for v, bv in zip(v_cw, beta)]
+            ck0, ck1 = (prg.convert_seed(r[keep + sb:keep + sb + vb], L, p)
+                        for r in raw)
+            v_alpha = [(va - b1 + b0 + sign * v) % p
+                       for va, b1, b0, v in zip(v_alpha, ck1, ck0, v_cw)]
+            v_cws.append(v_cw)
+        seed_cws.append(s_cw)
+        t_cws.append(t_cw)
+        for c in (0, 1):
+            s_keep = raw[c][keep:keep + sb]
+            t_keep = (raw[c][-1] >> bit) & 1
+            s[c] = _xor(s_keep, s_cw) if t[c] else s_keep
+            t[c] = t_keep ^ (t[c] & t_cw[bit])
+    c0, c1 = prg.convert_seed(s[0], L, p), prg.convert_seed(s[1], L, p)
+    sign = -1 if t[1] else 1
+    final_cw = [sign * (b1 - b0 - va) % p for b1, b0, va in zip(c1, c0, v_alpha)]
+    cls = DcfKey if cmp else DpfKey
+    keys = []
+    for b in (0, 1):
+        extra = dict(v_cws=[list(v) for v in v_cws]) if cmp else {}
+        keys.append(cls(party=b, domain_bits=n, p=p, payload_len=L, lam=lam,
+                        root_seed=roots[b], root_t=b, seed_cws=list(seed_cws),
+                        t_cws=list(t_cws), final_cw=list(final_cw), **extra))
+    return keys[0], keys[1]
+
+
+def _walk(b: int, key: DpfKey | DcfKey, xs) -> list[list[int]]:
+    """Party b's output shares at each point of xs, in the order given."""
+    n, p, L = key.domain_bits, key.p, key.payload_len
+    cmp = isinstance(key, DcfKey)
+    sb, vb, out_len = _expand_lens(key.lam, with_v=cmp)
+    pts = sorted(set(xs))
+    if pts and (pts[0] < 0 or pts[-1] >> n):
+        raise FssParameterError(
+            f"inputs {pts[0]}..{pts[-1]} outside {n}-bit domain")
+    sign = -1 if b else 1
+    # a node: seed, control bit, payload share so far, and the slice
+    # pts[lo:hi] of the points below it
+    zero = [0] * L
+    level = [(key.root_seed, key.root_t, zero, 0, len(pts))] if pts else []
+    for i in range(n):
+        shift = n - 1 - i
+        s_cw = key.seed_cws[i]
+        t_cw = key.t_cws[i]
+        v_cw = key.v_cws[i] if cmp else None
+        nxt = []
+        for s, t, acc, lo, hi in level:
+            raw = prg.expand_seed(s, out_len)
+            mid = bisect_left(pts, (pts[lo] >> shift | 1) << shift, lo, hi)
+            for side, a, z in ((0, lo, mid), (1, mid, hi)):
+                if a == z:
+                    continue
+                off = side * (sb + vb)
+                s_c = raw[off:off + sb]
+                t_c = (raw[-1] >> side) & 1
+                if cmp:
+                    conv = prg.convert_seed(raw[off + sb:off + sb + vb], L, p)
+                    acc_c = [(u + sign * (c + w)) % p
+                             for u, c, w in zip(acc, conv, v_cw if t else zero)]
+                else:
+                    acc_c = acc
+                if t:
+                    s_c = _xor(s_c, s_cw)
+                    t_c ^= t_cw[side]
+                nxt.append((s_c, t_c, acc_c, a, z))
+        level = nxt
+    out = {}
+    for s, t, acc, lo, _ in level:
+        conv = prg.convert_seed(s, L, p)
+        out[pts[lo]] = [(u + sign * (c + f)) % p for u, c, f in
+                        zip(acc, conv, key.final_cw if t else zero)]
+    return [out[x] for x in xs]
+
+
+def dpf_gen(p: int, alpha: int, beta: list[int], rng, domain_bits: int | None = None,
+            lam: int = 128) -> tuple[DpfKey, DpfKey]:
+    """Keys k0, k1 with eval0(x) + eval1(x) = beta * [x == alpha] (mod p)."""
+    n = domain_bits if domain_bits is not None else (p - 1).bit_length()
+    return _tree_gen(p, alpha, beta, rng, n, lam, cmp=False)
+
+
+def dpf_eval(b: int, key: DpfKey, x: int) -> list[int]:
+    """Party b's share of f_{alpha,beta}(x); O(domain_bits) PRG calls."""
+    return _walk(b, key, [x])[0]
+
+
+def dpf_eval_all(b: int, key: DpfKey) -> list[list[int]]:
+    """Shares at every domain point via one tree walk (exhaustive tests)."""
+    return _walk(b, key, range(1 << key.domain_bits))
 
 
 def dcf_gen(p: int, threshold: int, beta: list[int], rng,
             domain_bits: int | None = None, lam: int = 128) -> tuple[DcfKey, DcfKey]:
     """Comparison keys: share sums equal beta * [x < threshold]."""
     n = domain_bits if domain_bits is not None else (p - 1).bit_length()
-    if threshold >> n:
-        raise FssParameterError(f"threshold {threshold} outside {n}-bit domain")
-    beta = [int(v) % p for v in beta]
-    L = len(beta)
-    sb, vb, out_len = _expand_lens(lam, with_v=True)
-    s0, s1 = rng.randbytes(sb), rng.randbytes(sb)
-    roots = (s0, s1)
-    t0, t1 = 0, 1
-    v_alpha = [0] * L
-    seed_cws: list[bytes] = []
-    v_cws: list[list[int]] = []
-    t_cws: list[tuple[int, int]] = []
-    for bit in _bits_msb(threshold, n):
-        s0_l, v0_l, s0_r, v0_r, t0_l, t0_r = _parse_node(
-            prg.expand_seed(s0, out_len), sb, vb)
-        s1_l, v1_l, s1_r, v1_r, t1_l, t1_r = _parse_node(
-            prg.expand_seed(s1, out_len), sb, vb)
-        if bit:
-            s_lose0, s_lose1, v_lose0, v_lose1 = s0_l, s1_l, v0_l, v1_l
-            s_keep0, s_keep1, v_keep0, v_keep1 = s0_r, s1_r, v0_r, v1_r
-            t_keep0, t_keep1 = t0_r, t1_r
-        else:
-            s_lose0, s_lose1, v_lose0, v_lose1 = s0_r, s1_r, v0_r, v1_r
-            s_keep0, s_keep1, v_keep0, v_keep1 = s0_l, s1_l, v0_l, v1_l
-            t_keep0, t_keep1 = t0_l, t1_l
-        s_cw = _xor(s_lose0, s_lose1)
-        sign = -1 if t1 else 1
-        cl0 = prg.convert_seed(v_lose0, L, p)
-        cl1 = prg.convert_seed(v_lose1, L, p)
-        v_cw = [sign * (b1 - b0 - va) % p for b1, b0, va in zip(cl1, cl0, v_alpha)]
-        if bit:  # lose side is L: everything left of the path is below threshold
-            v_cw = [(v + sign * bv) % p for v, bv in zip(v_cw, beta)]
-        ck0 = prg.convert_seed(v_keep0, L, p)
-        ck1 = prg.convert_seed(v_keep1, L, p)
-        v_alpha = [(va - b1 + b0 + sign * v) % p
-                   for va, b1, b0, v in zip(v_alpha, ck1, ck0, v_cw)]
-        t_cw_l = t0_l ^ t1_l ^ bit ^ 1
-        t_cw_r = t0_r ^ t1_r ^ bit
-        t_cw_keep = t_cw_r if bit else t_cw_l
-        seed_cws.append(s_cw)
-        v_cws.append(v_cw)
-        t_cws.append((t_cw_l, t_cw_r))
-        s0 = _xor(s_keep0, s_cw) if t0 else s_keep0
-        s1 = _xor(s_keep1, s_cw) if t1 else s_keep1
-        t0 = t_keep0 ^ (t0 & t_cw_keep)
-        t1 = t_keep1 ^ (t1 & t_cw_keep)
-    c0 = prg.convert_seed(s0, L, p)
-    c1 = prg.convert_seed(s1, L, p)
-    sign = -1 if t1 else 1
-    final_cw = [sign * (b1 - b0 - va) % p for b1, b0, va in zip(c1, c0, v_alpha)]
-    keys = []
-    for b, root in enumerate(roots):
-        keys.append(DcfKey(party=b, domain_bits=n, p=p, payload_len=L, lam=lam,
-                           root_seed=root, root_t=b, seed_cws=list(seed_cws),
-                           v_cws=[list(v) for v in v_cws], t_cws=list(t_cws),
-                           final_cw=list(final_cw)))
-    return keys[0], keys[1]
+    return _tree_gen(p, threshold, beta, rng, n, lam, cmp=True)
 
 
 def dcf_eval(b: int, key: DcfKey, x: int) -> list[int]:
-    n, p, L = key.domain_bits, key.p, key.payload_len
-    if x >> n:
-        raise FssParameterError(f"input {x} outside {n}-bit domain")
-    sb, vb, out_len = _expand_lens(key.lam, with_v=True)
-    s, t = key.root_seed, key.root_t
-    sign = -1 if b else 1
-    acc = [0] * L
-    for i, bit in enumerate(_bits_msb(x, n)):
-        s_l, v_l, s_r, v_r, t_l, t_r = _parse_node(prg.expand_seed(s, out_len), sb, vb)
-        v_raw = v_r if bit else v_l
-        conv = prg.convert_seed(v_raw, L, p)
-        if t:
-            v_cw = key.v_cws[i]
-            acc = [(a + sign * (c + w)) % p for a, c, w in zip(acc, conv, v_cw)]
-            s_cw = key.seed_cws[i]
-            cw_l, cw_r = key.t_cws[i]
-            s_l, s_r = _xor(s_l, s_cw), _xor(s_r, s_cw)
-            t_l, t_r = t_l ^ cw_l, t_r ^ cw_r
-        else:
-            acc = [(a + sign * c) % p for a, c in zip(acc, conv)]
-        s, t = (s_r, t_r) if bit else (s_l, t_l)
-    conv = prg.convert_seed(s, L, p)
-    if t:
-        conv = [(c + f) % p for c, f in zip(conv, key.final_cw)]
-    return [(a + sign * c) % p for a, c in zip(acc, conv)]
+    return _walk(b, key, [x])[0]
 
 
 def dcf_eval_all(b: int, key: DcfKey) -> list[list[int]]:
     """Comparison shares at every domain point via one tree walk."""
-    n, p, L = key.domain_bits, key.p, key.payload_len
-    sb, vb, out_len = _expand_lens(key.lam, with_v=True)
-    sign = -1 if b else 1
-    level: list[tuple[bytes, int, tuple[int, ...]]] = [
-        (key.root_seed, key.root_t, (0,) * L)]
-    for i in range(n):
-        s_cw = key.seed_cws[i]
-        v_cw = key.v_cws[i]
-        cw_l, cw_r = key.t_cws[i]
-        nxt = []
-        for s, t, acc in level:
-            s_l, v_l, s_r, v_r, t_l, t_r = _parse_node(
-                prg.expand_seed(s, out_len), sb, vb)
-            conv_l = prg.convert_seed(v_l, L, p)
-            conv_r = prg.convert_seed(v_r, L, p)
-            if t:
-                acc_l = tuple((a + sign * (c + w)) % p
-                              for a, c, w in zip(acc, conv_l, v_cw))
-                acc_r = tuple((a + sign * (c + w)) % p
-                              for a, c, w in zip(acc, conv_r, v_cw))
-                s_l, s_r = _xor(s_l, s_cw), _xor(s_r, s_cw)
-                t_l ^= cw_l
-                t_r ^= cw_r
-            else:
-                acc_l = tuple((a + sign * c) % p for a, c in zip(acc, conv_l))
-                acc_r = tuple((a + sign * c) % p for a, c in zip(acc, conv_r))
-            nxt.append((s_l, t_l, acc_l))
-            nxt.append((s_r, t_r, acc_r))
-        level = nxt
-    out = []
-    for s, t, acc in level:
-        conv = prg.convert_seed(s, L, p)
-        if t:
-            conv = [(c + f) % p for c, f in zip(conv, key.final_cw)]
-        out.append([(a + sign * c) % p for a, c in zip(acc, conv)])
-    return out
+    return _walk(b, key, range(1 << key.domain_bits))
 
 
-# -- interval function ------------------------------------------------------------
-
-
-@dataclass
-class DifKey:
-    """Key for beta * [a1 <= x <= a2] as a difference of two comparisons."""
-
-    party: int
-    domain_bits: int
-    p: int
-    payload_len: int
-    lo: DcfKey | None  # [x < a1]; None when a1 == 0
-    hi: DcfKey | None  # [x < a2+1]; None when a2+1 == 2^n (constant one)
-    beta: list[int] = field(default_factory=list)  # used when hi is None
-
-    def serialize(self) -> bytes:
-        head = struct.pack("<BBBHQ", 0x03, self.party, self.domain_bits,
-                           self.payload_len, self.p)
-        parts = [head]
-        parts.append(b"".join(int(v).to_bytes(8, "little") for v in self.beta))
-        for k in (self.lo, self.hi):
-            blob = k.serialize() if k is not None else b""
-            parts.append(struct.pack("<I", len(blob)))
-            parts.append(blob)
-        return b"".join(parts)
-
-    @classmethod
-    def deserialize(cls, buf: bytes) -> "DifKey":
-        variant, party, n, pl, p = struct.unpack_from("<BBBHQ", buf, 0)
-        if variant != 0x03:
-            raise ValueError("not a DIF key")
-        off = struct.calcsize("<BBBHQ")
-        beta = [int.from_bytes(buf[off + 8 * i:off + 8 * i + 8], "little")
-                for i in range(pl)]
-        off += 8 * pl
-        keys: list[DcfKey | None] = []
-        for _ in range(2):
-            (ln,) = struct.unpack_from("<I", buf, off)
-            off += 4
-            keys.append(DcfKey.deserialize(buf[off:off + ln]) if ln else None)
-            off += ln
-        return cls(party=party, domain_bits=n, p=p, payload_len=pl,
-                   lo=keys[0], hi=keys[1], beta=beta)
-
-
-def dif_gen(p: int, alpha1: int, alpha2: int, beta: list[int], rng,
-            domain_bits: int | None = None, lam: int = 128) -> tuple[DifKey, DifKey]:
-    """Interval keys: share sums equal beta * [alpha1 <= x <= alpha2].
-
-    Wrapped intervals are the caller's problem: alpha1 > alpha2 raises.
-    """
-    n = domain_bits if domain_bits is not None else (p - 1).bit_length()
-    if alpha1 > alpha2:
-        raise FssParameterError("alpha1 > alpha2; split wrapped intervals upstream")
-    if alpha2 >> n:
-        raise FssParameterError(f"alpha2 {alpha2} outside {n}-bit domain")
-    beta = [int(v) % p for v in beta]
-    lo = dcf_gen(p, alpha1, beta, rng, domain_bits=n, lam=lam) if alpha1 else None
-    hi = dcf_gen(p, alpha2 + 1, beta, rng, domain_bits=n, lam=lam) \
-        if alpha2 + 1 < (1 << n) else None
-    out = []
-    for b in range(2):
-        out.append(DifKey(party=b, domain_bits=n, p=p, payload_len=len(beta),
-                          lo=lo[b] if lo else None, hi=hi[b] if hi else None,
-                          beta=list(beta)))
-    return out[0], out[1]
-
-
-def dif_eval(b: int, key: DifKey, x: int) -> list[int]:
-    p, L = key.p, key.payload_len
-    if key.hi is not None:
-        out = dcf_eval(b, key.hi, x)
-    else:
-        out = [v % p if b else 0 for v in key.beta]  # [x < 2^n] is constant one
-    if key.lo is not None:
-        low = dcf_eval(b, key.lo, x)
-        out = [(h - l) % p for h, l in zip(out, low)]
-    return out
-
-
-def dif_eval_all(b: int, key: DifKey) -> list[list[int]]:
-    p = key.p
-    size = 1 << key.domain_bits
-    if key.hi is not None:
-        out = dcf_eval_all(b, key.hi)
-    else:
-        const = [v % p if b else 0 for v in key.beta]
-        out = [list(const) for _ in range(size)]
-    if key.lo is not None:
-        low = dcf_eval_all(b, key.lo)
-        out = [[(h - l) % p for h, l in zip(hs, ls)] for hs, ls in zip(out, low)]
-    return out
-
-
-# -- shared serialization helpers ----------------------------------------------
+# -- serialization ------------------------------------------------------------------
 
 _TREE_HDR = struct.Struct("<BBBHQHB")  # variant, party, domain_bits, L, p, lam, root_t
 
 
-def _serialize_tree(variant: int, key, extra: bytes) -> bytes:
-    sb = _seed_bytes(key.lam)
-    parts = [_TREE_HDR.pack(variant, key.party, key.domain_bits, key.payload_len,
-                            key.p, key.lam, key.root_t)]
-    parts.append(key.root_seed)
+def _serialize_tree(key: DpfKey | DcfKey) -> bytes:
+    sb, n, L = _seed_bytes(key.lam), key.domain_bits, key.payload_len
+    cmp = isinstance(key, DcfKey)
+    v_cws = key.v_cws if cmp else []
+    if not (len(key.root_seed) == sb and len(key.final_cw) == L
+            and len(key.seed_cws) == len(key.t_cws) == n
+            and all(len(s) == sb for s in key.seed_cws)
+            and len(v_cws) == n * cmp and all(len(v) == L for v in v_cws)):
+        raise ValueError("inconsistent FSS key: field sizes do not match its header")
+    parts = [_TREE_HDR.pack(key._variant, key.party, n, L, key.p, key.lam,
+                            key.root_t), key.root_seed]
     for s_cw, (tl, tr) in zip(key.seed_cws, key.t_cws):
         parts.append(s_cw)
         parts.append(bytes([tl | (tr << 1)]))
     parts.append(b"".join(int(v).to_bytes(8, "little") for v in key.final_cw))
-    parts.append(extra)
-    assert all(len(s) == sb for s in key.seed_cws)
+    for vc in v_cws:
+        parts.append(b"".join(int(v).to_bytes(8, "little") for v in vc))
     return b"".join(parts)
 
 
-def _deserialize_tree(buf: bytes):
+def _deserialize_tree(buf: bytes, cls) -> dict:
+    """Constructor fields of a `cls` key; the buffer must be exactly one key."""
+    if len(buf) < _TREE_HDR.size:
+        raise ValueError(f"truncated FSS key: {len(buf)} bytes")
     variant, party, n, pl, p, lam, root_t = _TREE_HDR.unpack_from(buf, 0)
+    if variant != cls._variant:
+        raise ValueError(f"not a {cls.__name__}: variant {variant:#04x}")
     sb = _seed_bytes(lam)
+    cmp = cls is DcfKey
+    size = _TREE_HDR.size + sb + n * (sb + 1) + 8 * pl * (1 + n * cmp)
+    if len(buf) != size:
+        raise ValueError(f"malformed {cls.__name__}: {len(buf)} bytes, expected {size}")
+
+    def words(off: int) -> list[int]:
+        return [int.from_bytes(buf[off + 8 * i:off + 8 * i + 8], "little")
+                for i in range(pl)]
+
     off = _TREE_HDR.size
     root = buf[off:off + sb]
     off += sb
     seed_cws, t_cws = [], []
     for _ in range(n):
         seed_cws.append(buf[off:off + sb])
-        off += sb
-        flags = buf[off]
-        off += 1
-        t_cws.append((flags & 1, (flags >> 1) & 1))
-    final_cw = [int.from_bytes(buf[off + 8 * i:off + 8 * i + 8], "little")
-                for i in range(pl)]
-    off += 8 * pl
+        flags = buf[off + sb]
+        if flags > 3:
+            raise ValueError(f"malformed {cls.__name__}: control flags {flags:#04x}")
+        t_cws.append((flags & 1, flags >> 1))
+        off += sb + 1
     fields = dict(party=party, domain_bits=n, p=p, payload_len=pl, lam=lam,
                   root_seed=root, root_t=root_t, seed_cws=seed_cws, t_cws=t_cws,
-                  final_cw=final_cw)
-    return variant, fields, buf[off:]
+                  final_cw=words(off))
+    if cmp:
+        fields["v_cws"] = [words(off + 8 * pl * (1 + i)) for i in range(n)]
+    return fields

@@ -32,9 +32,6 @@ class GadgetParameterError(ValueError):
     pass
 
 
-GADGET_KINDS = ("identity", "relu", "sigmoid", "tanh", "max2", "maxpool", "argmax")
-
-
 def _half(p: int) -> int:
     return (p - 1) // 2
 
@@ -233,15 +230,6 @@ class ArgmaxMaterial:
             self._pf_tables = [dpf_eval_all(self.party, k) for k in self.pf_keys]
 
 
-@dataclass
-class IdentityMaterial:
-    party: int
-    p: int
-
-    def consume(self):
-        pass
-
-
 def wire_material(kind: str, p: int, rng, table: SplineTable | None = None,
                   lam: int = 128) -> tuple[WireMaterial, WireMaterial]:
     if kind not in ("relu", "sigmoid", "tanh"):
@@ -314,19 +302,23 @@ def argmax_material(p: int, k: int, rng, lam: int = 128
 # -- interval membership from one comparison key -----------------------------------
 
 
-def _interval_shares(mat: WireMaterial, w: int, lo: int, hi: int) -> tuple[int, int]:
-    """Shares of (ind, ind*r) for z in [lo, hi] (signed bounds), given w = z+r."""
+def _interval_shares(mat: WireMaterial, w: int, lo: int, hi: int,
+                     cache: dict[int, list[int]]) -> tuple[int, int]:
+    """Shares of (ind, ind*r) for z in [lo, hi] (signed bounds), given w = z+r.
+
+    `cache` maps each point where the comparison key was evaluated to its
+    shares, so that intervals sharing an endpoint evaluate it once.
+    """
     p = mat.p
     b = mat.party
     m_seg = (hi - lo) % p
     u = (w - lo) % p
     y1 = (u - m_seg - 1) % p
     tab = mat._cmp_table
-    if tab is not None:
-        hi_ev, lo_ev = tab[y1], tab[u]
-    else:
-        hi_ev = dcf_eval(b, mat.cmp_key, y1)
-        lo_ev = dcf_eval(b, mat.cmp_key, u)
+    for y in (y1, u):
+        if y not in cache:
+            cache[y] = tab[y] if tab is not None else dcf_eval(b, mat.cmp_key, y)
+    hi_ev, lo_ev = cache[y1], cache[u]
     pub = 1 if u <= m_seg else 0
     s_ind = (hi_ev[0] - lo_ev[0] + (pub if b else 0)) % p
     s_ind_r = (hi_ev[1] - lo_ev[1] + pub * mat.mask_share) % p
@@ -358,7 +350,7 @@ class ReluSession:
     def feed(self, revealed):
         (w,) = revealed
         p = self.mat.p
-        s_ind, s_ind_r = _interval_shares(self.mat, w, 0, _half(p))
+        s_ind, s_ind_r = _interval_shares(self.mat, w, 0, _half(p), {})
         self.output = [(w * s_ind - s_ind_r) % p]
         return None
 
@@ -380,27 +372,11 @@ class SplineSession:
     def feed(self, revealed):
         (w,) = revealed
         mat = self.mat
-        p, b, mask = mat.p, mat.party, mat.mask_share
-        tab = mat._cmp_table
-        cache: dict[int, list[int]] = {}
-
-        def ev(x: int) -> list[int]:
-            r = cache.get(x)
-            if r is None:
-                r = tab[x] if tab is not None else dcf_eval(b, mat.cmp_key, x)
-                cache[x] = r
-            return r
-
+        p = mat.p
+        cache: dict[int, list[int]] = {}  # adjacent segments share endpoints
         acc = 0
         for lo, hi, a, c in mat.table.segments:
-            # adjacent segments share comparison points, hence the cache
-            m_seg = (hi - lo) % p
-            u = (w - lo) % p
-            y1 = (u - m_seg - 1) % p
-            hi_ev, lo_ev = ev(y1), ev(u)
-            pub = 1 if u <= m_seg else 0
-            s_ind = (hi_ev[0] - lo_ev[0] + (pub if b else 0)) % p
-            s_ind_r = (hi_ev[1] - lo_ev[1] + pub * mask) % p
+            s_ind, s_ind_r = _interval_shares(mat, w, lo, hi, cache)
             # ind*z = w*ind - ind*r, all mod p; output lands at scale 2s
             acc += a * ((w * s_ind - s_ind_r) % p) + c * s_ind
         self.output = [acc % p]
@@ -435,7 +411,7 @@ class Max2Session:
             wa, wb, wc = revealed
             sh = []
             for sub, w in ((m.relu_xy, wa), (m.relu_x, wb), (m.relu_y, wc)):
-                s_ind, s_ind_r = _interval_shares(sub, w, 0, _half(p))
+                s_ind, s_ind_r = _interval_shares(sub, w, 0, _half(p), {})
                 sh.append((w * s_ind - s_ind_r) % p)
             relu_xy, relu_x, relu_y = sh
             self.u1 = (relu_xy + self.y) % p
@@ -565,18 +541,6 @@ class ArgmaxSession:
         return None
 
 
-class IdentitySession:
-    def __init__(self, mat: IdentityMaterial, in_shares):
-        self.output = [int(v) % mat.p for v in in_shares]
-        self.rounds = 0
-
-    def start(self):
-        return None
-
-    def feed(self, revealed):
-        raise GadgetParameterError("identity gadget has no rounds")
-
-
 def make_session(mat, in_shares):
     if isinstance(mat, WireMaterial):
         if mat.kind == "relu":
@@ -588,8 +552,6 @@ def make_session(mat, in_shares):
         return MaxPoolSession(mat, in_shares)
     if isinstance(mat, ArgmaxMaterial):
         return ArgmaxSession(mat, in_shares)
-    if isinstance(mat, IdentityMaterial):
-        return IdentitySession(mat, in_shares)
     raise GadgetParameterError(f"unknown material {type(mat)!r}")
 
 
@@ -615,8 +577,7 @@ _MAT_VERSION = 1
 
 def serialize_material(mat) -> bytes:
     kind_map = {WireMaterial: "wire", Max2Material: "max2",
-                MaxPoolMaterial: "maxpool", ArgmaxMaterial: "argmax",
-                IdentityMaterial: "identity"}
+                MaxPoolMaterial: "maxpool", ArgmaxMaterial: "argmax"}
     kind = kind_map[type(mat)]
     body = _mat_body(mat)
     head = struct.pack("<BB12sBQ", _MAT_VERSION, len(kind), kind.encode().ljust(12),
@@ -666,8 +627,6 @@ def _mat_body(mat) -> bytes:
         body += b"".join(struct.pack("<Q", s) for s in mat.rho_shares)
         body += _pack_chunks(*[k.serialize() for k in mat.pf_keys])
         return body
-    if isinstance(mat, IdentityMaterial):
-        return b""
     raise GadgetParameterError(f"unknown material {type(mat)!r}")
 
 
@@ -677,8 +636,6 @@ def deserialize_material(buf: bytes):
         raise ValueError(f"unsupported material version {ver}")
     kind = kind_raw[:klen].decode()
     body = buf[struct.calcsize("<BB12sBQ"):]
-    if kind == "identity":
-        return IdentityMaterial(party, p)
     if kind == "wire":
         chunks, _ = _unpack_chunks(body, 4)
         wkind = chunks[0].decode()

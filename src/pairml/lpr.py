@@ -50,11 +50,6 @@ class LprKeys:
     pk: tuple[RingPoly, RingPoly]  # (b, a) with b = -(a*s + e)
     s: RingPoly                    # ternary secret over R_q
 
-    @property
-    def fresh_noise_bound(self) -> int:
-        n = self.params.n_ring
-        return NOISE_ETA * (2 * n + 1)
-
 
 def keygen(params: ProtocolParams, rng) -> LprKeys:
     s = ternary_poly(params, rng)

@@ -49,20 +49,6 @@ def block_convert(block: bytes, payload_len: int, p: int) -> list[int]:
             for i in range(payload_len)]
 
 
-def split_blocks(seed: bytes) -> list[bytes]:
-    if len(seed) % BLOCKS:
-        raise ValueError("seed length must be divisible by the block count")
-    w = len(seed) // BLOCKS
-    return [seed[i * w:(i + 1) * w] for i in range(BLOCKS)]
-
-
-def expand_blockwise(j: int, block: bytes, out_len: int) -> bytes:
-    """Expansion of one seed block; XOR of the three equals expand_seed."""
-    if j not in (0, 1, 2):
-        raise ValueError("block index must be 0, 1, or 2")
-    return g_expand(block, out_len)
-
-
 _shake = hashlib.shake_256
 
 
@@ -76,12 +62,6 @@ def expand_seed(seed: bytes, out_len: int) -> bytes:
     acc ^= int.from_bytes(_shake(_G_TAG + seed[w:2 * w]).digest(out_len), "little")
     acc ^= int.from_bytes(_shake(_G_TAG + seed[2 * w:]).digest(out_len), "little")
     return acc.to_bytes(out_len, "little")
-
-
-def convert_blockwise(j: int, block: bytes, payload_len: int, p: int) -> list[int]:
-    if j not in (0, 1, 2):
-        raise ValueError("block index must be 0, 1, or 2")
-    return block_convert(block, payload_len, p)
 
 
 def convert_seed(seed: bytes, payload_len: int, p: int) -> list[int]:

@@ -46,7 +46,6 @@ class RunConfig:
     transport: str = "inproc"
     trusted_test: bool = False
     seed: int = 0
-    truncation: bool = True
 
     def validate(self, hosts: list[str] | None = None):
         if self.mode not in ("single-tee", "multi-tee"):
@@ -114,11 +113,9 @@ class Simulation:
         seed = config.seed
         self.roles = (
             ServerRole(0, params, p0, d0s, o0s, mode=config.mode,
-                       rng=random.Random(f"{seed}/s0"),
-                       truncation=config.truncation),
+                       rng=random.Random(f"{seed}/s0")),
             ServerRole(1, params, p1, d1s, o1s, mode=config.mode,
-                       rng=random.Random(f"{seed}/s1"),
-                       truncation=config.truncation),
+                       rng=random.Random(f"{seed}/s1")),
         )
         self.dealer = DealerRole(params, d0d, d1d, random.Random(f"{seed}/dealer"))
         self.owner_chans = (o0o, o1o)

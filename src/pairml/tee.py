@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import prg
-from .fss import DcfKey, DpfKey, _expand_lens, _parse_node
+from .fss import DcfKey, DpfKey, _expand_lens
 from .gadgets import (
     ArgmaxMaterial,
-    IdentityMaterial,
     Max2Material,
     MaxPoolMaterial,
     SplineTable,
@@ -114,11 +113,9 @@ class TeeParty:
         return GenRandPiece(r=r, sh0=sh0, sh1=(r - sh0) % p)
 
 
-def _gadget_request_material(kind: str, p: int, rng, lam: int, width: int = 1,
-                             k: int = 1, table: SplineTable | None = None):
+def _gadget_request_material(kind: str, p: int, rng, lam: int, k: int = 1,
+                             table: SplineTable | None = None):
     """Centralized material-pair construction shared by single-TEE mode."""
-    if kind == "identity":
-        return IdentityMaterial(0, p), IdentityMaterial(1, p)
     if kind in ("relu", "sigmoid", "tanh"):
         return wire_material(kind, p, rng, table=table, lam=lam)
     if kind == "max2":
@@ -137,7 +134,6 @@ class SingleTee:
                  to_host: Channel, host_end: Channel):
         self.server = server
         self.params = params
-        self.party = TeeParty(server, 0, bundle.pair_seeds[0])
         self.stream = PrfStream(bundle.pair_seeds[0], tag=b"fssgen-single")
         self.to_host = to_host
         self.host_end = host_end
@@ -150,10 +146,6 @@ class SingleTee:
         blob = serialize_material(pair[self.server])
         self.to_host.send(KIND_TEE_MATERIAL, PHASE_PREPROCESS, blob)
         return deserialize_material(self.host_end.recv().payload)
-
-    def genrand_share(self) -> int:
-        piece = self.party.genrand(self.params.p)
-        return piece.share(self.server)
 
 
 class TeeTriple:
@@ -461,9 +453,7 @@ class TeeTriple:
     def gadget_material(self, kind: str, k: int = 1,
                         table: SplineTable | None = None):
         p = self.params.p
-        if kind == "identity":
-            mat = IdentityMaterial(self.server, p)
-        elif kind in ("relu", "sigmoid", "tanh"):
+        if kind in ("relu", "sigmoid", "tanh"):
             mat = self._wire_material(kind, table)
         elif kind == "max2":
             mat = self._max2_material()

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 
@@ -6,15 +7,12 @@ import pytest
 from pairml import prg
 from pairml.fss import (
     DcfKey,
-    DifKey,
     DpfKey,
     FssParameterError,
+    _walk,
     dcf_eval,
     dcf_eval_all,
     dcf_gen,
-    dif_eval,
-    dif_eval_all,
-    dif_gen,
     dpf_eval,
     dpf_eval_all,
     dpf_gen,
@@ -36,8 +34,9 @@ def test_blockprg_xor_of_three_reconstruction():
         seed = rng.randbytes(48)
         whole = prg.expand_seed(seed, 64)
         acc = 0
-        for j, blk in enumerate(prg.split_blocks(seed)):
-            acc ^= int.from_bytes(prg.expand_blockwise(j, blk, 64), "little")
+        for j in range(3):
+            blk = seed[16 * j:16 * (j + 1)]
+            acc ^= int.from_bytes(prg.g_expand(blk, 64), "little")
         assert acc.to_bytes(64, "little") == whole
 
 
@@ -53,8 +52,9 @@ def test_block_convert_sums_match():
     seed = rng.randbytes(48)
     whole = prg.convert_seed(seed, 3, P_TEST)
     acc = [0, 0, 0]
-    for j, blk in enumerate(prg.split_blocks(seed)):
-        for i, v in enumerate(prg.convert_blockwise(j, blk, 3, P_TEST)):
+    for j in range(3):
+        blk = seed[16 * j:16 * (j + 1)]
+        for i, v in enumerate(prg.block_convert(blk, 3, P_TEST)):
             acc[i] = (acc[i] + v) % P_TEST
     assert acc == whole
 
@@ -196,53 +196,6 @@ def test_dcf_vector_payload():
         assert got == (beta if x < 100 else [0] * 5)
 
 
-# -- DIF ------------------------------------------------------------------------
-
-
-def test_dif_exhaustive_random_intervals():
-    rng = random.Random(15)
-    for trial in range(6):
-        a1 = rng.randrange(256)
-        a2 = rng.randrange(a1, 256)
-        beta = [rng.randrange(P_TEST), rng.randrange(P_TEST)]
-        k0, k1 = dif_gen(P_TEST, a1, a2, beta, rng, domain_bits=8)
-        for x in range(256):
-            got = _sum(P_TEST, dif_eval(0, k0, x), dif_eval(1, k1, x))
-            expect = beta if a1 <= x <= a2 else [0, 0]
-            assert got == expect, (trial, a1, a2, x)
-
-
-def test_dif_full_interval_constant():
-    rng = random.Random(16)
-    k0, k1 = dif_gen(P_TEST, 0, 255, [11], rng, domain_bits=8)
-    for x in range(256):
-        assert _sum(P_TEST, dif_eval(0, k0, x), dif_eval(1, k1, x)) == [11]
-
-
-def test_dif_zero_payload():
-    rng = random.Random(17)
-    k0, k1 = dif_gen(P_TEST, 10, 20, [0], rng, domain_bits=8)
-    for x in range(256):
-        assert _sum(P_TEST, dif_eval(0, k0, x), dif_eval(1, k1, x)) == [0]
-
-
-def test_dif_rejects_wrapped():
-    rng = random.Random(18)
-    with pytest.raises(FssParameterError):
-        dif_gen(P_TEST, 20, 10, [1], rng, domain_bits=8)
-
-
-def test_dif_field_domain():
-    # domain sized by p itself (what the gadgets use)
-    p = 569
-    rng = random.Random(19)
-    a1, a2 = 100, p - 1
-    k0, k1 = dif_gen(p, a1, a2, [7], rng)
-    for x in range(0, p, 5):
-        got = _sum(p, dif_eval(0, k0, x), dif_eval(1, k1, x))
-        assert got == ([7] if a1 <= x else [0])
-
-
 def test_eval_all_matches_pointwise():
     rng = random.Random(21)
     k0, k1 = dpf_gen(P_TEST, 200, [1, 9], rng, domain_bits=8)
@@ -255,12 +208,18 @@ def test_eval_all_matches_pointwise():
     for x in range(256):
         assert fc0[x] == dcf_eval(0, c0, x)
         assert fc1[x] == dcf_eval(1, c1, x)
-    i0, i1 = dif_gen(P_TEST, 30, 200, [2], rng, domain_bits=8)
-    fi0, fi1 = dif_eval_all(0, i0), dif_eval_all(1, i1)
-    for x in range(256):
-        got = _sum(P_TEST, fi0[x], fi1[x])
-        assert got == ([2] if 30 <= x <= 200 else [0])
-        assert fi0[x] == dif_eval(0, i0, x)
+
+
+def test_walk_point_sets_match_pointwise():
+    # sparse, clustered and repeated points share some tree prefixes only
+    rng = random.Random(23)
+    keys = [dpf_gen(P_TEST, 200, [1, 9], rng, domain_bits=8)[1],
+            dcf_gen(P_TEST, 77, [4, 2], rng, domain_bits=8)[0]]
+    for key, ev in zip(keys, (dpf_eval, dcf_eval)):
+        for xs in ([5], [255, 0, 128], [76, 77, 78, 77, 76], rng.sample(range(256), 40)):
+            assert _walk(key.party, key, xs) == [ev(key.party, key, x) for x in xs]
+    with pytest.raises(FssParameterError):
+        _walk(0, keys[1], [3, 256])
 
 
 # -- serialization ----------------------------------------------------------------
@@ -278,12 +237,63 @@ def test_key_serialization_round_trip():
     buf = c0.serialize()
     assert DcfKey.deserialize(buf) == c0
     assert DcfKey.deserialize(buf).serialize() == buf
-    i0, i1 = dif_gen(P_TEST, 5, 250, [9], rng, domain_bits=8)
-    buf = i0.serialize()
-    assert DifKey.deserialize(buf) == i0
-    assert DifKey.deserialize(buf).serialize() == buf
-    # deserialized keys still evaluate correctly against the live pair
-    x = 123
-    got = _sum(P_TEST, dif_eval(0, DifKey.deserialize(i0.serialize()), x),
-               dif_eval(1, i1, x))
-    assert got == ([9] if 5 <= x <= 250 else [0])
+
+
+def test_malformed_keys_rejected():
+    rng = random.Random(22)
+    k0, _ = dpf_gen(P_TEST, 44, [1, 2], rng, domain_bits=8)
+    c0, _ = dcf_gen(P_TEST, 99, [1, 2, 3], rng, domain_bits=8)
+    for cls, buf in ((DpfKey, k0.serialize()), (DcfKey, c0.serialize())):
+        for bad in (buf[:-8], buf[:-1], buf + b"junk", buf[:5], b""):
+            with pytest.raises(ValueError):
+                cls.deserialize(bad)
+    with pytest.raises(ValueError):
+        DcfKey.deserialize(k0.serialize())  # a DPF key is not a DCF key
+    with pytest.raises(ValueError):
+        replace(c0, v_cws=c0.v_cws[:-1]).serialize()
+    with pytest.raises(ValueError):
+        replace(k0, seed_cws=[s[:-1] for s in k0.seed_cws]).serialize()
+
+
+# -- pinned key bytes -----------------------------------------------------------------
+
+P_WIDE = (1 << 30) - 35  # the width of the testing() modulus
+
+
+def _table_digest(gen, eval_all, seed):
+    rng = random.Random(seed)
+    point = rng.randrange(256)
+    beta = [rng.randrange(P_TEST) for _ in range(2)]
+    keys = gen(P_TEST, point, beta, rng, domain_bits=8)
+    h = hashlib.sha256()
+    for b, key in enumerate(keys):
+        h.update(key.serialize())
+        for row in eval_all(b, key):
+            h.update(b"".join(v.to_bytes(2, "little") for v in row))
+    return h.hexdigest()[:16]
+
+
+def _point_digest(gen, ev, seed):
+    rng = random.Random(seed)
+    point = rng.randrange(P_WIDE)
+    keys = gen(P_WIDE, point, [1, point], rng)
+    xs = [point - 1, point, point + 1] + [rng.randrange(P_WIDE) for _ in range(5)]
+    h = hashlib.sha256()
+    for b, key in enumerate(keys):
+        h.update(key.serialize())
+        for x in xs:
+            h.update(b"".join(v.to_bytes(4, "little") for v in ev(b, key, x)))
+    return h.hexdigest()[:16]
+
+
+def test_key_bytes_and_tables_pinned():
+    # key bytes, full tables and wide-domain point shares on fixed seeds must
+    # not drift: deployed keys and the PRG budgets depend on them
+    assert [_table_digest(dpf_gen, dpf_eval_all, s) for s in (1, 2, 3)] == [
+        "3ef6b8fc45171a56", "29798a68e522af72", "afcac9190fc3c823"]
+    assert [_table_digest(dcf_gen, dcf_eval_all, s) for s in (1, 2, 3)] == [
+        "7a71f8e9e6cc17d6", "11a88480d8ccc871", "dbd3f1c0a718d12c"]
+    assert [_point_digest(dpf_gen, dpf_eval, s) for s in (4, 5)] == [
+        "b27543cc7ab13590", "599b42100d7c3184"]
+    assert [_point_digest(dcf_gen, dcf_eval, s) for s in (4, 5)] == [
+        "dd9197791ade5cff", "b7784ff4918321ec"]

@@ -8,7 +8,6 @@ from pairml.gadgets import (
     ArgmaxMaterial,
     GadgetParameterError,
     GadgetReuseError,
-    IdentityMaterial,
     Max2Material,
     MaxPoolMaterial,
     WireMaterial,
@@ -320,14 +319,6 @@ def test_reveals_are_masked():
     assert len(seen) > 25
 
 
-def test_identity_gadget():
-    mat = IdentityMaterial(0, P10)
-    sess = make_session(mat, [7, 8])
-    assert sess.start() is None
-    assert sess.output == [7, 8]
-    assert sess.rounds == 0
-
-
 def test_material_serialization_round_trip():
     p = P10
     rng = random.Random(15)
@@ -337,7 +328,6 @@ def test_material_serialization_round_trip():
         max2_material(p, rng)[1],
         maxpool_material(p, 3, rng)[0],
         argmax_material(p, 4, rng)[1],
-        IdentityMaterial(0, p),
     ]
     for mat in mats:
         buf = serialize_material(mat)
