@@ -8,17 +8,14 @@ with its protocol phase so the meters can audit phase separation.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fixedpoint import FixedPointCodec, exact_truncate, to_signed, truncate_share_vec
+from .codec import Reader, Writer
+from .fixedpoint import FixedPointCodec, exact_truncate, truncate_share_vec
 from .gadgets import (
-    ArgmaxMaterial,
-    MaxPoolMaterial,
     SplineTable,
-    WireMaterial,
     make_session,
     plain_argmax,
     plain_max,
@@ -228,10 +225,6 @@ class GadgetLayer:
     k: int = 1
     table: SplineTable | None = None
 
-    @property
-    def out_width(self) -> int:
-        return self.width // self.k if self.kind == "maxpool" else self.width
-
 
 def lower_manifest(manifest: ModelManifest, params: ProtocolParams) -> list:
     """Lower manifest layers to linear + gadget steps."""
@@ -318,27 +311,29 @@ def _reference_gadget(step: GadgetLayer, x: list[int], p: int,
 
 
 def encode_vec(v) -> bytes:
-    return b"".join(int(x).to_bytes(8, "little") for x in v)
+    return Writer().u64s(v).getvalue()
 
 
 def decode_vec(buf: bytes) -> list[int]:
-    return [int.from_bytes(buf[i:i + 8], "little") for i in range(0, len(buf), 8)]
+    with Reader(buf) as r:
+        return r.u64s(len(buf) // 8)
 
 
 def encode_mat(m: np.ndarray) -> bytes:
     r, c = m.shape
-    return struct.pack("<II", r, c) + encode_vec(m.reshape(-1))
+    return Writer().u32(r).u32(c).u64s(m.reshape(-1)).getvalue()
 
 
 def decode_mat(buf: bytes) -> np.ndarray:
-    r, c = struct.unpack_from("<II", buf, 0)
-    vals = decode_vec(buf[8:])
-    return np.array(vals, dtype=object).reshape(r, c)
+    with Reader(buf) as r:
+        rows, cols = r.u32(), r.u32()
+        vals = r.u64s(rows * cols)
+    return np.array(vals, dtype=object).reshape(rows, cols)
 
 
 # -- manifest file format ---------------------------------------------------------------------
-
-_WB = struct.Struct("<4sQ")
+# text header lines, a blank line, then one weight block per dense/conv layer:
+# b"WTS1", u64 count, count u64 words
 
 
 def serialize_manifest(manifest: ModelManifest) -> bytes:
@@ -368,58 +363,47 @@ def serialize_manifest(manifest: ModelManifest) -> bytes:
         elif isinstance(layer, ArgmaxLayer):
             lines.append("layer argmax")
     head = ("\n".join(lines) + "\n\n").encode()
-    body = b""
+    w = Writer().raw(head)
     for blob in blobs:
-        body += _WB.pack(b"WTS1", len(blob)) + encode_vec(blob)
-    return head + body
+        w.raw(b"WTS1").u64(len(blob)).u64s(blob)
+    return w.getvalue()
 
 
 def parse_manifest(buf: bytes) -> ModelManifest:
-    head, _, body = buf.partition(b"\n\n")
+    head, sep, body = buf.partition(b"\n\n")
     lines = head.decode().splitlines()
-    if lines[0] != "pairml-model v1":
+    if not sep or lines[:1] != ["pairml-model v1"]:
         raise ValueError("bad manifest header")
     kv = dict(line.split("=", 1) for line in lines[1:4])
     layers = []
     specs = [line for line in lines[4:] if line.startswith("layer ")]
-    off = 0
+    r = Reader(body)
 
-    def next_blob():
-        nonlocal off
-        magic, count = _WB.unpack_from(body, off)
-        if magic != b"WTS1":
+    def weights(*shape):
+        if r.raw(4) != b"WTS1":
             raise ValueError("bad weight block")
-        start = off + _WB.size
-        vals = decode_vec(body[start:start + 8 * count])
-        off = start + 8 * count
-        return np.array(vals, dtype=object)
+        return np.array(r.u64s(r.u64()), dtype=object).reshape(shape)
 
-    for spec in specs:
-        parts = spec.split()
-        kind = parts[1]
-        opts = dict(p.split("=", 1) for p in parts[2:])
-        if kind == "dense":
-            n, m = int(opts["in"]), int(opts["out"])
-            act = None if opts["act"] == "-" else opts["act"]
-            layers.append(DenseLayer(next_blob().reshape(n, m), act))
-        elif kind == "conv":
-            shape = (int(opts["kh"]), int(opts["kw"]), int(opts["c"]),
-                     int(opts["cout"]))
-            act = None if opts["act"] == "-" else opts["act"]
-            layers.append(ConvLayer(next_blob().reshape(shape),
-                                    (int(opts["h"]), int(opts["w"]),
-                                     int(opts["c"])),
-                                    int(opts["stride"]), int(opts["pad"]), act))
-        elif kind == "avgpool":
-            layers.append(AvgPoolLayer((int(opts["h"]), int(opts["w"]),
-                                        int(opts["c"])),
-                                       (int(opts["ph"]), int(opts["pw"]))))
-        elif kind == "maxpool":
-            layers.append(MaxPoolVecLayer(int(opts["k"])))
-        elif kind == "argmax":
-            layers.append(ArgmaxLayer())
-        else:
-            raise ValueError(f"unknown layer kind {kind}")
+    with r:
+        for spec in specs:
+            _, kind, *parts = spec.split()
+            o = {k: v if k == "act" else int(v)
+                 for k, v in (part.split("=", 1) for part in parts)}
+            act = None if o.get("act", "-") == "-" else o["act"]
+            if kind == "dense":
+                layers.append(DenseLayer(weights(o["in"], o["out"]), act))
+            elif kind == "conv":
+                layers.append(ConvLayer(weights(o["kh"], o["kw"], o["c"], o["cout"]),
+                                        (o["h"], o["w"], o["c"]), o["stride"], o["pad"],
+                                        act))
+            elif kind == "avgpool":
+                layers.append(AvgPoolLayer((o["h"], o["w"], o["c"]), (o["ph"], o["pw"])))
+            elif kind == "maxpool":
+                layers.append(MaxPoolVecLayer(o["k"]))
+            elif kind == "argmax":
+                layers.append(ArgmaxLayer())
+            else:
+                raise ValueError(f"unknown layer kind {kind}")
     return ModelManifest(name=kv["name"], fp_scale=int(kv["fp_scale"]),
                          input_dim=int(kv["input_dim"]), layers=layers)
 
@@ -465,19 +449,14 @@ class ServerRole:
     def run_setup(self):
         self.peer.send(KIND_HELLO, PHASE_SETUP, b"")
         self.peer.recv()
-        frame = self.dealer.recv()
-        bundle_len, = struct.unpack_from("<I", frame.payload, 0)
-        off = 4
-        seeds = []
-        for _ in range(6):
-            seeds.append(frame.payload[off:off + 32])
-            off += 32
+        size = RingPoly.wire_size(self.params, "q")
+        with Reader(self.dealer.recv().payload) as r:
+            seeds = [r.raw(32) for _ in range(r.u32())]
+            pk0, pk1, s_share = (RingPoly.deserialize(self.params, r.raw(size))
+                                 for _ in range(3))
+        if len(seeds) != 6:
+            raise EngineError(f"setup frame carries {len(seeds)} seeds, not 6")
         bundle = SeedBundle(pair_seeds=seeds[:3], intra_seeds=seeds[3:])
-        pk0 = RingPoly.deserialize(self.params, frame.payload[off:])
-        off += len(pk0.serialize())
-        pk1 = RingPoly.deserialize(self.params, frame.payload[off:])
-        off += len(pk1.serialize())
-        s_share = RingPoly.deserialize(self.params, frame.payload[off:])
         self.setup_msg = ((pk0, pk1), s_share)
         if self.mode == "single-tee":
             self.tee, self.tee_channels = build_single_tee(
@@ -489,10 +468,8 @@ class ServerRole:
     # ---- model loading -----------------------------------------------------
 
     def run_load(self):
-        frame = self.owner.recv()
-        head_len, = struct.unpack_from("<I", frame.payload, 0)
-        manifest_blob = frame.payload[4:4 + head_len]
-        self.manifest = parse_manifest(manifest_blob)
+        with Reader(self.owner.recv().payload) as r:
+            self.manifest = parse_manifest(r.blob())
         self.lowered = lower_manifest(self.manifest, self.params)
         p = self.params.p
         # replace manifest weights (they arrived as this server's shares)
@@ -515,33 +492,20 @@ class ServerRole:
             self.f_public[step.job_id] = (f_share + peer_f) % p
             self.b_shares[step.job_id] = b_share
         # dealer conversion of every packed column of B
-        req = bytearray()
-        s_share_blob = self.setup_msg[1].serialize()
-        req += struct.pack("<I", len(s_share_blob))
-        req += s_share_blob
-        cols = []
+        req = Writer().blob(self.setup_msg[1].serialize())
+        req.u32(sum(job.m for job in self.plan.jobs))
         for job in self.plan.jobs:
             bmat = self.b_shares[job.job_id]
             for t in range(job.m):
-                cols.append(((job.job_id, t), bmat[:, t]))
-        req += struct.pack("<I", len(cols))
-        for (jid, t), col in cols:
-            req += struct.pack("<III", jid, t, len(col))
-            req += encode_vec(col)
-        reply = self.dealer.exchange(KIND_DEALER, PHASE_LOAD, bytes(req))
-        off = 0
-        payload = reply.payload
-        n_cols, = struct.unpack_from("<I", payload, off)
-        off += 4
-        poly_len = len(RingPoly.zero(self.params, tag="q").serialize())
-        for _ in range(n_cols):
-            jid, t = struct.unpack_from("<II", payload, off)
-            off += 8
-            y_sh = RingPoly.deserialize(self.params, payload[off:off + poly_len])
-            off += poly_len
-            ys_sh = RingPoly.deserialize(self.params, payload[off:off + poly_len])
-            off += poly_len
-            self.converted[(jid, t)] = ConvertedColumn(y_sh, ys_sh)
+                req.u32(job.job_id).u32(t).u32(bmat.shape[0]).u64s(bmat[:, t])
+        reply = self.dealer.exchange(KIND_DEALER, PHASE_LOAD, req.getvalue())
+        size = RingPoly.wire_size(self.params, "q")
+        with Reader(reply.payload) as r:
+            for _ in range(r.u32()):
+                jid, t = r.u32(), r.u32()
+                self.converted[(jid, t)] = ConvertedColumn(
+                    RingPoly.deserialize(self.params, r.raw(size)),
+                    RingPoly.deserialize(self.params, r.raw(size)))
 
     # ---- preprocessing -----------------------------------------------------
 
@@ -550,18 +514,10 @@ class ServerRole:
         setup = DealerSetup(self.setup_msg[0], self.setup_msg[1])
         triple_sess = TripleGenSession(self.params, self.plan, self.b, setup,
                                        self.b_shares, self.converted, self.rng)
-        blobs = triple_sess.start()
-        payload = struct.pack("<I", len(blobs)) + b"".join(
-            struct.pack("<I", len(bl)) + bl for bl in blobs)
-        reply = self.peer.exchange(KIND_CIPHERTEXT, PHASE_PREPROCESS, payload)
-        off = 4
-        peer_blobs = []
-        n_blobs, = struct.unpack_from("<I", reply.payload, 0)
-        for _ in range(n_blobs):
-            ln, = struct.unpack_from("<I", reply.payload, off)
-            off += 4
-            peer_blobs.append(reply.payload[off:off + ln])
-            off += ln
+        reply = self.peer.exchange(KIND_CIPHERTEXT, PHASE_PREPROCESS,
+                                   Writer().blobs(triple_sess.start()).getvalue())
+        with Reader(reply.payload) as r:
+            peer_blobs = r.blobs()
         triple_sess.feed(peer_blobs)
         triples = {t.job_id: t for t in triple_sess.output}
         gadget_mats = []
@@ -702,47 +658,36 @@ class DealerRole:
         keys, d0, d1 = dealer_setup(self.params, self.rng)
         self.keys = keys  # retained only for trusted-test assertions
         bundle = SeedBundle.from_rng(self.rng)
+        seeds = bundle.pair_seeds + bundle.intra_seeds
         for b, d in enumerate((d0, d1)):
-            payload = struct.pack("<I", 6)
-            for s in bundle.pair_seeds + bundle.intra_seeds:
-                payload += s
-            payload += d.pk[0].serialize() + d.pk[1].serialize()
-            payload += d.s_share.serialize()
-            self.chans[b].send(KIND_DEALER, PHASE_SETUP, payload)
+            w = Writer().u32(len(seeds))
+            for part in seeds + [d.pk[0].serialize(), d.pk[1].serialize(),
+                                 d.s_share.serialize()]:
+                w.raw(part)
+            self.chans[b].send(KIND_DEALER, PHASE_SETUP, w.getvalue())
 
     def run_convert(self):
         reqs = [self._parse_req(ch.recv().payload) for ch in self.chans]
         (s0, cols0), (s1, cols1) = reqs
-        replies = [bytearray(), bytearray()]
-        for r in replies:
-            r += struct.pack("<I", len(cols0))
         if sorted(cols0) != sorted(cols1):
             raise EngineError("servers disagree on conversion requests")
-        n_ring = self.params.n_ring
-        for key in sorted(cols0):
-            c0, c1 = cols0[key], cols1[key]
-            jid, t = key
-            conv0, conv1 = dealer_convert_column(
-                self.params, s0, s1, c0, c1, self.rng)
-            for r, conv in zip(replies, (conv0, conv1)):
-                r += struct.pack("<II", jid, t)
-                r += conv.y_share.serialize() + conv.ys_share.serialize()
-        for ch, r in zip(self.chans, replies):
-            ch.send(KIND_DEALER, PHASE_LOAD, bytes(r))
+        replies = [Writer().u32(len(cols0)) for _ in self.chans]
+        for jid, t in sorted(cols0):
+            convs = dealer_convert_column(self.params, s0, s1, cols0[jid, t],
+                                          cols1[jid, t], self.rng)
+            for w, conv in zip(replies, convs):
+                w.u32(jid).u32(t).raw(conv.y_share.serialize())
+                w.raw(conv.ys_share.serialize())
+        for ch, w in zip(self.chans, replies):
+            ch.send(KIND_DEALER, PHASE_LOAD, w.getvalue())
 
     def _parse_req(self, payload: bytes):
-        ln, = struct.unpack_from("<I", payload, 0)
-        off = 4
-        s_share = RingPoly.deserialize(self.params, payload[off:off + ln])
-        off += ln
-        n_cols, = struct.unpack_from("<I", payload, off)
-        off += 4
-        cols = {}
-        for _ in range(n_cols):
-            jid, t, cl = struct.unpack_from("<III", payload, off)
-            off += 12
-            cols[(jid, t)] = decode_vec(payload[off:off + 8 * cl])
-            off += 8 * cl
+        with Reader(payload) as r:
+            s_share = RingPoly.deserialize(self.params, r.blob())
+            cols = {}
+            for _ in range(r.u32()):
+                jid, t, n = r.u32(), r.u32(), r.u32()
+                cols[(jid, t)] = r.u64s(n)
         return s_share, cols
 
 

@@ -19,10 +19,6 @@ def to_signed(v: int, p: int) -> int:
     return v if v <= (p - 1) // 2 else v - p
 
 
-def from_signed(v: int, p: int) -> int:
-    return int(v) % p
-
-
 @dataclass(frozen=True)
 class FixedPointCodec:
     params: ProtocolParams

@@ -17,12 +17,12 @@ costs one node per tree node.
 
 from __future__ import annotations
 
-import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import ClassVar
 
 from . import prg
+from .codec import Reader, Writer
 
 
 class FssParameterError(ValueError):
@@ -70,28 +70,12 @@ class DpfKey:
 
 
 @dataclass
-class DcfKey:
-    """Key for f(x) = beta * [x < threshold] over an n-bit domain."""
+class DcfKey(DpfKey):
+    """Key for f(x) = beta * [x < threshold] over an n-bit domain: the DPF
+    fields plus one payload correction word per level."""
 
     _variant: ClassVar[int] = 0x02
-    party: int
-    domain_bits: int
-    p: int
-    payload_len: int
-    lam: int
-    root_seed: bytes
-    root_t: int
-    seed_cws: list[bytes]
     v_cws: list[list[int]]
-    t_cws: list[tuple[int, int]]
-    final_cw: list[int]
-
-    def serialize(self) -> bytes:
-        return _serialize_tree(self)
-
-    @classmethod
-    def deserialize(cls, buf: bytes) -> "DcfKey":
-        return cls(**_deserialize_tree(buf, cls))
 
 
 # -- the key generator and the walker ---------------------------------------------
@@ -235,7 +219,9 @@ def dcf_eval_all(b: int, key: DcfKey) -> list[list[int]]:
 
 # -- serialization ------------------------------------------------------------------
 
-_TREE_HDR = struct.Struct("<BBBHQHB")  # variant, party, domain_bits, L, p, lam, root_t
+# variant u8, party u8, domain_bits u8, L u16, p u64, lam u16, root_t u8; root
+# seed; per level its seed correction word and a flags byte (bit0 = tL,
+# bit1 = tR); final_cw (L words); DCF only: per level v_cw (L words)
 
 
 def _serialize_tree(key: DpfKey | DcfKey) -> bytes:
@@ -247,48 +233,33 @@ def _serialize_tree(key: DpfKey | DcfKey) -> bytes:
             and all(len(s) == sb for s in key.seed_cws)
             and len(v_cws) == n * cmp and all(len(v) == L for v in v_cws)):
         raise ValueError("inconsistent FSS key: field sizes do not match its header")
-    parts = [_TREE_HDR.pack(key._variant, key.party, n, L, key.p, key.lam,
-                            key.root_t), key.root_seed]
+    w = Writer().u8(key._variant).u8(key.party).u8(n).u16(L).u64(key.p)
+    w.u16(key.lam).u8(key.root_t).raw(key.root_seed)
     for s_cw, (tl, tr) in zip(key.seed_cws, key.t_cws):
-        parts.append(s_cw)
-        parts.append(bytes([tl | (tr << 1)]))
-    parts.append(b"".join(int(v).to_bytes(8, "little") for v in key.final_cw))
+        w.raw(s_cw).u8(tl | (tr << 1))
+    w.u64s(key.final_cw)
     for vc in v_cws:
-        parts.append(b"".join(int(v).to_bytes(8, "little") for v in vc))
-    return b"".join(parts)
+        w.u64s(vc)
+    return w.getvalue()
 
 
 def _deserialize_tree(buf: bytes, cls) -> dict:
     """Constructor fields of a `cls` key; the buffer must be exactly one key."""
-    if len(buf) < _TREE_HDR.size:
-        raise ValueError(f"truncated FSS key: {len(buf)} bytes")
-    variant, party, n, pl, p, lam, root_t = _TREE_HDR.unpack_from(buf, 0)
-    if variant != cls._variant:
-        raise ValueError(f"not a {cls.__name__}: variant {variant:#04x}")
-    sb = _seed_bytes(lam)
-    cmp = cls is DcfKey
-    size = _TREE_HDR.size + sb + n * (sb + 1) + 8 * pl * (1 + n * cmp)
-    if len(buf) != size:
-        raise ValueError(f"malformed {cls.__name__}: {len(buf)} bytes, expected {size}")
-
-    def words(off: int) -> list[int]:
-        return [int.from_bytes(buf[off + 8 * i:off + 8 * i + 8], "little")
-                for i in range(pl)]
-
-    off = _TREE_HDR.size
-    root = buf[off:off + sb]
-    off += sb
-    seed_cws, t_cws = [], []
-    for _ in range(n):
-        seed_cws.append(buf[off:off + sb])
-        flags = buf[off + sb]
-        if flags > 3:
-            raise ValueError(f"malformed {cls.__name__}: control flags {flags:#04x}")
-        t_cws.append((flags & 1, flags >> 1))
-        off += sb + 1
-    fields = dict(party=party, domain_bits=n, p=p, payload_len=pl, lam=lam,
-                  root_seed=root, root_t=root_t, seed_cws=seed_cws, t_cws=t_cws,
-                  final_cw=words(off))
-    if cmp:
-        fields["v_cws"] = [words(off + 8 * pl * (1 + i)) for i in range(n)]
+    with Reader(buf) as r:
+        variant, party, n, pl, p = r.u8(), r.u8(), r.u8(), r.u16(), r.u64()
+        if variant != cls._variant:
+            raise ValueError(f"not a {cls.__name__}: variant {variant:#04x}")
+        lam, root_t = r.u16(), r.u8()
+        sb = _seed_bytes(lam)
+        fields = dict(party=party, domain_bits=n, p=p, payload_len=pl, lam=lam,
+                      root_seed=r.raw(sb), root_t=root_t, seed_cws=[], t_cws=[])
+        for _ in range(n):
+            fields["seed_cws"].append(r.raw(sb))
+            flags = r.u8()
+            if flags > 3:
+                raise ValueError(f"malformed {cls.__name__}: control flags {flags:#04x}")
+            fields["t_cws"].append((flags & 1, flags >> 1))
+        fields["final_cw"] = r.u64s(pl)
+        if cls is DcfKey:
+            fields["v_cws"] = [r.u64s(pl) for _ in range(n)]
     return fields

@@ -17,9 +17,9 @@ w*ind - ind*r stay linear in revealed values.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
+from .codec import Reader, Writer
 from .fss import (DcfKey, DpfKey, dcf_eval, dcf_eval_all, dcf_gen, dpf_eval,
                   dpf_eval_all, dpf_gen)
 
@@ -571,110 +571,85 @@ def run_pair(mat0, mat1, shares0, shares1, p: int, reveal_log: list | None = Non
 
 
 # -- material serialization -----------------------------------------------------------
+# version u8, party u8, p u64, a kind code u8 (index into _MAT_CODECS), then the
+# material's fields with sub-materials inline and FSS keys as blobs.  Spline
+# tables are public and stay with the host, which re-attaches them.
 
-_MAT_VERSION = 1
+_MAT_VERSION = 2
+_WIRE_KINDS = ("relu", "sigmoid", "tanh")
+
+
+def _write_wire(w: Writer, m: WireMaterial):
+    w.u8(_WIRE_KINDS.index(m.kind)).u64(m.mask_share).blob(m.cmp_key.serialize())
+
+
+def _read_wire(r: Reader, party: int, p: int) -> WireMaterial:
+    code, mask = r.u8(), r.u64()
+    if code >= len(_WIRE_KINDS):
+        raise ValueError(f"unknown wire kind code {code}")
+    return WireMaterial(_WIRE_KINDS[code], party, p, mask, DcfKey.deserialize(r.blob()))
+
+
+def _write_max2(w: Writer, m: Max2Material):
+    for sub in (m.relu_xy, m.relu_x, m.relu_y):
+        _write_wire(w, sub)
+    w.u64s([m.r3_share, m.r4_share, m.r5_share, m.r6_share])
+    w.blob(m.pf3.serialize()).blob(m.pf4.serialize())
+
+
+def _read_max2(r: Reader, party: int, p: int) -> Max2Material:
+    relus = [_read_wire(r, party, p) for _ in range(3)]
+    return Max2Material(party, p, *relus, *r.u64s(4),
+                        DpfKey.deserialize(r.blob()), DpfKey.deserialize(r.blob()))
+
+
+def _write_maxpool(w: Writer, m: MaxPoolMaterial):
+    w.u32(m.k)
+    for node in m.nodes:
+        _write_max2(w, node)
+
+
+def _read_maxpool(r: Reader, party: int, p: int) -> MaxPoolMaterial:
+    k = r.u32()
+    # a knockout over k entries plays k - 1 matches, one max2 node each
+    return MaxPoolMaterial(party, p, k,
+                           [_read_max2(r, party, p) for _ in range(k - 1)])
+
+
+def _write_argmax(w: Writer, m: ArgmaxMaterial):
+    _write_maxpool(w, m.pool)
+    w.u64s(m.rho_shares)
+    for key in m.pf_keys:
+        w.blob(key.serialize())
+
+
+def _read_argmax(r: Reader, party: int, p: int) -> ArgmaxMaterial:
+    pool = _read_maxpool(r, party, p)
+    return ArgmaxMaterial(party, p, pool.k, pool, r.u64s(pool.k),
+                          [DpfKey.deserialize(r.blob()) for _ in range(pool.k)])
+
+
+_MAT_CODECS = ((WireMaterial, _write_wire, _read_wire),
+               (Max2Material, _write_max2, _read_max2),
+               (MaxPoolMaterial, _write_maxpool, _read_maxpool),
+               (ArgmaxMaterial, _write_argmax, _read_argmax))
 
 
 def serialize_material(mat) -> bytes:
-    kind_map = {WireMaterial: "wire", Max2Material: "max2",
-                MaxPoolMaterial: "maxpool", ArgmaxMaterial: "argmax"}
-    kind = kind_map[type(mat)]
-    body = _mat_body(mat)
-    head = struct.pack("<BB12sBQ", _MAT_VERSION, len(kind), kind.encode().ljust(12),
-                       mat.party, mat.p)
-    return head + body
-
-
-def _pack_chunks(*chunks: bytes) -> bytes:
-    return b"".join(struct.pack("<I", len(c)) + c for c in chunks)
-
-
-def _unpack_chunks(buf: bytes, n: int):
-    out, off = [], 0
-    for _ in range(n):
-        (ln,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        out.append(buf[off:off + ln])
-        off += ln
-    return out, off
-
-
-def _mat_body(mat) -> bytes:
-    if isinstance(mat, WireMaterial):
-        tbl = b""
-        if mat.table is not None:
-            t = mat.table
-            tbl = struct.pack("<B12sB", 1, t.kind.encode().ljust(12), t.in_scale)
-            tbl += struct.pack("<I", len(t.segments))
-            for seg in t.segments:
-                tbl += struct.pack("<4q", *seg)
-        return _pack_chunks(mat.kind.encode(),
-                            struct.pack("<Q", mat.mask_share),
-                            mat.cmp_key.serialize(), tbl)
-    if isinstance(mat, Max2Material):
-        return _pack_chunks(
-            serialize_material(mat.relu_xy), serialize_material(mat.relu_x),
-            serialize_material(mat.relu_y),
-            struct.pack("<4Q", mat.r3_share, mat.r4_share, mat.r5_share,
-                        mat.r6_share),
-            mat.pf3.serialize(), mat.pf4.serialize())
-    if isinstance(mat, MaxPoolMaterial):
-        return struct.pack("<I", mat.k) + _pack_chunks(
-            *[serialize_material(n) for n in mat.nodes])
-    if isinstance(mat, ArgmaxMaterial):
-        body = struct.pack("<I", mat.k)
-        body += _pack_chunks(serialize_material(mat.pool))
-        body += b"".join(struct.pack("<Q", s) for s in mat.rho_shares)
-        body += _pack_chunks(*[k.serialize() for k in mat.pf_keys])
-        return body
+    for code, (cls, write, _) in enumerate(_MAT_CODECS):
+        if type(mat) is cls:
+            w = Writer().u8(_MAT_VERSION).u8(mat.party).u64(mat.p).u8(code)
+            write(w, mat)
+            return w.getvalue()
     raise GadgetParameterError(f"unknown material {type(mat)!r}")
 
 
 def deserialize_material(buf: bytes):
-    ver, klen, kind_raw, party, p = struct.unpack_from("<BB12sBQ", buf, 0)
-    if ver != _MAT_VERSION:
-        raise ValueError(f"unsupported material version {ver}")
-    kind = kind_raw[:klen].decode()
-    body = buf[struct.calcsize("<BB12sBQ"):]
-    if kind == "wire":
-        chunks, _ = _unpack_chunks(body, 4)
-        wkind = chunks[0].decode()
-        (mask,) = struct.unpack("<Q", chunks[1])
-        key = DcfKey.deserialize(chunks[2])
-        table = None
-        if chunks[3]:
-            flag, tkind_raw, scale = struct.unpack_from("<B12sB", chunks[3], 0)
-            off = struct.calcsize("<B12sB")
-            (nseg,) = struct.unpack_from("<I", chunks[3], off)
-            off += 4
-            segs = []
-            for _ in range(nseg):
-                segs.append(struct.unpack_from("<4q", chunks[3], off))
-                off += 32
-            table = SplineTable(kind=tkind_raw.decode().strip("\x00").strip(),
-                                in_scale=scale, segments=tuple(segs))
-        return WireMaterial(wkind, party, p, mask, key, table)
-    if kind == "max2":
-        chunks, _ = _unpack_chunks(body, 6)
-        r3, r4, r5, r6 = struct.unpack("<4Q", chunks[3])
-        return Max2Material(
-            party, p,
-            deserialize_material(chunks[0]), deserialize_material(chunks[1]),
-            deserialize_material(chunks[2]), r3, r4, r5, r6,
-            DpfKey.deserialize(chunks[4]), DpfKey.deserialize(chunks[5]))
-    if kind == "maxpool":
-        (k,) = struct.unpack_from("<I", body, 0)
-        n_nodes = sum(len(lvl) for lvl in _tournament(k))
-        chunks, _ = _unpack_chunks(body[4:], n_nodes)
-        return MaxPoolMaterial(party, p, k, [deserialize_material(c) for c in chunks])
-    if kind == "argmax":
-        (k,) = struct.unpack_from("<I", body, 0)
-        chunks, used = _unpack_chunks(body[4:], 1)
-        pool = deserialize_material(chunks[0])
-        off = 4 + used
-        rho = [struct.unpack_from("<Q", body, off + 8 * i)[0] for i in range(k)]
-        off += 8 * k
-        keys, _ = _unpack_chunks(body[off:], k)
-        return ArgmaxMaterial(party, p, k, pool, rho,
-                              [DpfKey.deserialize(c) for c in keys])
-    raise ValueError(f"unknown material kind {kind}")
+    """The material in `buf`; sigmoid/tanh wires come back without a table."""
+    with Reader(buf) as r:
+        ver, party, p, code = r.u8(), r.u8(), r.u64(), r.u8()
+        if ver != _MAT_VERSION:
+            raise ValueError(f"unsupported material version {ver}")
+        if code >= len(_MAT_CODECS):
+            raise ValueError(f"unknown material code {code}")
+        return _MAT_CODECS[code][2](r, party, p)

@@ -14,13 +14,13 @@ returns fresh random sharings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .lpr import LprCiphertext, LprKeys, encrypt, keygen
 from .params import ProtocolParams
-from .ring import RingPoly, rns_context, vec_to_poly, poly_to_vec
+from .ring import RingPoly, vec_to_poly, poly_to_vec
 
 
 class PackingError(ValueError):

@@ -10,19 +10,13 @@ measure true noise against it with the secret key.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass
 
-import numpy as np
-
+from .codec import Reader, Writer
 from .params import ProtocolParams
-from .ring import RingPoly, rns_context
+from .ring import RingPoly
 
 NOISE_ETA = 8  # centered-binomial width, sigma = 2
-
-
-class NoiseBudgetError(ArithmeticError):
-    pass
 
 
 def params_digest(params: ProtocolParams) -> bytes:
@@ -66,29 +60,30 @@ class LprCiphertext:
     c1: RingPoly
     noise_bound: int
 
-    _HDR = struct.Struct("<4s8sHQ")  # magic, params hash, poly count, noise bound
-
     def __add__(self, other: "LprCiphertext") -> "LprCiphertext":
         return LprCiphertext(self.params, self.c0 + other.c0, self.c1 + other.c1,
                              self.noise_bound + other.noise_bound)
 
     def serialize(self) -> bytes:
-        head = self._HDR.pack(b"LPR1", params_digest(self.params), 2,
-                              self.noise_bound)
-        return head + self.c0.serialize() + self.c1.serialize()
+        # magic, params digest, poly count (u16), noise bound (u64), c0, c1
+        return (Writer().raw(b"LPR1").raw(params_digest(self.params)).u16(2)
+                .u64(self.noise_bound).raw(self.c0.serialize())
+                .raw(self.c1.serialize()).getvalue())
 
     @classmethod
     def deserialize(cls, params: ProtocolParams, buf: bytes) -> "LprCiphertext":
-        magic, digest, count, noise = cls._HDR.unpack_from(buf, 0)
-        if magic != b"LPR1":
-            raise ValueError("bad ciphertext magic")
-        if digest != params_digest(params):
-            raise ValueError("ciphertext was produced under different parameters")
-        off = cls._HDR.size
-        poly_len = len(RingPoly.zero(params, tag="q").serialize())
-        c0 = RingPoly.deserialize(params, buf[off:off + poly_len])
-        c1 = RingPoly.deserialize(params, buf[off + poly_len:off + 2 * poly_len])
-        return cls(params, c0, c1, noise)
+        size = RingPoly.wire_size(params, "q")
+        with Reader(buf) as r:
+            magic, digest, count, noise = r.raw(4), r.raw(8), r.u16(), r.u64()
+            if magic != b"LPR1":
+                raise ValueError("bad ciphertext magic")
+            if digest != params_digest(params):
+                raise ValueError("ciphertext was produced under different parameters")
+            if count != 2:
+                raise ValueError(f"ciphertext has {count} polys, not 2")
+            c0, c1 = r.raw(size), r.raw(size)
+        return cls(params, RingPoly.deserialize(params, c0),
+                   RingPoly.deserialize(params, c1), noise)
 
 
 def encrypt(params: ProtocolParams, pk: tuple[RingPoly, RingPoly], m: RingPoly,

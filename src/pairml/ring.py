@@ -9,12 +9,12 @@ works for any 62-bit modulus without a per-modulus NTT.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .codec import Reader, Writer
 from .params import ProtocolParams
 
 
@@ -348,37 +348,36 @@ class RingPoly:
         return all(np.array_equal(a, b) for a, b in zip(self.data, other.data))
 
     # serialization ---------------------------------------------------------------
+    # magic, tag, form, n_primes (u16), N (u64): 16 bytes, then the u64 words
 
-    _HDR = struct.Struct("<4sBBHQ")  # magic, tag, form, n_primes, N -> 16 bytes
+    @staticmethod
+    def wire_size(params: ProtocolParams, tag: str) -> int:
+        """Serialized length of one poly of this tag."""
+        return 16 + 8 * params.n_ring * (len(params.q_primes) if tag == "q" else 1)
 
     def serialize(self) -> bytes:
-        tag_code = 0 if self.tag == "p" else 1
-        form_code = 0 if self.form == COEFF else 1
-        n_primes = 1 if self.tag == "p" else len(self.params.q_primes)
-        out = bytearray(self._HDR.pack(b"RPL1", tag_code, form_code, n_primes,
-                                       self.params.n_ring))
         arrays = [self.data] if self.tag == "p" else list(self.data)
+        w = Writer().raw(b"RPL1").u8(0 if self.tag == "p" else 1)
+        w.u8(0 if self.form == COEFF else 1).u16(len(arrays)).u64(self.params.n_ring)
         for arr in arrays:
-            out += arr.astype("<u8").tobytes()
-        return bytes(out)
+            w.raw(arr.astype("<u8").tobytes())
+        return w.getvalue()
 
     @classmethod
     def deserialize(cls, params: ProtocolParams, buf: bytes) -> "RingPoly":
-        magic, tag_code, form_code, n_primes, n = cls._HDR.unpack_from(buf, 0)
-        if magic != b"RPL1":
-            raise ValueError("bad polynomial magic")
-        if n != params.n_ring:
-            raise DimensionError(f"serialized N={n} != params N={params.n_ring}")
-        off = cls._HDR.size
-        words = np.frombuffer(buf, dtype="<u8", offset=off).astype(np.int64)
+        with Reader(buf) as r:
+            magic, tag_code, form_code, n_primes, n = (r.raw(4), r.u8(), r.u8(),
+                                                       r.u16(), r.u64())
+            if magic != b"RPL1" or tag_code > 1:
+                raise ValueError("bad polynomial header")
+            if n != params.n_ring:
+                raise DimensionError(f"serialized N={n} != params N={params.n_ring}")
+            if n_primes != (len(params.q_primes) if tag_code else 1):
+                raise ValueError(f"bad prime count {n_primes}")
+            words = np.frombuffer(r.raw(8 * n * n_primes), dtype="<u8").astype(np.int64)
         if tag_code == 0:
-            if len(words) != n:
-                raise ValueError("bad mod-p payload length")
             return cls(params, "p", SLOT if form_code else COEFF, words)
-        if n_primes != len(params.q_primes) or len(words) != n * n_primes:
-            raise ValueError("bad mod-q payload length")
-        res = tuple(words[i * n:(i + 1) * n].copy() for i in range(n_primes))
-        return cls(params, "q", COEFF, res)
+        return cls(params, "q", COEFF, tuple(words.reshape(n_primes, n)))
 
 
 # -- vector <-> slot packing ------------------------------------------------------

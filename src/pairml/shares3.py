@@ -19,10 +19,6 @@ from .prg import PrfStream
 from .transport import Channel, KIND_B3PC
 
 
-class ShareError(ValueError):
-    pass
-
-
 @dataclass
 class B3:
     """Boolean replicated sharing: bit-vectors packed into ints."""

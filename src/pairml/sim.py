@@ -4,7 +4,6 @@ and trusted-test reconstruction checks."""
 from __future__ import annotations
 
 import random
-import struct
 import threading
 from dataclasses import dataclass, field
 
@@ -20,10 +19,9 @@ from .engine import (
     encode_vec,
     decode_vec,
     lower_manifest,
-    parse_manifest,
-    reference_infer,
     serialize_manifest,
 )
+from .codec import Writer
 from .fixedpoint import FixedPointCodec
 from .params import ProtocolParams
 from .transport import (
@@ -154,9 +152,8 @@ class Simulation:
 
         # owner: deliver model shares, then per-session input shares
         for chan, man in zip(self.owner_chans, (man0, man1)):
-            blob = serialize_manifest(man)
             chan.send(KIND_SHARE_DELIVERY, PHASE_LOAD,
-                      struct.pack("<I", len(blob)) + blob)
+                      Writer().blob(serialize_manifest(man)).getvalue())
         input_shares = []
         for x in inputs_field:
             sh0 = [self.owner_rng.randrange(p) for _ in x]

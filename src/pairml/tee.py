@@ -20,7 +20,7 @@ pair without any cross-server traffic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import prg
 from .fss import DcfKey, DpfKey, _expand_lens
@@ -35,8 +35,6 @@ from .gadgets import (
     max2_material,
     maxpool_material,
     serialize_material,
-    sigmoid_table,
-    tanh_table,
     wire_material,
     _tournament,
 )
@@ -47,10 +45,6 @@ from .transport import Channel, KIND_TEE_MATERIAL, PHASE_PREPROCESS
 
 
 class CounterOverflowError(RuntimeError):
-    pass
-
-
-class ViewViolation(AssertionError):
     pass
 
 
@@ -101,9 +95,6 @@ class TeeParty:
     def draw_bytes(self, n: int, tag: bytes = b"") -> bytes:
         return self.prf.rand_bytes(self._tick(), n, tag)
 
-    def draw_field(self, p: int, tag: bytes = b"") -> int:
-        return self.prf.field_element(self._tick(), p, tag)
-
     def genrand(self, p: int) -> GenRandPiece:
         """Fig-style PRF-counter draw: both servers' enclaves of this pair
         derive byte-identical (r_i, share split); counter advances by two."""
@@ -127,6 +118,16 @@ def _gadget_request_material(kind: str, p: int, rng, lam: int, k: int = 1,
     raise ValueError(f"unknown gadget kind {kind}")
 
 
+def _deliver(mat, to_host: Channel, host_end: Channel, table: SplineTable | None):
+    """Pass an enclave's material to its host as a blob; the host re-attaches
+    the public spline table, which the blob leaves out."""
+    to_host.send(KIND_TEE_MATERIAL, PHASE_PREPROCESS, serialize_material(mat))
+    mat = deserialize_material(host_end.recv().payload)
+    if table is not None:
+        mat.table = table
+    return mat
+
+
 class SingleTee:
     """Single enclave per server: centralized FSS.Gen from the shared seed."""
 
@@ -143,9 +144,7 @@ class SingleTee:
         """Build the key pair deterministically; deliver this server's half."""
         pair = _gadget_request_material(kind, self.params.p, self.stream,
                                         self.params.lam, k=k, table=table)
-        blob = serialize_material(pair[self.server])
-        self.to_host.send(KIND_TEE_MATERIAL, PHASE_PREPROCESS, blob)
-        return deserialize_material(self.host_end.recv().payload)
+        return _deliver(pair[self.server], self.to_host, self.host_end, table)
 
 
 class TeeTriple:
@@ -472,9 +471,7 @@ class TeeTriple:
                                  [s for _, s in rho], keys)
         else:
             raise ValueError(f"unknown gadget kind {kind}")
-        blob = serialize_material(mat)
-        self.to_host[0].send(KIND_TEE_MATERIAL, PHASE_PREPROCESS, blob)
-        return deserialize_material(self.host_ends[0].recv().payload)
+        return _deliver(mat, self.to_host[0], self.host_ends[0], table)
 
 
 def build_single_tee(server: int, params: ProtocolParams, bundle: SeedBundle):

@@ -135,6 +135,8 @@ class Channel:
         t0 = time.perf_counter()
         raw = self._recv_raw()
         waited = time.perf_counter() - t0
+        if len(raw) < HEADER.size:
+            raise TransportError(f"short frame: {len(raw)} bytes")
         magic, ver, kind, phase, cls, _, length = HEADER.unpack_from(raw, 0)
         if magic != MAGIC or ver != VERSION:
             raise TransportError("bad frame header")

@@ -1,0 +1,154 @@
+import hashlib
+import random
+
+import numpy as np
+import pytest
+
+from pairml import models
+from pairml.codec import Reader, Writer
+from pairml.engine import (DealerRole, decode_mat, decode_vec, encode_mat, encode_vec,
+                           parse_manifest, serialize_manifest)
+from pairml.fss import DcfKey, DpfKey, dcf_gen, dpf_gen
+from pairml.gadgets import (argmax_material, deserialize_material, max2_material,
+                            maxpool_material, serialize_material, tanh_table,
+                            wire_material)
+from pairml.lpr import LprCiphertext, encrypt, keygen
+from pairml.params import ProtocolParams
+from pairml.ring import RingPoly
+from pairml.transport import WIDE_AREA, inproc_pair
+
+PARAMS = ProtocolParams.testing()
+
+
+def test_writer_reader_round_trip():
+    buf = (Writer().u8(7).u16(513).u32(70000).u64(1 << 63).u64s([1, 2, 3])
+           .raw(b"abc").blob(b"xy").blobs([b"", b"z"]).getvalue())
+    r = Reader(buf)
+    assert (r.u8(), r.u16(), r.u32(), r.u64()) == (7, 513, 70000, 1 << 63)
+    assert r.u64s(3) == [1, 2, 3]
+    assert (r.raw(3), r.blob(), r.blobs()) == (b"abc", b"xy", [b"", b"z"])
+    r.end()
+
+
+def test_reader_refuses_short_and_trailing_input():
+    for read in (Reader.u8, Reader.u16, Reader.u32, Reader.u64, Reader.blob,
+                 Reader.blobs, lambda r: r.u64s(1), lambda r: r.raw(1)):
+        with pytest.raises(ValueError):
+            read(Reader(b""))
+    with pytest.raises(ValueError):
+        Reader(Writer().u32(5).raw(b"1234").getvalue()).blob()
+    r = Reader(b"\x01\x02")
+    r.u8()
+    with pytest.raises(ValueError):
+        r.end()
+
+
+# -- every decoder rejects a cut or padded buffer -------------------------------------
+
+
+def _decoders():
+    p = PARAMS.p
+    rng = random.Random(50)
+    wire = wire_material("tanh", p, rng, table=tanh_table(PARAMS.fp_scale, p))[0]
+    keys = keygen(PARAMS, rng)
+    ct = encrypt(PARAMS, keys.pk, RingPoly.random(PARAMS, rng, tag="p"), rng)
+    mat = np.array([[rng.randrange(p) for _ in range(3)] for _ in range(4)],
+                   dtype=object)
+    manifest = models.gen_ifnn(PARAMS, random.Random(51))
+    return [
+        ("wire material", deserialize_material, serialize_material(wire)),
+        ("max2 material", deserialize_material,
+         serialize_material(max2_material(p, rng)[0])),
+        ("maxpool material", deserialize_material,
+         serialize_material(maxpool_material(p, 3, rng)[1])),
+        ("argmax material", deserialize_material,
+         serialize_material(argmax_material(p, 3, rng)[0])),
+        ("dpf key", DpfKey.deserialize, dpf_gen(p, 5, [1, 2], rng)[0].serialize()),
+        ("dcf key", DcfKey.deserialize, dcf_gen(p, 5, [1, 2], rng)[1].serialize()),
+        ("poly p", lambda b: RingPoly.deserialize(PARAMS, b),
+         RingPoly.random(PARAMS, rng, tag="p").serialize()),
+        ("poly q", lambda b: RingPoly.deserialize(PARAMS, b), keys.s.serialize()),
+        ("ciphertext", lambda b: LprCiphertext.deserialize(PARAMS, b), ct.serialize()),
+        ("manifest", parse_manifest, serialize_manifest(manifest)),
+        ("vector", decode_vec, encode_vec([rng.randrange(p) for _ in range(5)])),
+        ("matrix", decode_mat, encode_mat(mat)),
+    ]
+
+
+DECODERS = _decoders()
+
+
+@pytest.mark.parametrize("name,decode,buf", DECODERS, ids=[d[0] for d in DECODERS])
+def test_decoder_rejects_cut_and_padded_input(name, decode, buf):
+    decode(buf)
+    for bad in (buf[:-1], buf[:-3], buf + b"junk"):
+        with pytest.raises(ValueError):
+            decode(bad)
+
+
+def test_every_cut_of_a_manifest_header_is_rejected():
+    buf = next(buf for name, _, buf in DECODERS if name == "manifest")
+    for cut in range(buf.index(b"\n\n") + 2):
+        with pytest.raises(ValueError):
+            parse_manifest(buf[:cut])
+
+
+def test_short_and_miscounted_buffers_raise_value_error():
+    with pytest.raises(ValueError):
+        decode_vec(b"\x01" * 9)
+    with pytest.raises(ValueError):
+        RingPoly.deserialize(PARAMS, b"RPL1")
+    with pytest.raises(ValueError):
+        LprCiphertext.deserialize(PARAMS, b"LPR1" + bytes(6))
+    ct = next(buf for name, _, buf in DECODERS if name == "ciphertext")
+    three_polys = ct[:12] + (3).to_bytes(2, "little") + ct[14:]
+    with pytest.raises(ValueError, match="3 polys"):
+        LprCiphertext.deserialize(PARAMS, three_polys)
+
+
+# -- pinned wide-area formats -------------------------------------------------------------
+# SHA-256 prefixes of each format built from fixed seeds.  Every format here
+# crosses a wide-area channel, and perfbench/lockstep.py builds the engine
+# frames by hand, so the bytes must not change.
+
+PINNED = {
+    "vec": "368fd7dd02e2ba6f",
+    "mat": "58ecd24f20b36517",
+    "mfnn": "c0a87fed431b4942",
+    "ifnn": "0e26a91386d59943",
+    "mcnn": "da34e362c0b38111",
+    "poly_p": "45df14cb8a3d5774",
+    "poly_q": "7a2bcb83da225016",
+    "ct": "18ae103ae09c575e",
+    "setup0": "d0d1cd87c463014c",
+    "setup1": "6df8ce9c76312203",
+}
+
+
+def _digest(buf: bytes) -> str:
+    return hashlib.sha256(buf).hexdigest()[:16]
+
+
+def test_wide_area_formats_pinned():
+    p = PARAMS.p
+    got = {}
+    rng = random.Random(41)
+    got["vec"] = _digest(encode_vec([rng.randrange(p) for _ in range(37)]))
+    mat = np.array([[rng.randrange(p) for _ in range(5)] for _ in range(7)],
+                   dtype=object)
+    got["mat"] = _digest(encode_mat(mat))
+    for name in ("mfnn", "ifnn", "mcnn"):
+        manifest = getattr(models, f"gen_{name}")(PARAMS, random.Random(f"pin/{name}"))
+        got[name] = _digest(serialize_manifest(manifest))
+    rng = random.Random(43)
+    got["poly_p"] = _digest(RingPoly.random(PARAMS, rng, tag="p").serialize())
+    got["poly_q"] = _digest(RingPoly.random(PARAMS, rng, tag="q").serialize())
+    rng = random.Random(44)
+    keys = keygen(PARAMS, rng)
+    ct = encrypt(PARAMS, keys.pk, RingPoly.random(PARAMS, rng, tag="p"), rng)
+    got["ct"] = _digest(ct.serialize())
+    (d0, _s0), (d1, _s1) = (inproc_pair("d0", "s0", WIDE_AREA, record=True),
+                            inproc_pair("d1", "s1", WIDE_AREA, record=True))
+    DealerRole(PARAMS, d0, d1, random.Random(45)).run_setup()
+    got["setup0"], got["setup1"] = (_digest(c.log[0].payload) for c in (d0, d1))
+    assert got == PINNED

@@ -88,6 +88,13 @@ def test_exchange_helper():
     assert out["b"].payload == b"from-a"
 
 
+def test_short_frame_rejected():
+    raw = [b"PF\x01"]
+    chan = Channel("short", WIDE_AREA, None, raw.pop)
+    with pytest.raises(TransportError, match="short frame"):
+        chan.recv()
+
+
 def test_socket_transport_framing_matches_inproc():
     port = 28761
     got = {}
