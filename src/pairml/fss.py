@@ -212,6 +212,11 @@ def dcf_eval(b: int, key: DcfKey, x: int) -> list[int]:
     return _walk(b, key, [x])[0]
 
 
+def dcf_eval_many(b: int, key: DcfKey, xs) -> list[list[int]]:
+    """Shares at each point of xs from one tree walk, in the order given."""
+    return _walk(b, key, xs)
+
+
 def dcf_eval_all(b: int, key: DcfKey) -> list[list[int]]:
     """Comparison shares at every domain point via one tree walk."""
     return _walk(b, key, range(1 << key.domain_bits))

@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 from .codec import Reader, Writer
-from .fss import (DcfKey, DpfKey, dcf_eval, dcf_eval_all, dcf_gen, dpf_eval,
-                  dpf_eval_all, dpf_gen)
+from .fss import (DcfKey, DpfKey, dcf_eval, dcf_eval_all, dcf_eval_many, dcf_gen,
+                  dpf_eval, dpf_eval_all, dpf_gen)
 
 
 class GadgetReuseError(RuntimeError):
@@ -302,18 +302,33 @@ def argmax_material(p: int, k: int, rng, lam: int = 128
 # -- interval membership from one comparison key -----------------------------------
 
 
+def _interval_points(w: int, lo: int, hi: int, p: int) -> tuple[int, int]:
+    """Where the comparison key is read for z in [lo, hi] (signed bounds),
+    given w = z + r: at u - M - 1 and at u, with u = w - lo and M = hi - lo."""
+    u = (w - lo) % p
+    return (u - (hi - lo) % p - 1) % p, u
+
+
+def _cmp_shares(mat: WireMaterial, points) -> dict[int, list[int]]:
+    """The comparison key's shares at every point, from the precomputed
+    table or from one tree walk, which expands shared prefixes once."""
+    pts = sorted(set(points))
+    if mat._cmp_table is not None:
+        return {y: mat._cmp_table[y] for y in pts}
+    return dict(zip(pts, dcf_eval_many(mat.party, mat.cmp_key, pts)))
+
+
 def _interval_shares(mat: WireMaterial, w: int, lo: int, hi: int,
                      cache: dict[int, list[int]]) -> tuple[int, int]:
     """Shares of (ind, ind*r) for z in [lo, hi] (signed bounds), given w = z+r.
 
-    `cache` maps each point where the comparison key was evaluated to its
-    shares, so that intervals sharing an endpoint evaluate it once.
+    `cache` maps points where the comparison key was evaluated to its shares;
+    a point missing from it is evaluated on its own and added.
     """
     p = mat.p
     b = mat.party
     m_seg = (hi - lo) % p
-    u = (w - lo) % p
-    y1 = (u - m_seg - 1) % p
+    y1, u = _interval_points(w, lo, hi, p)
     tab = mat._cmp_table
     for y in (y1, u):
         if y not in cache:
@@ -350,7 +365,8 @@ class ReluSession:
     def feed(self, revealed):
         (w,) = revealed
         p = self.mat.p
-        s_ind, s_ind_r = _interval_shares(self.mat, w, 0, _half(p), {})
+        cache = _cmp_shares(self.mat, _interval_points(w, 0, _half(p), p))
+        s_ind, s_ind_r = _interval_shares(self.mat, w, 0, _half(p), cache)
         self.output = [(w * s_ind - s_ind_r) % p]
         return None
 
@@ -373,9 +389,13 @@ class SplineSession:
         (w,) = revealed
         mat = self.mat
         p = mat.p
-        cache: dict[int, list[int]] = {}  # adjacent segments share endpoints
+        segments = mat.table.segments
+        # every knot point of the wire in one walk; adjacent segments share
+        # endpoints
+        cache = _cmp_shares(mat, [y for lo, hi, _, _ in segments
+                                  for y in _interval_points(w, lo, hi, p)])
         acc = 0
-        for lo, hi, a, c in mat.table.segments:
+        for lo, hi, a, c in segments:
             s_ind, s_ind_r = _interval_shares(mat, w, lo, hi, cache)
             # ind*z = w*ind - ind*r, all mod p; output lands at scale 2s
             acc += a * ((w * s_ind - s_ind_r) % p) + c * s_ind

@@ -132,3 +132,7 @@ class PrfStream:
         v = self._prf.field_element(self.counter, bound, self._tag)
         self.counter += 1
         return v
+
+    def expand(self, n: int) -> bytes:
+        """n bytes from one PRF draw: its 32-byte output keys SHAKE-256."""
+        return _shake(self.randbytes(32)).digest(n)

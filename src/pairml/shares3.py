@@ -5,6 +5,12 @@ high share); any two enclaves reconstruct, one alone sees uniform noise.
 XOR/addition are local; AND and multiplication cost one reshare message per
 enclave, drawn against pairwise zero-sharing PRF streams.
 
+Many values travel as one sharing: a B3 packs lanes side by side into its
+ints and an A3 concatenates vectors, so one gate call covers every lane.
+Gates that do not depend on each other can also share a communication
+round: inside `TriadNet.round()` every send is queued and goes out as one
+message per enclave and direction when the block ends.
+
 The three enclaves of one server run in lockstep inside the server process
 (fast-test actor mode); every value that would cross an enclave boundary in
 a hardware deployment goes through a metered enclave-enclave channel, so the
@@ -13,6 +19,7 @@ communication and gate counts the acceptance tests measure are real.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .prg import PrfStream
@@ -29,6 +36,25 @@ class B3:
     def value(self) -> int:
         return self.shares[0] ^ self.shares[1] ^ self.shares[2]
 
+    @staticmethod
+    def cat(*xs: "B3") -> "B3":
+        """xs side by side, xs[0] in the low bits."""
+        shares, off = [0, 0, 0], 0
+        for x in xs:
+            for j in range(3):
+                shares[j] |= x.shares[j] << off
+            off += x.width
+        return B3(shares, off)
+
+    def split(self, *widths: int) -> list["B3"]:
+        """The inverse of `cat`: consecutive pieces of the given widths."""
+        out, off = [], 0
+        for w in widths:
+            mask = (1 << w) - 1
+            out.append(B3([(s >> off) & mask for s in self.shares], w))
+            off += w
+        return out
+
 
 @dataclass
 class A3:
@@ -39,6 +65,47 @@ class A3:
     def __len__(self) -> int:
         return len(self.shares[0])
 
+    def __getitem__(self, sl: slice) -> "A3":
+        return A3([s[sl] for s in self.shares])
+
+    @staticmethod
+    def cat(*xs: "A3") -> "A3":
+        return A3([[v for x in xs for v in x.shares[j]] for j in range(3)])
+
+    def repeat(self, counts: list[int]) -> "A3":
+        """Element i repeated counts[i] times: a lane's bit over its payload."""
+        return A3([[v for v, c in zip(s, counts) for _ in range(c)]
+                   for s in self.shares])
+
+
+# -- lane layout helpers: local, share by share ---------------------------------------
+
+
+def lane_bits(x: B3, stride: int, k: int) -> B3:
+    """Bit k of every stride-bit lane of x, one bit per lane."""
+    lanes = x.width // stride
+    return B3([sum(((s >> (l * stride + k)) & 1) << l for l in range(lanes))
+               for s in x.shares], lanes)
+
+
+def spread(bits: B3, stride: int) -> B3:
+    """Each bit of `bits` copied across a stride-bit lane of its own."""
+    ones = (1 << stride) - 1
+    return B3([sum(ones << (l * stride) for l in range(bits.width) if (s >> l) & 1)
+               for s in bits.shares], bits.width * stride)
+
+
+def _lanes(x: B3, w: int) -> int:
+    """A 1 at the bottom of every w-bit lane of x: a w-bit pattern times it
+    repeats the pattern in every lane."""
+    return sum(1 << (l * w) for l in range(x.width // w))
+
+
+def _shift(x: B3, d: int, w: int) -> B3:
+    """x shifted d bits up inside each w-bit lane; nothing crosses lanes."""
+    mask = (((1 << w) - 1) ^ ((1 << d) - 1)) * _lanes(x, w)
+    return B3([(s << d) & mask for s in x.shares], x.width)
+
 
 class TriadNet:
     """The three pairwise enclave channels of one server, lockstep-driven."""
@@ -47,6 +114,7 @@ class TriadNet:
         # channels[(i, j)] sends from enclave i to enclave j
         self.channels = channels
         self.phase = phase
+        self._queued: dict[int, list[list[bytes]]] | None = None
 
     def pass_ring(self, payloads: list[bytes], step: int) -> list[bytes]:
         """Enclave j sends payloads[j] to enclave (j+step) mod 3; returns
@@ -59,6 +127,31 @@ class TriadNet:
             src = (j - step) % 3
             out[j] = self.channels[(j, src)].recv().payload
         return out
+
+    def send(self, payloads: list[bytes], step: int):
+        """One ring pass now, or, inside `round()`, queued for its end."""
+        if self._queued is None:
+            self.pass_ring(payloads, step)
+            return
+        parts = self._queued.setdefault(step, [[], [], []])
+        for j in range(3):
+            parts[j].append(payloads[j])
+
+    @contextmanager
+    def round(self):
+        """One communication round: whatever the block sends goes out as one
+        message per enclave and direction when it ends.  Every value sent
+        must be computable before the round, from nothing it delivers."""
+        if self._queued is not None:
+            raise RuntimeError("communication rounds do not nest")
+        self._queued = {}
+        try:
+            yield
+            queued = self._queued
+        finally:
+            self._queued = None
+        for step, parts in sorted(queued.items()):
+            self.pass_ring([b"".join(part) for part in parts], step)
 
 
 def _ibytes(x: int, n: int) -> bytes:
@@ -81,7 +174,7 @@ class Bool3Engine:
     # zero sharing: zeta_j = F_j() ^ F_{j-1}(); xor over j telescopes to 0
     def _zeros(self, width: int) -> list[int]:
         nb = (width + 7) // 8
-        vs = [_iint(self.pair[j].randbytes(nb)) & ((1 << width) - 1)
+        vs = [_iint(self.pair[j].expand(nb)) & ((1 << width) - 1)
               for j in range(3)]
         return [vs[j] ^ vs[j - 1] for j in range(3)]
 
@@ -99,6 +192,10 @@ class Bool3Engine:
         out[0] ^= c & ((1 << a.width) - 1)
         return B3(out, a.width)
 
+    def and_const(self, a: B3, c: int) -> B3:
+        """AND with a public constant: local."""
+        return B3([s & c for s in a.shares], a.width)
+
     def and_(self, a: B3, b: B3) -> B3:
         width = max(a.width, b.width)
         self.and_gates += width
@@ -110,86 +207,81 @@ class Bool3Engine:
             raw[j] = (xj & yj) ^ (xj & yj1) ^ (xj1 & yj) ^ zeta[j]
         nb = (width + 7) // 8
         # enclave j+1 computed share j+1; resharing hands it to enclave j
-        self.net.pass_ring([_ibytes(raw[j], nb) for j in range(3)], step=2)
+        self.net.send([_ibytes(raw[j], nb) for j in range(3)], step=2)
         return B3(raw, width)
-
-    def and_bit(self, bit: B3, vec: B3) -> B3:
-        """AND of a broadcast single shared bit with a shared vector."""
-        mask = (1 << vec.width) - 1
-        wide = B3([mask if (s & 1) else 0 for s in bit.shares], vec.width)
-        return self.and_(wide, vec)
-
-    def mux_bit(self, bit: B3, x: B3, y: B3) -> B3:
-        """bit ? x : y, one AND layer."""
-        return self.xor(y, self.and_bit(bit, self.xor(x, y)))
 
     def reveal(self, a: B3) -> int:
         self.reveals += 1
         nb = (a.width + 7) // 8
-        self.net.pass_ring([_ibytes(a.shares[j], nb) for j in range(3)], step=1)
+        self.net.send([_ibytes(a.shares[j], nb) for j in range(3)], step=1)
         return a.value()
 
-    def bit_at(self, a: B3, k: int) -> B3:
-        return B3([(s >> k) & 1 for s in a.shares], 1)
-
-    # ripple-carry addition, one AND per bit
-    def _add(self, x: B3, y: B3, width: int) -> B3:
-        out_bits: list[B3] = []
-        carry = B3([0, 0, 0], 1)
-        for k in range(width):
-            xk, yk = self.bit_at(x, k), self.bit_at(y, k)
-            s = self.xor(self.xor(xk, yk), carry)
-            # carry' = xk ^ ((xk^yk) & (xk^carry))
-            carry = self.xor(xk, self.and_(self.xor(xk, yk),
-                                           self.xor(xk, carry)))
-            out_bits.append(s)
-        return self._from_bits(out_bits)
-
-    def _sub_const(self, x: B3, c: int, width: int) -> tuple[B3, B3]:
-        """x - c with borrow chain; returns (difference, borrow-out bit)."""
-        out_bits: list[B3] = []
-        borrow = B3([0, 0, 0], 1)
-        for k in range(width):
-            xk = self.bit_at(x, k)
-            ck = (c >> k) & 1
-            d = self.xor(xk, borrow)
-            if ck:
-                d = self.xor_const(d, 1)
-                # borrow' = maj(~x, 1, b) = ~x | b = ~(x & ~b)
-                borrow = self.xor_const(
-                    self.and_(xk, self.xor_const(borrow, 1)), 1)
+    def _add(self, x: B3, y: B3 | int, w: int) -> tuple[B3, B3]:
+        """x + y in every w-bit lane, y shared or a public int, by a
+        Kogge-Stone carry tree: ceil(log2 w) AND layers after the generate
+        bits.  Returns the sums and the prefix carries G, where bit k of a
+        lane is the carry out of its bits 0..k."""
+        if isinstance(y, B3):
+            G, P = self.and_(x, y), self.xor(x, y)
+        else:
+            G, P = self.and_const(x, y), self.xor_const(x, y)
+        half_sum = P
+        d = 1
+        while d < w:
+            # (G, P) of the d bits below joins each segment; G and P & G'
+            # never overlap, so their OR is an XOR
+            if 2 * d < w:  # P is needed again at the next distance
+                wide = self.and_(B3.cat(P, P),
+                                 B3.cat(_shift(G, d, w), _shift(P, d, w)))
+                carried, P = wide.split(P.width, P.width)
             else:
-                # borrow' = maj(~x, 0, b) = ~x & b
-                borrow = self.and_(self.xor_const(xk, 1), borrow)
-            out_bits.append(d)
-        return self._from_bits(out_bits), borrow
+                carried = self.and_(P, _shift(G, d, w))
+            G = self.xor(G, carried)
+            d *= 2
+        return self.xor(half_sum, _shift(G, 1, w)), G
 
-    def _from_bits(self, bits: list[B3]) -> B3:
-        shares = [0, 0, 0]
-        for k, b in enumerate(bits):
-            for j in range(3):
-                shares[j] |= (b.shares[j] & 1) << k
-        return B3(shares, len(bits))
+    def a2b(self, pieces: list, p: int) -> B3:
+        """Boolean sharing of the bits of (r0 + r1 + r2) mod p, piece j input
+        by enclave j.
 
-    def _mod_reduce(self, x: B3, p: int, width: int) -> B3:
-        diff, borrow = self._sub_const(x, p, width)
-        # borrow = 1 means x < p: keep x, else keep diff
-        return self.mux_bit(borrow, x, diff)
-
-    def a2b(self, pieces: list[int], p: int) -> B3:
-        """Boolean sharing of the bits of (r0 + r1 + r2) mod p, each piece
-        known to (input by) one enclave."""
+        A piece is one int, or a list of ints, one per lane; lane l of the
+        result holds the n = bitlen(p - 1) bits of its sum at [l*n, (l+1)*n).
+        As in ABY3 (Mohassel-Rindal, CCS'18), one full-adder layer turns the
+        three pieces into two, a parallel-prefix adder sums them, and p and
+        2p are subtracted side by side: AND depth 3 + 2*ceil(log2(n + 2)).
+        """
+        lanes = [x if isinstance(x, list) else [x] for x in pieces]
         n = (p - 1).bit_length()
-        width = n + 2
-        nb = (width + 7) // 8
+        w = n + 2  # 3p < 2^w
+        full = (1 << w) - 1
+        width = len(lanes[0]) * w
+
+        def pack(vals):
+            return sum((v & full) << (l * w) for l, v in enumerate(vals))
+
         # replicate each piece to its co-holder before treating it as a share
-        self.net.pass_ring([_ibytes(pieces[j] & ((1 << width) - 1), nb)
-                            for j in range(3)], step=2)
-        xs = [self.input_known(j, pieces[j], width) for j in range(3)]
-        total = self._add(self._add(xs[0], xs[1], width), xs[2], width)
-        total = self._mod_reduce(total, p, width)
-        total = self._mod_reduce(total, p, width)
-        return B3([s & ((1 << n) - 1) for s in total.shares], n)
+        self.net.send([_ibytes(pack(lanes[j]), (width + 7) // 8)
+                       for j in range(3)], step=2)
+        x0, x1, x2 = (self.input_known(j, pack(lanes[j]), width) for j in range(3))
+        # full adders: x0 + x1 + x2 = s + 2 maj
+        maj = self.xor(x0, self.and_(self.xor(x0, x1), self.xor(x0, x2)))
+        total, _ = self._add(self.xor(self.xor(x0, x1), x2), _shift(maj, 1, w), w)
+        # total + (2^w - p) and total + (2^w - 2p): a lane's top carry says
+        # total >= p, resp. >= 2p
+        reps = _lanes(total, w)
+        diffs, G = self._add(B3.cat(total, total),
+                             ((1 << w) - p) * reps | (((1 << w) - 2 * p) * reps) << width,
+                             w)
+        ge = spread(lane_bits(G, w, w - 1), w)
+        d1, d2 = diffs.split(width, width)
+        # keep total below p, total - p below 2p, total - 2p above
+        picks = self.and_(ge, B3.cat(self.xor(total, d1), self.xor(d1, d2)))
+        lo, hi = picks.split(width, width)
+        out = self.xor(self.xor(total, lo), hi)
+        keep = (1 << n) - 1
+        return B3([sum(((s >> (l * w)) & keep) << (l * n)
+                       for l in range(len(lanes[0]))) for s in out.shares],
+                  len(lanes[0]) * n)
 
 
 class Arith3Engine:
@@ -203,9 +295,12 @@ class Arith3Engine:
         self.reveals = 0
 
     def _zeros(self, ln: int) -> list[list[int]]:
-        vs = [[self.pair[j].randrange(self.p) for _ in range(ln)]
-              for j in range(3)]
-        return [[(vs[j][i] - vs[j - 1][i]) % self.p for i in range(ln)]
+        """One PRF draw per stream for all ln elements; 128 bits each."""
+        vs = []
+        for j in range(3):
+            raw = self.pair[j].expand(16 * ln)
+            vs.append([_iint(raw[16 * i:16 * i + 16]) % self.p for i in range(ln)])
+        return [[(a - b) % self.p for a, b in zip(vs[j], vs[j - 1])]
                 for j in range(3)]
 
     def input_known(self, holder: int, vec: list[int]) -> A3:
@@ -216,11 +311,9 @@ class Arith3Engine:
     def input_additive(self, pieces: list[list[int]]) -> A3:
         """Lift 1-of-3 additive pieces (piece j known only to enclave j) into
         replicated form; one reshare message per enclave."""
-        ln = len(pieces[0])
-        nb = 8 * ln
         payloads = [b"".join(_ibytes(v % self.p, 8) for v in pieces[j])
                     for j in range(3)]
-        self.net.pass_ring(payloads, step=2)  # j -> j-1 learns share j
+        self.net.send(payloads, step=2)  # j -> j-1 learns share j
         return A3([[v % self.p for v in piece] for piece in pieces])
 
     def const(self, vec: list[int]) -> A3:
@@ -248,32 +341,24 @@ class Arith3Engine:
             raw[j] = [(aj[i] * bj[i] + aj[i] * bj1[i] + aj1[i] * bj[i]
                        + zeta[j][i]) % self.p for i in range(ln)]
         payloads = [b"".join(_ibytes(v, 8) for v in raw[j]) for j in range(3)]
-        self.net.pass_ring(payloads, step=2)
+        self.net.send(payloads, step=2)
         return A3(raw)
 
-    def broadcast_scalar(self, a: A3, ln: int) -> A3:
-        return A3([[sa[0]] * ln for sa in a.shares])
-
-    def mux(self, bit: A3, x: A3, y: A3) -> A3:
-        """bit ? x : y for an arithmetic 0/1 bit."""
-        wide = self.broadcast_scalar(bit, len(x))
-        return self.add(y, self.mult(wide, self.sub(x, y)))
+    def xor_bits(self, a: A3, b: A3) -> A3:
+        """a XOR b for 0/1 vectors: a + b - 2ab, one multiply per element."""
+        return self.sub(self.add(a, b), self.scale(self.mult(a, b), 2))
 
     def bit2a(self, bit: B3) -> A3:
-        """Arithmetic 0/1 sharing of a boolean-shared bit (four multiplies)."""
-        b = [self.input_known(j, [bit.shares[j] & 1]) for j in range(3)]
-        t01 = self.mult(b[0], b[1])
-        t02 = self.mult(b[0], b[2])
-        t12 = self.mult(b[1], b[2])
-        t012 = self.mult(t01, b[2])
-        out = self.add(self.add(b[0], b[1]), b[2])
-        out = self.sub(out, self.scale(self.add(self.add(t01, t02), t12), 2))
-        return self.add(out, self.scale(t012, 4))
+        """Arithmetic 0/1 sharing of every bit of a boolean-shared vector:
+        the XOR of its three shares, two rounds of one multiply each."""
+        b = [self.input_known(j, [(bit.shares[j] >> i) & 1
+                                  for i in range(bit.width)]) for j in range(3)]
+        return self.xor_bits(self.xor_bits(b[0], b[1]), b[2])
 
     def reveal(self, a: A3) -> list[int]:
         self.reveals += 1
         payloads = [b"".join(_ibytes(v, 8) for v in a.shares[j])
                     for j in range(3)]
-        self.net.pass_ring(payloads, step=1)
+        self.net.send(payloads, step=1)
         return [(x + y + z) % self.p
                 for x, y, z in zip(a.shares[0], a.shares[1], a.shares[2])]

@@ -13,6 +13,20 @@ is the node expansion, and the block-wise payload converter likewise yields
 one additive share per enclave.  Only the cheap correction-word logic runs
 as boolean/arithmetic 3PC gates.
 
+A material is made in two steps.  Planning walks the material's structure
+and, key by key in a fixed order, draws every GenRand piece and root block
+from the enclaves' pair PRFs.  Running then generates all of its DPF and
+DCF keys at once, as lanes of one level-synchronous 3PC: lanes are packed
+side by side into the boolean sharings and concatenated in the arithmetic
+ones, so one gate call serves every key.  A tree level costs four
+communication rounds whatever the number of keys: the expansion reshare,
+one AND layer, the correction-word reveal, and the redistribution of the
+next seeds' blocks; the payload-block transfers ride along.  The payload
+corrections of all levels wait for the end, where they take five rounds.
+Each revealed correction word is a fixed function of the root blocks, the
+point and the payload, so the keys do not depend on how the gates are
+batched.
+
 Both servers' triples execute the identical deterministic protocol from the
 shared pair seeds, so server b ends up with key half k_b of a consistent
 pair without any cross-server traffic.
@@ -36,11 +50,10 @@ from .gadgets import (
     maxpool_material,
     serialize_material,
     wire_material,
-    _tournament,
 )
 from .params import ProtocolParams
 from .prg import Prf, PrfStream
-from .shares3 import A3, B3, Arith3Engine, Bool3Engine, TriadNet
+from .shares3 import A3, B3, Arith3Engine, Bool3Engine, TriadNet, lane_bits, spread
 from .transport import Channel, KIND_TEE_MATERIAL, PHASE_PREPROCESS
 
 
@@ -104,17 +117,17 @@ class TeeParty:
         return GenRandPiece(r=r, sh0=sh0, sh1=(r - sh0) % p)
 
 
-def _gadget_request_material(kind: str, p: int, rng, lam: int, k: int = 1,
-                             table: SplineTable | None = None):
-    """Centralized material-pair construction shared by single-TEE mode."""
+def _dispatch(kind: str, k: int, table: SplineTable | None,
+              wire, max2, maxpool, argmax):
+    """The one gadget-kind dispatch of both enclave modes."""
     if kind in ("relu", "sigmoid", "tanh"):
-        return wire_material(kind, p, rng, table=table, lam=lam)
+        return wire(kind, table)
     if kind == "max2":
-        return max2_material(p, rng, lam=lam)
+        return max2()
     if kind == "maxpool":
-        return maxpool_material(p, k, rng, lam=lam)
+        return maxpool(k)
     if kind == "argmax":
-        return argmax_material(p, k, rng, lam=lam)
+        return argmax(k)
     raise ValueError(f"unknown gadget kind {kind}")
 
 
@@ -142,9 +155,26 @@ class SingleTee:
     def gadget_material(self, kind: str, k: int = 1,
                         table: SplineTable | None = None):
         """Build the key pair deterministically; deliver this server's half."""
-        pair = _gadget_request_material(kind, self.params.p, self.stream,
-                                        self.params.lam, k=k, table=table)
+        p, lam, rng = self.params.p, self.params.lam, self.stream
+        pair = _dispatch(
+            kind, k, table,
+            lambda kind, table: wire_material(kind, p, rng, table=table, lam=lam),
+            lambda: max2_material(p, rng, lam=lam),
+            lambda k: maxpool_material(p, k, rng, lam=lam),
+            lambda k: argmax_material(p, k, rng, lam=lam))
         return _deliver(pair[self.server], self.to_host, self.host_end, table)
+
+
+@dataclass
+class _KeyPlan:
+    """One DPF/DCF key of a batch, planned before any 3PC runs."""
+
+    kind: str  # "dcf" or "dpf"
+    alpha: list  # the three GenRand pieces whose sum mod p is the point
+    beta_spec: list  # payload components: ("const", c) or ("mask", pieces)
+    roots: list[list[bytes]]  # roots[j][party]: enclave j's root-seed block
+    name: tuple  # the key's name in the view ledger
+    key: DcfKey | DpfKey | None = None
 
 
 class TeeTriple:
@@ -166,7 +196,7 @@ class TeeTriple:
             params.p)
         self.views: dict[int, list[tuple]] = {0: [], 1: [], 2: []}
         self.prg_calls_outside = 0
-        self.prg_calls_total_at_start = prg.calls
+        self._batch: list[_KeyPlan] = []
 
     # -- view ledger --------------------------------------------------------
 
@@ -193,285 +223,299 @@ class TeeTriple:
 
     # -- randomness ----------------------------------------------------------
 
-    def genrand_pieces(self, tag: str = "") -> tuple[list[GenRandPiece], int]:
+    def genrand_pieces(self) -> tuple[list[GenRandPiece], int]:
         """All three pair-derived pieces plus this server's combined share."""
         pieces = [pt.genrand(self.params.p) for pt in self.parties]
         share = sum(pc.share(self.server) for pc in pieces) % self.params.p
         return pieces, share
 
-    def _beta_a3(self, spec: list) -> A3:
-        """Payload sharing from a spec of 'const'/'mask' components; mask
-        pieces get replicated to their co-holders by input_additive."""
+    def _beta_pieces(self, plans: list[_KeyPlan]) -> list[list[int]]:
+        """Enclave j's additive pieces of every lane's payload: constants
+        with enclave 0, mask components as their GenRand pieces."""
         p = self.params.p
         pieces = [[], [], []]
-        for comp in spec:
-            if comp[0] == "const":
-                pieces[0].append(comp[1] % p)
-                pieces[1].append(0)
-                pieces[2].append(0)
-            else:  # ("mask", genrand pieces)
+        for plan in plans:
+            for comp in plan.beta_spec:
                 for j in range(3):
-                    pieces[j].append(comp[1][j].r % p)
-        return self.arith.input_additive(pieces)
+                    if comp[0] == "const":
+                        pieces[j].append(comp[1] % p if j == 0 else 0)
+                    else:  # ("mask", genrand pieces)
+                        pieces[j].append(comp[1][j].r % p)
+        return pieces
 
     # -- distributed key generation -------------------------------------------
 
-    def _local_expand(self, blocks: dict[int, dict[int, bytes]], party: int,
-                      out_len: int) -> list[bytes]:
-        """Each enclave expands its clear block of the party's node seed."""
-        before = prg.calls
-        pieces = [prg.g_expand(blocks[j][party], out_len) for j in range(3)]
-        self.prg_calls_outside += prg.calls - before
-        return pieces
-
-    def _reshare_bool(self, pieces: list[int], width: int) -> B3:
-        payloads = [p_.to_bytes((width + 7) // 8, "little")
-                    for p_ in pieces]
-        self.net.pass_ring(payloads, step=2)
-        return B3(list(pieces), width)
-
-    def _v_blocks_convert(self, v_pieces: list[bytes], node: tuple, L: int) -> A3:
-        """Blockwise payload conversion: redistribute share-blocks so enclave
-        k holds clear block k, convert locally, lift to replicated arith."""
+    def _plan_key(self, kind: str, alpha_pieces: list, beta_spec: list) -> _KeyPlan:
+        """Plan one key: its root blocks are drawn now, and `_gen_keys`
+        generates it with the rest of the batch."""
         lamb = self.params.lam // 8
-        # enclave j sends block k of its piece to enclave k (two sends each)
-        for step in (1, 2):
-            payloads = []
-            for j in range(3):
-                k = (j + step) % 3
-                payloads.append(v_pieces[j][k * lamb:(k + 1) * lamb])
-            self.net.pass_ring(payloads, step=step)
-        clear_blocks = []
-        for k in range(3):
-            blk = bytes(a ^ b ^ c for a, b, c in zip(
-                v_pieces[0][k * lamb:(k + 1) * lamb],
-                v_pieces[1][k * lamb:(k + 1) * lamb],
-                v_pieces[2][k * lamb:(k + 1) * lamb]))
-            clear_blocks.append(blk)
-            self._see(k, ("block", node, "v", k))
-        before = prg.calls
-        pieces = [prg.block_convert(clear_blocks[k], L, self.params.p)
-                  for k in range(3)]
-        self.prg_calls_outside += prg.calls - before
-        return self.arith.input_additive(pieces)
+        name = ("kg", self.parties[0].counter)
+        roots = []
+        for j, pt in enumerate(self.parties):
+            roots.append([pt.draw_bytes(lamb, tag=b"root") for _ in (0, 1)])
+            for party in (0, 1):
+                self._see(j, ("block", (name, "root"), party, j))
+        plan = _KeyPlan(kind, alpha_pieces, beta_spec, roots, name)
+        self._batch.append(plan)
+        return plan
 
-    def _seed_blocks_from_b3(self, seed_b3: B3, node: tuple) -> dict[int, bytes]:
-        """Block redistribution: enclave k ends with clear block k of the seed."""
-        lam_bits = self.params.lam
-        mask = (1 << lam_bits) - 1
-        lamb = lam_bits // 8
-        # enclave j+1 holds share j+2 (its high share); it extracts block j
+    def _send_v_blocks(self, v: list, step: int):
+        """Enclave j sends block j+step of its piece of every v field to
+        enclave j+step."""
+        lamb = self.params.lam // 8
         payloads = []
         for j in range(3):
-            src = (j + 1) % 3  # sender
-            missing_share = seed_b3.shares[(j + 2) % 3]
-            payloads_entry = ((missing_share >> (j * lam_bits)) & mask)
-            payloads.append((src, j, payloads_entry.to_bytes(lamb, "little")))
-        ring = [b""] * 3
-        for src, dst, data in payloads:
-            ring[src] = data
-        self.net.pass_ring(ring, step=2)  # src = dst+1 sends to dst
-        out = {}
-        full = seed_b3.value()
-        for k in range(3):
-            out[k] = ((full >> (k * lam_bits)) & mask).to_bytes(lamb, "little")
-            self._see(k, ("block", node, "seed", k))
-        return out
+            k = (j + step) % 3
+            payloads.append(b"".join(pieces[j][k * lamb:(k + 1) * lamb]
+                                     for _, _, pieces in v))
+        self.net.send(payloads, step)
 
-    def dist_tree_gen(self, kind: str, alpha_pieces: list[GenRandPiece],
-                      beta_spec: list, domain_bits: int | None = None
-                      ) -> DcfKey | DpfKey:
-        """Distributed DPF/DCF key generation; returns this server's half.
+    def _convert_v(self, v: list) -> A3:
+        """Blockwise payload conversion: enclave k XORs the three pieces of
+        block k of each field, converts it locally and inputs the result."""
+        lamb = self.params.lam // 8
+        before = prg.calls
+        conv = [[], [], []]
+        for tag, L, pieces in v:
+            ints = [int.from_bytes(pc, "little") for pc in pieces]
+            clear = ints[0] ^ ints[1] ^ ints[2]
+            for k in range(3):
+                blk = (clear >> (8 * k * lamb)) & ((1 << (8 * lamb)) - 1)
+                self._see(k, ("block", tag, "v", k))
+                conv[k] += prg.block_convert(blk.to_bytes(lamb, "little"), L,
+                                             self.params.p)
+        self.prg_calls_outside += prg.calls - before
+        return self.arith.input_additive(conv)
+
+    def _redistribute(self, plans: list[_KeyPlan], level: int, seeds: list[B3],
+                      blocks: list):
+        """Block redistribution of both parties' next seeds: enclave k ends
+        with clear block k of every lane's seed, in blocks[lane][k][party]."""
+        lam = self.params.lam
+        lamb, mask = lam // 8, (1 << lam) - 1
+        width = 3 * lam
+        ring = [b""] * 3
+        for j in range(3):
+            # enclave j+1 holds share j+2 (its high share) and hands enclave j
+            # block j of it
+            ring[(j + 1) % 3] = b"".join(
+                ((s.shares[(j + 2) % 3] >> (l * width + j * lam)) & mask)
+                .to_bytes(lamb, "little")
+                for s in seeds for l in range(len(plans)))
+        self.net.send(ring, step=2)
+        for party, s in enumerate(seeds):
+            full = s.value()
+            for l, plan in enumerate(plans):
+                for k in range(3):
+                    blocks[l][k][party] = ((full >> (l * width + k * lam)) & mask
+                                           ).to_bytes(lamb, "little")
+                    self._see(k, ("block", ((plan.name, level), "next", party),
+                                  "seed", k))
+
+    def _gen_keys(self):
+        """Generate every planned key in one level-synchronous 3PC, lane l
+        running the l-th key, DCF lanes first."""
+        plans = sorted(self._batch, key=lambda plan: plan.kind != "dcf")
+        self._batch = []
+        params = self.params
+        p, n, lam = params.p, params.domain_bits, params.lam
+        bool3, arith, net = self.bool3, self.arith, self.net
+        xor = bool3.xor
+        K = len(plans)
+        Kd = sum(plan.kind == "dcf" for plan in plans)
+        Ls = [len(plan.beta_spec) for plan in plans]
+        Ld = sum(Ls[:Kd])
+        lens = [_expand_lens(lam, with_v=l < Kd) for l in range(K)]
+        sb = lens[0][0]
+        W = 8 * sb  # seed bits per lane
+        lanes = (1 << K) - 1
+
+        alpha = bool3.a2b([[plan.alpha[j].r for plan in plans] for j in range(3)], p)
+        blocks = [[list(r) for r in plan.roots] for plan in plans]
+        t = [B3([0, 0, 0], K), bool3.xor_const(B3([0, 0, 0], K), lanes)]
+        t1s: list[B3] = []  # party 1's control bits entering each level
+        cvs: list[A3] = []  # per level: converted v fields (party, side) x DCF lanes
+        seed_cws: list[list[bytes]] = [[] for _ in plans]
+        t_cws: list[list[tuple[int, int]]] = [[] for _ in plans]
+
+        for level in range(n):
+            a = lane_bits(alpha, n, n - 1 - level)
+            t1s.append(t[1])
+            before = prg.calls
+            # raw[c][l][j]: enclave j's expansion of its block of party c's seed
+            raw = [[[prg.g_expand(blocks[l][j][c], lens[l][2]) for j in range(3)]
+                    for l in range(K)] for c in (0, 1)]
+            self.prg_calls_outside += prg.calls - before
+
+            def packed(c, offs, nbytes):
+                return B3([sum(int.from_bytes(raw[c][l][j][offs[l]:offs[l] + nbytes],
+                                              "little") << (8 * nbytes * l)
+                               for l in range(K)) for j in range(3)], 8 * nbytes * K)
+
+            # layout: sL | vL | sR | vR | flags byte (bit0 = tL, bit1 = tR)
+            s_l = [packed(c, [0] * K, sb) for c in (0, 1)]
+            s_r = [packed(c, [sb + vb for _, vb, _ in lens], sb) for c in (0, 1)]
+            flags = [packed(c, [out - 1 for _, _, out in lens], 1) for c in (0, 1)]
+            t_l = [lane_bits(f, 8, 0) for f in flags]
+            t_r = [lane_bits(f, 8, 1) for f in flags]
+            # the DCF lanes' v fields (vb == sb), one entry per (party, side, lane)
+            v = [(((plan.name, level), c, side), Ls[l],
+                  [raw[c][l][j][off:off + sb] for j in range(3)])
+                 for c in (0, 1) for side, off in (("l", sb), ("r", 3 * sb))
+                 for l, plan in enumerate(plans[:Kd])]
+
+            with net.round():  # expansions resharing, v blocks one way
+                net.send([b"".join(raw[c][l][j] for c in (0, 1) for l in range(K))
+                          for j in range(3)], step=2)
+                self._send_v_blocks(v, step=2)
+
+            # one AND layer: the lose-side seed XOR (lose = L iff the alpha
+            # bit is set), both parties' keep-side seeds and control bits,
+            # and each party's control bit times the alpha bit
+            xl, xr = xor(s_l[0], s_l[1]), xor(s_r[0], s_r[1])
+            aw = spread(a, W)
+            prods = bool3.and_(
+                B3.cat(aw, aw, aw, a, a, t[0], t[1]),
+                B3.cat(xor(xl, xr), xor(s_l[0], s_r[0]), xor(s_l[1], s_r[1]),
+                       xor(t_l[0], t_r[0]), xor(t_l[1], t_r[1]), a, a))
+            m_cw, *m_s, m_t0, m_t1, ta0, ta1 = prods.split(*[K * W] * 3, *[K] * 4)
+
+            s_cw = xor(xr, m_cw)
+            t_cw_l = bool3.xor_const(xor(xor(t_l[0], t_l[1]), a), lanes)
+            t_cw_r = xor(xor(t_r[0], t_r[1]), a)
+            with net.round():  # correction words open, v blocks the other way
+                opened = bool3.reveal(B3.cat(s_cw, t_cw_l, t_cw_r))
+                self._send_v_blocks(v, step=1)
+            s_pub = opened & ((1 << (K * W)) - 1)
+            cl, cr = (opened >> (K * W)) & lanes, opened >> (K * W + K)
+            for l in range(K):
+                seed_cws[l].append(((s_pub >> (l * W)) & ((1 << W) - 1))
+                                   .to_bytes(sb, "little"))
+                t_cws[l].append(((cl >> l) & 1, (cr >> l) & 1))
+
+            # next seeds: keep side, xor s_cw where the control bit is set
+            # (public s_cw, so a local AND); next control bits likewise, with
+            # t_cw_keep = cl ^ alpha (cl ^ cr)
+            seeds = [xor(xor(s_l[c], m_s[c]), bool3.and_const(spread(t[c], W), s_pub))
+                     for c in (0, 1)]
+            t = [xor(xor(t_l[c], m_t), xor(bool3.and_const(t[c], cl),
+                                           bool3.and_const(ta, cl ^ cr)))
+                 for c, m_t, ta in ((0, m_t0, ta0), (1, m_t1, ta1))]
+            with net.round():  # next seed blocks, converted v fields
+                self._redistribute(plans, level, seeds, blocks)
+                cvs.append(self._convert_v(v))
+
+        t1s.append(t[1])
+        before = prg.calls
+        leaf = [[x for c in (0, 1) for l in range(K)
+                 for x in prg.block_convert(blocks[l][j][c], Ls[l], p)]
+                for j in range(3)]
+        self.prg_calls_outside += prg.calls - before
+        with net.round():
+            leaf = arith.input_additive(leaf)
+            beta = arith.input_additive(self._beta_pieces(plans))
+        LT = sum(Ls)
+        cv0, cv1 = leaf[:LT], leaf[LT:]
+
+        # arithmetic alpha bits and party-1 control bits of the DCF lanes at
+        # every level, and every lane's control bit at the leaves
+        bits = arith.bit2a(B3.cat(alpha.split(Kd * n)[0],
+                                  *(tb.split(Kd)[0] for tb in t1s[:n]), t1s[n]))
+        signs = [bits[Kd * (n + i):Kd * (n + i + 1)].repeat(Ls[:Kd])
+                 for i in range(n)] + [bits[Kd * 2 * n:].repeat(Ls)]
+
+        brackets, v_alpha = [], arith.const([0] * Ld)
+        if Kd:
+            a_ar = [bits[n - 1 - i:Kd * n:n].repeat(Ls[:Kd]) for i in range(n)]
+            fields = [[cv[f * Ld:(f + 1) * Ld] for f in range(4)] for cv in cvs]
+            # per level and party, lose = mux(a, vL, vR) and keep = vL + vR - lose,
+            # from d = a (vL - vR); and the payload term a * beta
+            prods = arith.mult(
+                A3.cat(*(a_ar[i] for i in range(n) for _ in range(3))),
+                A3.cat(*(x for l0, r0, l1, r1 in fields
+                         for x in (arith.sub(l0, r0), arith.sub(l1, r1), beta[:Ld]))))
+            for i, (l0, r0, l1, r1) in enumerate(fields):
+                d0, d1, ab = (prods[(3 * i + m) * Ld:(3 * i + m + 1) * Ld]
+                              for m in range(3))
+                bracket = arith.add(arith.sub(arith.sub(arith.add(r1, d1),
+                                                        arith.add(r0, d0)), v_alpha), ab)
+                v_alpha = arith.add(arith.add(v_alpha, arith.sub(
+                    arith.sub(l0, d0), arith.sub(l1, d1))), bracket)
+                brackets.append(bracket)
+        # leaf payload: what a DCF's levels left over, all of beta for a DPF
+        base = A3.cat(arith.sub(arith.sub(cv1[:Ld], cv0[:Ld]), v_alpha),
+                      arith.add(arith.sub(beta[Ld:], cv0[Ld:]), cv1[Ld:]))
+        xs = A3.cat(*brackets, base)
+        # every correction word is its term times (-1)^t1
+        words = arith.reveal(arith.sub(xs, arith.scale(
+            arith.mult(A3.cat(*signs), xs), 2)))
+
+        offs = [sum(Ls[:l]) for l in range(K)]
+        for l, plan in enumerate(plans):
+            final = words[n * Ld + offs[l]:n * Ld + offs[l] + Ls[l]]
+            common = dict(party=self.server, domain_bits=n, p=p, payload_len=Ls[l],
+                          lam=lam, root_seed=b"".join(r[self.server] for r in plan.roots),
+                          root_t=self.server, seed_cws=seed_cws[l], t_cws=t_cws[l],
+                          final_cw=final)
+            if l < Kd:
+                plan.key = DcfKey(v_cws=[words[i * Ld + offs[l]:i * Ld + offs[l] + Ls[l]]
+                                         for i in range(n)], **common)
+            else:
+                plan.key = DpfKey(**common)
+
+    def dist_tree_gen(self, kind: str, alpha_pieces: list,
+                      beta_spec: list) -> DcfKey | DpfKey:
+        """Distributed DPF/DCF key generation as a batch of one; returns this
+        server's half.
 
         alpha_pieces: the three GenRand pieces whose mod-p sum is the secret
         threshold/point.  beta_spec: payload component spec (const or mask).
         """
-        params = self.params
-        p, lam = params.p, params.lam
-        n = domain_bits if domain_bits is not None else params.domain_bits
-        with_v = kind == "dcf"
-        L = len(beta_spec)
-        sb, vb, out_len = _expand_lens(lam, with_v=with_v)
-        lamb = lam // 8
-        bool3, arith = self.bool3, self.arith
+        plan = self._plan_key(kind, alpha_pieces, beta_spec)
+        self._gen_keys()
+        return plan.key
 
-        alpha_bits = bool3.a2b([pc.r for pc in alpha_pieces], p)
-        beta = self._beta_a3(beta_spec)
+    # -- gadget material: plan, then run ----------------------------------------
 
-        # root seeds: enclave j draws block j of both parties' roots
-        blocks: dict[int, dict[int, bytes]] = {j: {} for j in range(3)}
-        keygen_id = ("kg", self.parties[0].counter)
-        for j in range(3):
-            for party in (0, 1):
-                blk = self.parties[j].draw_bytes(lamb, tag=b"root")
-                blocks[j][party] = blk
-                self._see(j, ("block", (keygen_id, "root"), party, j))
-        root_blocks_mine = [blocks[j][self.server] for j in range(3)]
-
-        t_b3 = {0: B3([0, 0, 0], 1), 1: bool3.xor_const(B3([0, 0, 0], 1), 1)}
-        v_alpha = arith.const([0] * L)
-        seed_cws: list[bytes] = []
-        v_cws: list[list[int]] = []
-        t_cws: list[tuple[int, int]] = []
-
-        for level in range(n):
-            node = (keygen_id, level)
-            a_bit = bool3.bit_at(alpha_bits, n - 1 - level)
-            exp = {}
-            for party in (0, 1):
-                pieces = self._local_expand(blocks, party, out_len)
-                ints = [int.from_bytes(x, "little") for x in pieces]
-                exp[party] = self._reshare_bool(ints, out_len * 8)
-            # field offsets in bits within the expansion
-            off_sl, off_vl = 0, 8 * sb
-            off_sr, off_vr = 8 * (sb + vb), 8 * (2 * sb + vb)
-            off_flags = 8 * (2 * sb + 2 * vb)
-
-            def fld(party, bitoff, width):
-                return B3([(exp[party].shares[j] >> bitoff)
-                           & ((1 << width) - 1) for j in range(3)], width)
-
-            s_l = {c: fld(c, off_sl, 8 * sb) for c in (0, 1)}
-            s_r = {c: fld(c, off_sr, 8 * sb) for c in (0, 1)}
-            t_l = {c: fld(c, off_flags, 1) for c in (0, 1)}
-            t_r = {c: B3([(exp[c].shares[j] >> (off_flags + 1)) & 1
-                          for j in range(3)], 1) for c in (0, 1)}
-
-            # s_cw = xor of the two lose-side seeds, lose = L iff alpha bit set
-            xl = bool3.xor(s_l[0], s_l[1])
-            xr = bool3.xor(s_r[0], s_r[1])
-            s_cw_b3 = bool3.xor(xr, bool3.and_bit(a_bit, bool3.xor(xl, xr)))
-            t_cw_l_b3 = bool3.xor(bool3.xor(t_l[0], t_l[1]),
-                                  bool3.xor_const(a_bit, 1))
-            t_cw_r_b3 = bool3.xor(bool3.xor(t_r[0], t_r[1]), a_bit)
-            s_cw = bool3.reveal(s_cw_b3)
-            t_cw_l = bool3.reveal(t_cw_l_b3) & 1
-            t_cw_r = bool3.reveal(t_cw_r_b3) & 1
-            seed_cws.append(s_cw.to_bytes(sb, "little"))
-            t_cws.append((t_cw_l, t_cw_r))
-
-            if with_v:
-                a_ar = arith.bit2a(a_bit)
-                t1_ar = arith.bit2a(t_b3[1])
-                cv = {}
-                for party in (0, 1):
-                    for side, off in (("l", off_vl), ("r", off_vr)):
-                        pieces = [((exp[party].shares[j] >> off)
-                                   & ((1 << (8 * vb)) - 1)).to_bytes(vb, "little")
-                                  for j in range(3)]
-                        cv[(party, side)] = self._v_blocks_convert(
-                            pieces, (node, party, side), L)
-                c_lose = {c: arith.mux(a_ar, cv[(c, "l")], cv[(c, "r")])
-                          for c in (0, 1)}
-                c_keep = {c: arith.mux(a_ar, cv[(c, "r")], cv[(c, "l")])
-                          for c in (0, 1)}
-                bracket = arith.sub(arith.sub(c_lose[1], c_lose[0]), v_alpha)
-                bracket = arith.add(
-                    bracket,
-                    arith.mult(arith.broadcast_scalar(a_ar, L), beta))
-                sgn_term = arith.mult(arith.broadcast_scalar(t1_ar, L), bracket)
-                v_cw_a3 = arith.sub(bracket, arith.scale(sgn_term, 2))
-                v_cws.append(arith.reveal(v_cw_a3))
-                v_alpha = arith.add(
-                    arith.sub(arith.add(v_alpha, c_keep[0]), c_keep[1]),
-                    bracket)
-
-            # next-level seeds and control bits
-            new_t = {}
-            cl, cr = t_cw_l, t_cw_r
-            for party in (0, 1):
-                s_keep = bool3.xor(
-                    s_l[party],
-                    bool3.and_bit(a_bit, bool3.xor(s_l[party], s_r[party])))
-                # t_b * s_cw with public s_cw: local bit-broadcast AND
-                t_mask = B3([(0 - (t_b3[party].shares[j] & 1)) & s_cw
-                             for j in range(3)], 8 * sb)
-                s_next_b3 = bool3.xor(s_keep, t_mask)
-                new_blocks_party = self._seed_blocks_from_b3(
-                    s_next_b3, (node, "next", party))
-                for j in range(3):
-                    blocks[j][party] = new_blocks_party[j]
-                t_keep = bool3.xor(
-                    t_l[party],
-                    bool3.and_(a_bit, bool3.xor(t_l[party], t_r[party])))
-                # t_cw_keep = cl ^ alpha*(cl^cr): public constants times alpha
-                t_alpha = bool3.and_(t_b3[party], a_bit)
-                term = B3([0, 0, 0], 1)
-                if cl:
-                    term = bool3.xor(term, t_b3[party])
-                if cl ^ cr:
-                    term = bool3.xor(term, t_alpha)
-                new_t[party] = bool3.xor(t_keep, term)
-            t_b3 = new_t
-
-        # leaf conversion and final payload correction
-        leaf_cv = {}
-        for party in (0, 1):
-            pieces = [blocks[j][party] for j in range(3)]
-            before = prg.calls
-            conv = [prg.block_convert(pieces[j], L, p) for j in range(3)]
-            self.prg_calls_outside += prg.calls - before
-            leaf_cv[party] = self.arith.input_additive(conv)
-        t1_ar = arith.bit2a(t_b3[1])
-        if with_v:
-            base = arith.sub(arith.sub(leaf_cv[1], leaf_cv[0]), v_alpha)
-        else:
-            base = arith.add(arith.sub(beta, leaf_cv[0]), leaf_cv[1])
-        sgn_term = arith.mult(arith.broadcast_scalar(t1_ar, L), base)
-        final_a3 = arith.sub(base, arith.scale(sgn_term, 2))
-        final_cw = arith.reveal(final_a3)
-
-        root_seed = b"".join(root_blocks_mine)
-        common = dict(party=self.server, domain_bits=n, p=p, payload_len=L,
-                      lam=lam, root_seed=root_seed, root_t=self.server,
-                      seed_cws=seed_cws, t_cws=t_cws, final_cw=final_cw)
-        if with_v:
-            return DcfKey(v_cws=v_cws, **common)
-        return DpfKey(**common)
-
-    # -- gadget material assembly ----------------------------------------------
-
-    def _wire_material(self, kind: str, table: SplineTable | None) -> WireMaterial:
+    def _plan_wire(self, kind: str, table: SplineTable | None):
         pieces, mask_share = self.genrand_pieces()
-        key = self.dist_tree_gen(
-            "dcf", pieces, [("const", 1), ("mask", pieces)])
-        return WireMaterial(kind, self.server, self.params.p, mask_share, key,
-                            table)
+        cmp = self._plan_key("dcf", pieces, [("const", 1), ("mask", pieces)])
+        return lambda: WireMaterial(kind, self.server, self.params.p, mask_share,
+                                    cmp.key, table)
 
-    def _max2_material(self) -> Max2Material:
-        subs = [self._wire_material("relu", None) for _ in range(3)]
-        masks = [self.genrand_pieces() for _ in range(4)]  # r3..r6
-        (p3, s3), (p4, s4), (p5, s5), (p6, s6) = masks
-        pf3 = self.dist_tree_gen(
-            "dpf", p3, [("const", 1), ("mask", p5), ("mask", p6)])
-        pf4 = self.dist_tree_gen(
-            "dpf", p4, [("const", 1), ("mask", p5), ("mask", p6)])
-        return Max2Material(self.server, self.params.p, subs[0], subs[1],
-                            subs[2], s3, s4, s5, s6, pf3, pf4)
+    def _plan_max2(self):
+        subs = [self._plan_wire("relu", None) for _ in range(3)]
+        (p3, s3), (p4, s4), (p5, s5), (p6, s6) = (self.genrand_pieces()
+                                                  for _ in range(4))
+        pf3, pf4 = (self._plan_key("dpf", pieces,
+                                   [("const", 1), ("mask", p5), ("mask", p6)])
+                    for pieces in (p3, p4))
+        return lambda: Max2Material(self.server, self.params.p,
+                                    *(sub() for sub in subs), s3, s4, s5, s6,
+                                    pf3.key, pf4.key)
+
+    def _plan_maxpool(self, k: int):
+        # a knockout over k entries plays k - 1 matches, one max2 node each
+        nodes = [self._plan_max2() for _ in range(k - 1)]
+        return lambda: MaxPoolMaterial(self.server, self.params.p, k,
+                                       [node() for node in nodes])
+
+    def _plan_argmax(self, k: int):
+        pool = self._plan_maxpool(k)
+        rho = [self.genrand_pieces() for _ in range(k)]
+        keys = [self._plan_key("dpf", pieces, [("const", i + 1)])
+                for i, (pieces, _) in enumerate(rho)]
+        return lambda: ArgmaxMaterial(self.server, self.params.p, k, pool(),
+                                      [s for _, s in rho], [kp.key for kp in keys])
 
     def gadget_material(self, kind: str, k: int = 1,
                         table: SplineTable | None = None):
-        p = self.params.p
-        if kind in ("relu", "sigmoid", "tanh"):
-            mat = self._wire_material(kind, table)
-        elif kind == "max2":
-            mat = self._max2_material()
-        elif kind == "maxpool":
-            nodes = [self._max2_material()
-                     for _ in range(sum(len(l) for l in _tournament(k)))]
-            mat = MaxPoolMaterial(self.server, p, k, nodes)
-        elif kind == "argmax":
-            pool_nodes = [self._max2_material()
-                          for _ in range(sum(len(l) for l in _tournament(k)))]
-            pool = MaxPoolMaterial(self.server, p, k, pool_nodes)
-            rho = [self.genrand_pieces() for _ in range(k)]
-            keys = [self.dist_tree_gen("dpf", pieces, [("const", i + 1)])
-                    for i, (pieces, _) in enumerate(rho)]
-            mat = ArgmaxMaterial(self.server, p, k, pool,
-                                 [s for _, s in rho], keys)
-        else:
-            raise ValueError(f"unknown gadget kind {kind}")
-        return _deliver(mat, self.to_host[0], self.host_ends[0], table)
+        """Plan every key of the material, generate them all in one batch,
+        then assemble and deliver it."""
+        build = _dispatch(kind, k, table, self._plan_wire, self._plan_max2,
+                          self._plan_maxpool, self._plan_argmax)
+        self._gen_keys()
+        return _deliver(build(), self.to_host[0], self.host_ends[0], table)
 
 
 def build_single_tee(server: int, params: ProtocolParams, bundle: SeedBundle):

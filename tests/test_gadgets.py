@@ -4,6 +4,7 @@ import random
 import pytest
 
 from pairml.fixedpoint import to_signed
+from pairml import prg
 from pairml.gadgets import (
     ArgmaxMaterial,
     GadgetParameterError,
@@ -25,6 +26,8 @@ from pairml.gadgets import (
     sigmoid_table,
     tanh_table,
     wire_material,
+    _half,
+    _interval_shares,
 )
 
 
@@ -142,6 +145,40 @@ def test_spline_matches_reference_exactly():
         s0, s1 = run_pair(*_fresh(m0, m1), [sh0], [(z - sh0) % p], p)
         out = (s0.output[0] + s1.output[0]) % p
         assert out == table.reference(z, p)
+
+
+def _per_point_output(mat, w):
+    """A session's output share with each knot point walked on its own."""
+    p = mat.p
+    if mat.kind == "relu":
+        s_ind, s_ind_r = _interval_shares(mat, w, 0, _half(p), {})
+        return (w * s_ind - s_ind_r) % p
+    acc = 0
+    for lo, hi, a, c in mat.table.segments:
+        s_ind, s_ind_r = _interval_shares(mat, w, lo, hi, {})
+        acc += a * ((w * s_ind - s_ind_r) % p) + c * s_ind
+    return acc % p
+
+
+@pytest.mark.parametrize("kind", ["relu", "tanh"])
+def test_one_walk_sessions_match_the_per_point_path(kind):
+    p = P_BIG  # too wide for precomputed tables: sessions walk the key
+    rng = random.Random(9)
+    table = tanh_table(8, p) if kind == "tanh" else None
+    walked = per_point = 0
+    for _ in range(4):
+        m0, m1 = wire_material(kind, p, rng, table=table)  # a fresh mask each
+        z = rng.randrange(-(1 << 12), 1 << 12) % p
+        sh0 = rng.randrange(p)
+        before = prg.calls
+        s0, s1 = run_pair(m0, m1, [sh0], [(z - sh0) % p], p)
+        walked += prg.calls - before
+        w = (z + m0.mask_share + m1.mask_share) % p
+        before = prg.calls
+        assert s0.output == [_per_point_output(m0, w)]
+        assert s1.output == [_per_point_output(m1, w)]
+        per_point += prg.calls - before
+    assert walked < per_point  # knot points share their high tree levels
 
 
 def test_sigmoid_symmetry_point():

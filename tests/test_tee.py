@@ -1,10 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
 from pairml import prg
 from pairml.fss import dcf_eval, dcf_eval_all, dcf_gen, dpf_eval_all, dpf_gen
-from pairml.gadgets import plain_max2, plain_relu, run_pair
+from pairml.gadgets import (plain_argmax, plain_max, plain_max2, plain_relu, run_pair,
+                            serialize_material, tanh_table)
 from pairml.params import ProtocolParams
 from pairml.shares3 import B3, TriadNet
 from pairml.tee import (
@@ -330,3 +332,101 @@ def test_dist_keygen_enclave_comm_budget(small_params):
     budget = n * per_level + a2b_cost + 3 * 20 * (8 * L + hdr)
     enclave_bytes = sum(c.meter.sent_bytes for c in t0.net.channels.values())
     assert enclave_bytes <= budget, (enclave_bytes, budget)
+
+
+# -- batched key generation: one 3PC per gadget material ------------------------------
+
+# sha256 prefixes of serialize_material for (server 0, server 1), recorded
+# when every key still ran its own 3PC one gate at a time
+PINNED = {
+    ("relu", 1, 41): ("ba1296bee69543cbef03cb2f37856362",
+                      "73aebec10976f38cdd8f5b2d4ddd7d89"),
+    ("tanh", 1, 42): ("246efeb9054d5855fd39996d96aaa7da",
+                      "e5ccf5480d73c23e8064b077923e8fde"),
+    ("max2", 1, 43): ("61a1e2b7a5205b8513c895d58e5cf8ec",
+                      "cbffabba5b982b2d30d138189dd2a867"),
+    ("maxpool", 4, 44): ("d41afb1087d55fff075beead7f7f5c36",
+                         "a0ddde7038b8ffe4764756aeed83c01c"),
+    ("argmax", 8, 45): ("6c1812b751e2e7d03980e0ce75c8bea7",
+                        "e9b6d7fe0de573c32d3b9c16aa445d8f"),
+}
+
+
+@pytest.fixture(scope="module")
+def testing_params():
+    return ProtocolParams.testing()
+
+
+@pytest.mark.parametrize("kind, k, seed", list(PINNED))
+def test_batched_materials_are_pinned(testing_params, kind, k, seed):
+    table = (tanh_table(testing_params.fp_scale, testing_params.p)
+             if kind == "tanh" else None)
+    got = []
+    for server in (0, 1):
+        tee, _ = build_tee_triple(server, testing_params, _bundle(seed))
+        mat = tee.gadget_material(kind, k=k, table=table)
+        got.append(hashlib.sha256(serialize_material(mat)).hexdigest()[:32])
+    assert tuple(got) == PINNED[(kind, k, seed)]
+
+
+def _batched_pair(params, kind, k=1, table=None, seed=51):
+    t0, t1, _ = _triples(params, seed)
+    m0 = t0.gadget_material(kind, k=k, table=table)
+    m1 = t1.gadget_material(kind, k=k, table=table)
+    assert t0.check_view_discipline() == []
+    assert t1.check_view_discipline() == []
+    return m0, m1
+
+
+def _reset_pool(pool):
+    for node in pool.nodes:
+        _reset(node)
+
+
+def test_batched_tanh_material_follows_the_spline(testing_params):
+    p = testing_params.p
+    table = tanh_table(testing_params.fp_scale, p)
+    m0, m1 = _batched_pair(testing_params, "tanh", table=table)
+    rng = random.Random(52)
+    for z in [0, 1, p - 1, 5 << 8, p - (5 << 8)] + [rng.randrange(p) for _ in range(5)]:
+        m0.consumed = m1.consumed = False
+        sh0 = rng.randrange(p)
+        s0, s1 = run_pair(m0, m1, [sh0], [(z - sh0) % p], p)
+        assert (s0.output[0] + s1.output[0]) % p == table.reference(z, p), z
+
+
+def test_batched_maxpool_material(testing_params):
+    p = testing_params.p
+    m0, m1 = _batched_pair(testing_params, "maxpool", k=4, seed=53)
+    rng = random.Random(54)
+    for _ in range(3):
+        _reset_pool(m0), _reset_pool(m1)
+        vals = [rng.randrange(-1000, 1000) % p for _ in range(4)]
+        sh0 = [rng.randrange(p) for _ in vals]
+        s0, s1 = run_pair(m0, m1, sh0, [(v - s) % p for v, s in zip(vals, sh0)], p)
+        assert (s0.output[0] + s1.output[0]) % p == plain_max(vals, p)
+
+
+def test_batched_argmax_material(testing_params):
+    p = testing_params.p
+    m0, m1 = _batched_pair(testing_params, "argmax", k=8, seed=55)
+    rng = random.Random(56)
+    for _ in range(2):
+        for m in (m0, m1):
+            m.consumed = False
+            _reset_pool(m.pool)
+        vals = [rng.randrange(-1000, 1000) % p for _ in range(8)]
+        sh0 = [rng.randrange(p) for _ in vals]
+        s0, s1 = run_pair(m0, m1, sh0, [(v - s) % p for v, s in zip(vals, sh0)], p)
+        got = [(a + b) % p for a, b in zip(s0.output, s1.output)]
+        assert got == plain_argmax(vals, p)
+
+
+def test_enclave_messages_do_not_grow_with_key_count(small_params):
+    # an argmax material over 8 inputs holds 43 keys, a relu wire's one
+    sent = []
+    for kind, k in (("relu", 1), ("argmax", 8)):
+        t0, _, _ = _triples(small_params, seed=36)
+        t0.gadget_material(kind, k=k)
+        sent.append(sum(c.meter.msgs_sent for c in t0.net.channels.values()))
+    assert sent[1] <= 2 * sent[0], sent
