@@ -323,7 +323,8 @@ def _interval_shares(mat: WireMaterial, w: int, lo: int, hi: int,
     """Shares of (ind, ind*r) for z in [lo, hi] (signed bounds), given w = z+r.
 
     `cache` maps points where the comparison key was evaluated to its shares;
-    a point missing from it is evaluated on its own and added.
+    a point missing from it is evaluated on its own and added.  Sessions fill
+    it first from `_cmp_shares`; an empty cache gives the per-point path.
     """
     p = mat.p
     b = mat.party
@@ -338,6 +339,15 @@ def _interval_shares(mat: WireMaterial, w: int, lo: int, hi: int,
     s_ind = (hi_ev[0] - lo_ev[0] + (pub if b else 0)) % p
     s_ind_r = (hi_ev[1] - lo_ev[1] + pub * mat.mask_share) % p
     return s_ind, s_ind_r
+
+
+def _relu_share(mat: WireMaterial, w: int) -> int:
+    """This party's share of relu(z), given w = z + r: the key read at both
+    points of [0, (p-1)/2] in one walk."""
+    p = mat.p
+    cache = _cmp_shares(mat, _interval_points(w, 0, _half(p), p))
+    s_ind, s_ind_r = _interval_shares(mat, w, 0, _half(p), cache)
+    return (w * s_ind - s_ind_r) % p
 
 
 # -- evaluation sessions -------------------------------------------------------------
@@ -364,10 +374,7 @@ class ReluSession:
 
     def feed(self, revealed):
         (w,) = revealed
-        p = self.mat.p
-        cache = _cmp_shares(self.mat, _interval_points(w, 0, _half(p), p))
-        s_ind, s_ind_r = _interval_shares(self.mat, w, 0, _half(p), cache)
-        self.output = [(w * s_ind - s_ind_r) % p]
+        self.output = [_relu_share(self.mat, w)]
         return None
 
 
@@ -429,11 +436,9 @@ class Max2Session:
         p = m.p
         if self.stage == 0:
             wa, wb, wc = revealed
-            sh = []
-            for sub, w in ((m.relu_xy, wa), (m.relu_x, wb), (m.relu_y, wc)):
-                s_ind, s_ind_r = _interval_shares(sub, w, 0, _half(p), {})
-                sh.append((w * s_ind - s_ind_r) % p)
-            relu_xy, relu_x, relu_y = sh
+            relu_xy, relu_x, relu_y = (
+                _relu_share(sub, w)
+                for sub, w in ((m.relu_xy, wa), (m.relu_x, wb), (m.relu_y, wc)))
             self.u1 = (relu_xy + self.y) % p
             self.u2 = (relu_x + relu_y) % p
             self.u3 = (self.u2 - self.x - self.y) % p

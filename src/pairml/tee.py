@@ -22,7 +22,10 @@ ones, so one gate call serves every key.  A tree level costs four
 communication rounds whatever the number of keys: the expansion reshare,
 one AND layer, the correction-word reveal, and the redistribution of the
 next seeds' blocks; the payload-block transfers ride along.  The payload
-corrections of all levels wait for the end, where they take five rounds.
+corrections of all levels wait for the end, where they take six rounds
+(five when the batch holds no DCF key): the leaf and payload input, the
+two multiplies of the bit conversion, the muxes with the payload products,
+the signs, and the reveal.
 Each revealed correction word is a fixed function of the root blocks, the
 point and the payload, so the keys do not depend on how the gates are
 batched.
@@ -35,6 +38,7 @@ pair without any cross-server traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import prg
 from .fss import DcfKey, DpfKey, _expand_lens
@@ -196,7 +200,6 @@ class TeeTriple:
             params.p)
         self.views: dict[int, list[tuple]] = {0: [], 1: [], 2: []}
         self.prg_calls_outside = 0
-        self._batch: list[_KeyPlan] = []
 
     # -- view ledger --------------------------------------------------------
 
@@ -245,9 +248,10 @@ class TeeTriple:
 
     # -- distributed key generation -------------------------------------------
 
-    def _plan_key(self, kind: str, alpha_pieces: list, beta_spec: list) -> _KeyPlan:
-        """Plan one key: its root blocks are drawn now, and `_gen_keys`
-        generates it with the rest of the batch."""
+    def _plan_key(self, plans: list[_KeyPlan], kind: str, alpha_pieces: list,
+                  beta_spec: list) -> _KeyPlan:
+        """Plan one key into `plans`: its root blocks are drawn now, and
+        `_gen_keys` generates it with the rest of the batch."""
         lamb = self.params.lam // 8
         name = ("kg", self.parties[0].counter)
         roots = []
@@ -256,7 +260,7 @@ class TeeTriple:
             for party in (0, 1):
                 self._see(j, ("block", (name, "root"), party, j))
         plan = _KeyPlan(kind, alpha_pieces, beta_spec, roots, name)
-        self._batch.append(plan)
+        plans.append(plan)
         return plan
 
     def _send_v_blocks(self, v: list, step: int):
@@ -312,11 +316,10 @@ class TeeTriple:
                     self._see(k, ("block", ((plan.name, level), "next", party),
                                   "seed", k))
 
-    def _gen_keys(self):
+    def _gen_keys(self, plans: list[_KeyPlan]):
         """Generate every planned key in one level-synchronous 3PC, lane l
         running the l-th key, DCF lanes first."""
-        plans = sorted(self._batch, key=lambda plan: plan.kind != "dcf")
-        self._batch = []
+        plans = sorted(plans, key=lambda plan: plan.kind != "dcf")
         params = self.params
         p, n, lam = params.p, params.domain_bits, params.lam
         bool3, arith, net = self.bool3, self.arith, self.net
@@ -471,39 +474,41 @@ class TeeTriple:
         alpha_pieces: the three GenRand pieces whose mod-p sum is the secret
         threshold/point.  beta_spec: payload component spec (const or mask).
         """
-        plan = self._plan_key(kind, alpha_pieces, beta_spec)
-        self._gen_keys()
+        plans: list[_KeyPlan] = []
+        plan = self._plan_key(plans, kind, alpha_pieces, beta_spec)
+        self._gen_keys(plans)
         return plan.key
 
     # -- gadget material: plan, then run ----------------------------------------
 
-    def _plan_wire(self, kind: str, table: SplineTable | None):
+    def _plan_wire(self, plans: list[_KeyPlan], kind: str,
+                   table: SplineTable | None):
         pieces, mask_share = self.genrand_pieces()
-        cmp = self._plan_key("dcf", pieces, [("const", 1), ("mask", pieces)])
+        cmp = self._plan_key(plans, "dcf", pieces, [("const", 1), ("mask", pieces)])
         return lambda: WireMaterial(kind, self.server, self.params.p, mask_share,
                                     cmp.key, table)
 
-    def _plan_max2(self):
-        subs = [self._plan_wire("relu", None) for _ in range(3)]
+    def _plan_max2(self, plans: list[_KeyPlan]):
+        subs = [self._plan_wire(plans, "relu", None) for _ in range(3)]
         (p3, s3), (p4, s4), (p5, s5), (p6, s6) = (self.genrand_pieces()
                                                   for _ in range(4))
-        pf3, pf4 = (self._plan_key("dpf", pieces,
+        pf3, pf4 = (self._plan_key(plans, "dpf", pieces,
                                    [("const", 1), ("mask", p5), ("mask", p6)])
                     for pieces in (p3, p4))
         return lambda: Max2Material(self.server, self.params.p,
                                     *(sub() for sub in subs), s3, s4, s5, s6,
                                     pf3.key, pf4.key)
 
-    def _plan_maxpool(self, k: int):
+    def _plan_maxpool(self, plans: list[_KeyPlan], k: int):
         # a knockout over k entries plays k - 1 matches, one max2 node each
-        nodes = [self._plan_max2() for _ in range(k - 1)]
+        nodes = [self._plan_max2(plans) for _ in range(k - 1)]
         return lambda: MaxPoolMaterial(self.server, self.params.p, k,
                                        [node() for node in nodes])
 
-    def _plan_argmax(self, k: int):
-        pool = self._plan_maxpool(k)
+    def _plan_argmax(self, plans: list[_KeyPlan], k: int):
+        pool = self._plan_maxpool(plans, k)
         rho = [self.genrand_pieces() for _ in range(k)]
-        keys = [self._plan_key("dpf", pieces, [("const", i + 1)])
+        keys = [self._plan_key(plans, "dpf", pieces, [("const", i + 1)])
                 for i, (pieces, _) in enumerate(rho)]
         return lambda: ArgmaxMaterial(self.server, self.params.p, k, pool(),
                                       [s for _, s in rho], [kp.key for kp in keys])
@@ -512,9 +517,12 @@ class TeeTriple:
                         table: SplineTable | None = None):
         """Plan every key of the material, generate them all in one batch,
         then assemble and deliver it."""
-        build = _dispatch(kind, k, table, self._plan_wire, self._plan_max2,
-                          self._plan_maxpool, self._plan_argmax)
-        self._gen_keys()
+        plans: list[_KeyPlan] = []
+        build = _dispatch(kind, k, table, *(
+            partial(planner, plans) for planner in (
+                self._plan_wire, self._plan_max2, self._plan_maxpool,
+                self._plan_argmax)))
+        self._gen_keys(plans)
         return _deliver(build(), self.to_host[0], self.host_ends[0], table)
 
 
