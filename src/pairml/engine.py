@@ -566,15 +566,15 @@ class ServerRole:
                 z = (xs @ self.f_public[step.job_id]
                      + e @ triple.b_mat
                      + triple.c.astype(object)) % p
-                x = list(truncate_share_vec([int(v) for v in z], scale, self.b, p))
+                x = truncate_share_vec(z, scale, self.b, p)
             elif isinstance(step, LinearPublic):
                 z = (np.array(x, dtype=object) @ step.mat) % p
-                x = list(truncate_share_vec([int(v) for v in z], scale, self.b, p))
+                x = truncate_share_vec(z, scale, self.b, p)
             else:
                 x = self._run_gadget(step, mat.gadgets[gadget_idx], x)
                 gadget_idx += 1
                 if step.kind in ("sigmoid", "tanh"):
-                    x = list(truncate_share_vec(x, scale, self.b, p))
+                    x = truncate_share_vec(x, scale, self.b, p)
         self.owner.send(KIND_SHARE_DELIVERY, PHASE_ONLINE, encode_vec(x))
         self.label_shares[session_id] = x
 
@@ -671,10 +671,17 @@ class DealerRole:
         (s0, cols0), (s1, cols1) = reqs
         if sorted(cols0) != sorted(cols1):
             raise EngineError("servers disagree on conversion requests")
+        # the pack plan is public: job shapes follow from the request keys
+        shapes: dict[int, tuple[int, int]] = {}
+        for (jid, t), col in cols0.items():
+            n, m = shapes.get(jid, (len(col), 0))
+            shapes[jid] = (n, max(m, t + 1))
+        plan = plan_packing(self.params, [shapes[j] for j in sorted(shapes)])
         replies = [Writer().u32(len(cols0)) for _ in self.chans]
         for jid, t in sorted(cols0):
-            convs = dealer_convert_column(self.params, s0, s1, cols0[jid, t],
-                                          cols1[jid, t], self.rng)
+            placed = [place_column(self.params, plan, jid, cols[jid, t])
+                      for cols in (cols0, cols1)]
+            convs = dealer_convert_column(self.params, s0, s1, *placed, self.rng)
             for w, conv in zip(replies, convs):
                 w.u32(jid).u32(t).raw(conv.y_share.serialize())
                 w.raw(conv.ys_share.serialize())

@@ -65,9 +65,9 @@ def truncate_share(share: int, f: int, party: int, p: int) -> int:
     return (p - ((p - share) >> f)) % p
 
 
-def truncate_share_vec(shares, f: int, party: int, p: int) -> np.ndarray:
-    return np.array([truncate_share(int(s), f, party, p) for s in shares],
-                    dtype=np.int64)
+def truncate_share_vec(shares, f: int, party: int, p: int) -> list[int]:
+    """Python ints, so object-dtype matrix products on them stay exact."""
+    return [truncate_share(int(s), f, party, p) for s in shares]
 
 
 def exact_truncate(v: int, f: int, p: int) -> int:

@@ -10,11 +10,21 @@ slot-wise products, whose segment sums are the c entries.
 The dealer here is an ideal stand-in for the garbled-circuit steps of the
 original setup/model-loading flow: stateless, takes both parties' inputs,
 returns fresh random sharings.
+
+All R_q products are pointwise in NTT form (see `ring`).  The dealer hands
+out `ColumnShares` in coefficient form, ready to serialize; a server keeps
+each column as a `ConvertedColumn`, in NTT form only, converted once when it
+is built at model loading.  Keys are transformed the first time they
+multiply and keep that form, and a triple run transforms its summed
+ciphertext once.  Mult is then two pointwise products, one stacked inverse
+NTT and the exact RNS scale-and-round of `RingPoly.round_to_p`: the same
+shares as rounding the CRT-combined big integers, computed without them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,13 +117,22 @@ class DealerSetup:
     s_share: RingPoly  # additive share of s over R_q
 
 
-@dataclass(frozen=True)
-class ConvertedColumn:
+class ColumnShares(NamedTuple):
     """Per-party output of the column conversion: shares of (y, y*s) over R_q,
     where y is the slot-placed polynomial encoding of one matrix column."""
 
     y_share: RingPoly
     ys_share: RingPoly
+
+
+class ConvertedColumn(ColumnShares):
+    """A server's stored column shares, in NTT form only (the form Mult
+    consumes), converted when the column is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, y_share: RingPoly, ys_share: RingPoly):
+        return super().__new__(cls, y_share.to_ntt(), ys_share.to_ntt())
 
 
 def dealer_setup(params: ProtocolParams, rng) -> tuple[LprKeys, DealerSetup, DealerSetup]:
@@ -130,24 +149,21 @@ def dealer_setup(params: ProtocolParams, rng) -> tuple[LprKeys, DealerSetup, Dea
 
 def dealer_convert_column(params: ProtocolParams, s0: RingPoly, s1: RingPoly,
                           col0: np.ndarray, col1: np.ndarray, rng
-                          ) -> tuple[ConvertedColumn, ConvertedColumn]:
+                          ) -> tuple[ColumnShares, ColumnShares]:
     """Ideal conversion: slot-placed column shares -> R_q shares of (y, y*s).
 
     col0/col1 are length-N slot vectors (already positioned per the pack
     plan).  The functionality is stateless: the secret is reconstructed from
     the callers' key shares for the duration of the call only.
     """
-    p = params.p
-    s = s0 + s1
-    slots = [(int(a) + int(b)) % p for a, b in zip(col0, col1)]
+    s = s0.to_ntt() + s1.to_ntt()  # each share keeps its NTT form across calls
+    slots = (np.asarray(col0, dtype=np.int64) + np.asarray(col1, dtype=np.int64)) % params.p
     y = vec_to_poly(params, slots)
     y_q = y.lift_to_q(centered=True)
     ys = y_q * s
     y_sh0 = RingPoly.random(params, rng, tag="q")
     ys_sh0 = RingPoly.random(params, rng, tag="q")
-    out0 = ConvertedColumn(y_share=y_sh0, ys_share=ys_sh0)
-    out1 = ConvertedColumn(y_share=y_q - y_sh0, ys_share=ys - ys_sh0)
-    return out0, out1
+    return ColumnShares(y_sh0, ys_sh0), ColumnShares(y_q - y_sh0, ys - ys_sh0)
 
 
 # -- the Mult instruction -------------------------------------------------------------
@@ -162,10 +178,7 @@ def hss_mult(params: ProtocolParams, party: int, y_share: RingPoly,
     up to the configured failure probability.
     """
     t = ct.c0 * y_share + ct.c1 * ys_share
-    delta = params.delta
-    p = params.p
-    return np.array([(v + delta // 2) // delta % p for v in t.coeff_ints()],
-                    dtype=np.int64)
+    return t.round_to_p().data.astype(np.int64)
 
 
 def mult_noise_bound(params: ProtocolParams, ct: LprCiphertext) -> int:

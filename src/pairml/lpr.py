@@ -5,6 +5,13 @@ factor delta = q/p is exact and multiples of delta*p vanish mod q; the HSS
 rounding conversion depends on this.  Every ciphertext carries an analytic
 noise bound that homomorphic operations update, and trusted-test mode can
 measure true noise against it with the secret key.
+
+Keys and ciphertexts are R_q polys.  A public key is transformed to NTT form
+the first time it multiplies and keeps it, so `encrypt` costs one forward
+NTT of u and one inverse NTT per ciphertext poly; ciphertexts leave it in
+coefficient form, ready to serialize.  `decrypt` rounds with the exact RNS
+scale-and-round of `RingPoly.round_to_p`.  Secrets and noise are sampled in
+bulk with `ring.draw_below`, which reproduces per-coefficient `randrange`.
 """
 
 from __future__ import annotations
@@ -12,9 +19,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+import numpy as np
+
 from .codec import Reader, Writer
 from .params import ProtocolParams
-from .ring import RingPoly
+from .ring import RingPoly, draw_below
 
 NOISE_ETA = 8  # centered-binomial width, sigma = 2
 
@@ -24,18 +33,15 @@ def params_digest(params: ProtocolParams) -> bytes:
 
 
 def ternary_poly(params: ProtocolParams, rng) -> RingPoly:
-    coeffs = [rng.randrange(3) - 1 for _ in range(params.n_ring)]
+    coeffs = draw_below(rng, 3, params.n_ring).astype(np.int64) - 1
     return RingPoly.from_coeffs(params, coeffs, tag="q")
 
 
 def cbd_poly(params: ProtocolParams, rng, eta: int = NOISE_ETA) -> RingPoly:
-    coeffs = []
-    for _ in range(params.n_ring):
-        bits = rng.randrange(1 << (2 * eta))
-        a = bin(bits & ((1 << eta) - 1)).count("1")
-        b = bin(bits >> eta).count("1")
-        coeffs.append(a - b)
-    return RingPoly.from_coeffs(params, coeffs, tag="q")
+    bits = draw_below(rng, 1 << (2 * eta), params.n_ring)
+    a = np.bitwise_count(bits & np.uint64((1 << eta) - 1))
+    b = np.bitwise_count(bits >> np.uint64(eta))
+    return RingPoly.from_coeffs(params, a.astype(np.int64) - b, tag="q")
 
 
 @dataclass
@@ -103,10 +109,7 @@ def encrypt(params: ProtocolParams, pk: tuple[RingPoly, RingPoly], m: RingPoly,
 
 def decrypt(params: ProtocolParams, s: RingPoly, ct: LprCiphertext) -> RingPoly:
     """Round (c0 + c1*s)/delta coefficient-wise; exact while noise < delta/2."""
-    phase = ct.c0 + ct.c1 * s
-    delta = params.delta
-    coeffs = [(v + delta // 2) // delta % params.p for v in phase.coeff_ints()]
-    return RingPoly.from_coeffs(params, coeffs, tag="p")
+    return (ct.c0 + ct.c1 * s).round_to_p()
 
 
 def measure_noise(params: ProtocolParams, s: RingPoly, ct: LprCiphertext,

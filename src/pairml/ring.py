@@ -1,15 +1,31 @@
-"""Negacyclic ring arithmetic: NTT slot packing over Z_p, RNS polys over Z_q.
+"""Negacyclic ring arithmetic: slot packing over Z_p, RNS polys in NTT form over Z_q.
 
-Polynomials live in R_m = Z_m[x]/(x^N + 1).  Since every modulus here is
-1 mod 2N, x^N + 1 splits into N linear factors and the negacyclic NTT gives
-a slot (CRT) representation in which multiplication is component-wise.
-Multiplication in coefficient form uses an exact limb-split FFT so that it
-works for any 62-bit modulus without a per-modulus NTT.
+Polynomials live in R_m = Z_m[x]/(x^N + 1).  Every modulus here is a prime
+1 mod 2N, so x^N + 1 splits into N linear factors and the negacyclic NTT maps
+a poly to its N evaluations, where multiplication is pointwise.
+
+* An R_p poly is in COEFF or SLOT form; SLOT is the NTT form, whose entries
+  are the packed vector.
+* An R_q poly is a (primes, N) uint64 stack with one residue row per prime of
+  q, in COEFF or NTT form.  `*` is pointwise in NTT form; `+` and `-` keep the
+  operands' form when they share one and work on coefficients otherwise.  A
+  poly remembers the other form once it has been converted, so a key or
+  ciphertext used many times is transformed once.  `serialize` always writes
+  coefficient form.
+
+`NttContext` transforms every row of a stack in one numpy pass, each row mod
+its own prime, multiplying by twiddles with Shoup's method.  Products of two
+variable residues use Montgomery multiplication.  Both split 64-bit words
+into 32-bit halves (Shoup to estimate a quotient it then corrects,
+Montgomery for the exact high product), so every result is exact in uint64.
+
+`RingPoly.round_to_p` computes round(t * p / q) mod p from the residues of t
+alone (exact RNS scale-and-round, which needs p | q), with no big integers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -26,134 +42,164 @@ class ModulusError(ValueError):
     pass
 
 
-# -- number theoretic transform ----------------------------------------------
+# -- exact uint64 modular arithmetic -------------------------------------------
+# Residues are < m < 2^62, so a sum of two stays below 2^64 and a wrapped
+# difference is recognised by being larger than the unwrapped one.
+
+_LO32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
 
 
-def _modexp(x: int, e: int, m: int) -> int:
-    return pow(x, e, m)
+def _add(a, b, m):
+    s = a + b
+    return np.minimum(s, s - m)
 
 
-def _bitrev(x: int, bits: int) -> int:
-    y = 0
-    for _ in range(bits):
-        y = (y << 1) | (x & 1)
-        x >>= 1
-    return y
+def _sub(a, b, m):
+    d = a - b
+    return np.minimum(d, d + m)
+
+
+def _mulhi(a, b_lo, b_hi):
+    """High 64 bits of the 128-bit products a * b, b given as 32-bit halves (exact)."""
+    a_lo, a_hi = a & _LO32, a >> _32
+    lh, hl = a_lo * b_hi, a_hi * b_lo
+    mid = ((a_lo * b_lo) >> _32) + (lh & _LO32) + (hl & _LO32)
+    return a_hi * b_hi + (lh >> _32) + (hl >> _32) + (mid >> _32)
+
+
+def _shoup(w, m):
+    """Constants for multiplying by w mod m: w and the 32-bit halves of
+    floor(w 2^64 / m), as uint64 arrays shaped like w (ints or nested lists)."""
+    w = np.array(w, dtype=object)
+    ws = np.array((w << 64) // np.array(m, dtype=object), dtype=object)
+    return tuple(np.array(x, dtype=object).astype(np.uint64)
+                 for x in (w, ws & 0xFFFFFFFF, ws >> 32))
+
+
+def _mul_shoup(x, w, w_lo, w_hi, m):
+    """x * w mod m for any uint64 x and a constant w < m.
+
+    The quotient estimate drops the carries of the low partial products, so
+    it is at most 3 short: r lies in [0, 4m) before the two subtractions.
+    """
+    x_lo, x_hi = x & _LO32, x >> _32
+    q = x_hi * w_hi + ((x_lo * w_hi) >> _32) + ((x_hi * w_lo) >> _32)
+    r = x * w - q * m
+    r = np.minimum(r, r - (m + m))
+    return np.minimum(r, r - m)
+
+
+# -- number theoretic transform -------------------------------------------------
 
 
 def _find_root_2n(n: int, p: int) -> int:
     """Generator of order 2n in Z_p* (exists since p = 1 mod 2n)."""
     r = (p - 1) // (2 * n)
     for x in range(2, p - 1):
-        h = _modexp(x, r, p)
-        if _modexp(h, n, p) == p - 1:
+        h = pow(x, r, p)
+        if pow(h, n, p) == p - 1:
             return h
     raise ModulusError(f"no element of order {2 * n} mod {p}")
 
 
 class NttContext:
-    """Precomputed twiddle tables for the negacyclic NTT mod one prime.
+    """Negacyclic NTT and modular arithmetic on stacks of residue rows.
 
-    Built once per (p, n) and read-only afterwards, so instances are safe
-    to share between threads.
+    Row i of every (rows, N) uint64 array is taken mod primes[i].  Built once
+    per (primes, N) and read-only afterwards, so instances are safe to share
+    between threads.
     """
 
-    def __init__(self, p: int, n: int):
-        self.p = p
-        self.n = n
+    def __init__(self, primes: tuple[int, ...], n: int):
+        if any(m >> 62 for m in primes):
+            raise ModulusError("NTT primes must be below 2^62")
+        self.primes = primes
         logn = n.bit_length() - 1
-        h = _find_root_2n(n, p)
-        # bit-reversed powers of h; the inverse pass walks the same table
-        # backwards with the sign folded into the butterfly
-        self.w = [_modexp(h, _bitrev(i, logn), p) for i in range(n)]
-        self.n_inv = pow(n, p - 2, p)
+        rev = [int(f"{i:0{logn}b}"[::-1], 2) for i in range(n)]
+        # per prime: bit-reversed powers of a 2N-th root h; the inverse pass
+        # walks the same table backwards with the sign folded into the butterfly
+        tables = []
+        for m in primes:
+            h, powers, x = _find_root_2n(n, m), [], 1
+            for _ in range(n):
+                powers.append(x)
+                x = x * h % m
+            tables.append([powers[r] for r in rev])
+        col = [[m] for m in primes]
+        w = _shoup(tables, col)
+        self.mods = np.array(col, dtype=np.uint64)  # (rows, 1)
+        # stage with k blocks: forward uses w[k:2k], inverse w[2k-1] .. w[k];
+        # the inverse runs its stages from k = N/2 down to k = 1
+        self._fwd, self._inv = [], []
+        k = 1
+        while k < n:
+            self._fwd.append(tuple(np.ascontiguousarray(t[:, k:2 * k, None]) for t in w))
+            self._inv.insert(0, tuple(np.ascontiguousarray(t[:, 2 * k - 1:k - 1:-1, None])
+                                      for t in w))
+            k *= 2
+        # the inverse's 1/N is folded into its last stage, the one block with
+        # twiddle w[1]: its sum is scaled by 1/N and its difference by w[1]/N
+        n_inv = [pow(n, -1, m) for m in primes]
+        col3 = [[[m]] for m in primes]
+        self._n_inv = _shoup([[[v]] for v in n_inv], col3)
+        self._inv[-1] = _shoup([[[v * t[1] % m]] for v, t, m in zip(n_inv, tables, primes)],
+                               col3)
+        # Montgomery constants: -m^-1 mod 2^64, halves of m, and 2^64 mod m
+        self._mont = (np.array([[(-pow(m, -1, 1 << 64)) % (1 << 64)] for m in primes],
+                               dtype=np.uint64),
+                      self.mods & _LO32, self.mods >> _32,
+                      _shoup([[(1 << 64) % m] for m in primes], col))
 
     def ntt(self, f: np.ndarray) -> np.ndarray:
-        """Forward negacyclic NTT; output order defines the slot order."""
-        return self._ntt_py(f, forward=True)
+        """Forward negacyclic NTT of every row; output order defines the slot order."""
+        rows = f.shape[0]
+        a = np.array(f, dtype=np.uint64)
+        m = self.mods[:, :, None]
+        for w in self._fwd:
+            v = a.reshape(rows, w[0].shape[1], 2, -1)
+            x, y = v[:, :, 0], v[:, :, 1]
+            t = _mul_shoup(y, *w, m)
+            d = x - t
+            x += t
+            np.minimum(x, x - m, out=x)
+            np.minimum(d, d + m, out=y)
+        return a
 
     def intt(self, f: np.ndarray) -> np.ndarray:
-        return self._ntt_py(f, forward=False)
+        rows = f.shape[0]
+        a = np.array(f, dtype=np.uint64)
+        m = self.mods[:, :, None]
+        last = len(self._inv) - 1
+        for i, w in enumerate(self._inv):
+            v = a.reshape(rows, w[0].shape[1], 2, -1)
+            x, y = v[:, :, 0], v[:, :, 1]
+            s, d = _add(x, y, m), _sub(y, x, m)
+            x[...] = _mul_shoup(s, *self._n_inv, m) if i == last else s
+            y[...] = _mul_shoup(d, *w, m)
+        return a
 
-    def _ntt_py(self, arr: np.ndarray, forward: bool) -> np.ndarray:
-        p, n = self.p, self.n
-        f = [int(v) for v in arr]
-        if forward:
-            w = self.w
-            l, wi = n // 2, 0
-            while l > 0:
-                for i in range(0, n, 2 * l):
-                    wi += 1
-                    z = w[wi]
-                    for j in range(i, i + l):
-                        x = f[j]
-                        y = f[j + l] * z % p
-                        f[j] = (x + y) % p
-                        f[j + l] = (x - y) % p
-                l >>= 1
-        else:
-            w = self.w
-            l, wi = 1, n
-            while l < n:
-                for i in range(0, n, 2 * l):
-                    wi -= 1
-                    z = w[wi]
-                    for j in range(i, i + l):
-                        x = f[j]
-                        y = f[j + l]
-                        f[j] = (x + y) % p
-                        f[j + l] = (y - x) * z % p
-                l <<= 1
-            ninv = self.n_inv
-            f = [v * ninv % p for v in f]
-        return np.array(f, dtype=np.int64)
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Pointwise a * b: a Montgomery product, then a Shoup product by 2^64."""
+        pinv, m_lo, m_hi, r = self._mont
+        m = self.mods
+        lo = a * b
+        u = _mulhi(a, b & _LO32, b >> _32) + _mulhi(lo * pinv, m_lo, m_hi)
+        u += lo != 0  # the carry out of the (zero) low word of a*b + k*m
+        return _mul_shoup(np.minimum(u, u - m), *r, m)
+
+    def scale(self, a: np.ndarray, c: int) -> np.ndarray:
+        return _mul_shoup(a, *_shoup([[c % m] for m in self.primes],
+                                     [[m] for m in self.primes]), self.mods)
 
 
 @lru_cache(maxsize=32)
-def ntt_context(p: int, n: int) -> NttContext:
-    return NttContext(p, n)
-
-
-# -- exact coefficient-form multiplication -----------------------------------
-
-_LIMB_BITS = 15
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
-
-
-def negacyclic_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Exact a*b mod (x^N + 1, m) via limb-split real FFT.
-
-    Limbs are 15 bits so every diagonal accumulation stays well inside the
-    53-bit float mantissa (max ~2^43 at N=8192 plus FFT roundoff).
-    """
-    n = len(a)
-    n_limbs = (max(int(a.max()), int(b.max()), 1).bit_length()
-               + _LIMB_BITS - 1) // _LIMB_BITS
-    fa = np.empty((n_limbs, 2 * n))
-    fb = np.empty((n_limbs, 2 * n))
-    aa, bb = a.astype(np.int64), b.astype(np.int64)
-    for k in range(n_limbs):
-        fa[k, :n] = (aa >> (_LIMB_BITS * k)) & _LIMB_MASK
-        fa[k, n:] = 0.0
-        fb[k, :n] = (bb >> (_LIMB_BITS * k)) & _LIMB_MASK
-        fb[k, n:] = 0.0
-    FA = np.fft.rfft(fa, axis=1)
-    FB = np.fft.rfft(fb, axis=1)
-    n_diag = 2 * n_limbs - 1
-    diag = np.zeros((n_diag, FA.shape[1]), dtype=complex)
-    for i in range(n_limbs):
-        for j in range(n_limbs):
-            diag[i + j] += FA[i] * FB[j]
-    conv = np.fft.irfft(diag, n=2 * n, axis=1)
-    folded = np.rint(conv[:, :n] - conv[:, n:]).astype(np.int64).astype(object)
-    out = folded[0]
-    for d in range(1, n_diag):
-        out = out + (folded[d] << (_LIMB_BITS * d))
-    return np.array([int(v) % m for v in out], dtype=object if m >> 62 else np.int64)
+def ntt_context(primes: tuple[int, ...], n: int) -> NttContext:
+    return NttContext(primes, n)
 
 
 def schoolbook_negacyclic(a, b, m: int) -> list[int]:
-    """Quadratic reference for the FFT/NTT paths (tests only)."""
+    """Quadratic reference for the NTT paths (tests only)."""
     n = len(a)
     t = [0] * (2 * n)
     for i in range(n):
@@ -162,7 +208,7 @@ def schoolbook_negacyclic(a, b, m: int) -> list[int]:
     return [(t[i] - t[i + n]) % m for i in range(n)]
 
 
-# -- RNS / CRT helpers ---------------------------------------------------------
+# -- RNS helpers -------------------------------------------------------------------
 
 
 class RnsContext:
@@ -190,89 +236,186 @@ def rns_context(primes: tuple[int, ...]) -> RnsContext:
     return RnsContext(primes)
 
 
+@lru_cache(maxsize=16)
+def _rounding_constants(primes: tuple[int, ...]):
+    p, aux = primes[0], primes[1:]
+    delta = 1
+    for qj in aux:
+        delta *= qj
+    half = [np.uint64(delta // 2 % m) for m in primes]
+    garner = [[(_shoup(1, qj), _shoup(pow(qi, -1, qj), qj)) for qi in aux[:j]]
+              for j, qj in enumerate(aux)]
+    radix, radices = 1, []
+    for qj in aux:
+        radices.append(_shoup(radix % p, p))
+        radix *= qj
+    return half, garner, radices, _shoup(pow(delta, -1, p), p)
+
+
+def _scale_round(primes: tuple[int, ...], t: np.ndarray) -> np.ndarray:
+    """round(t p / q) mod p per column of coefficient residues t, p = primes[0].
+
+    With delta = q / p and t' = t + floor(delta / 2), the result is
+    floor(t' / delta) = (t' - r) / delta mod p for r = t' mod delta.  Garner's
+    mixed-radix digits give r from the residues of t' mod the other primes,
+    and r mod p from those digits, so no value ever exceeds 64 bits.
+    """
+    half, garner, radices, delta_inv = _rounding_constants(primes)
+    p, aux = np.uint64(primes[0]), [np.uint64(m) for m in primes[1:]]
+    tp = [_add(row, h, np.uint64(m)) for row, h, m in zip(t, half, primes)]
+    digits = []
+    for j, qj in enumerate(aux):
+        x = tp[j + 1]
+        for d, (one, inv) in zip(digits, garner[j]):
+            x = _mul_shoup(_sub(x, _mul_shoup(d, *one, qj), qj), *inv, qj)
+        digits.append(x)
+    r = np.zeros_like(tp[0])
+    for d, radix in zip(digits, radices):
+        r = _add(r, _mul_shoup(d, *radix, p), p)
+    return _mul_shoup(_sub(tp[0], r, p), *delta_inv, p)
+
+
+# -- sampling ---------------------------------------------------------------------
+
+
+def draw_below(rng, bound: int, count: int) -> np.ndarray:
+    """`count` values of `rng.randrange(bound)` as uint64, drawn in bulk.
+
+    randrange takes k = bound.bit_length() bits from ceil(k / 32) 32-bit
+    outputs (low word first, the last one shifted down) and draws again while
+    the value is >= bound.  Drawing exactly the shortfall in each round keeps
+    the accepted values in order and leaves rng where `count` randrange calls
+    would; the last few values are drawn with randrange itself.
+    """
+    k = bound.bit_length()
+    words = (k + 31) // 32
+    if words > 2:
+        raise ValueError("draw_below supports bounds below 2^64")
+    out = np.empty(count, dtype=np.uint64)
+    filled = 0
+    while count - filled > 16:
+        need = count - filled
+        raw = np.frombuffer(rng.getrandbits(32 * words * need).to_bytes(
+            4 * words * need, "little"), dtype="<u4").reshape(need, words)
+        cand = raw[:, -1].astype(np.uint64) >> np.uint64(32 * words - k)
+        if words == 2:
+            cand = (cand << _32) | raw[:, 0]
+        cand = cand[cand < bound]
+        out[filled:filled + len(cand)] = cand
+        filled += len(cand)
+    out[filled:] = [rng.randrange(bound) for _ in range(count - filled)]
+    return out
+
+
+def _residues(values, primes: tuple[int, ...]) -> np.ndarray:
+    """(primes, N) uint64 residues of integer coefficients."""
+    try:
+        v = np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        big = [int(x) for x in values]
+        return np.array([[x % m for x in big] for m in primes], dtype=np.uint64)
+    return (v % np.array(primes, dtype=np.int64)[:, None]).astype(np.uint64)
+
+
 # -- ring elements --------------------------------------------------------------
 
 COEFF = "coeff"
-SLOT = "slot"
+SLOT = "slot"  # R_p in NTT form: the entries are the packed vector
+NTT = "ntt"    # R_q in NTT form
 
 
 @dataclass
 class RingPoly:
-    """Element of R_p (coeff or slot form) or R_q (RNS residues, coeff form).
+    """Element of R_p (COEFF or SLOT form) or R_q (RNS residues, COEFF or NTT form).
 
     Instances are treated as immutable; every operation returns a new poly.
+    The only state that changes is `_alt`, the same poly in its other form,
+    kept once a conversion has computed it.
     """
 
     params: ProtocolParams
     tag: str  # "p" | "q"
-    form: str  # COEFF | SLOT
-    data: object  # np.ndarray for p, tuple[np.ndarray, ...] for q
+    form: str  # COEFF | SLOT (p) | NTT (q)
+    data: np.ndarray  # uint64: (N,) for p, (len(q_primes), N) for q
+    _alt: RingPoly | None = field(default=None, repr=False)
 
     # construction ----------------------------------------------------------
 
+    @staticmethod
+    def _primes(params: ProtocolParams, tag: str) -> tuple[int, ...]:
+        return (params.p,) if tag == "p" else params.q_primes
+
+    @classmethod
+    def _of(cls, params: ProtocolParams, tag: str, form: str,
+            rows: np.ndarray) -> "RingPoly":
+        return cls(params, tag, form, rows[0] if tag == "p" else rows)
+
     @classmethod
     def zero(cls, params: ProtocolParams, tag: str = "p") -> "RingPoly":
-        n = params.n_ring
-        if tag == "p":
-            return cls(params, "p", COEFF, np.zeros(n, dtype=np.int64))
-        return cls(params, "q", COEFF,
-                   tuple(np.zeros(n, dtype=np.int64) for _ in params.q_primes))
+        rows = np.zeros((len(cls._primes(params, tag)), params.n_ring), dtype=np.uint64)
+        return cls._of(params, tag, COEFF, rows)
 
     @classmethod
     def from_coeffs(cls, params: ProtocolParams, coeffs, tag: str = "p") -> "RingPoly":
         n = params.n_ring
         if len(coeffs) != n:
             raise DimensionError(f"expected {n} coefficients, got {len(coeffs)}")
-        if tag == "p":
-            arr = np.array([int(c) % params.p for c in coeffs], dtype=np.int64)
-            return cls(params, "p", COEFF, arr)
-        res = tuple(
-            np.array([int(c) % qi for c in coeffs], dtype=np.int64)
-            for qi in params.q_primes
-        )
-        return cls(params, "q", COEFF, res)
+        return cls._of(params, tag, COEFF, _residues(coeffs, cls._primes(params, tag)))
 
     @classmethod
     def random(cls, params: ProtocolParams, rng, tag: str = "p") -> "RingPoly":
-        n = params.n_ring
-        if tag == "p":
-            arr = np.array([rng.randrange(params.p) for _ in range(n)], dtype=np.int64)
-            return cls(params, "p", COEFF, arr)
-        res = tuple(
-            np.array([rng.randrange(qi) for _ in range(n)], dtype=np.int64)
-            for qi in params.q_primes
-        )
-        return cls(params, "q", COEFF, res)
+        rows = np.stack([draw_below(rng, m, params.n_ring)
+                         for m in cls._primes(params, tag)])
+        return cls._of(params, tag, COEFF, rows)
 
     # representation ----------------------------------------------------------
+
+    @property
+    def _ctx(self) -> NttContext:
+        return ntt_context(self._primes(self.params, self.tag), self.params.n_ring)
+
+    @property
+    def _rows(self) -> np.ndarray:
+        return self.data.reshape(-1, self.params.n_ring)
+
+    def _in(self, form: str) -> "RingPoly":
+        if self.form == form:
+            return self
+        if self._alt is None:
+            ctx = self._ctx
+            rows = ctx.intt(self._rows) if form == COEFF else ctx.ntt(self._rows)
+            self._alt = RingPoly._of(self.params, self.tag, form, rows)
+        return self._alt
 
     def to_slots(self) -> "RingPoly":
         if self.tag != "p":
             raise ModulusError("slot form exists only for mod-p polynomials")
-        if self.form == SLOT:
-            return self
-        ctx = ntt_context(self.params.p, self.params.n_ring)
-        return RingPoly(self.params, "p", SLOT, ctx.ntt(self.data))
+        return self._in(SLOT)
+
+    def to_ntt(self) -> "RingPoly":
+        if self.tag != "q":
+            raise ModulusError("NTT form is for mod-q polynomials; use to_slots")
+        return self._in(NTT)
 
     def to_coeffs(self) -> "RingPoly":
-        if self.form == COEFF:
-            return self
-        ctx = ntt_context(self.params.p, self.params.n_ring)
-        return RingPoly(self.params, "p", COEFF, ctx.intt(self.data))
+        return self._in(COEFF)
 
     def lift_to_q(self, centered: bool = True) -> "RingPoly":
         """Embed a mod-p coefficient poly into R_q (centered lift keeps noise small)."""
         if self.tag != "p" or self.form != COEFF:
             raise ModulusError("lift_to_q needs a mod-p coefficient poly")
         p = self.params.p
-        vals = self.data.astype(object)
+        vals = self.data.astype(np.int64)
         if centered:
             vals = np.where(vals > p // 2, vals - p, vals)
-        res = tuple(
-            np.array([int(v) % qi for v in vals], dtype=np.int64)
-            for qi in self.params.q_primes
-        )
-        return RingPoly(self.params, "q", COEFF, res)
+        return RingPoly(self.params, "q", COEFF, _residues(vals, self.params.q_primes))
+
+    def round_to_p(self) -> "RingPoly":
+        """round(t * p / q) mod p for every coefficient t, as a mod-p coefficient poly."""
+        if self.tag != "q":
+            raise ModulusError("round_to_p needs a mod-q polynomial")
+        return RingPoly(self.params, "p", COEFF,
+                        _scale_round(self.params.q_primes, self.to_coeffs().data))
 
     # arithmetic ---------------------------------------------------------------
 
@@ -282,73 +425,54 @@ class RingPoly:
         if self.tag == "p" and self.form != other.form:
             raise ModulusError(f"representation mismatch: {self.form} vs {other.form}")
 
-    def __add__(self, other: "RingPoly") -> "RingPoly":
+    def _operands(self, other: "RingPoly") -> tuple[str, np.ndarray, np.ndarray]:
+        """The form both operands share, else COEFF, and their rows in it."""
         self._check(other)
-        if self.tag == "p":
-            return RingPoly(self.params, "p", self.form,
-                            (self.data + other.data) % self.params.p)
-        res = tuple((a + b) % qi for a, b, qi in
-                    zip(self.data, other.data, self.params.q_primes))
-        return RingPoly(self.params, "q", COEFF, res)
+        if self.form == other.form:
+            return self.form, self._rows, other._rows
+        return COEFF, self.to_coeffs()._rows, other.to_coeffs()._rows
+
+    def __add__(self, other: "RingPoly") -> "RingPoly":
+        form, a, b = self._operands(other)
+        return RingPoly._of(self.params, self.tag, form, _add(a, b, self._ctx.mods))
 
     def __sub__(self, other: "RingPoly") -> "RingPoly":
-        self._check(other)
-        if self.tag == "p":
-            return RingPoly(self.params, "p", self.form,
-                            (self.data - other.data) % self.params.p)
-        res = tuple((a - b) % qi for a, b, qi in
-                    zip(self.data, other.data, self.params.q_primes))
-        return RingPoly(self.params, "q", COEFF, res)
+        form, a, b = self._operands(other)
+        return RingPoly._of(self.params, self.tag, form, _sub(a, b, self._ctx.mods))
 
     def __neg__(self) -> "RingPoly":
-        return RingPoly.zero(self.params, self.tag) - self if self.tag == "q" else \
-            RingPoly(self.params, "p", self.form, (-self.data) % self.params.p)
+        return RingPoly._of(self.params, self.tag, self.form,
+                            _sub(np.uint64(0), self._rows, self._ctx.mods))
 
     def __mul__(self, other: "RingPoly") -> "RingPoly":
         self._check(other)
-        if self.tag == "p":
-            if self.form == SLOT:
-                prod = np.array(
-                    [int(a) * int(b) % self.params.p
-                     for a, b in zip(self.data, other.data)], dtype=np.int64)
-                return RingPoly(self.params, "p", SLOT, prod)
-            return RingPoly(self.params, "p", COEFF,
-                            negacyclic_mul(self.data, other.data, self.params.p))
-        res = tuple(negacyclic_mul(a, b, qi) for a, b, qi in
-                    zip(self.data, other.data, self.params.q_primes))
-        return RingPoly(self.params, "q", COEFF, res)
+        form = SLOT if self.tag == "p" else NTT
+        a, b = self._in(form), other._in(form)
+        return RingPoly._of(self.params, self.tag, form,
+                            self._ctx.mul(a._rows, b._rows))
 
     def scale(self, c: int) -> "RingPoly":
-        if self.tag == "p":
-            c %= self.params.p
-            out = np.array([int(v) * c % self.params.p for v in self.data],
-                           dtype=np.int64)
-            return RingPoly(self.params, "p", self.form, out)
-        res = tuple(
-            np.array([int(v) * (c % qi) % qi for v in arr], dtype=np.int64)
-            for arr, qi in zip(self.data, self.params.q_primes))
-        return RingPoly(self.params, "q", COEFF, res)
+        return RingPoly._of(self.params, self.tag, self.form,
+                            self._ctx.scale(self._rows, c))
 
     def coeff_ints(self) -> list[int]:
         """Coefficients as big ints (CRT-combined for mod-q polys)."""
+        rows = self.to_coeffs()._rows
         if self.tag == "p":
-            return [int(v) for v in self.to_coeffs().data]
+            return [int(v) for v in rows[0]]
         ctx = rns_context(self.params.q_primes)
-        n = self.params.n_ring
-        return [ctx.combine(tuple(int(arr[i]) for arr in self.data))
-                for i in range(n)]
+        return [ctx.combine(tuple(int(r) for r in col)) for col in rows.T]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingPoly) or self.tag != other.tag:
             return False
-        if self.tag == "p":
-            a = self.to_coeffs().data
-            b = other.to_coeffs().data
-            return bool(np.array_equal(a, b))
-        return all(np.array_equal(a, b) for a, b in zip(self.data, other.data))
+        a, b = (self, other) if self.form == other.form else \
+            (self.to_coeffs(), other.to_coeffs())
+        return bool(np.array_equal(a.data, b.data))
 
     # serialization ---------------------------------------------------------------
-    # magic, tag, form, n_primes (u16), N (u64): 16 bytes, then the u64 words
+    # magic, tag, form, n_primes (u16), N (u64): 16 bytes, then the u64 words;
+    # mod-q polys are always written in coefficient form (form byte 0)
 
     @staticmethod
     def wire_size(params: ProtocolParams, tag: str) -> int:
@@ -356,28 +480,29 @@ class RingPoly:
         return 16 + 8 * params.n_ring * (len(params.q_primes) if tag == "q" else 1)
 
     def serialize(self) -> bytes:
-        arrays = [self.data] if self.tag == "p" else list(self.data)
+        poly = self if self.tag == "p" else self.to_coeffs()
+        rows = poly._rows
         w = Writer().raw(b"RPL1").u8(0 if self.tag == "p" else 1)
-        w.u8(0 if self.form == COEFF else 1).u16(len(arrays)).u64(self.params.n_ring)
-        for arr in arrays:
-            w.raw(arr.astype("<u8").tobytes())
-        return w.getvalue()
+        w.u8(0 if poly.form == COEFF else 1).u16(len(rows)).u64(self.params.n_ring)
+        return w.raw(rows.astype("<u8").tobytes()).getvalue()
 
     @classmethod
     def deserialize(cls, params: ProtocolParams, buf: bytes) -> "RingPoly":
         with Reader(buf) as r:
             magic, tag_code, form_code, n_primes, n = (r.raw(4), r.u8(), r.u8(),
                                                        r.u16(), r.u64())
-            if magic != b"RPL1" or tag_code > 1:
+            if magic != b"RPL1" or tag_code > 1 or form_code > 1 - tag_code:
                 raise ValueError("bad polynomial header")
             if n != params.n_ring:
                 raise DimensionError(f"serialized N={n} != params N={params.n_ring}")
-            if n_primes != (len(params.q_primes) if tag_code else 1):
+            tag = "q" if tag_code else "p"
+            primes = cls._primes(params, tag)
+            if n_primes != len(primes):
                 raise ValueError(f"bad prime count {n_primes}")
-            words = np.frombuffer(r.raw(8 * n * n_primes), dtype="<u8").astype(np.int64)
-        if tag_code == 0:
-            return cls(params, "p", SLOT if form_code else COEFF, words)
-        return cls(params, "q", COEFF, tuple(words.reshape(n_primes, n)))
+            rows = np.frombuffer(r.raw(8 * n * n_primes), dtype="<u8").reshape(n_primes, n)
+        if (rows >= np.array(primes, dtype=np.uint64)[:, None]).any():
+            raise ValueError("polynomial residue out of range")
+        return cls._of(params, tag, SLOT if form_code else COEFF, rows)
 
 
 # -- vector <-> slot packing ------------------------------------------------------
@@ -388,9 +513,8 @@ def vec_to_poly(params: ProtocolParams, v) -> RingPoly:
     n = params.n_ring
     if len(v) > n:
         raise DimensionError(f"vector length {len(v)} exceeds ring dimension {n}")
-    slots = np.zeros(n, dtype=np.int64)
-    for i, x in enumerate(v):
-        slots[i] = int(x) % params.p
+    slots = np.zeros(n, dtype=np.uint64)
+    slots[:len(v)] = _residues(v, (params.p,))[0]
     return RingPoly(params, "p", SLOT, slots).to_coeffs()
 
 
@@ -398,4 +522,4 @@ def poly_to_vec(poly: RingPoly) -> np.ndarray:
     """All N slot values of a mod-p polynomial."""
     if poly.tag != "p":
         raise ModulusError("poly_to_vec requires a mod-p polynomial")
-    return poly.to_slots().data.copy()
+    return poly.to_slots().data.astype(np.int64)

@@ -108,16 +108,20 @@ class Simulation:
         o1s, o1o = inproc_pair("s1-owner", "owner-s1", WIDE_AREA, record=True)
         for ch in (p0, p1, d0s, d0d, d1s, d1d, o0s, o0o, o1s, o1o):
             self.channels[ch.name] = ch
-        seed = config.seed
+
+        def rng(who: str) -> random.Random:
+            # secret randomness is cryptographic unless the parameters are for tests
+            if params.test_mode:
+                return random.Random(f"{config.seed}/{who}")
+            return random.SystemRandom()
+
         self.roles = (
-            ServerRole(0, params, p0, d0s, o0s, mode=config.mode,
-                       rng=random.Random(f"{seed}/s0")),
-            ServerRole(1, params, p1, d1s, o1s, mode=config.mode,
-                       rng=random.Random(f"{seed}/s1")),
+            ServerRole(0, params, p0, d0s, o0s, mode=config.mode, rng=rng("s0")),
+            ServerRole(1, params, p1, d1s, o1s, mode=config.mode, rng=rng("s1")),
         )
-        self.dealer = DealerRole(params, d0d, d1d, random.Random(f"{seed}/dealer"))
+        self.dealer = DealerRole(params, d0d, d1d, rng("dealer"))
         self.owner_chans = (o0o, o1o)
-        self.owner_rng = random.Random(f"{seed}/owner")
+        self.owner_rng = rng("owner")
 
     def run(self, inputs_field: list[list[int]]) -> RunResult:
         n_sessions = len(inputs_field)
@@ -201,16 +205,19 @@ class Simulation:
             y_full = (f_pub + b_full) % p
             assert np.array_equal(y_full, np.array(step.y, dtype=object) % p), \
                 f"F + B != Y at job {jid}"
+        flagged = []
         for sid in r0.sessions:
             t0s, t1s = r0.sessions[sid].triples, r1.sessions[sid].triples
-            for jid, step in ((s.job_id, s) for s in secret_layers):
+            for jid in (s.job_id for s in secret_layers):
                 a = (t0s[jid].a.astype(object) + t1s[jid].a.astype(object)) % p
                 b_full = (t0s[jid].b_mat + t1s[jid].b_mat) % p
                 c = (t0s[jid].c.astype(object) + t1s[jid].c.astype(object)) % p
                 expect = (a @ b_full) % p
                 if list(c) != list(expect):
-                    result.errors.append(
-                        f"flagged triple: session {sid} job {jid}")
+                    flagged.append(f"flagged triple: session {sid} job {jid}")
+        if flagged:
+            result.errors.extend(flagged)
+            raise RuntimeError(f"trusted-test checks failed: {flagged}")
         if self.config.mode == "multi-tee":
             for role in result.roles:
                 bad = role.tee.check_view_discipline()

@@ -86,6 +86,19 @@ def test_decoder_rejects_cut_and_padded_input(name, decode, buf):
             decode(bad)
 
 
+def test_bad_poly_header_or_residue_rejected():
+    for name, form_byte in (("poly q", 1), ("poly p", 2)):
+        buf = bytearray(next(buf for n, _, buf in DECODERS if n == name))
+        buf[5] = form_byte
+        with pytest.raises(ValueError, match="header"):
+            RingPoly.deserialize(PARAMS, bytes(buf))
+    # a residue equal to its prime is not a canonical coefficient
+    buf = bytearray(next(buf for n, _, buf in DECODERS if n == "poly q"))
+    buf[16:24] = PARAMS.q_primes[0].to_bytes(8, "little")
+    with pytest.raises(ValueError, match="out of range"):
+        RingPoly.deserialize(PARAMS, bytes(buf))
+
+
 def test_every_cut_of_a_manifest_header_is_rejected():
     buf = next(buf for name, _, buf in DECODERS if name == "manifest")
     for cut in range(buf.index(b"\n\n") + 2):

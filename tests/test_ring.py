@@ -8,7 +8,6 @@ from pairml.ring import (
     DimensionError,
     ModulusError,
     RingPoly,
-    negacyclic_mul,
     ntt_context,
     poly_to_vec,
     schoolbook_negacyclic,
@@ -20,6 +19,7 @@ from pairml.fixedpoint import (
     exact_truncate,
     to_signed,
     truncate_share,
+    truncate_share_vec,
 )
 
 
@@ -74,33 +74,34 @@ def test_ntt_matches_schoolbook(tiny):
         assert list(via_slots.data) == expect
 
 
-def test_fft_mul_matches_schoolbook(tiny):
+def test_rq_mul_matches_schoolbook(tiny):
     rng = random.Random(8)
-    p, n = tiny.p, tiny.n_ring
-    for m in [p, tiny.q_primes[1]]:
-        for _ in range(30):
-            a = np.array([rng.randrange(m) for _ in range(n)], dtype=np.int64)
-            b = np.array([rng.randrange(m) for _ in range(n)], dtype=np.int64)
-            got = negacyclic_mul(a, b, m)
-            assert list(got) == schoolbook_negacyclic(a, b, m)
+    n = tiny.n_ring
+    for _ in range(30):
+        a = RingPoly.random(tiny, rng, tag="q")
+        b = RingPoly.random(tiny, rng, tag="q")
+        got = (a * b).to_coeffs()
+        for row_a, row_b, row, m in zip(a.data, b.data, got.data, tiny.q_primes):
+            assert list(row) == schoolbook_negacyclic(row_a, row_b, m)
+    assert len(got.data) == len(tiny.q_primes) and len(got.data[0]) == n
 
 
-def test_fft_mul_large_modulus_stress(small):
-    # 60-bit prime at production-ish dimension exercises the limb split
+def test_rq_mul_large_modulus_stress(small):
+    # 60-bit primes at a realistic dimension: identity and a negacyclic shift
     rng = random.Random(9)
-    m = small.q_primes[1]
     n = small.n_ring
-    a = np.array([rng.randrange(m) for _ in range(n)], dtype=np.int64)
-    b = np.zeros(n, dtype=np.int64)
-    b[0] = 1  # multiplicative identity
-    assert list(negacyclic_mul(a, b, m)) == list(a)
+    a = RingPoly.random(small, rng, tag="q")
+    one = [0] * n
+    one[0] = 1
+    assert (a * RingPoly.from_coeffs(small, one, tag="q")).to_coeffs() == a
     # x^k rotation: multiply by x^(n/2), coefficients shift negacyclically
-    c = np.zeros(n, dtype=np.int64)
+    c = [0] * n
     c[n // 2] = 1
-    got = negacyclic_mul(a, c, m)
-    expect = [(-int(a[(i - n // 2) % n])) % m if i < n // 2 else int(a[i - n // 2])
-              for i in range(n)]
-    assert list(got) == expect
+    got = (a * RingPoly.from_coeffs(small, c, tag="q")).to_coeffs()
+    for row, arow, m in zip(got.data, a.data, small.q_primes):
+        expect = [(-int(arow[(i - n // 2) % n])) % m if i < n // 2
+                  else int(arow[i - n // 2]) for i in range(n)]
+        assert list(row) == expect
 
 
 def test_vec_poly_round_trip_exhaustive_small(tiny):
@@ -249,3 +250,29 @@ def test_truncation_named_cases():
             s1 = (z - s0) % p
             got = (truncate_share(s0, f, 0, p) + truncate_share(s1, f, 1, p)) % p
             assert abs(to_signed(got - expect, p)) <= 1
+
+
+def test_truncate_share_vec_stays_exact_at_production_p():
+    # object-dtype matrix products on truncated shares must not wrap at 64 bits
+    p = ProtocolParams.production().p
+    out = truncate_share_vec([p - 1, p // 2, 12345], 12, 1, p)
+    assert all(type(v) is int for v in out)
+    mat = np.full((3, 2), p - 1, dtype=object)
+    got = (np.array(out, dtype=object) @ mat) % p
+    assert list(got) == [sum(v * (p - 1) for v in out) % p] * 2
+
+
+@pytest.mark.parametrize("params", [ProtocolParams.testing(),
+                                    ProtocolParams.production()],
+                         ids=["testing", "production"])
+def test_round_to_p_matches_big_int_rounding_at_the_edges(params):
+    # exact RNS scale-and-round against round(t p / q) on big ints, including
+    # 0, q - 1 and both sides of several rounding boundaries k*delta + delta/2
+    q, delta, n = params.q, params.delta, params.n_ring
+    rng = random.Random(15)
+    edges = [0, 1, q - 1, delta - 1, delta, q - delta // 2]
+    for k in (0, 1, params.p // 2, params.p - 1):
+        edges += [k * delta + delta // 2 + e for e in (-1, 0, 1)]
+    vals = [(edges[i] if i < len(edges) else rng.randrange(q)) % q for i in range(n)]
+    got = RingPoly.from_coeffs(params, vals, tag="q").round_to_p()
+    assert list(got.data) == [(v + delta // 2) // delta % params.p for v in vals]
