@@ -679,7 +679,10 @@ class DealerRole:
         plan = plan_packing(self.params, [shapes[j] for j in sorted(shapes)])
         replies = [Writer().u32(len(cols0)) for _ in self.chans]
         for jid, t in sorted(cols0):
-            placed = [place_column(self.params, plan, jid, cols[jid, t])
+            if len(cols0[jid, t]) != len(cols1[jid, t]):
+                raise ValueError(f"job {jid} column {t}: the servers sent "
+                                 f"{len(cols0[jid, t])} and {len(cols1[jid, t])} values")
+            placed = [place_column(self.params, plan, jid, cols[jid, t], t)
                       for cols in (cols0, cols1)]
             convs = dealer_convert_column(self.params, s0, s1, *placed, self.rng)
             for w, conv in zip(replies, convs):
@@ -699,8 +702,18 @@ class DealerRole:
 
 
 def place_column(params: ProtocolParams, plan: PackPlan, job_id: int,
-                 col: list[int]) -> np.ndarray:
+                 col: list[int], t: int | None = None) -> np.ndarray:
+    """One B column (column t of a job) at the job's slots, zero elsewhere.
+
+    Raises ValueError, naming the job and column, unless the column holds
+    exactly the job's n values, each in [0, p).
+    """
     job = next(j for j in plan.jobs if j.job_id == job_id)
+    name = f"job {job_id}" if t is None else f"job {job_id} column {t}"
+    if len(col) != job.n:
+        raise ValueError(f"{name}: {len(col)} values for a job of n={job.n}")
+    if not all(0 <= int(v) < params.p for v in col):
+        raise ValueError(f"{name}: a value is not in [0, p)")
     lo, hi = plan.slot_range(job)
     slots = np.zeros(params.n_ring, dtype=np.int64)
     slots[lo:hi] = np.array(col, dtype=np.int64)

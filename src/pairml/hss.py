@@ -11,14 +11,13 @@ The dealer here is an ideal stand-in for the garbled-circuit steps of the
 original setup/model-loading flow: stateless, takes both parties' inputs,
 returns fresh random sharings.
 
-All R_q products are pointwise in NTT form (see `ring`).  The dealer hands
-out `ColumnShares` in coefficient form, ready to serialize; a server keeps
-each column as a `ConvertedColumn`, in NTT form only, converted once when it
-is built at model loading.  Keys are transformed the first time they
-multiply and keep that form, and a triple run transforms its summed
-ciphertext once.  Mult is then two pointwise products, one stacked inverse
-NTT and the exact RNS scale-and-round of `RingPoly.round_to_p`: the same
-shares as rounding the CRT-combined big integers, computed without them.
+All R_q values are kept and sent in NTT form (see `ring`).  Per column the
+dealer transforms 3 rows, y's p row back and its other rows forward, and
+draws the random shares as NTT residues.  A server stores a received column
+with no transform, and a triple run sums its own and the peer's ciphertexts
+with none.  Mult is then two pointwise products, one stacked inverse NTT and
+the exact RNS scale-and-round of `RingPoly.round_to_p`: the same shares as
+rounding the CRT-combined big integers, computed without them.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 
 from .lpr import LprCiphertext, LprKeys, encrypt, keygen
 from .params import ProtocolParams
-from .ring import RingPoly, vec_to_poly, poly_to_vec
+from .ring import NTT, RingPoly, ntt_context, poly_to_vec, vec_to_poly
 
 
 class PackingError(ValueError):
@@ -125,14 +124,9 @@ class ColumnShares(NamedTuple):
     ys_share: RingPoly
 
 
-class ConvertedColumn(ColumnShares):
-    """A server's stored column shares, in NTT form only (the form Mult
-    consumes), converted when the column is built."""
-
-    __slots__ = ()
-
-    def __new__(cls, y_share: RingPoly, ys_share: RingPoly):
-        return super().__new__(cls, y_share.to_ntt(), ys_share.to_ntt())
+# A server stores the shares it receives as they are: in NTT form, the form
+# Mult consumes.
+ConvertedColumn = ColumnShares
 
 
 def dealer_setup(params: ProtocolParams, rng) -> tuple[LprKeys, DealerSetup, DealerSetup]:
@@ -142,8 +136,8 @@ def dealer_setup(params: ProtocolParams, rng) -> tuple[LprKeys, DealerSetup, Dea
     the protocol parties receive just their DealerSetup.
     """
     keys = keygen(params, rng)
-    sh0 = RingPoly.random(params, rng, tag="q")
-    sh1 = keys.s - sh0
+    sh0 = RingPoly.random(params, rng, tag="q", form=NTT)
+    sh1 = keys.s.to_ntt() - sh0
     return keys, DealerSetup(keys.pk, sh0), DealerSetup(keys.pk, sh1)
 
 
@@ -156,13 +150,15 @@ def dealer_convert_column(params: ProtocolParams, s0: RingPoly, s1: RingPoly,
     plan).  The functionality is stateless: the secret is reconstructed from
     the callers' key shares for the duration of the call only.
     """
-    s = s0.to_ntt() + s1.to_ntt()  # each share keeps its NTT form across calls
+    s = s0 + s1
     slots = (np.asarray(col0, dtype=np.int64) + np.asarray(col1, dtype=np.int64)) % params.p
-    y = vec_to_poly(params, slots)
-    y_q = y.lift_to_q(centered=True)
+    y = vec_to_poly(params, slots).lift_to_q(centered=True)
+    # y's NTT row mod p = q_primes[0] is the slot vector: transform the others
+    aux = ntt_context(params.q_primes[1:], params.n_ring).ntt(y.data[1:])
+    y_q = RingPoly(params, "q", NTT, np.vstack([slots.astype(np.uint64), aux]))
     ys = y_q * s
-    y_sh0 = RingPoly.random(params, rng, tag="q")
-    ys_sh0 = RingPoly.random(params, rng, tag="q")
+    y_sh0 = RingPoly.random(params, rng, tag="q", form=NTT)
+    ys_sh0 = RingPoly.random(params, rng, tag="q", form=NTT)
     return ColumnShares(y_sh0, ys_sh0), ColumnShares(y_q - y_sh0, ys - ys_sh0)
 
 

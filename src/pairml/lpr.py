@@ -6,12 +6,12 @@ rounding conversion depends on this.  Every ciphertext carries an analytic
 noise bound that homomorphic operations update, and trusted-test mode can
 measure true noise against it with the secret key.
 
-Keys and ciphertexts are R_q polys.  A public key is transformed to NTT form
-the first time it multiplies and keeps it, so `encrypt` costs one forward
-NTT of u and one inverse NTT per ciphertext poly; ciphertexts leave it in
-coefficient form, ready to serialize.  `decrypt` rounds with the exact RNS
-scale-and-round of `RingPoly.round_to_p`.  Secrets and noise are sampled in
-bulk with `ring.draw_below`, which reproduces per-coefficient `randrange`.
+Keys and ciphertexts are R_q polys in NTT form, their wire form.  `keygen`
+transforms a, s and e once each; `encrypt` transforms u, e0 + delta*m and
+e1, and nothing back, so a ciphertext is ready to serialize or to sum with a
+received one.  `decrypt` rounds with the exact RNS scale-and-round of
+`RingPoly.round_to_p`.  Secrets and noise are sampled in bulk with
+`ring.draw_below`, which reproduces per-coefficient `randrange`.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ def keygen(params: ProtocolParams, rng) -> LprKeys:
     s = ternary_poly(params, rng)
     a = RingPoly.random(params, rng, tag="q")
     e = cbd_poly(params, rng)
-    b = -(a * s + e)
-    return LprKeys(params=params, pk=(b, a), s=s)
+    b = -(a * s + e.to_ntt())
+    return LprKeys(params=params, pk=(b, a.to_ntt()), s=s)
 
 
 @dataclass
@@ -101,8 +101,8 @@ def encrypt(params: ProtocolParams, pk: tuple[RingPoly, RingPoly], m: RingPoly,
     e0 = cbd_poly(params, rng)
     e1 = cbd_poly(params, rng)
     delta_m = m.to_coeffs().lift_to_q(centered=False).scale(params.delta)
-    c0 = pk[0] * u + e0 + delta_m
-    c1 = pk[1] * u + e1
+    c0 = pk[0] * u + (e0 + delta_m).to_ntt()
+    c1 = pk[1] * u + e1.to_ntt()
     bound = NOISE_ETA * (2 * params.n_ring + 1)
     return LprCiphertext(params, c0, c1, bound)
 

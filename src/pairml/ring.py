@@ -9,9 +9,9 @@ a poly to its N evaluations, where multiplication is pointwise.
 * An R_q poly is a (primes, N) uint64 stack with one residue row per prime of
   q, in COEFF or NTT form.  `*` is pointwise in NTT form; `+` and `-` keep the
   operands' form when they share one and work on coefficients otherwise.  A
-  poly remembers the other form once it has been converted, so a key or
-  ciphertext used many times is transformed once.  `serialize` always writes
-  coefficient form.
+  poly remembers the other form once it has been converted.  NTT is its only
+  wire form, so an R_q poly made in NTT form is sent, received and multiplied
+  with no transform.
 
 `NttContext` transforms every row of a stack in one numpy pass, each row mod
 its own prime, multiplying by twiddles with Shoup's method.  Products of two
@@ -352,8 +352,9 @@ class RingPoly:
 
     @classmethod
     def zero(cls, params: ProtocolParams, tag: str = "p") -> "RingPoly":
+        """Zero in every form; an R_q zero is made in NTT form, its wire form."""
         rows = np.zeros((len(cls._primes(params, tag)), params.n_ring), dtype=np.uint64)
-        return cls._of(params, tag, COEFF, rows)
+        return cls._of(params, tag, COEFF if tag == "p" else NTT, rows)
 
     @classmethod
     def from_coeffs(cls, params: ProtocolParams, coeffs, tag: str = "p") -> "RingPoly":
@@ -363,10 +364,12 @@ class RingPoly:
         return cls._of(params, tag, COEFF, _residues(coeffs, cls._primes(params, tag)))
 
     @classmethod
-    def random(cls, params: ProtocolParams, rng, tag: str = "p") -> "RingPoly":
+    def random(cls, params: ProtocolParams, rng, tag: str = "p",
+               form: str = COEFF) -> "RingPoly":
+        """Uniform in every form, since the transform is a bijection."""
         rows = np.stack([draw_below(rng, m, params.n_ring)
                          for m in cls._primes(params, tag)])
-        return cls._of(params, tag, COEFF, rows)
+        return cls._of(params, tag, form, rows)
 
     # representation ----------------------------------------------------------
 
@@ -472,7 +475,7 @@ class RingPoly:
 
     # serialization ---------------------------------------------------------------
     # magic, tag, form, n_primes (u16), N (u64): 16 bytes, then the u64 words;
-    # mod-q polys are always written in coefficient form (form byte 0)
+    # form byte 0 is COEFF and 1 SLOT (R_p) or NTT (R_q, its only wire form)
 
     @staticmethod
     def wire_size(params: ProtocolParams, tag: str) -> int:
@@ -480,7 +483,7 @@ class RingPoly:
         return 16 + 8 * params.n_ring * (len(params.q_primes) if tag == "q" else 1)
 
     def serialize(self) -> bytes:
-        poly = self if self.tag == "p" else self.to_coeffs()
+        poly = self if self.tag == "p" else self.to_ntt()
         rows = poly._rows
         w = Writer().raw(b"RPL1").u8(0 if self.tag == "p" else 1)
         w.u8(0 if poly.form == COEFF else 1).u16(len(rows)).u64(self.params.n_ring)
@@ -491,7 +494,7 @@ class RingPoly:
         with Reader(buf) as r:
             magic, tag_code, form_code, n_primes, n = (r.raw(4), r.u8(), r.u8(),
                                                        r.u16(), r.u64())
-            if magic != b"RPL1" or tag_code > 1 or form_code > 1 - tag_code:
+            if magic != b"RPL1" or tag_code > 1 or not tag_code <= form_code <= 1:
                 raise ValueError("bad polynomial header")
             if n != params.n_ring:
                 raise DimensionError(f"serialized N={n} != params N={params.n_ring}")
@@ -502,7 +505,8 @@ class RingPoly:
             rows = np.frombuffer(r.raw(8 * n * n_primes), dtype="<u8").reshape(n_primes, n)
         if (rows >= np.array(primes, dtype=np.uint64)[:, None]).any():
             raise ValueError("polynomial residue out of range")
-        return cls._of(params, tag, SLOT if form_code else COEFF, rows)
+        return cls._of(params, tag, (NTT if tag_code else SLOT) if form_code else COEFF,
+                       rows)
 
 
 # -- vector <-> slot packing ------------------------------------------------------

@@ -87,7 +87,8 @@ def test_decoder_rejects_cut_and_padded_input(name, decode, buf):
 
 
 def test_bad_poly_header_or_residue_rejected():
-    for name, form_byte in (("poly q", 1), ("poly p", 2)):
+    # NTT (form byte 1) is the only wire form of an R_q poly
+    for name, form_byte in (("poly q", 0), ("poly q", 2), ("poly p", 2)):
         buf = bytearray(next(buf for n, _, buf in DECODERS if n == name))
         buf[5] = form_byte
         with pytest.raises(ValueError, match="header"):
@@ -122,7 +123,10 @@ def test_short_and_miscounted_buffers_raise_value_error():
 # -- pinned wide-area formats -------------------------------------------------------------
 # SHA-256 prefixes of each format built from fixed seeds.  Every format here
 # crosses a wide-area channel, and perfbench/lockstep.py builds the engine
-# frames by hand, so the bytes must not change.
+# frames by hand, so the bytes must not change.  The `*_values` entries pin the
+# coefficient-form values of the R_q poly and the ciphertext, recorded when
+# R_q polys were still sent in coefficient form: the wire form may change, the
+# values may not.
 
 PINNED = {
     "vec": "368fd7dd02e2ba6f",
@@ -131,15 +135,22 @@ PINNED = {
     "ifnn": "0e26a91386d59943",
     "mcnn": "da34e362c0b38111",
     "poly_p": "45df14cb8a3d5774",
-    "poly_q": "7a2bcb83da225016",
-    "ct": "18ae103ae09c575e",
-    "setup0": "d0d1cd87c463014c",
-    "setup1": "6df8ce9c76312203",
+    "poly_q": "f5a8f1cb111da6db",
+    "poly_q_values": "7a281905b9f5e6b1",
+    "ct": "f7ad13ec13eeb4f9",
+    "ct_values": "50a64db94223e6be",
+    "setup0": "2361fcfea4190565",
+    "setup1": "e246bf82f94c2ff9",
 }
 
 
 def _digest(buf: bytes) -> str:
     return hashlib.sha256(buf).hexdigest()[:16]
+
+
+def _coeff_digest(*polys) -> str:
+    """Digest of the polys' values, whatever form they are held or sent in."""
+    return _digest(b"".join(p.to_coeffs().data.astype("<u8").tobytes() for p in polys))
 
 
 def test_wide_area_formats_pinned():
@@ -155,11 +166,14 @@ def test_wide_area_formats_pinned():
         got[name] = _digest(serialize_manifest(manifest))
     rng = random.Random(43)
     got["poly_p"] = _digest(RingPoly.random(PARAMS, rng, tag="p").serialize())
-    got["poly_q"] = _digest(RingPoly.random(PARAMS, rng, tag="q").serialize())
+    poly_q = RingPoly.random(PARAMS, rng, tag="q")
+    got["poly_q"] = _digest(poly_q.serialize())
+    got["poly_q_values"] = _coeff_digest(poly_q)
     rng = random.Random(44)
     keys = keygen(PARAMS, rng)
     ct = encrypt(PARAMS, keys.pk, RingPoly.random(PARAMS, rng, tag="p"), rng)
     got["ct"] = _digest(ct.serialize())
+    got["ct_values"] = _coeff_digest(ct.c0, ct.c1)
     (d0, _s0), (d1, _s1) = (inproc_pair("d0", "s0", WIDE_AREA, record=True),
                             inproc_pair("d1", "s1", WIDE_AREA, record=True))
     DealerRole(PARAMS, d0, d1, random.Random(45)).run_setup()

@@ -1,9 +1,13 @@
 import random
 import threading
 
+import pytest
+
+from pairml.codec import Writer
 from pairml.engine import DealerRole, ServerRole
+from pairml.hss import dealer_setup
 from pairml.params import ProtocolParams
-from pairml.transport import WIDE_AREA, inproc_pair
+from pairml.transport import KIND_DEALER, PHASE_LOAD, WIDE_AREA, inproc_pair
 
 
 def _run_threads(*targets, timeout=60.0):
@@ -39,3 +43,34 @@ def test_setup_frame_round_trip():
         assert s.tee is not None
     s_sum = servers[0].setup_msg[1] + servers[1].setup_msg[1]
     assert s_sum == dealer.keys.s
+
+
+def _convert(params, cols0, cols1):
+    """One dealer conversion of the servers' column requests, as ServerRole frames them."""
+    chans = [inproc_pair(f"s{b}-dealer", f"dealer-s{b}", WIDE_AREA) for b in (0, 1)]
+    dealer = DealerRole(params, chans[0][1], chans[1][1], random.Random(2))
+    _, *setups = dealer_setup(params, random.Random(3))
+    for (server, _), d, cols in zip(chans, setups, (cols0, cols1)):
+        w = Writer().blob(d.s_share.serialize()).u32(len(cols))
+        for (jid, t), col in cols.items():
+            w.u32(jid).u32(t).u32(len(col)).u64s(col)
+        server.send(KIND_DEALER, PHASE_LOAD, w.getvalue())
+    dealer.run_convert()
+    return [server.recv() for server, _ in chans]
+
+
+def test_malformed_conversion_requests_are_rejected():
+    params = ProtocolParams.testing()
+    p = params.p
+    good = {(0, 0): [1] * 8, (0, 1): [p - 1] * 8}
+    assert len(_convert(params, good, good)) == 2
+    short = {(0, 0): [1] * 8, (0, 1): [5]}  # would fill the whole segment with 5
+    cases = [
+        (short, short, "job 0 column 1: 1 values for a job of n=8"),
+        (good, {**good, (0, 0): [1] * 4}, "job 0 column 0: the servers sent 8 and 4"),
+        (good, {**good, (0, 1): [0] * 7 + [p]}, r"job 0 column 1: a value is not in \[0, p\)"),
+        ({**good, (0, 0): [2 ** 64 - 1] * 8}, good, r"job 0 column 0: a value is not in"),
+    ]
+    for cols0, cols1, message in cases:
+        with pytest.raises(ValueError, match=message):
+            _convert(params, cols0, cols1)

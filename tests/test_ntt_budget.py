@@ -1,0 +1,125 @@
+"""Row-transform budget of the R_q paths, with NTT as the wire form.
+
+Every `NttContext.ntt` / `intt` call is counted as (direction, primes of the
+context) -> rows transformed.  A poly crosses the wire as `serialize` and
+`deserialize` leave it, so each count below includes the (de)serialization
+around the step.  Counts do not depend on N; the testing parameters keep the
+run short.
+"""
+
+import random
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from pairml import ring
+from pairml.hss import (
+    ConvertedColumn,
+    DealerSetup,
+    TripleGenSession,
+    dealer_convert_column,
+    dealer_setup,
+    plan_packing,
+)
+from pairml.lpr import encrypt
+from pairml.params import ProtocolParams
+from pairml.ring import RingPoly, vec_to_poly
+
+PARAMS = ProtocolParams.testing()
+P = (PARAMS.p,)
+Q = PARAMS.q_primes
+AUX = Q[1:]
+
+
+@pytest.fixture
+def rows(monkeypatch) -> Counter:
+    counts = Counter()
+    for name in ("ntt", "intt"):
+        def counted(self, f, _name=name, _orig=getattr(ring.NttContext, name)):
+            counts[_name, self.primes] += len(f)
+            return _orig(self, f)
+        monkeypatch.setattr(ring.NttContext, name, counted)
+    return counts
+
+
+def _wire(poly: RingPoly) -> RingPoly:
+    return RingPoly.deserialize(PARAMS, poly.serialize())
+
+
+def _column(rng, n=8):
+    return np.array([rng.randrange(PARAMS.p) for _ in range(n)] +
+                    [0] * (PARAMS.n_ring - n), dtype=np.int64)
+
+
+def test_setup_is_three_forward_transforms(rows):
+    _, d0, d1 = dealer_setup(PARAMS, random.Random(1))
+    for d in (d0, d1):
+        for poly in (*d.pk, d.s_share):
+            poly.serialize()
+    # a, s and e once each; pk and both s shares leave in NTT form
+    assert rows == {("ntt", Q): 3 * len(Q)}
+
+
+def test_dealer_conversion_transforms_one_p_row_and_the_aux_rows(rows):
+    rng = random.Random(2)
+    _, d0, d1 = dealer_setup(PARAMS, rng)
+    s0, s1 = _wire(d0.s_share), _wire(d1.s_share)  # as the servers send them back
+    rows.clear()
+    for share in dealer_convert_column(PARAMS, s0, s1, _column(rng), _column(rng), rng):
+        share.y_share.serialize()
+        share.ys_share.serialize()
+    assert rows == {("intt", P): 1, ("ntt", AUX): len(AUX)}
+
+
+def test_received_column_is_stored_with_no_transform(rows):
+    rng = random.Random(3)
+    _, d0, d1 = dealer_setup(PARAMS, rng)
+    shares = dealer_convert_column(PARAMS, d0.s_share, d1.s_share, _column(rng),
+                                   _column(rng), rng)
+    blobs = [(sh.y_share.serialize(), sh.ys_share.serialize()) for sh in shares]
+    rows.clear()
+    for y, ys in blobs:
+        ConvertedColumn(RingPoly.deserialize(PARAMS, y), RingPoly.deserialize(PARAMS, ys))
+    assert rows == {}
+
+
+def test_encrypt_is_three_forward_transforms(rows):
+    rng = random.Random(4)
+    _, d0, _ = dealer_setup(PARAMS, rng)
+    pk = tuple(_wire(poly) for poly in d0.pk)
+    m = vec_to_poly(PARAMS, [rng.randrange(PARAMS.p) for _ in range(5)])
+    rows.clear()
+    encrypt(PARAMS, pk, m, rng).serialize()
+    # u, e0 + delta*m and e1; the ciphertext leaves in NTT form
+    assert rows == {("ntt", Q): 3 * len(Q)}
+
+
+def test_triple_feed_does_no_forward_q_transform(rows):
+    rng = random.Random(5)
+    _, *setups = dealer_setup(PARAMS, rng)
+    plan = plan_packing(PARAMS, [(8, 3), (16, 2)])
+    b_shares = ({}, {})
+    converted = ({}, {})
+    for job in plan.jobs:
+        for b in (0, 1):
+            b_shares[b][job.job_id] = np.array(
+                [[rng.randrange(PARAMS.p) for _ in range(job.m)] for _ in range(job.n)],
+                dtype=object)
+        for t in range(job.m):
+            shares = dealer_convert_column(PARAMS, *(d.s_share for d in setups),
+                                           _column(rng, job.n), _column(rng, job.n), rng)
+            for b, sh in enumerate(shares):
+                converted[b][job.job_id, t] = ConvertedColumn(_wire(sh.y_share),
+                                                              _wire(sh.ys_share))
+    sessions = [TripleGenSession(PARAMS, plan, b,
+                                 DealerSetup(tuple(_wire(x) for x in d.pk), _wire(d.s_share)),
+                                 b_shares[b], converted[b], random.Random(6 + b))
+                for b, d in enumerate(setups)]
+    blobs = [s.start() for s in sessions]
+    rows.clear()
+    sessions[0].feed(blobs[1])
+    # each Mult: one stacked inverse of t for rounding, one p-row forward of
+    # its output into slots; the ciphertext sum and the products need none
+    mults = sum(plan.bank_columns(i) for i in range(plan.n_polys))
+    assert rows == {("intt", Q): len(Q) * mults, ("ntt", P): mults}
