@@ -12,7 +12,10 @@ come from one key generator, `_tree_gen`, and one evaluator, `_walk`.  The
 generator follows the path to the special point; the walker takes a set of
 points down the tree level by level and expands each node on their shared
 prefixes once, so one point costs one node per level and the whole domain
-costs one node per tree node.
+costs one node per tree node.  A node costs one PRG pass, `prg.expand_node`:
+its seed area holds both children's seeds and control bits, and a DCF
+node's payload words are both children's payload shares.  Seeds are ints
+while a tree is generated or walked, and bytes in a key.
 """
 
 from __future__ import annotations
@@ -29,20 +32,8 @@ class FssParameterError(ValueError):
     pass
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(
-        len(a), "little")
-
-
 def _seed_bytes(lam: int) -> int:
     return prg.BLOCKS * lam // 8
-
-
-def _expand_lens(lam: int, with_v: bool) -> tuple[int, int, int]:
-    sb = _seed_bytes(lam)
-    vb = sb if with_v else 0
-    # layout: sL | vL | sR | vR | flags byte (bit0 = tL, bit1 = tR)
-    return sb, vb, 2 * (sb + vb) + 1
 
 
 @dataclass
@@ -88,9 +79,10 @@ def _tree_gen(p: int, alpha: int, beta: list[int], rng, n: int, lam: int,
         raise FssParameterError(f"point {alpha} outside {n}-bit domain")
     beta = [int(v) % p for v in beta]
     L = len(beta)
-    sb, vb, out_len = _expand_lens(lam, with_v=cmp)
+    sb = _seed_bytes(lam)
+    W, mask = 8 * sb, (1 << 8 * sb) - 1
     roots = (rng.randbytes(sb), rng.randbytes(sb))
-    s, t = list(roots), [0, 1]
+    s, t = [int.from_bytes(r, "little") for r in roots], [0, 1]
     # what the leaf correction must still pay out: a DPF pays all of beta
     # there, a DCF whatever its level corrections left over
     v_alpha = [0] * L if cmp else [-v for v in beta]
@@ -99,31 +91,30 @@ def _tree_gen(p: int, alpha: int, beta: list[int], rng, n: int, lam: int,
     t_cws: list[tuple[int, int]] = []
     for i in range(n - 1, -1, -1):
         bit = (alpha >> i) & 1
-        raw = [prg.expand_seed(s[0], out_len), prg.expand_seed(s[1], out_len)]
-        keep, lose = bit * (sb + vb), (1 - bit) * (sb + vb)
-        s_cw = _xor(raw[0][lose:lose + sb], raw[1][lose:lose + sb])
-        flags = raw[0][-1] ^ raw[1][-1]
+        (x0, w0), (x1, w1) = (prg.expand_node(sc, lam, L if cmp else 0, p)
+                              for sc in s)
+        keep, lose = bit, 1 - bit
+        s_cw = ((x0 ^ x1) >> (lose * W)) & mask
+        flags = (x0 ^ x1) >> 2 * W
         t_cw = ((flags ^ bit ^ 1) & 1, ((flags >> 1) ^ bit) & 1)
         if cmp:
             sign = -1 if t[1] else 1
-            cl0, cl1 = (prg.convert_seed(r[lose + sb:lose + sb + vb], L, p)
-                        for r in raw)
+            cl0, cl1 = w0[lose * L:(lose + 1) * L], w1[lose * L:(lose + 1) * L]
             v_cw = [sign * (b1 - b0 - va) % p for b1, b0, va in zip(cl1, cl0, v_alpha)]
             if bit:  # lose side is L: everything left of the path is below alpha
                 v_cw = [(v + sign * bv) % p for v, bv in zip(v_cw, beta)]
-            ck0, ck1 = (prg.convert_seed(r[keep + sb:keep + sb + vb], L, p)
-                        for r in raw)
+            ck0, ck1 = w0[keep * L:(keep + 1) * L], w1[keep * L:(keep + 1) * L]
             v_alpha = [(va - b1 + b0 + sign * v) % p
                        for va, b1, b0, v in zip(v_alpha, ck1, ck0, v_cw)]
             v_cws.append(v_cw)
-        seed_cws.append(s_cw)
+        seed_cws.append(s_cw.to_bytes(sb, "little"))
         t_cws.append(t_cw)
-        for c in (0, 1):
-            s_keep = raw[c][keep:keep + sb]
-            t_keep = (raw[c][-1] >> bit) & 1
-            s[c] = _xor(s_keep, s_cw) if t[c] else s_keep
+        for c, x in ((0, x0), (1, x1)):
+            s_keep = (x >> (keep * W)) & mask
+            t_keep = (x >> (2 * W + bit)) & 1
+            s[c] = s_keep ^ s_cw if t[c] else s_keep
             t[c] = t_keep ^ (t[c] & t_cw[bit])
-    c0, c1 = prg.convert_seed(s[0], L, p), prg.convert_seed(s[1], L, p)
+    c0, c1 = (prg.convert_leaf(sc, lam, L, p) for sc in s)
     sign = -1 if t[1] else 1
     final_cw = [sign * (b1 - b0 - va) % p for b1, b0, va in zip(c1, c0, v_alpha)]
     cls = DcfKey if cmp else DpfKey
@@ -138,48 +129,49 @@ def _tree_gen(p: int, alpha: int, beta: list[int], rng, n: int, lam: int,
 
 def _walk(b: int, key: DpfKey | DcfKey, xs) -> list[list[int]]:
     """Party b's output shares at each point of xs, in the order given."""
-    n, p, L = key.domain_bits, key.p, key.payload_len
+    n, p, L, lam = key.domain_bits, key.p, key.payload_len, key.lam
     cmp = isinstance(key, DcfKey)
-    sb, vb, out_len = _expand_lens(key.lam, with_v=cmp)
+    W = 8 * _seed_bytes(lam)
+    mask = (1 << W) - 1
     pts = sorted(set(xs))
     if pts and (pts[0] < 0 or pts[-1] >> n):
         raise FssParameterError(
             f"inputs {pts[0]}..{pts[-1]} outside {n}-bit domain")
-    sign = -1 if b else 1
-    # a node: seed, control bit, payload share so far, and the slice
-    # pts[lo:hi] of the points below it
+    # a node: seed, control bit, the payload words summed so far (party b's
+    # share up to its sign, reduced at the leaf), and the slice pts[lo:hi]
+    # of the points below it
     zero = [0] * L
-    level = [(key.root_seed, key.root_t, zero, 0, len(pts))] if pts else []
+    root = int.from_bytes(key.root_seed, "little")
+    level = [(root, key.root_t, zero, 0, len(pts))] if pts else []
     for i in range(n):
         shift = n - 1 - i
-        s_cw = key.seed_cws[i]
+        s_cw = int.from_bytes(key.seed_cws[i], "little")
         t_cw = key.t_cws[i]
         v_cw = key.v_cws[i] if cmp else None
         nxt = []
         for s, t, acc, lo, hi in level:
-            raw = prg.expand_seed(s, out_len)
+            x, pay = prg.expand_node(s, lam, L if cmp else 0, p)
             mid = bisect_left(pts, (pts[lo] >> shift | 1) << shift, lo, hi)
             for side, a, z in ((0, lo, mid), (1, mid, hi)):
                 if a == z:
                     continue
-                off = side * (sb + vb)
-                s_c = raw[off:off + sb]
-                t_c = (raw[-1] >> side) & 1
+                s_c = (x >> (side * W)) & mask
+                t_c = (x >> (2 * W + side)) & 1
                 if cmp:
-                    conv = prg.convert_seed(raw[off + sb:off + sb + vb], L, p)
-                    acc_c = [(u + sign * (c + w)) % p
-                             for u, c, w in zip(acc, conv, v_cw if t else zero)]
+                    acc_c = [u + c + w for u, c, w in
+                             zip(acc, pay[side * L:(side + 1) * L], v_cw if t else zero)]
                 else:
                     acc_c = acc
                 if t:
-                    s_c = _xor(s_c, s_cw)
+                    s_c ^= s_cw
                     t_c ^= t_cw[side]
                 nxt.append((s_c, t_c, acc_c, a, z))
         level = nxt
+    sign = -1 if b else 1
     out = {}
     for s, t, acc, lo, _ in level:
-        conv = prg.convert_seed(s, L, p)
-        out[pts[lo]] = [(u + sign * (c + f)) % p for u, c, f in
+        conv = prg.convert_leaf(s, lam, L, p)
+        out[pts[lo]] = [sign * (u + c + f) % p for u, c, f in
                         zip(acc, conv, key.final_cw if t else zero)]
     return [out[x] for x in xs]
 

@@ -7,11 +7,13 @@ FSS key generation and hand its server exactly one half of every key pair.
 Multiple-TEE mode: three enclaves per server run replicated-sharing 3PC to
 generate the same material without any single enclave learning the masks or
 assembling a full key.  The tree PRG is never evaluated inside the 3PC:
-node seeds are three lam-bit blocks, each enclave learns exactly one block
-in the clear and expands it locally; the XOR of the three local expansions
-is the node expansion, and the block-wise payload converter likewise yields
-one additive share per enclave.  Only the cheap correction-word logic runs
-as boolean/arithmetic 3PC gates.
+node seeds are three lam-bit blocks, and each enclave learns exactly one
+block in the clear and expands it once, locally.  On the seed area the XOR
+of the three local expansions is the node expansion; the payload words
+after that area sum to the node's payload words mod p, so an enclave inputs
+the words of its own expansion as its additive share and no payload block
+leaves it.  Only the cheap correction-word logic runs as boolean/arithmetic
+3PC gates.
 
 A material is made in two steps.  Planning walks the material's structure
 and, key by key in a fixed order, draws every GenRand piece and root block
@@ -19,16 +21,15 @@ from the enclaves' pair PRFs.  Running then generates all of its DPF and
 DCF keys at once, as lanes of one level-synchronous 3PC: lanes are packed
 side by side into the boolean sharings and concatenated in the arithmetic
 ones, so one gate call serves every key.  A tree level costs four
-communication rounds whatever the number of keys: the expansion reshare,
-one AND layer, the correction-word reveal, and the redistribution of the
-next seeds' blocks; the payload-block transfers ride along.  The payload
-corrections of all levels wait for the end, where they take six rounds
-(five when the batch holds no DCF key): the leaf and payload input, the
-two multiplies of the bit conversion, the muxes with the payload products,
-the signs, and the reveal.
-Each revealed correction word is a fixed function of the root blocks, the
-point and the payload, so the keys do not depend on how the gates are
-batched.
+communication rounds whatever the number of keys: the seed-area reshare
+with the payload-word input, one AND layer, the correction-word reveal, and
+the redistribution of the next seeds' blocks.  The payload corrections of
+all levels wait for the end, where they take six rounds (five when the
+batch holds no DCF key): the leaf and payload input, the two multiplies of
+the bit conversion, the muxes with the payload products, the signs, and the
+reveal.  Each revealed correction word is a fixed function of the root
+blocks, the point and the payload, so the keys do not depend on how the
+gates are batched.
 
 Both servers' triples execute the identical deterministic protocol from the
 shared pair seeds, so server b ends up with key half k_b of a consistent
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import prg
-from .fss import DcfKey, DpfKey, _expand_lens
+from .fss import DcfKey, DpfKey
 from .gadgets import (
     ArgmaxMaterial,
     Max2Material,
@@ -263,34 +264,6 @@ class TeeTriple:
         plans.append(plan)
         return plan
 
-    def _send_v_blocks(self, v: list, step: int):
-        """Enclave j sends block j+step of its piece of every v field to
-        enclave j+step."""
-        lamb = self.params.lam // 8
-        payloads = []
-        for j in range(3):
-            k = (j + step) % 3
-            payloads.append(b"".join(pieces[j][k * lamb:(k + 1) * lamb]
-                                     for _, _, pieces in v))
-        self.net.send(payloads, step)
-
-    def _convert_v(self, v: list) -> A3:
-        """Blockwise payload conversion: enclave k XORs the three pieces of
-        block k of each field, converts it locally and inputs the result."""
-        lamb = self.params.lam // 8
-        before = prg.calls
-        conv = [[], [], []]
-        for tag, L, pieces in v:
-            ints = [int.from_bytes(pc, "little") for pc in pieces]
-            clear = ints[0] ^ ints[1] ^ ints[2]
-            for k in range(3):
-                blk = (clear >> (8 * k * lamb)) & ((1 << (8 * lamb)) - 1)
-                self._see(k, ("block", tag, "v", k))
-                conv[k] += prg.block_convert(blk.to_bytes(lamb, "little"), L,
-                                             self.params.p)
-        self.prg_calls_outside += prg.calls - before
-        return self.arith.input_additive(conv)
-
     def _redistribute(self, plans: list[_KeyPlan], level: int, seeds: list[B3],
                       blocks: list):
         """Block redistribution of both parties' next seeds: enclave k ends
@@ -328,8 +301,9 @@ class TeeTriple:
         Kd = sum(plan.kind == "dcf" for plan in plans)
         Ls = [len(plan.beta_spec) for plan in plans]
         Ld = sum(Ls[:Kd])
-        lens = [_expand_lens(lam, with_v=l < Kd) for l in range(K)]
-        sb = lens[0][0]
+        out_lens = [prg.node_bytes(lam, Ls[l] if l < Kd else 0) for l in range(K)]
+        sb = 3 * lam // 8
+        area = prg.node_bytes(lam, 0)  # the seed area: sL | sR | flags byte
         W = 8 * sb  # seed bits per lane
         lanes = (1 << K) - 1
 
@@ -337,7 +311,7 @@ class TeeTriple:
         blocks = [[list(r) for r in plan.roots] for plan in plans]
         t = [B3([0, 0, 0], K), bool3.xor_const(B3([0, 0, 0], K), lanes)]
         t1s: list[B3] = []  # party 1's control bits entering each level
-        cvs: list[A3] = []  # per level: converted v fields (party, side) x DCF lanes
+        cvs: list[A3] = []  # per level: payload words (party, side) x DCF lanes
         seed_cws: list[list[bytes]] = [[] for _ in plans]
         t_cws: list[list[tuple[int, int]]] = [[] for _ in plans]
 
@@ -346,31 +320,30 @@ class TeeTriple:
             t1s.append(t[1])
             before = prg.calls
             # raw[c][l][j]: enclave j's expansion of its block of party c's seed
-            raw = [[[prg.g_expand(blocks[l][j][c], lens[l][2]) for j in range(3)]
+            raw = [[[prg.g_expand(blocks[l][j][c], out_lens[l]) for j in range(3)]
                     for l in range(K)] for c in (0, 1)]
             self.prg_calls_outside += prg.calls - before
 
-            def packed(c, offs, nbytes):
-                return B3([sum(int.from_bytes(raw[c][l][j][offs[l]:offs[l] + nbytes],
+            def packed(c, off, nbytes):
+                return B3([sum(int.from_bytes(raw[c][l][j][off:off + nbytes],
                                               "little") << (8 * nbytes * l)
                                for l in range(K)) for j in range(3)], 8 * nbytes * K)
 
-            # layout: sL | vL | sR | vR | flags byte (bit0 = tL, bit1 = tR)
-            s_l = [packed(c, [0] * K, sb) for c in (0, 1)]
-            s_r = [packed(c, [sb + vb for _, vb, _ in lens], sb) for c in (0, 1)]
-            flags = [packed(c, [out - 1 for _, _, out in lens], 1) for c in (0, 1)]
+            s_l = [packed(c, 0, sb) for c in (0, 1)]
+            s_r = [packed(c, sb, sb) for c in (0, 1)]
+            flags = [packed(c, 2 * sb, 1) for c in (0, 1)]
             t_l = [lane_bits(f, 8, 0) for f in flags]
             t_r = [lane_bits(f, 8, 1) for f in flags]
-            # the DCF lanes' v fields (vb == sb), one entry per (party, side, lane)
-            v = [(((plan.name, level), c, side), Ls[l],
-                  [raw[c][l][j][off:off + sb] for j in range(3)])
-                 for c in (0, 1) for side, off in (("l", sb), ("r", 3 * sb))
-                 for l, plan in enumerate(plans[:Kd])]
+            # enclave j's additive piece of the DCF lanes' payload words, per
+            # (party, side, lane): read off its own expansion
+            pieces = [[w for c in (0, 1) for side in (0, 1) for l in range(Kd)
+                       for w in prg.words(raw[c][l][j], area + side * prg.WORD * Ls[l],
+                                          Ls[l])] for j in range(3)]
 
-            with net.round():  # expansions resharing, v blocks one way
-                net.send([b"".join(raw[c][l][j] for c in (0, 1) for l in range(K))
+            with net.round():  # seed areas resharing, payload words input
+                net.send([b"".join(raw[c][l][j][:area] for c in (0, 1) for l in range(K))
                           for j in range(3)], step=2)
-                self._send_v_blocks(v, step=2)
+                cvs.append(arith.input_additive(pieces))
 
             # one AND layer: the lose-side seed XOR (lose = L iff the alpha
             # bit is set), both parties' keep-side seeds and control bits,
@@ -386,9 +359,7 @@ class TeeTriple:
             s_cw = xor(xr, m_cw)
             t_cw_l = bool3.xor_const(xor(xor(t_l[0], t_l[1]), a), lanes)
             t_cw_r = xor(xor(t_r[0], t_r[1]), a)
-            with net.round():  # correction words open, v blocks the other way
-                opened = bool3.reveal(B3.cat(s_cw, t_cw_l, t_cw_r))
-                self._send_v_blocks(v, step=1)
+            opened = bool3.reveal(B3.cat(s_cw, t_cw_l, t_cw_r))
             s_pub = opened & ((1 << (K * W)) - 1)
             cl, cr = (opened >> (K * W)) & lanes, opened >> (K * W + K)
             for l in range(K):
@@ -404,9 +375,7 @@ class TeeTriple:
             t = [xor(xor(t_l[c], m_t), xor(bool3.and_const(t[c], cl),
                                            bool3.and_const(ta, cl ^ cr)))
                  for c, m_t, ta in ((0, m_t0, ta0), (1, m_t1, ta1))]
-            with net.round():  # next seed blocks, converted v fields
-                self._redistribute(plans, level, seeds, blocks)
-                cvs.append(self._convert_v(v))
+            self._redistribute(plans, level, seeds, blocks)  # next seed blocks
 
         t1s.append(t[1])
         before = prg.calls

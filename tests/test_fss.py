@@ -19,6 +19,7 @@ from pairml.fss import (
 )
 
 P_TEST = 1009  # > 2^8 so 8-bit-domain payloads stay faithful
+P_WIDE = (1 << 30) - 35  # the width of the testing() modulus
 
 
 def _sum(p, a, b):
@@ -28,35 +29,50 @@ def _sum(p, a, b):
 # -- block PRG ----------------------------------------------------------------
 
 
+def _blocks(seed: int) -> list[bytes]:
+    raw = seed.to_bytes(48, "little")
+    return [raw[16 * j:16 * (j + 1)] for j in range(3)]
+
+
 def test_blockprg_xor_of_three_reconstruction():
+    # a node's seed area (sL | sR | flags) is the XOR of its three block
+    # expansions there
     rng = random.Random(1)
-    for _ in range(100):
-        seed = rng.randbytes(48)
-        whole = prg.expand_seed(seed, 64)
-        acc = 0
-        for j in range(3):
-            blk = seed[16 * j:16 * (j + 1)]
-            acc ^= int.from_bytes(prg.g_expand(blk, 64), "little")
-        assert acc.to_bytes(64, "little") == whole
+    area = 2 * 48 + 1
+    for L in (0, 1, 3):
+        for _ in range(30):
+            seed = rng.getrandbits(384)
+            whole, _ = prg.expand_node(seed, 128, L, P_TEST)
+            acc = 0
+            for blk in _blocks(seed):
+                raw = prg.g_expand(blk, prg.node_bytes(128, L))
+                acc ^= int.from_bytes(raw[:area], "little")
+            assert acc == whole
 
 
 def test_blockprg_deterministic_and_avalanche():
-    seed = bytes(48)
-    assert prg.expand_seed(seed, 32) == prg.expand_seed(seed, 32)
-    flipped = bytes([1]) + bytes(47)
-    assert prg.expand_seed(flipped, 32) != prg.expand_seed(seed, 32)
+    assert prg.expand_node(0, 128, 2, P_TEST) == prg.expand_node(0, 128, 2, P_TEST)
+    area, words = prg.expand_node(1, 128, 2, P_TEST)
+    other, other_words = prg.expand_node(0, 128, 2, P_TEST)
+    assert area != other and words != other_words
 
 
 def test_block_convert_sums_match():
+    # a node's payload words and a leaf's conversion are the block-wise sums
+    # mod p of the three block expansions' words
     rng = random.Random(2)
-    seed = rng.randbytes(48)
-    whole = prg.convert_seed(seed, 3, P_TEST)
-    acc = [0, 0, 0]
-    for j in range(3):
-        blk = seed[16 * j:16 * (j + 1)]
-        for i, v in enumerate(prg.block_convert(blk, 3, P_TEST)):
-            acc[i] = (acc[i] + v) % P_TEST
-    assert acc == whole
+    area = 2 * 48 + 1
+    for p in (P_TEST, (1 << 61) - 1):
+        for L in (1, 2, 3):
+            seed = rng.getrandbits(384)
+            _, words = prg.expand_node(seed, 128, L, p)
+            acc, leaf = [0] * (2 * L), [0] * L
+            for blk in _blocks(seed):
+                raw = prg.g_expand(blk, prg.node_bytes(128, L))
+                acc = [a + w for a, w in zip(acc, prg.words(raw, area, 2 * L))]
+                leaf = [a + w for a, w in zip(leaf, prg.block_convert(blk, L, p))]
+            assert words == [a % p for a in acc]
+            assert prg.convert_leaf(seed, 128, L, p) == [a % p for a in leaf]
 
 
 # -- DPF ------------------------------------------------------------------------
@@ -149,6 +165,26 @@ def test_dpf_eval_prg_budget():
     calls = prg.reset_call_counter()
     # 3 expansions per level plus 3 leaf conversions
     assert calls <= 4 * 8 + 3
+
+
+def test_dcf_gen_prg_budget():
+    # one node expansion (three block calls) per party and level, then one
+    # leaf conversion per party: 3 (2n + 2) block calls
+    rng = random.Random(24)
+    for p, n in ((P_TEST, 8), (P_WIDE, 30)):
+        prg.reset_call_counter()
+        dcf_gen(p, 5, [1, 2], rng, domain_bits=n)
+        assert prg.reset_call_counter() == 3 * (2 * n + 2)
+
+
+def test_dcf_eval_prg_budget():
+    # one node expansion per level and one leaf conversion: 3 (n + 1)
+    rng = random.Random(25)
+    for p, n in ((P_TEST, 8), (P_WIDE, 30)):
+        k0, _ = dcf_gen(p, 5, [1, 2], rng, domain_bits=n)
+        prg.reset_call_counter()
+        dcf_eval(0, k0, 123)
+        assert prg.reset_call_counter() == 3 * (n + 1)
 
 
 def test_dpf_domain_errors():
@@ -257,8 +293,6 @@ def test_malformed_keys_rejected():
 
 # -- pinned key bytes -----------------------------------------------------------------
 
-P_WIDE = (1 << 30) - 35  # the width of the testing() modulus
-
 
 def _table_digest(gen, eval_all, seed):
     rng = random.Random(seed)
@@ -288,12 +322,13 @@ def _point_digest(gen, ev, seed):
 
 def test_key_bytes_and_tables_pinned():
     # key bytes, full tables and wide-domain point shares on fixed seeds must
-    # not drift: deployed keys and the PRG budgets depend on them
+    # not drift: deployed keys and the PRG budgets depend on them (recorded
+    # when the tree PRG became one SHAKE-128 pass per node)
     assert [_table_digest(dpf_gen, dpf_eval_all, s) for s in (1, 2, 3)] == [
-        "3ef6b8fc45171a56", "29798a68e522af72", "afcac9190fc3c823"]
+        "a59635982ab766f1", "2dbfb9a53aef5bd6", "d84862379ec0113b"]
     assert [_table_digest(dcf_gen, dcf_eval_all, s) for s in (1, 2, 3)] == [
-        "7a71f8e9e6cc17d6", "11a88480d8ccc871", "dbd3f1c0a718d12c"]
+        "cefd22722413d271", "da34b64a3e43027f", "156a19eb403bed36"]
     assert [_point_digest(dpf_gen, dpf_eval, s) for s in (4, 5)] == [
-        "b27543cc7ab13590", "599b42100d7c3184"]
+        "66a9badc626c190b", "eafc090c6b2824f3"]
     assert [_point_digest(dcf_gen, dcf_eval, s) for s in (4, 5)] == [
-        "dd9197791ade5cff", "b7784ff4918321ec"]
+        "595e144d73dc98dc", "ea70a82036d7be4a"]

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pairml import prg
-from pairml.fss import dcf_eval, dcf_eval_all, dcf_gen, dpf_eval_all, dpf_gen
+from pairml.fss import _tree_gen, dcf_eval, dcf_eval_all, dcf_gen, dpf_eval_all, dpf_gen
 from pairml.gadgets import (plain_argmax, plain_max, plain_max2, plain_relu, run_pair,
                             serialize_material, tanh_table)
 from pairml.params import ProtocolParams
@@ -13,6 +13,7 @@ from pairml.tee import (
     CounterOverflowError,
     SeedBundle,
     TeeParty,
+    TeeTriple,
     build_single_tee,
     build_tee_triple,
 )
@@ -334,21 +335,40 @@ def test_dist_keygen_enclave_comm_budget(small_params):
     assert enclave_bytes <= budget, (enclave_bytes, budget)
 
 
+def test_dist_dcf_payload_blocks_stay_in_their_enclave(small_params):
+    # A payload word's additive share comes from its enclave's own block
+    # expansion, so no payload block crosses an enclave boundary and only
+    # the seed area of an expansion is reshared.  This call sent 30,675
+    # bytes when every level still passed its four v fields block-wise
+    # around the ring twice (the sum of meter.sent_bytes over server 0's six
+    # enclave channels; seed 35, L = 2, n = 10).
+    t0, _, _ = _triples(small_params, seed=35)
+    t0.dist_tree_gen("dcf", [_FakePiece(1), _FakePiece(2), _FakePiece(3)],
+                     [("const", 1)] * 2)
+    n, lam_b = small_params.domain_bits, small_params.lam // 8
+    v_block_sends = n * 2 * 3 * 4 * lam_b  # per level: 2 passes, 3 enclaves, 4 fields
+    sent = sum(c.meter.sent_bytes for c in t0.net.channels.values())
+    assert sent <= 30675 - v_block_sends, sent
+    assert t0.check_view_discipline() == []
+
+
 # -- batched key generation: one 3PC per gadget material ------------------------------
 
 # sha256 prefixes of serialize_material for (server 0, server 1), recorded
-# when every key still ran its own 3PC one gate at a time
+# when the tree PRG became one SHAKE-128 pass per node and the PRF a keyed
+# BLAKE2b; every key in them is the central generator's key
+# (test_batched_keys_equal_central_keys)
 PINNED = {
-    ("relu", 1, 41): ("ba1296bee69543cbef03cb2f37856362",
-                      "73aebec10976f38cdd8f5b2d4ddd7d89"),
-    ("tanh", 1, 42): ("246efeb9054d5855fd39996d96aaa7da",
-                      "e5ccf5480d73c23e8064b077923e8fde"),
-    ("max2", 1, 43): ("61a1e2b7a5205b8513c895d58e5cf8ec",
-                      "cbffabba5b982b2d30d138189dd2a867"),
-    ("maxpool", 4, 44): ("d41afb1087d55fff075beead7f7f5c36",
-                         "a0ddde7038b8ffe4764756aeed83c01c"),
-    ("argmax", 8, 45): ("6c1812b751e2e7d03980e0ce75c8bea7",
-                        "e9b6d7fe0de573c32d3b9c16aa445d8f"),
+    ("relu", 1, 41): ("39d65d904e7b8927afbd688247ab3b34",
+                      "02dfeeffdf73803fe207ceb353b24178"),
+    ("tanh", 1, 42): ("00f896d9af248b82c55d59100dfc5bc7",
+                      "febad24edf7bb1b514918480881c3bd0"),
+    ("max2", 1, 43): ("3d7cc08b5d8844640ff823218de45bc6",
+                      "b7ca99ab277175920be350a33d252477"),
+    ("maxpool", 4, 44): ("46413304a91e1af5a7a602bbc17411e3",
+                         "69316f5e139840a36616408beaff25fd"),
+    ("argmax", 8, 45): ("50294a0999ca5c54d1092fef951ec0e5",
+                        "acfbc4ba4c561e9fa6edcdcb4bc892c0"),
 }
 
 
@@ -367,6 +387,42 @@ def test_batched_materials_are_pinned(testing_params, kind, k, seed):
         mat = tee.gadget_material(kind, k=k, table=table)
         got.append(hashlib.sha256(serialize_material(mat)).hexdigest()[:32])
     assert tuple(got) == PINNED[(kind, k, seed)]
+
+
+class _Roots:
+    """Hands out given root seeds in place of a random generator."""
+
+    def __init__(self, roots):
+        self._roots = iter(roots)
+
+    def randbytes(self, n):
+        return next(self._roots)
+
+
+def test_batched_keys_equal_central_keys(testing_params, monkeypatch):
+    # every key of a batched material (DCF and DPF lanes, payloads of 1 to 3
+    # words) is the one the central generator makes from the same point,
+    # payload and root seeds
+    p = testing_params.p
+    planned = []
+    gen_keys = TeeTriple._gen_keys
+
+    def spy(self, plans):
+        planned.extend(plans)
+        gen_keys(self, plans)
+
+    monkeypatch.setattr(TeeTriple, "_gen_keys", spy)
+    tee, _ = build_tee_triple(1, testing_params, _bundle(45))
+    tee.gadget_material("argmax", k=8)
+    assert {plan.kind for plan in planned} == {"dcf", "dpf"}
+    for plan in planned:
+        alpha = sum(pc.r for pc in plan.alpha) % p
+        beta = [c[1] if c[0] == "const" else sum(pc.r for pc in c[1])
+                for c in plan.beta_spec]
+        roots = [b"".join(r[party] for r in plan.roots) for party in (0, 1)]
+        central = _tree_gen(p, alpha, beta, _Roots(roots), testing_params.domain_bits,
+                            testing_params.lam, plan.kind == "dcf")
+        assert plan.key == central[1]
 
 
 def _batched_pair(params, kind, k=1, table=None, seed=51):
