@@ -10,12 +10,16 @@ vector payloads of length L.
 A DCF is a DPF walk plus a payload correction at each level, so both kinds
 come from one key generator, `_tree_gen`, and one evaluator, `_walk`.  The
 generator follows the path to the special point; the walker takes a set of
-points down the tree level by level and expands each node on their shared
+points down the tree depth first and expands each node on their shared
 prefixes once, so one point costs one node per level and the whole domain
-costs one node per tree node.  A node costs one PRG pass, `prg.expand_node`:
-its seed area holds both children's seeds and control bits, and a DCF
-node's payload words are both children's payload shares.  Seeds are ints
-while a tree is generated or walked, and bytes in a key.
+costs one node per tree node.  Below the level where one point is left, it
+follows that point's bits.  A node costs one PRG pass of the node kernel,
+`prg.Tree`: its seed area holds both children's seeds and control bits, and
+a DCF node's payload words are both children's payload shares.  The walker
+adds only the words of a side that holds points, unreduced, and reduces each
+payload word once, at its leaf; the generator reduces only where it forms a
+correction word.  Seeds are ints while a tree is generated or walked, and
+bytes in a key.
 """
 
 from __future__ import annotations
@@ -79,42 +83,40 @@ def _tree_gen(p: int, alpha: int, beta: list[int], rng, n: int, lam: int,
         raise FssParameterError(f"point {alpha} outside {n}-bit domain")
     beta = [int(v) % p for v in beta]
     L = len(beta)
+    tree = prg.tree(lam, L, cmp)
     sb = _seed_bytes(lam)
-    W, mask = 8 * sb, (1 << 8 * sb) - 1
     roots = (rng.randbytes(sb), rng.randbytes(sb))
     s, t = [int.from_bytes(r, "little") for r in roots], [0, 1]
-    # what the leaf correction must still pay out: a DPF pays all of beta
-    # there, a DCF whatever its level corrections left over
+    # what the leaf correction must still pay out, unreduced: a DPF pays all
+    # of beta there, a DCF whatever its level corrections left over
     v_alpha = [0] * L if cmp else [-v for v in beta]
     seed_cws: list[bytes] = []
     v_cws: list[list[int]] = []
     t_cws: list[tuple[int, int]] = []
     for i in range(n - 1, -1, -1):
         bit = (alpha >> i) & 1
-        (x0, w0), (x1, w1) = (prg.expand_node(sc, lam, L if cmp else 0, p)
-                              for sc in s)
+        (a0, *x0), (a1, *x1) = tree.expand(s[0]), tree.expand(s[1])
         keep, lose = bit, 1 - bit
-        s_cw = ((x0 ^ x1) >> (lose * W)) & mask
-        flags = (x0 ^ x1) >> 2 * W
-        t_cw = ((flags ^ bit ^ 1) & 1, ((flags >> 1) ^ bit) & 1)
+        (sl, tl), (sr, tr) = tree.child(a0 ^ a1, 0), tree.child(a0 ^ a1, 1)
+        s_cw = sl if bit else sr
+        t_cw = (tl ^ bit ^ 1, tr ^ bit)
         if cmp:
             sign = -1 if t[1] else 1
+            w0, w1 = tree.sums(*x0), tree.sums(*x1)
             cl0, cl1 = w0[lose * L:(lose + 1) * L], w1[lose * L:(lose + 1) * L]
             v_cw = [sign * (b1 - b0 - va) % p for b1, b0, va in zip(cl1, cl0, v_alpha)]
             if bit:  # lose side is L: everything left of the path is below alpha
                 v_cw = [(v + sign * bv) % p for v, bv in zip(v_cw, beta)]
             ck0, ck1 = w0[keep * L:(keep + 1) * L], w1[keep * L:(keep + 1) * L]
-            v_alpha = [(va - b1 + b0 + sign * v) % p
+            v_alpha = [va - b1 + b0 + sign * v
                        for va, b1, b0, v in zip(v_alpha, ck1, ck0, v_cw)]
             v_cws.append(v_cw)
         seed_cws.append(s_cw.to_bytes(sb, "little"))
         t_cws.append(t_cw)
-        for c, x in ((0, x0), (1, x1)):
-            s_keep = (x >> (keep * W)) & mask
-            t_keep = (x >> (2 * W + bit)) & 1
-            s[c] = s_keep ^ s_cw if t[c] else s_keep
-            t[c] = t_keep ^ (t[c] & t_cw[bit])
-    c0, c1 = (prg.convert_leaf(sc, lam, L, p) for sc in s)
+        cw = tree.cw_area(s_cw, t_cw)
+        for c, a in ((0, a0), (1, a1)):
+            s[c], t[c] = tree.child(a ^ cw if t[c] else a, keep)
+    c0, c1 = (tree.unpack(tree.leaf(sc, (0, 0))) for sc in s)
     sign = -1 if t[1] else 1
     final_cw = [sign * (b1 - b0 - va) % p for b1, b0, va in zip(c1, c0, v_alpha)]
     cls = DcfKey if cmp else DpfKey
@@ -129,50 +131,50 @@ def _tree_gen(p: int, alpha: int, beta: list[int], rng, n: int, lam: int,
 
 def _walk(b: int, key: DpfKey | DcfKey, xs) -> list[list[int]]:
     """Party b's output shares at each point of xs, in the order given."""
-    n, p, L, lam = key.domain_bits, key.p, key.payload_len, key.lam
+    n, p = key.domain_bits, key.p
     cmp = isinstance(key, DcfKey)
-    W = 8 * _seed_bytes(lam)
-    mask = (1 << W) - 1
+    tree = prg.tree(key.lam, key.payload_len, cmp)
+    expand, child, add = tree.expand, tree.child, tree.add
     pts = sorted(set(xs))
     if pts and (pts[0] < 0 or pts[-1] >> n):
         raise FssParameterError(
             f"inputs {pts[0]}..{pts[-1]} outside {n}-bit domain")
-    # a node: seed, control bit, the payload words summed so far (party b's
-    # share up to its sign, reduced at the leaf), and the slice pts[lo:hi]
-    # of the points below it
-    zero = [0] * L
-    root = int.from_bytes(key.root_seed, "little")
-    level = [(root, key.root_t, zero, 0, len(pts))] if pts else []
-    for i in range(n):
-        shift = n - 1 - i
-        s_cw = int.from_bytes(key.seed_cws[i], "little")
-        t_cw = key.t_cws[i]
-        v_cw = key.v_cws[i] if cmp else None
-        nxt = []
-        for s, t, acc, lo, hi in level:
-            x, pay = prg.expand_node(s, lam, L if cmp else 0, p)
-            mid = bisect_left(pts, (pts[lo] >> shift | 1) << shift, lo, hi)
-            for side, a, z in ((0, lo, mid), (1, mid, hi)):
-                if a == z:
-                    continue
-                s_c = (x >> (side * W)) & mask
-                t_c = (x >> (2 * W + side)) & 1
-                if cmp:
-                    acc_c = [u + c + w for u, c, w in
-                             zip(acc, pay[side * L:(side + 1) * L], v_cw if t else zero)]
-                else:
-                    acc_c = acc
-                if t:
-                    s_c ^= s_cw
-                    t_c ^= t_cw[side]
-                nxt.append((s_c, t_c, acc_c, a, z))
-        level = nxt
-    sign = -1 if b else 1
+    cws = [tree.cw_area(int.from_bytes(s_cw, "little"), t_cw)
+           for s_cw, t_cw in zip(key.seed_cws, key.t_cws)]
+    v_cws = [tree.pack(v) for v in key.v_cws] if cmp else None
+    final_cw = tree.pack(key.final_cw)
+    # a node still to expand: its level, seed and control bit, the payload
+    # words summed so far (party b's share up to its sign, packed and
+    # unreduced), and the slice pts[lo:hi] of the points below it.  A node
+    # with points on both sides pushes its right child and descends to its
+    # left; with one point below it, a node descends along the point's bits.
+    todo = [(0, int.from_bytes(key.root_seed, "little"), key.root_t, (0, 0),
+             0, len(pts))] if pts else []
     out = {}
-    for s, t, acc, lo, _ in level:
-        conv = prg.convert_leaf(s, lam, L, p)
-        out[pts[lo]] = [sign * (u + c + f) % p for u, c, f in
-                        zip(acc, conv, key.final_cw if t else zero)]
+    while todo:
+        i, s, t, acc, lo, hi = todo.pop()
+        x = pts[lo]
+        for i in range(i, n):
+            a, x0, x1, x2 = expand(s)
+            if t:
+                a ^= cws[i]
+                if cmp:
+                    acc = (acc[0] + v_cws[i][0], acc[1] + v_cws[i][1])
+            shift = n - 1 - i
+            side = (x >> shift) & 1
+            if not side and hi - lo > 1:
+                mid = bisect_left(pts, (x >> shift | 1) << shift, lo, hi)
+                if mid < hi:
+                    todo.append((i + 1, *child(a, 1),
+                                 add(acc, x0, x1, x2, 1) if cmp else acc, mid, hi))
+                    hi = mid
+            s, t = child(a, side)
+            if cmp:
+                acc = add(acc, x0, x1, x2, side)
+        acc = tree.leaf(s, acc)
+        if t:
+            acc = (acc[0] + final_cw[0], acc[1] + final_cw[1])
+        out[x] = [-v % p if b else v % p for v in tree.unpack(acc)]
     return [out[x] for x in xs]
 
 
@@ -218,7 +220,9 @@ def dcf_eval_all(b: int, key: DcfKey) -> list[list[int]]:
 
 # variant u8, party u8, domain_bits u8, L u16, p u64, lam u16, root_t u8; root
 # seed; per level its seed correction word and a flags byte (bit0 = tL,
-# bit1 = tR); final_cw (L words); DCF only: per level v_cw (L words)
+# bit1 = tR); final_cw (L words); DCF only: per level v_cw (L words).  All
+# levels' seed correction words and flags go as one raw field, and final_cw
+# and the v_cws as one run of words.
 
 
 def _serialize_tree(key: DpfKey | DcfKey) -> bytes:
@@ -232,11 +236,9 @@ def _serialize_tree(key: DpfKey | DcfKey) -> bytes:
         raise ValueError("inconsistent FSS key: field sizes do not match its header")
     w = Writer().u8(key._variant).u8(key.party).u8(n).u16(L).u64(key.p)
     w.u16(key.lam).u8(key.root_t).raw(key.root_seed)
-    for s_cw, (tl, tr) in zip(key.seed_cws, key.t_cws):
-        w.raw(s_cw).u8(tl | (tr << 1))
-    w.u64s(key.final_cw)
-    for vc in v_cws:
-        w.u64s(vc)
+    w.raw(b"".join(s_cw + bytes((tl | tr << 1,))
+                   for s_cw, (tl, tr) in zip(key.seed_cws, key.t_cws)))
+    w.u64s([*key.final_cw, *(v for vc in v_cws for v in vc)])
     return w.getvalue()
 
 
@@ -248,15 +250,17 @@ def _deserialize_tree(buf: bytes, cls) -> dict:
             raise ValueError(f"not a {cls.__name__}: variant {variant:#04x}")
         lam, root_t = r.u16(), r.u8()
         sb = _seed_bytes(lam)
+        root_seed, levels = r.raw(sb), r.raw(n * (sb + 1))
+        flags = levels[sb::sb + 1]
+        if flags and max(flags) > 3:
+            raise ValueError(f"malformed {cls.__name__}: control flags "
+                             f"{max(flags):#04x}")
         fields = dict(party=party, domain_bits=n, p=p, payload_len=pl, lam=lam,
-                      root_seed=r.raw(sb), root_t=root_t, seed_cws=[], t_cws=[])
-        for _ in range(n):
-            fields["seed_cws"].append(r.raw(sb))
-            flags = r.u8()
-            if flags > 3:
-                raise ValueError(f"malformed {cls.__name__}: control flags {flags:#04x}")
-            fields["t_cws"].append((flags & 1, flags >> 1))
-        fields["final_cw"] = r.u64s(pl)
+                      root_seed=root_seed, root_t=root_t,
+                      seed_cws=[levels[i:i + sb] for i in range(0, n * (sb + 1), sb + 1)],
+                      t_cws=[(f & 1, f >> 1) for f in flags])
+        words = r.u64s(pl * (1 + n * (cls is DcfKey)))
+        fields["final_cw"] = words[:pl]
         if cls is DcfKey:
-            fields["v_cws"] = [r.u64s(pl) for _ in range(n)]
+            fields["v_cws"] = [words[pl * (i + 1):pl * (i + 2)] for i in range(n)]
     return fields

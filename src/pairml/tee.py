@@ -199,7 +199,11 @@ class TeeTriple:
         self.arith = Arith3Engine(
             net, [PrfStream(s, tag=b"zero3a") for s in bundle.intra_seeds],
             params.p)
+        # the view ledger of the batch in progress, and the violations of
+        # the batches before it: seed names carry their batch's first
+        # counter, so no batch names a seed of another
         self.views: dict[int, list[tuple]] = {0: [], 1: [], 2: []}
+        self.violations: list[str] = []
         self.prg_calls_outside = 0
 
     # -- view ledger --------------------------------------------------------
@@ -209,7 +213,7 @@ class TeeTriple:
 
     def check_view_discipline(self) -> list[str]:
         """No enclave may see two distinct blocks of one seed."""
-        bad = []
+        bad = list(self.violations)
         for enclave, tags in self.views.items():
             seen: dict[tuple, set[int]] = {}
             for tag in tags:
@@ -301,9 +305,8 @@ class TeeTriple:
         Kd = sum(plan.kind == "dcf" for plan in plans)
         Ls = [len(plan.beta_spec) for plan in plans]
         Ld = sum(Ls[:Kd])
-        out_lens = [prg.node_bytes(lam, Ls[l] if l < Kd else 0) for l in range(K)]
+        trees = [prg.tree(lam, Ls[l], l < Kd) for l in range(K)]
         sb = 3 * lam // 8
-        area = prg.node_bytes(lam, 0)  # the seed area: sL | sR | flags byte
         W = 8 * sb  # seed bits per lane
         lanes = (1 << K) - 1
 
@@ -320,28 +323,33 @@ class TeeTriple:
             t1s.append(t[1])
             before = prg.calls
             # raw[c][l][j]: enclave j's expansion of its block of party c's seed
-            raw = [[[prg.g_expand(blocks[l][j][c], out_lens[l]) for j in range(3)]
-                    for l in range(K)] for c in (0, 1)]
+            raw = [[[prg.g_expand(blocks[l][j][c], tree.nbytes) for j in range(3)]
+                    for l, tree in enumerate(trees)] for c in (0, 1)]
             self.prg_calls_outside += prg.calls - before
 
-            def packed(c, off, nbytes):
-                return B3([sum(int.from_bytes(raw[c][l][j][off:off + nbytes],
-                                              "little") << (8 * nbytes * l)
-                               for l in range(K)) for j in range(3)], 8 * nbytes * K)
-
-            s_l = [packed(c, 0, sb) for c in (0, 1)]
-            s_r = [packed(c, sb, sb) for c in (0, 1)]
-            flags = [packed(c, 2 * sb, 1) for c in (0, 1)]
-            t_l = [lane_bits(f, 8, 0) for f in flags]
-            t_r = [lane_bits(f, 8, 1) for f in flags]
+            # enclave j's shares of party c's next seeds and control bits on
+            # either side, lane l at bit W*l resp. l: read off its own
+            # expansions' seed areas
+            s_l, s_r, t_l, t_r = ([[0] * 3, [0] * 3] for _ in range(4))
+            for c in (0, 1):
+                for l, tree in enumerate(trees):
+                    for j in range(3):
+                        area = int.from_bytes(raw[c][l][j][:tree.area], "little")
+                        (sl, tl), (sr, tr) = tree.child(area, 0), tree.child(area, 1)
+                        s_l[c][j] |= sl << W * l
+                        s_r[c][j] |= sr << W * l
+                        t_l[c][j] |= tl << l
+                        t_r[c][j] |= tr << l
+            s_l, s_r = ([B3(x, K * W) for x in xs] for xs in (s_l, s_r))
+            t_l, t_r = ([B3(x, K) for x in xs] for xs in (t_l, t_r))
             # enclave j's additive piece of the DCF lanes' payload words, per
             # (party, side, lane): read off its own expansion
             pieces = [[w for c in (0, 1) for side in (0, 1) for l in range(Kd)
-                       for w in prg.words(raw[c][l][j], area + side * prg.WORD * Ls[l],
-                                          Ls[l])] for j in range(3)]
+                       for w in trees[l].words(raw[c][l][j], side)] for j in range(3)]
 
             with net.round():  # seed areas resharing, payload words input
-                net.send([b"".join(raw[c][l][j][:area] for c in (0, 1) for l in range(K))
+                net.send([b"".join(raw[c][l][j][:tree.area] for c in (0, 1)
+                                   for l, tree in enumerate(trees))
                           for j in range(3)], step=2)
                 cvs.append(arith.input_additive(pieces))
 
@@ -396,28 +404,32 @@ class TeeTriple:
         signs = [bits[Kd * (n + i):Kd * (n + i + 1)].repeat(Ls[:Kd])
                  for i in range(n)] + [bits[Kd * 2 * n:].repeat(Ls)]
 
-        brackets, v_alpha = [], arith.const([0] * Ld)
+        brackets, v_alpha = arith.const([]), arith.const([0] * Ld)
         if Kd:
             a_ar = [bits[n - 1 - i:Kd * n:n].repeat(Ls[:Kd]) for i in range(n)]
-            fields = [[cv[f * Ld:(f + 1) * Ld] for f in range(4)] for cv in cvs]
+            l0, r0, l1, r1 = (A3.cat(*(cv[f * Ld:(f + 1) * Ld] for cv in cvs))
+                              for f in range(4))
             # per level and party, lose = mux(a, vL, vR) and keep = vL + vR - lose,
             # from d = a (vL - vR); and the payload term a * beta
+            dv0, dv1 = arith.sub(l0, r0), arith.sub(l1, r1)
             prods = arith.mult(
                 A3.cat(*(a_ar[i] for i in range(n) for _ in range(3))),
-                A3.cat(*(x for l0, r0, l1, r1 in fields
-                         for x in (arith.sub(l0, r0), arith.sub(l1, r1), beta[:Ld]))))
-            for i, (l0, r0, l1, r1) in enumerate(fields):
-                d0, d1, ab = (prods[(3 * i + m) * Ld:(3 * i + m + 1) * Ld]
-                              for m in range(3))
-                bracket = arith.add(arith.sub(arith.sub(arith.add(r1, d1),
-                                                        arith.add(r0, d0)), v_alpha), ab)
-                v_alpha = arith.add(arith.add(v_alpha, arith.sub(
-                    arith.sub(l0, d0), arith.sub(l1, d1))), bracket)
-                brackets.append(bracket)
+                A3.cat(*(x for i in range(n) for x in (
+                    dv0[i * Ld:(i + 1) * Ld], dv1[i * Ld:(i + 1) * Ld], beta[:Ld]))))
+            d0, d1, ab = (A3.cat(*(prods[(3 * i + m) * Ld:(3 * i + m + 1) * Ld]
+                                   for i in range(n))) for m in range(3))
+            # a level's bracket is (r1 + d1) - (r0 + d0) + ab less what the
+            # payload still owes entering it, v_alpha; leaving it, v_alpha is
+            # l0 - l1 + (d1 - d0) plus the bracket's first terms, whatever it
+            # was before, so every level's comes in closed form
+            x = arith.add(arith.sub(arith.add(r1, d1), arith.add(r0, d0)), ab)
+            v_out = arith.add(arith.add(arith.sub(l0, l1), arith.sub(d1, d0)), x)
+            brackets = arith.sub(x, A3.cat(v_alpha, v_out[:(n - 1) * Ld]))
+            v_alpha = v_out[(n - 1) * Ld:]
         # leaf payload: what a DCF's levels left over, all of beta for a DPF
         base = A3.cat(arith.sub(arith.sub(cv1[:Ld], cv0[:Ld]), v_alpha),
                       arith.add(arith.sub(beta[Ld:], cv0[Ld:]), cv1[Ld:]))
-        xs = A3.cat(*brackets, base)
+        xs = A3.cat(brackets, base)
         # every correction word is its term times (-1)^t1
         words = arith.reveal(arith.sub(xs, arith.scale(
             arith.mult(A3.cat(*signs), xs), 2)))
@@ -434,6 +446,8 @@ class TeeTriple:
                                          for i in range(n)], **common)
             else:
                 plan.key = DpfKey(**common)
+        self.violations = self.check_view_discipline()
+        self.views = {0: [], 1: [], 2: []}
 
     def dist_tree_gen(self, kind: str, alpha_pieces: list,
                       beta_spec: list) -> DcfKey | DpfKey:

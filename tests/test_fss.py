@@ -17,9 +17,12 @@ from pairml.fss import (
     dpf_eval_all,
     dpf_gen,
 )
+from pairml.gadgets import _interval_points, tanh_table
 
 P_TEST = 1009  # > 2^8 so 8-bit-domain payloads stay faithful
 P_WIDE = (1 << 30) - 35  # the width of the testing() modulus
+P_BIG = 2148204587  # the smallest prime above 2^31 + 11 * 2^16
+P_PROD = 2251799814045697  # the production() modulus
 
 
 def _sum(p, a, b):
@@ -40,9 +43,10 @@ def test_blockprg_xor_of_three_reconstruction():
     rng = random.Random(1)
     area = 2 * 48 + 1
     for L in (0, 1, 3):
+        tree = prg.tree(128, L)
         for _ in range(30):
             seed = rng.getrandbits(384)
-            whole, _ = prg.expand_node(seed, 128, L, P_TEST)
+            whole = tree.expand(seed)[0]
             acc = 0
             for blk in _blocks(seed):
                 raw = prg.g_expand(blk, prg.node_bytes(128, L))
@@ -51,28 +55,33 @@ def test_blockprg_xor_of_three_reconstruction():
 
 
 def test_blockprg_deterministic_and_avalanche():
-    assert prg.expand_node(0, 128, 2, P_TEST) == prg.expand_node(0, 128, 2, P_TEST)
-    area, words = prg.expand_node(1, 128, 2, P_TEST)
-    other, other_words = prg.expand_node(0, 128, 2, P_TEST)
-    assert area != other and words != other_words
+    tree = prg.tree(128, 2)
+    assert tree.expand(0) == tree.expand(0)
+    area, *blocks = tree.expand(1)
+    other, *other_blocks = tree.expand(0)
+    assert area != other and tree.sums(*blocks) != tree.sums(*other_blocks)
 
 
 def test_block_convert_sums_match():
     # a node's payload words and a leaf's conversion are the block-wise sums
-    # mod p of the three block expansions' words
+    # of the three block expansions' words: unreduced for a node, mod p for a
+    # leaf, whose block conversions are reduced
     rng = random.Random(2)
-    area = 2 * 48 + 1
     for p in (P_TEST, (1 << 61) - 1):
         for L in (1, 2, 3):
+            tree = prg.tree(128, L)
             seed = rng.getrandbits(384)
-            _, words = prg.expand_node(seed, 128, L, p)
+            _, *xs = tree.expand(seed)
             acc, leaf = [0] * (2 * L), [0] * L
             for blk in _blocks(seed):
                 raw = prg.g_expand(blk, prg.node_bytes(128, L))
-                acc = [a + w for a, w in zip(acc, prg.words(raw, area, 2 * L))]
+                acc = [a + w for a, w in zip(acc, tree.words(raw, 0) + tree.words(raw, 1))]
                 leaf = [a + w for a, w in zip(leaf, prg.block_convert(blk, L, p))]
-            assert words == [a % p for a in acc]
-            assert prg.convert_leaf(seed, 128, L, p) == [a % p for a in leaf]
+            assert tree.sums(*xs) == acc
+            assert [tree.unpack(tree.add((0, 0), *xs, side))
+                    for side in (0, 1)] == [acc[:L], acc[L:]]
+            assert ([w % p for w in tree.unpack(tree.leaf(seed, (0, 0)))]
+                    == [a % p for a in leaf])
 
 
 # -- DPF ------------------------------------------------------------------------
@@ -256,6 +265,62 @@ def test_walk_point_sets_match_pointwise():
             assert _walk(key.party, key, xs) == [ev(key.party, key, x) for x in xs]
     with pytest.raises(FssParameterError):
         _walk(0, keys[1], [3, 256])
+
+
+def _kernel_walks():
+    """Multi-point walks on wide domains, the point sets the sessions walk:
+    tanh spline knots at P_BIG and P_PROD, ReLU point pairs at P_PROD, and
+    single DPF points at both (party b's key, the points, the function)."""
+    rng = random.Random(61)
+    walks = []
+    for p in (P_BIG, P_PROD):
+        table = tanh_table(8, p)
+        for _ in range(3):
+            r, w = rng.randrange(p), rng.randrange(p)
+            keys = dcf_gen(p, r, [1, r], rng)
+            knots = [y for lo, hi, _, _ in table.segments
+                     for y in _interval_points(w, lo, hi, p)]
+            walks.append((keys, knots, lambda x, r=r: [1, r] if x < r else [0, 0]))
+        for _ in range(3):
+            alpha = rng.randrange(p)
+            keys = dpf_gen(p, alpha, [1, 2, 3], rng)
+            walks.append((keys, [alpha if rng.randrange(2) else rng.randrange(p)],
+                          lambda x, a=alpha: [1, 2, 3] if x == a else [0, 0, 0]))
+    for _ in range(4):
+        r, w = rng.randrange(P_PROD), rng.randrange(P_PROD)
+        keys = dcf_gen(P_PROD, r, [1, r], rng)
+        walks.append((keys, list(_interval_points(w, 0, (P_PROD - 1) // 2, P_PROD)),
+                      lambda x, r=r: [1, r] if x < r else [0, 0]))
+    return walks
+
+
+def test_multi_point_walks_match_pointwise_and_are_pinned():
+    # one walk over many points equals the one-point evaluations, the two
+    # parties' shares sum to the function, and keys and shares match a
+    # digest recorded before the walk kept its payload sums packed
+    h = hashlib.sha256()
+    for keys, xs, f in _kernel_walks():
+        p = keys[0].p
+        ev = dcf_eval if isinstance(keys[0], DcfKey) else dpf_eval
+        shares = [_walk(b, key, xs) for b, key in enumerate(keys)]
+        for b, key in enumerate(keys):
+            assert shares[b] == [ev(b, key, x) for x in xs]
+            h.update(key.serialize())
+        for x, s0, s1 in zip(xs, *shares):
+            assert _sum(p, s0, s1) == f(x)
+            h.update(b"".join(v.to_bytes(8, "little") for v in s0 + s1))
+    assert h.hexdigest()[:16] == "a8f42eaf7499d944"
+
+
+def test_walk_prg_calls_count_prefixes_and_points():
+    # a walk expands each distinct prefix of its points once per level (three
+    # block calls) and converts each distinct point once (three more)
+    for keys, xs, _ in _kernel_walks():
+        n = keys[0].domain_bits
+        nodes = sum(len({x >> (n - i) for x in xs}) for i in range(n))
+        prg.reset_call_counter()
+        _walk(1, keys[1], xs)
+        assert prg.reset_call_counter() == 3 * (nodes + len(set(xs)))
 
 
 # -- serialization ----------------------------------------------------------------

@@ -486,3 +486,23 @@ def test_enclave_messages_do_not_grow_with_key_count(small_params):
         t0.gadget_material(kind, k=k)
         sent.append(sum(c.meter.msgs_sent for c in t0.net.channels.values()))
     assert sent[1] <= 2 * sent[0], sent
+
+
+def test_view_ledger_does_not_grow(small_params):
+    # each batch's tags are checked when it ends and dropped; only violations
+    # are kept, so an injected second block of one seed is still reported
+    t0, _, _ = _triples(small_params, seed=37)
+    held = []
+    for _ in range(3):
+        t0.gadget_material("max2")
+        held.append(sum(len(tags) for tags in t0.views.values()))
+    assert held == [0, 0, 0]
+    assert t0.check_view_discipline() == []
+    seed = (("kg", -1), "root")
+    t0._see(1, ("block", seed, 0, 1))
+    t0._see(1, ("block", seed, 0, 2))
+    t0.gadget_material("relu")
+    assert sum(len(tags) for tags in t0.views.values()) == 0
+    assert t0.check_view_discipline() == [
+        f"enclave 1 saw blocks [1, 2] of seed {(seed, 0)}",
+        f"enclave 1 saw foreign block of {(seed, 0)}"]
