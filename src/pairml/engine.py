@@ -99,12 +99,6 @@ class ModelManifest:
     input_dim: int
     layers: list
 
-    def output_dim(self) -> int:
-        dim = self.input_dim
-        for layer in self.layers:
-            dim = _layer_out_dim(layer, dim)
-        return dim
-
 
 def _conv_out_shape(layer: ConvLayer) -> tuple[int, int, int]:
     h, w, _ = layer.in_shape
@@ -112,25 +106,6 @@ def _conv_out_shape(layer: ConvLayer) -> tuple[int, int, int]:
     oh = (h + 2 * layer.padding - kh) // layer.stride + 1
     ow = (w + 2 * layer.padding - kw) // layer.stride + 1
     return oh, ow, cout
-
-
-def _layer_out_dim(layer, in_dim: int) -> int:
-    if isinstance(layer, DenseLayer):
-        return layer.weights.shape[1]
-    if isinstance(layer, ConvLayer):
-        oh, ow, cout = _conv_out_shape(layer)
-        return oh * ow * cout
-    if isinstance(layer, AvgPoolLayer):
-        h, w, c = layer.in_shape
-        ph, pw = layer.pool
-        return (h // ph) * (w // pw) * c
-    if isinstance(layer, MaxPoolVecLayer):
-        if in_dim % layer.k:
-            raise ShapeError("maxpool width must divide the input dim")
-        return in_dim // layer.k
-    if isinstance(layer, ArgmaxLayer):
-        return in_dim
-    raise ShapeError(f"unknown layer {type(layer)!r}")
 
 
 # -- convolution lowering (im2col) ------------------------------------------------------
@@ -442,7 +417,7 @@ class ServerRole:
         self.converted: dict[tuple[int, int], ConvertedColumn] = {}
         self.plan: PackPlan | None = None
         self.sessions: dict[int, SessionMaterial] = {}
-        self.label_shares: dict[int, list[int]] = {}
+        self.layer: int | None = None  # the lowered step run_infer is in
 
     # ---- setup -------------------------------------------------------------
 
@@ -551,7 +526,8 @@ class ServerRole:
         frame = self.owner.recv()
         x = decode_vec(frame.payload)
         gadget_idx = 0
-        for step in self.lowered:
+        for idx, step in enumerate(self.lowered):
+            self.layer = idx
             if isinstance(step, LinearSecret):
                 triple = mat.triples[step.job_id]
                 triple.consume()
@@ -575,8 +551,8 @@ class ServerRole:
                 gadget_idx += 1
                 if step.kind in ("sigmoid", "tanh"):
                     x = truncate_share_vec(x, scale, self.b, p)
+        self.layer = None
         self.owner.send(KIND_SHARE_DELIVERY, PHASE_ONLINE, encode_vec(x))
-        self.label_shares[session_id] = x
 
     def _run_gadget(self, step: GadgetLayer, material, x: list[int]) -> list[int]:
         p = self.params.p

@@ -4,7 +4,8 @@ two-input max, MaxPool trees, and Argmax.
 Every gadget follows the same offset-function pattern: preprocessing
 material embeds a one-time mask r inside FSS keys, the online phase reveals
 w = z + r, and key evaluations plus public linear postprocessing turn w into
-additive output shares.  Interval membership on the masked wire reduces to a
+additive output shares.  A session reads each key by walking its tree at
+the points it needs, every point of one key in one walk.  Interval membership on the masked wire reduces to a
 single comparison key at threshold r evaluated at two public points:
 
     [ (u - r) mod p in [0, M] ] = D(u - M - 1 mod p) - D(u) + [u <= M]
@@ -17,11 +18,10 @@ w*ind - ind*r stay linear in revealed values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .codec import Reader, Writer
-from .fss import (DcfKey, DpfKey, dcf_eval, dcf_eval_all, dcf_eval_many, dcf_gen,
-                  dpf_eval, dpf_eval_all, dpf_gen)
+from .fss import DcfKey, DpfKey, dcf_eval, dcf_eval_many, dcf_gen, dpf_eval, dpf_gen
 
 
 class GadgetReuseError(RuntimeError):
@@ -136,9 +136,6 @@ def _split(rng, p: int, v: int) -> tuple[int, int]:
     return s0, (v - s0) % p
 
 
-_PRECOMPUTE_LIMIT = 1 << 14  # full-table eval only for small test domains
-
-
 @dataclass
 class WireMaterial:
     """Offset material for one relu/sigmoid/tanh wire: mask share + one
@@ -151,16 +148,11 @@ class WireMaterial:
     cmp_key: DcfKey
     table: SplineTable | None = None
     consumed: bool = False
-    _cmp_table: list | None = field(default=None, repr=False, compare=False)
 
     def consume(self):
         if self.consumed:
             raise GadgetReuseError(f"{self.kind} material used twice")
         self.consumed = True
-
-    def precompute(self):
-        if (1 << self.cmp_key.domain_bits) <= _PRECOMPUTE_LIMIT:
-            self._cmp_table = dcf_eval_all(self.party, self.cmp_key)
 
 
 @dataclass
@@ -177,20 +169,11 @@ class Max2Material:
     pf3: DpfKey  # point at r3, payload (1, r5, r6)
     pf4: DpfKey  # point at r4, payload (1, r5, r6)
     consumed: bool = False
-    _pf3_table: list | None = field(default=None, repr=False, compare=False)
-    _pf4_table: list | None = field(default=None, repr=False, compare=False)
 
     def consume(self):
         if self.consumed:
             raise GadgetReuseError("max2 material used twice")
         self.consumed = True
-
-    def precompute(self):
-        for sub in (self.relu_xy, self.relu_x, self.relu_y):
-            sub.precompute()
-        if (1 << self.pf3.domain_bits) <= _PRECOMPUTE_LIMIT:
-            self._pf3_table = dpf_eval_all(self.party, self.pf3)
-            self._pf4_table = dpf_eval_all(self.party, self.pf4)
 
 
 @dataclass
@@ -203,10 +186,6 @@ class MaxPoolMaterial:
     def consume(self):
         pass  # per-node materials track their own consumption
 
-    def precompute(self):
-        for n in self.nodes:
-            n.precompute()
-
 
 @dataclass
 class ArgmaxMaterial:
@@ -217,17 +196,11 @@ class ArgmaxMaterial:
     rho_shares: list[int]
     pf_keys: list[DpfKey]  # point at rho_i, payload (i,) 1-based
     consumed: bool = False
-    _pf_tables: list | None = field(default=None, repr=False, compare=False)
 
     def consume(self):
         if self.consumed:
             raise GadgetReuseError("argmax material used twice")
         self.consumed = True
-
-    def precompute(self):
-        self.pool.precompute()
-        if self.pf_keys and (1 << self.pf_keys[0].domain_bits) <= _PRECOMPUTE_LIMIT:
-            self._pf_tables = [dpf_eval_all(self.party, k) for k in self.pf_keys]
 
 
 def wire_material(kind: str, p: int, rng, table: SplineTable | None = None,
@@ -310,11 +283,9 @@ def _interval_points(w: int, lo: int, hi: int, p: int) -> tuple[int, int]:
 
 
 def _cmp_shares(mat: WireMaterial, points) -> dict[int, list[int]]:
-    """The comparison key's shares at every point, from the precomputed
-    table or from one tree walk, which expands shared prefixes once."""
+    """The comparison key's shares at every point, from one tree walk,
+    which expands shared prefixes once."""
     pts = sorted(set(points))
-    if mat._cmp_table is not None:
-        return {y: mat._cmp_table[y] for y in pts}
     return dict(zip(pts, dcf_eval_many(mat.party, mat.cmp_key, pts)))
 
 
@@ -330,10 +301,9 @@ def _interval_shares(mat: WireMaterial, w: int, lo: int, hi: int,
     b = mat.party
     m_seg = (hi - lo) % p
     y1, u = _interval_points(w, lo, hi, p)
-    tab = mat._cmp_table
     for y in (y1, u):
         if y not in cache:
-            cache[y] = tab[y] if tab is not None else dcf_eval(b, mat.cmp_key, y)
+            cache[y] = dcf_eval(b, mat.cmp_key, y)
     hi_ev, lo_ev = cache[y1], cache[u]
     pub = 1 if u <= m_seg else 0
     s_ind = (hi_ev[0] - lo_ev[0] + (pub if b else 0)) % p
@@ -449,8 +419,8 @@ class Max2Session:
                     (self.u1 + m.r5_share) % p,
                     (self.u2 + m.r6_share) % p]
         w3, w4, w5, w6 = revealed
-        e3 = m._pf3_table[w3] if m._pf3_table else dpf_eval(m.party, m.pf3, w3)
-        e4 = m._pf4_table[w4] if m._pf4_table else dpf_eval(m.party, m.pf4, w4)
+        e3 = dpf_eval(m.party, m.pf3, w3)
+        e4 = dpf_eval(m.party, m.pf4, w4)
         s_b = (e3[0] + e4[0]) % p
         s_br5 = (e3[1] + e4[1]) % p
         s_br6 = (e3[2] + e4[2]) % p
@@ -495,7 +465,6 @@ class MaxPoolSession:
             batch.extend(part)
             self.sessions.append(sess)
         self.rounds += 1
-        self._stage = 0
         return batch
 
     def feed(self, revealed):
@@ -557,12 +526,8 @@ class ArgmaxSession:
                 return batch
             return self._final_round()
         p = self.mat.p
-        if self.mat._pf_tables is not None:
-            self.output = [tab[d][0] % p
-                           for tab, d in zip(self.mat._pf_tables, revealed)]
-        else:
-            self.output = [dpf_eval(self.mat.party, key, d)[0] % p
-                           for key, d in zip(self.mat.pf_keys, revealed)]
+        self.output = [dpf_eval(self.mat.party, key, d)[0] % p
+                       for key, d in zip(self.mat.pf_keys, revealed)]
         return None
 
 

@@ -28,7 +28,10 @@ from .transport import (
     Channel,
     KIND_SHARE_DELIVERY,
     PHASE_LOAD,
+    PHASE_NAMES,
     PHASE_ONLINE,
+    PHASE_PREPROCESS,
+    PHASE_SETUP,
     WIDE_AREA,
     inproc_pair,
 )
@@ -38,23 +41,27 @@ class ConfigError(ValueError):
     pass
 
 
+class PartyError(RuntimeError):
+    """The first party of a run that failed: who, in which phase and, for a
+    server online, at which lowered layer."""
+
+    def __init__(self, party: str, phase: int, cause: BaseException,
+                 layer: int | None = None):
+        where = "" if layer is None else f" at layer {layer}"
+        super().__init__(f"{party} failed in {PHASE_NAMES[phase]}{where}: {cause!r}")
+        self.party, self.phase, self.layer = party, phase, layer
+        self.__cause__ = cause
+
+
 @dataclass
 class RunConfig:
     mode: str = "single-tee"
-    transport: str = "inproc"
     trusted_test: bool = False
     seed: int = 0
 
-    def validate(self, hosts: list[str] | None = None):
+    def validate(self):
         if self.mode not in ("single-tee", "multi-tee"):
             raise ConfigError(f"unknown mode {self.mode}")
-        if self.transport not in ("inproc", "socket"):
-            raise ConfigError(f"unknown transport {self.transport}")
-        if self.trusted_test and self.transport == "socket":
-            for h in hosts or []:
-                if h.split(":")[0] not in ("127.0.0.1", "localhost"):
-                    raise ConfigError(
-                        "trusted-test mode refuses socket transport to real hosts")
 
 
 def split_weights(manifest: ModelManifest, p: int, rng) -> tuple[ModelManifest,
@@ -86,9 +93,6 @@ class RunResult:
     roles: tuple[ServerRole, ServerRole]
     dealer: DealerRole
     errors: list[str] = field(default_factory=list)
-
-    def wide_area_channels(self) -> list[Channel]:
-        return [c for c in self.channels.values() if c.chan_class == WIDE_AREA]
 
 
 class Simulation:
@@ -127,25 +131,40 @@ class Simulation:
         n_sessions = len(inputs_field)
         p = self.params.p
         man0, man1 = split_weights(self.manifest, p, self.owner_rng)
-        errors: list[str] = []
+        failures: list[PartyError] = []
+        lock = threading.Lock()
+
+        def fail(party: str, phase: int, e: Exception, layer: int | None = None):
+            # the first failure is the cause; closing every channel makes
+            # each party blocked in a recv fail after it
+            with lock:
+                failures.append(PartyError(party, phase, e, layer))
+                for ch in self._all_channels():
+                    ch.close()
 
         def dealer_script():
+            phase = PHASE_SETUP
             try:
                 self.dealer.run_setup()
+                phase = PHASE_LOAD
                 self.dealer.run_convert()
-            except Exception as e:  # surfaced with phase attribution
-                errors.append(f"dealer: {e!r}")
+            except Exception as e:
+                fail("dealer", phase, e)
 
         def server_script(role: ServerRole):
+            phase = PHASE_SETUP
             try:
                 role.run_setup()
+                phase = PHASE_LOAD
                 role.run_load()
                 for i in range(n_sessions):
+                    phase = PHASE_PREPROCESS
                     role.run_preprocess(i)
+                    phase = PHASE_ONLINE
                     role.run_infer(i)
             except Exception as e:
-                errors.append(f"server{role.b}: {e!r}")
-                raise
+                fail(f"server{role.b}", phase, e,
+                     role.layer if phase == PHASE_ONLINE else None)
 
         threads = [threading.Thread(target=dealer_script, daemon=True)]
         for role in self.roles:
@@ -154,32 +173,35 @@ class Simulation:
         for t in threads:
             t.start()
 
-        # owner: deliver model shares, then per-session input shares
-        for chan, man in zip(self.owner_chans, (man0, man1)):
-            chan.send(KIND_SHARE_DELIVERY, PHASE_LOAD,
-                      Writer().blob(serialize_manifest(man)).getvalue())
-        input_shares = []
-        for x in inputs_field:
-            sh0 = [self.owner_rng.randrange(p) for _ in x]
-            sh1 = [(int(v) - a) % p for v, a in zip(x, sh0)]
-            input_shares.append((sh0, sh1))
-            for chan, sh in zip(self.owner_chans, (sh0, sh1)):
-                chan.send(KIND_SHARE_DELIVERY, PHASE_ONLINE, encode_vec(sh))
         labels = []
         label_shares = []
-        for _ in range(n_sessions):
-            outs = [decode_vec(chan.recv().payload) for chan in self.owner_chans]
-            label_shares.append((outs[0], outs[1]))
-            labels.append([(a + b) % p for a, b in zip(outs[0], outs[1])])
+        phase = PHASE_LOAD
+        try:
+            # owner: deliver model shares, then per-session input shares
+            for chan, man in zip(self.owner_chans, (man0, man1)):
+                chan.send(KIND_SHARE_DELIVERY, PHASE_LOAD,
+                          Writer().blob(serialize_manifest(man)).getvalue())
+            phase = PHASE_ONLINE
+            for x in inputs_field:
+                sh0 = [self.owner_rng.randrange(p) for _ in x]
+                sh1 = [(int(v) - a) % p for v, a in zip(x, sh0)]
+                for chan, sh in zip(self.owner_chans, (sh0, sh1)):
+                    chan.send(KIND_SHARE_DELIVERY, PHASE_ONLINE, encode_vec(sh))
+            for _ in range(n_sessions):
+                outs = [decode_vec(chan.recv().payload) for chan in self.owner_chans]
+                label_shares.append((outs[0], outs[1]))
+                labels.append([(a + b) % p for a, b in zip(outs[0], outs[1])])
+        except Exception as e:
+            fail("owner", phase, e)
         for t in threads:
             t.join(timeout=600)
-            if t.is_alive():
-                errors.append("thread did not finish")
+        if failures:
+            raise failures[0]
+        errors = ["thread did not finish" for t in threads if t.is_alive()]
 
-        # collect tee channels into the registry for sweeps/meters
-        for role in self.roles:
-            for ch in role.tee_channels:
-                self.channels[ch.name] = ch
+        # collect the tee channels into the registry for sweeps and meters
+        for ch in self._all_channels():
+            self.channels[ch.name] = ch
 
         result = RunResult(labels=labels, label_shares=label_shares,
                            channels=self.channels, roles=self.roles,
@@ -189,6 +211,10 @@ class Simulation:
         if self.config.trusted_test:
             self._trusted_checks(result)
         return result
+
+    def _all_channels(self) -> list[Channel]:
+        return [*self.channels.values(),
+                *(ch for role in self.roles for ch in role.tee_channels)]
 
     # -- trusted-test-mode reconstruction assertions ---------------------------
 

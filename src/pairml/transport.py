@@ -1,5 +1,5 @@
-"""Metered channels: framed messages over in-process queues or TCP sockets,
-per-channel byte/round accounting, and the dollar-cost model.
+"""Metered channels: framed messages over in-process queues, per-channel
+byte/round accounting, the wide-area leakage sweep, and the dollar-cost model.
 
 Every protocol message is a 16-byte header plus payload.  The header carries
 a message kind and protocol phase so the leakage sweep can check that
@@ -9,7 +9,6 @@ nothing but declared operation types ever crosses a wide-area channel.
 from __future__ import annotations
 
 import queue
-import socket
 import struct
 import time
 from dataclasses import dataclass, field
@@ -28,16 +27,6 @@ KIND_DEALER = 4
 KIND_TEE_MATERIAL = 5
 KIND_B3PC = 6
 
-KIND_NAMES = {
-    KIND_HELLO: "hello",
-    KIND_SHARE_DELIVERY: "share-delivery",
-    KIND_MASKED_REVEAL: "masked-reveal",
-    KIND_CIPHERTEXT: "ciphertext",
-    KIND_DEALER: "dealer-material",
-    KIND_TEE_MATERIAL: "tee-material",
-    KIND_B3PC: "b3pc",
-}
-
 # protocol phases
 PHASE_SETUP = 0
 PHASE_LOAD = 1
@@ -55,7 +44,6 @@ MAGIC = b"PF"
 VERSION = 1
 
 _CLASS_CODE = {WIDE_AREA: 0, LOCAL: 1, ENCLAVE: 2}
-_CLASS_NAME = {v: k for k, v in _CLASS_CODE.items()}
 
 
 class TransportError(ConnectionError):
@@ -112,29 +100,38 @@ class LogEntry:
 
 
 class Channel:
-    """One endpoint of a bidirectional framed link."""
+    """One endpoint of a bidirectional framed link.
+
+    Only wide-area endpoints keep a message log: the leakage sweep reads
+    nothing else.  `close` makes a `recv` blocked on either end raise.
+    """
 
     def __init__(self, name: str, chan_class: str, send_raw, recv_raw,
-                 record: bool = False):
+                 record: bool = False, close_raw=None):
         self.name = name
         self.chan_class = chan_class
         self.meter = ChannelMeter(chan_class)
         self.log: list[LogEntry] = []
         self.record = record
+        self._logged = chan_class == WIDE_AREA
         self._send_raw = send_raw
         self._recv_raw = recv_raw
+        self._close_raw = close_raw
 
     def send(self, kind: int, phase: int, payload: bytes):
         frame = Frame(kind, phase, payload).encode(self.chan_class)
         self._send_raw(frame)
         self.meter.on_send(len(frame), len(payload))
-        self.log.append(LogEntry("send", kind, phase, len(payload),
-                                 payload if self.record else None))
+        if self._logged:
+            self.log.append(LogEntry("send", kind, phase, len(payload),
+                                     payload if self.record else None))
 
     def recv(self) -> Frame:
         t0 = time.perf_counter()
         raw = self._recv_raw()
         waited = time.perf_counter() - t0
+        if raw is None:
+            raise TransportError(f"{self.name}: channel closed")
         if len(raw) < HEADER.size:
             raise TransportError(f"short frame: {len(raw)} bytes")
         magic, ver, kind, phase, cls, _, length = HEADER.unpack_from(raw, 0)
@@ -144,8 +141,9 @@ class Channel:
         if len(payload) != length:
             raise TransportError("frame length mismatch")
         self.meter.on_recv(len(raw), len(payload), waited)
-        self.log.append(LogEntry("recv", kind, phase, len(payload),
-                                 payload if self.record else None))
+        if self._logged:
+            self.log.append(LogEntry("recv", kind, phase, len(payload),
+                                     payload if self.record else None))
         return Frame(kind, phase, payload)
 
     def exchange(self, kind: int, phase: int, payload: bytes) -> Frame:
@@ -153,101 +151,26 @@ class Channel:
         self.send(kind, phase, payload)
         return self.recv()
 
+    def close(self):
+        self._close_raw()
+
 
 def inproc_pair(name_a: str, name_b: str, chan_class: str,
                 record: bool = False) -> tuple[Channel, Channel]:
     # SimpleQueue: C-implemented, thread-safe, no task tracking to pay for
     qa: queue.SimpleQueue = queue.SimpleQueue()
     qb: queue.SimpleQueue = queue.SimpleQueue()
-    a = Channel(name_a, chan_class, qa.put, qb.get, record=record)
-    b = Channel(name_b, chan_class, qb.put, qa.get, record=record)
+
+    def close():  # None in each queue wakes a recv waiting on either end
+        qa.put(None)
+        qb.put(None)
+
+    a = Channel(name_a, chan_class, qa.put, qb.get, record, close)
+    b = Channel(name_b, chan_class, qb.put, qa.get, record, close)
     return a, b
 
 
-class _SocketIo:
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-
-    def send(self, data: bytes):
-        try:
-            self.sock.sendall(data)
-        except OSError as e:
-            raise TransportError(f"send failed: {e}") from e
-
-    def recv(self) -> bytes:
-        head = self._recv_exact(HEADER.size)
-        _, _, _, _, _, _, length = HEADER.unpack_from(head, 0)
-        return head + self._recv_exact(length)
-
-    def _recv_exact(self, n: int) -> bytes:
-        buf = b""
-        while len(buf) < n:
-            chunk = self.sock.recv(n - len(buf))
-            if not chunk:
-                raise TransportError("peer disconnected (partial meters preserved)")
-            buf += chunk
-        return buf
-
-
-def socket_channel(name: str, chan_class: str, sock: socket.socket,
-                   record: bool = False) -> Channel:
-    io = _SocketIo(sock)
-    return Channel(name, chan_class, io.send, io.recv, record=record)
-
-
-def listen_one(host: str, port: int, timeout: float = 30.0) -> socket.socket:
-    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    srv.bind((host, port))
-    srv.listen(1)
-    srv.settimeout(timeout)
-    conn, _ = srv.accept()
-    srv.close()
-    return conn
-
-
-def connect_retry(host: str, port: int, timeout: float = 30.0) -> socket.socket:
-    deadline = time.monotonic() + timeout
-    while True:
-        try:
-            return socket.create_connection((host, port), timeout=2.0)
-        except OSError:
-            if time.monotonic() > deadline:
-                raise TransportError(f"cannot connect to {host}:{port}")
-            time.sleep(0.05)
-
-
-# -- meter reporting ---------------------------------------------------------------
-
-
-def meters_snapshot(channels: list[Channel]) -> dict[str, dict]:
-    out: dict[str, dict] = {}
-    for ch in channels:
-        m = ch.meter
-        out[ch.name] = {
-            "class": m.chan_class,
-            "sent_bytes": m.sent_bytes,
-            "sent_payload": m.sent_payload,
-            "recv_bytes": m.recv_bytes,
-            "recv_payload": m.recv_payload,
-            "msgs_sent": m.msgs_sent,
-            "msgs_recv": m.msgs_recv,
-            "rounds": m.rounds,
-        }
-    return out
-
-
-def render_meters(snap: dict[str, dict]) -> str:
-    lines = []
-    for name in sorted(snap):
-        m = snap[name]
-        lines.append(
-            f"meter channel={name} class={m['class']} "
-            f"sent_bytes={m['sent_bytes']} sent_payload={m['sent_payload']} "
-            f"recv_bytes={m['recv_bytes']} recv_payload={m['recv_payload']} "
-            f"msgs_sent={m['msgs_sent']} msgs_recv={m['msgs_recv']} "
-            f"rounds={m['rounds']}")
-    return "\n".join(lines)
+# -- leakage sweep ---------------------------------------------------------------
 
 
 def sweep_wide_area(channels: list[Channel]) -> list[str]:
@@ -309,18 +232,6 @@ class CostReport:
     @property
     def total_dollars(self) -> float:
         return self.wan_dollars + self.cpu_dollars
-
-    def render(self) -> str:
-        lines = [
-            f"cost wan_bytes_out={self.wan_bytes_out} "
-            f"wan_dollars={self.wan_dollars:.6f}",
-            f"cost local_bytes={self.local_bytes} local_dollars=0.000000",
-        ]
-        for m, h in sorted(self.cpu_hours.items()):
-            lines.append(f"cost cpu machine={m} hours={h:.6f} "
-                         f"dollars={h * self.model.cpu_price(m):.6f}")
-        lines.append(f"cost total_dollars={self.total_dollars:.6f}")
-        return "\n".join(lines)
 
 
 def cost_report(snap: dict[str, dict], cpu_hours: dict[str, float] | None = None,

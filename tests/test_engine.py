@@ -1,10 +1,11 @@
 import random
 import threading
 
+import numpy as np
 import pytest
 
 from pairml.codec import Writer
-from pairml.engine import DealerRole, ServerRole
+from pairml.engine import ConvLayer, DealerRole, ServerRole, direct_conv, im2col_matrix
 from pairml.hss import dealer_setup
 from pairml.params import ProtocolParams
 from pairml.transport import KIND_DEALER, PHASE_LOAD, WIDE_AREA, inproc_pair
@@ -74,3 +75,35 @@ def test_malformed_conversion_requests_are_rejected():
     for cols0, cols1, message in cases:
         with pytest.raises(ValueError, match=message):
             _convert(params, cols0, cols1)
+
+
+# -- convolution lowering ------------------------------------------------------------
+
+
+def _conv(filters, in_shape, stride, padding):
+    return ConvLayer(np.array(filters, dtype=object), in_shape, stride, padding)
+
+
+def test_im2col_hand_checked_case():
+    # 3x3 single-channel input, 2x2 filter [[1, 2], [3, 4]]: each output is
+    # the window's weighted sum, row-major over the 2x2 output
+    layer = _conv([[[[1]], [[2]]], [[[3]], [[4]]]], (3, 3, 1), 1, 0)
+    x = list(range(1, 10))
+    assert list(np.array(x, dtype=object) @ im2col_matrix(layer, 1009)) == \
+        [37, 47, 67, 77]
+
+
+@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+@pytest.mark.parametrize("cin,cout", [(1, 1), (2, 3), (3, 2)])
+def test_im2col_matches_direct_conv(stride, padding, cin, cout):
+    # a non-square input and kernel, so swapped axes cannot cancel out
+    p = 1009
+    rng = random.Random(100 * stride + 10 * padding + cin * cout)
+    h, w, kh, kw = 5, 6, 3, 2
+    filters = [[[[rng.randrange(p) for _ in range(cout)] for _ in range(cin)]
+                for _ in range(kw)] for _ in range(kh)]
+    layer = _conv(filters, (h, w, cin), stride, padding)
+    t = im2col_matrix(layer, p)
+    for _ in range(3):
+        x = [rng.randrange(p) for _ in range(h * w * cin)]
+        assert list((np.array(x, dtype=object) @ t) % p) == direct_conv(layer, x, p)

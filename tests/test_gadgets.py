@@ -78,8 +78,6 @@ def test_relu_exhaustive_10bit_many_masks():
     for mask_trial in range(3):
         rng = random.Random(100 + mask_trial)
         m0, m1 = wire_material("relu", p, rng)
-        m0.precompute()
-        m1.precompute()
         for z in range(p):
             sh0 = rng.randrange(p)
             s0, s1 = run_pair(*_fresh(m0, m1), [sh0], [(z - sh0) % p], p)
@@ -162,7 +160,7 @@ def _per_point_output(mat, w):
 
 @pytest.mark.parametrize("kind", ["relu", "tanh"])
 def test_one_walk_sessions_match_the_per_point_path(kind):
-    p = P_BIG  # too wide for precomputed tables: sessions walk the key
+    p = P_BIG
     rng = random.Random(9)
     table = tanh_table(8, p) if kind == "tanh" else None
     walked = per_point = 0
@@ -219,8 +217,6 @@ def test_max2_exhaustive_6bit():
     for trial in range(2):
         rng = random.Random(200 + trial)
         m0, m1 = max2_material(p, rng)
-        m0.precompute()
-        m1.precompute()
         for x in range(p):
             for y in range(p):
                 _reset_max2(m0)
@@ -270,8 +266,6 @@ def test_maxpool_random_sets(k):
     p = P6
     rng = random.Random(300 + k)
     m0, m1 = maxpool_material(p, k, rng)
-    m0.precompute()
-    m1.precompute()
     for trial in range(60):
         _reset_pool(m0)
         _reset_pool(m1)
@@ -322,8 +316,6 @@ def test_argmax_random_sets(k):
     p = P6
     rng = random.Random(400 + k)
     m0, m1 = argmax_material(p, k, rng)
-    m0.precompute()
-    m1.precompute()
     for trial in range(40):
         _reset_argmax(m0)
         _reset_argmax(m1)

@@ -3,17 +3,21 @@
 These runs go through the whole protocol path (owner, dealer, both servers
 and their enclaves) and let `Simulation._trusted_checks` verify F + B = Y for
 every secret linear layer and c = a*B for every Beaver triple.  They check
-no labels against `reference_infer`.
+no labels against `reference_infer`.  A party that raises must stop the run
+with an error that names it, in bounded time.
 """
 
+import itertools
 import random
+import threading
 
 import pytest
 
 from pairml import models
 from pairml.hss import TripleGenSession
 from pairml.params import ProtocolParams
-from pairml.sim import RunConfig, Simulation, encode_inputs, run_inproc
+from pairml.sim import PartyError, RunConfig, Simulation, encode_inputs, run_inproc
+from pairml.transport import KIND_MASKED_REVEAL, PHASE_ONLINE
 
 PARAMS = ProtocolParams.testing()
 
@@ -34,6 +38,62 @@ def test_trusted_run_verifies_every_triple(model):
     assert len(result.labels) == 2
     for role in result.roles:
         assert len(role.sessions) == 2
+
+
+@pytest.mark.parametrize("model", ["mfnn", "ifnn", "mcnn"])
+def test_online_reveals_match_the_closed_form_budget(model):
+    result = _run(model, 3)
+    for role in result.roles:
+        # the peer log's online runs, one per session, split by preprocessing
+        per_session = [
+            sum(e.size for e in run
+                if e.direction == "send" and e.kind == KIND_MASKED_REVEAL) // 8
+            for phase, run in itertools.groupby(role.peer.log, lambda e: e.phase)
+            if phase == PHASE_ONLINE]
+        assert per_session == [role.online_budget_elements()] * 2
+
+
+def _failed_run(model: str, patch, deadline: float = 30.0) -> PartyError:
+    """Run one inference with `patch(sim)` applied; the error it raised."""
+    manifest = models.GENERATORS[model](PARAMS, random.Random(6))
+    inputs = encode_inputs(manifest, PARAMS,
+                           [models.random_input(manifest, random.Random(7))])
+    sim = Simulation(PARAMS, manifest, RunConfig(seed=6))
+    patch(sim)
+    out = []
+
+    def go():
+        try:
+            sim.run(inputs)
+        except Exception as e:
+            out.append(e)
+
+    t = threading.Thread(target=go, daemon=True)
+    t.start()
+    t.join(deadline)
+    assert not t.is_alive(), f"the run still blocks after {deadline} s"
+    (err,) = out
+    assert isinstance(err, PartyError), err
+    return err
+
+
+def _boom(*args):
+    raise RuntimeError("injected")
+
+
+def test_a_raising_server_stops_the_run(monkeypatch):
+    err = _failed_run("mfnn", lambda sim: monkeypatch.setattr(
+        sim.roles[1], "run_infer", _boom))
+    assert (err.party, err.phase, err.layer) == ("server1", PHASE_ONLINE, None)
+    assert str(err) == "server1 failed in online: RuntimeError('injected')"
+
+
+def test_the_error_names_the_failing_layer(monkeypatch):
+    # mfnn lowers to dense, relu, dense, relu, dense, relu, argmax
+    err = _failed_run("mfnn", lambda sim: monkeypatch.setattr(
+        sim.roles[0], "_run_gadget", _boom))
+    assert (err.party, err.phase, err.layer) == ("server0", PHASE_ONLINE, 1)
+    assert str(err).startswith("server0 failed in online at layer 1: ")
 
 
 def test_corrupted_beaver_share_fails_the_run(monkeypatch):
