@@ -16,6 +16,7 @@ from .codec import Reader, Writer
 from .fixedpoint import FixedPointCodec, exact_truncate, truncate_share_vec
 from .gadgets import (
     SplineTable,
+    drive,
     make_session,
     plain_argmax,
     plain_max,
@@ -195,6 +196,8 @@ class LinearPublic:
 
 @dataclass
 class GadgetLayer:
+    """width // k gadgets side by side, each over k consecutive inputs."""
+
     kind: str  # relu | sigmoid | tanh | maxpool | argmax
     width: int
     k: int = 1
@@ -231,6 +234,9 @@ def lower_manifest(manifest: ModelManifest, params: ProtocolParams) -> list:
             lowered.append(LinearPublic(mat=mat))
             dim = mat.shape[1]
         elif isinstance(layer, MaxPoolVecLayer):
+            if layer.k < 1 or dim % layer.k:
+                raise ShapeError(f"layer {idx}: maxpool k={layer.k} does not "
+                                 f"divide the width {dim}")
             lowered.append(GadgetLayer("maxpool", width=dim, k=layer.k))
             dim = dim // layer.k
         elif isinstance(layer, ArgmaxLayer):
@@ -389,7 +395,7 @@ def parse_manifest(buf: bytes) -> ModelManifest:
 @dataclass
 class SessionMaterial:
     triples: dict[int, BeaverShare]
-    gadgets: list  # one material (or list of wire materials) per gadget layer
+    gadgets: list  # per gadget layer, one material per group of k inputs
     consumed: bool = False
 
 
@@ -503,16 +509,9 @@ class ServerRole:
         self.sessions[session_id] = SessionMaterial(triples=triples,
                                                     gadgets=gadget_mats)
 
-    def _gadget_material(self, step: GadgetLayer):
-        if step.kind in ("relu", "sigmoid", "tanh"):
-            return [self.tee.gadget_material(step.kind, table=step.table)
-                    for _ in range(step.width)]
-        if step.kind == "maxpool":
-            return [self.tee.gadget_material("maxpool", k=step.k)
-                    for _ in range(step.width // step.k)]
-        if step.kind == "argmax":
-            return self.tee.gadget_material("argmax", k=step.width)
-        raise EngineError(f"unknown gadget {step.kind}")
+    def _gadget_material(self, step: GadgetLayer) -> list:
+        return [self.tee.gadget_material(step.kind, k=step.k, table=step.table)
+                for _ in range(step.width // step.k)]
 
     # ---- online -------------------------------------------------------------
 
@@ -549,44 +548,22 @@ class ServerRole:
             else:
                 x = self._run_gadget(step, mat.gadgets[gadget_idx], x)
                 gadget_idx += 1
-                if step.kind in ("sigmoid", "tanh"):
+                if step.table is not None:  # a spline's output is at scale 2s
                     x = truncate_share_vec(x, scale, self.b, p)
         self.layer = None
         self.owner.send(KIND_SHARE_DELIVERY, PHASE_ONLINE, encode_vec(x))
 
-    def _run_gadget(self, step: GadgetLayer, material, x: list[int]) -> list[int]:
-        p = self.params.p
-        if step.kind in ("relu", "sigmoid", "tanh"):
-            sessions = [make_session(m, [v]) for m, v in zip(material, x)]
-        elif step.kind == "maxpool":
-            k = step.k
-            sessions = [make_session(m, x[i * k:(i + 1) * k])
-                        for i, m in enumerate(material)]
-        else:  # argmax
-            sessions = [make_session(material, x)]
-        pending = [s.start() for s in sessions]
-        while any(b is not None for b in pending):
-            flat = []
-            for b in pending:
-                if b is not None:
-                    flat.extend(b)
+    def _run_gadget(self, step: GadgetLayer, materials: list,
+                    x: list[int]) -> list[int]:
+        p, k = self.params.p, step.k
+
+        def reveal(flat):
             peer = decode_vec(self.peer.exchange(
                 KIND_MASKED_REVEAL, PHASE_ONLINE, encode_vec(flat)).payload)
-            revealed = [(a + b) % p for a, b in zip(flat, peer)]
-            off = 0
-            nxt = []
-            for s, b in zip(sessions, pending):
-                if b is None:
-                    nxt.append(None)
-                    continue
-                part = revealed[off:off + len(b)]
-                off += len(b)
-                nxt.append(s.feed(part))
-            pending = nxt
-        out: list[int] = []
-        for s in sessions:
-            out.extend(s.output)
-        return out
+            return [(a + b) % p for a, b in zip(flat, peer)]
+
+        return drive([make_session(m, x[i * k:(i + 1) * k])
+                      for i, m in enumerate(materials)], reveal)
 
     # ---- closed-form online budget -------------------------------------------
 

@@ -13,6 +13,16 @@ single comparison key at threshold r evaluated at two public points:
 with D(y) = [y < r], M the public segment length, and the bracketed term a
 public constant.  Payload vectors carry (1, r) so that products ind*z =
 w*ind - ind*r stay linear in revealed values.
+
+Each material's layout is written once, as a recipe against a key source.
+A source has three calls: `mask()` draws a mask, `key(kind, point,
+payload)` makes a DCF or DPF key pair whose payload holds public ints and
+masks, and `share(mask)` gives the parties' shares of a mask; a key pair
+and a share are indexed by party.  A recipe draws in a fixed order and
+returns a function of the party that assembles that party's material once
+its keys exist.  `CentralSource` draws everything from one generator; it
+serves the single-TEE enclave and `material_pair`.  `tee.TeeTriple` is the
+other source: it plans each key into a batch of distributed key generation.
 """
 
 from __future__ import annotations
@@ -131,9 +141,7 @@ def tanh_table(in_scale: int, p: int, knot_step: float = 0.25,
 # -- materials ---------------------------------------------------------------------
 
 
-def _split(rng, p: int, v: int) -> tuple[int, int]:
-    s0 = rng.randrange(p)
-    return s0, (v - s0) % p
+_WIRE_KINDS = ("relu", "sigmoid", "tanh")
 
 
 @dataclass
@@ -203,73 +211,82 @@ class ArgmaxMaterial:
         self.consumed = True
 
 
-def wire_material(kind: str, p: int, rng, table: SplineTable | None = None,
-                  lam: int = 128) -> tuple[WireMaterial, WireMaterial]:
-    if kind not in ("relu", "sigmoid", "tanh"):
-        raise GadgetParameterError(f"not a single-wire gadget: {kind}")
-    if kind != "relu" and table is None:
-        raise GadgetParameterError(f"{kind} needs a spline table")
-    r = rng.randrange(p)
-    k0, k1 = dcf_gen(p, r, [1, r], rng, lam=lam)
-    sh0, sh1 = _split(rng, p, r)
-    return (WireMaterial(kind, 0, p, sh0, k0, table),
-            WireMaterial(kind, 1, p, sh1, k1, table))
+# -- recipes: each material's layout and draw order, for every key source -------------
+# The draw order is part of a material: both sources draw in it, so a
+# reordered draw changes the keys of both modes.
 
 
-def max2_material(p: int, rng, lam: int = 128) -> tuple[Max2Material, Max2Material]:
-    rel = [wire_material("relu", p, rng, lam=lam) for _ in range(3)]
-    r3, r4, r5, r6 = (rng.randrange(p) for _ in range(4))
-    pf3 = dpf_gen(p, r3, [1, r5, r6], rng, lam=lam)
-    pf4 = dpf_gen(p, r4, [1, r5, r6], rng, lam=lam)
-    shares = [_split(rng, p, v) for v in (r3, r4, r5, r6)]
-    out = []
-    for b in range(2):
-        out.append(Max2Material(
-            party=b, p=p,
-            relu_xy=rel[0][b], relu_x=rel[1][b], relu_y=rel[2][b],
-            r3_share=shares[0][b], r4_share=shares[1][b],
-            r5_share=shares[2][b], r6_share=shares[3][b],
-            pf3=pf3[b], pf4=pf4[b]))
-    return out[0], out[1]
+class CentralSource:
+    """The key source of an enclave that draws every mask and key itself."""
+
+    def __init__(self, p: int, rng, lam: int = 128):
+        self.p, self.rng, self.lam = p, rng, lam
+
+    def mask(self) -> int:
+        return self.rng.randrange(self.p)
+
+    def key(self, kind: str, point: int, payload: list[int]):
+        gen = dcf_gen if kind == "dcf" else dpf_gen
+        return gen(self.p, point, payload, self.rng, lam=self.lam)
+
+    def share(self, mask: int) -> tuple[int, int]:
+        s0 = self.rng.randrange(self.p)
+        return s0, (mask - s0) % self.p
 
 
-def _tournament(k: int) -> list[list[tuple[int, int]]]:
-    """Pairing schedule: per level, (i, j) index pairs; byes carry through."""
-    levels = []
-    idx = list(range(k))
-    while len(idx) > 1:
-        pairs = [(idx[i], idx[i + 1]) for i in range(0, len(idx) - 1, 2)]
-        carry = [idx[-1]] if len(idx) % 2 else []
-        levels.append(pairs)
-        idx = [a for a, _ in pairs] + carry  # winner stored at slot a
-    return levels
+def _wire(src, kind: str, table: SplineTable | None):
+    r = src.mask()
+    cmp = src.key("dcf", r, [1, r])
+    sh = src.share(r)
+    return lambda b: WireMaterial(kind, b, src.p, sh[b], cmp[b], table)
 
 
-def maxpool_material(p: int, k: int, rng, lam: int = 128
-                     ) -> tuple[MaxPoolMaterial, MaxPoolMaterial]:
+def _max2(src):
+    subs = [_wire(src, "relu", None) for _ in range(3)]
+    masks = [src.mask() for _ in range(4)]
+    r3, r4, r5, r6 = masks
+    pf3, pf4 = [src.key("dpf", r, [1, r5, r6]) for r in (r3, r4)]
+    shares = [src.share(r) for r in masks]
+    return lambda b: Max2Material(b, src.p, *(sub(b) for sub in subs),
+                                  *(sh[b] for sh in shares), pf3[b], pf4[b])
+
+
+def _maxpool(src, k: int):
+    # a knockout over k entries plays k - 1 matches, one max2 node each
+    nodes = [_max2(src) for _ in range(k - 1)]
+    return lambda b: MaxPoolMaterial(b, src.p, k, [node(b) for node in nodes])
+
+
+def _argmax(src, k: int):
+    pool = _maxpool(src, k)
+    rhos = [src.mask() for _ in range(k)]
+    keys = [src.key("dpf", rho, [i + 1]) for i, rho in enumerate(rhos)]
+    shares = [src.share(rho) for rho in rhos]
+    return lambda b: ArgmaxMaterial(b, src.p, k, pool(b), [sh[b] for sh in shares],
+                                    [key[b] for key in keys])
+
+
+def recipe(kind: str, src, k: int = 1, table: SplineTable | None = None):
+    """Draw a `kind` material's masks and keys from `src`; the function of
+    the party that assembles its material once the keys exist."""
+    if kind in _WIRE_KINDS:
+        if kind != "relu" and table is None:
+            raise GadgetParameterError(f"{kind} needs a spline table")
+        return _wire(src, kind, table)
+    if kind == "max2":
+        return _max2(src)
+    if kind not in ("maxpool", "argmax"):
+        raise GadgetParameterError(f"unknown gadget kind {kind}")
     if k < 1:
-        raise GadgetParameterError("maxpool needs k >= 1")
-    n_nodes = sum(len(lvl) for lvl in _tournament(k))
-    pairs = [max2_material(p, rng, lam=lam) for _ in range(n_nodes)]
-    return (MaxPoolMaterial(0, p, k, [a for a, _ in pairs]),
-            MaxPoolMaterial(1, p, k, [b for _, b in pairs]))
+        raise GadgetParameterError(f"{kind} needs k >= 1")
+    return (_maxpool if kind == "maxpool" else _argmax)(src, k)
 
 
-def argmax_material(p: int, k: int, rng, lam: int = 128
-                    ) -> tuple[ArgmaxMaterial, ArgmaxMaterial]:
-    if k < 1:
-        raise GadgetParameterError("argmax needs k >= 1")
-    pool = maxpool_material(p, k, rng, lam=lam)
-    rhos = [rng.randrange(p) for _ in range(k)]
-    keys = [dpf_gen(p, rho, [i + 1], rng, lam=lam) for i, rho in enumerate(rhos)]
-    shares = [_split(rng, p, rho) for rho in rhos]
-    out = []
-    for b in range(2):
-        out.append(ArgmaxMaterial(
-            party=b, p=p, k=k, pool=pool[b],
-            rho_shares=[s[b] for s in shares],
-            pf_keys=[kk[b] for kk in keys]))
-    return out[0], out[1]
+def material_pair(kind: str, p: int, rng, k: int = 1,
+                  table: SplineTable | None = None, lam: int = 128):
+    """Both parties' halves of one `kind` material, drawn from `rng`."""
+    build = recipe(kind, CentralSource(p, rng, lam), k, table)
+    return build(0), build(1)
 
 
 # -- interval membership from one comparison key -----------------------------------
@@ -322,12 +339,9 @@ def _relu_share(mat: WireMaterial, w: int) -> int:
 
 # -- evaluation sessions -------------------------------------------------------------
 #
-# Every session exposes the same drive loop:
-#     pending = sess.start()
-#     while pending is not None:
-#         pending = sess.feed(engine_reveal(pending))
-#     shares = sess.output
-# Each batch returned by start/feed is one masked-reveal round.
+# A session's start() and feed() return the masked shares it reveals in its
+# next round, or None once `output` holds its output shares; `drive` runs
+# any number of sessions side by side.
 
 
 class ReluSession:
@@ -428,6 +442,18 @@ class Max2Session:
         out = (w5 * s_b - s_br5 + self.u2 - w6 * s_b + s_br6) % p
         self.output = [out]
         return None
+
+
+def _tournament(k: int) -> list[list[tuple[int, int]]]:
+    """Pairing schedule: per level, (i, j) index pairs; byes carry through."""
+    levels = []
+    idx = list(range(k))
+    while len(idx) > 1:
+        pairs = [(idx[i], idx[i + 1]) for i in range(0, len(idx) - 1, 2)]
+        carry = [idx[-1]] if len(idx) % 2 else []
+        levels.append(pairs)
+        idx = [a for a, _ in pairs] + carry  # winner stored at slot a
+    return levels
 
 
 class MaxPoolSession:
@@ -545,19 +571,34 @@ def make_session(mat, in_shares):
     raise GadgetParameterError(f"unknown material {type(mat)!r}")
 
 
+def drive(sessions, reveal) -> list[int]:
+    """Run `sessions` to their end, one masked-reveal round per call of
+    `reveal`, which maps the flat masked shares of every pending session to
+    the revealed values; the sessions' outputs, concatenated."""
+    pending = [s.start() for s in sessions]
+    while any(batch is not None for batch in pending):
+        revealed = reveal([v for batch in pending if batch is not None for v in batch])
+        off = 0
+        for i, (s, batch) in enumerate(zip(sessions, pending)):
+            if batch is not None:
+                pending[i] = s.feed(revealed[off:off + len(batch)])
+                off += len(batch)
+    return [v for s in sessions for v in s.output]
+
+
 def run_pair(mat0, mat1, shares0, shares1, p: int, reveal_log: list | None = None):
-    """Drive both parties' sessions in lockstep (tests and trusted mode)."""
-    s0 = make_session(mat0, shares0)
-    s1 = make_session(mat1, shares1)
-    b0, b1 = s0.start(), s1.start()
-    while b0 is not None:
-        assert len(b0) == len(b1)
-        revealed = [(a + b) % p for a, b in zip(b0, b1)]
+    """Drive both parties' sessions side by side in one process."""
+    sessions = [make_session(mat0, shares0), make_session(mat1, shares1)]
+
+    def reveal(flat):
+        half = len(flat) // 2
+        revealed = [(a + b) % p for a, b in zip(flat[:half], flat[half:])]
         if reveal_log is not None:
             reveal_log.append(revealed)
-        b0, b1 = s0.feed(revealed), s1.feed(revealed)
-    assert b1 is None
-    return s0, s1
+        return revealed * 2
+
+    drive(sessions, reveal)
+    return sessions[0], sessions[1]
 
 
 # -- material serialization -----------------------------------------------------------
@@ -566,7 +607,6 @@ def run_pair(mat0, mat1, shares0, shares1, p: int, reveal_log: list | None = Non
 # tables are public and stay with the host, which re-attaches them.
 
 _MAT_VERSION = 2
-_WIRE_KINDS = ("relu", "sigmoid", "tanh")
 
 
 def _write_wire(w: Writer, m: WireMaterial):

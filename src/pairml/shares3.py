@@ -169,7 +169,6 @@ class Bool3Engine:
         self.net = net
         self.pair = pair_streams  # stream j shared by enclaves (j, j+1)
         self.and_gates = 0
-        self.reveals = 0
 
     # zero sharing: zeta_j = F_j() ^ F_{j-1}(); xor over j telescopes to 0
     def _zeros(self, width: int) -> list[int]:
@@ -211,7 +210,6 @@ class Bool3Engine:
         return B3(raw, width)
 
     def reveal(self, a: B3) -> int:
-        self.reveals += 1
         nb = (a.width + 7) // 8
         self.net.send([_ibytes(a.shares[j], nb) for j in range(3)], step=1)
         return a.value()
@@ -292,7 +290,6 @@ class Arith3Engine:
         self.pair = pair_streams
         self.p = p
         self.mults = 0
-        self.reveals = 0
 
     def _zeros(self, ln: int) -> list[list[int]]:
         """One PRF draw per stream for all ln elements; 128 bits each."""
@@ -356,7 +353,6 @@ class Arith3Engine:
         return self.xor_bits(self.xor_bits(b[0], b[1]), b[2])
 
     def reveal(self, a: A3) -> list[int]:
-        self.reveals += 1
         payloads = [b"".join(_ibytes(v, 8) for v in a.shares[j])
                     for j in range(3)]
         self.net.send(payloads, step=1)

@@ -15,12 +15,13 @@ the words of its own expansion as its additive share and no payload block
 leaves it.  Only the cheap correction-word logic runs as boolean/arithmetic
 3PC gates.
 
-A material is made in two steps.  Planning walks the material's structure
-and, key by key in a fixed order, draws every GenRand piece and root block
-from the enclaves' pair PRFs.  Running then generates all of its DPF and
-DCF keys at once, as lanes of one level-synchronous 3PC: lanes are packed
-side by side into the boolean sharings and concatenated in the arithmetic
-ones, so one gate call serves every key.  A tree level costs four
+A material is made in two steps.  Planning runs the material's recipe in
+`gadgets` against a key source whose masks are sums of three GenRand
+pieces: key by key in the recipe's order, it draws every GenRand piece and
+root block from the enclaves' pair PRFs.  Running then generates all of its
+DPF and DCF keys at once, as lanes of one level-synchronous 3PC: lanes are
+packed side by side into the boolean sharings and concatenated in the
+arithmetic ones, so one gate call serves every key.  A tree level costs four
 communication rounds whatever the number of keys: the seed-area reshare
 with the payload-word input, one AND layer, the correction-word reveal, and
 the redistribution of the next seeds' blocks.  The payload corrections of
@@ -39,23 +40,11 @@ pair without any cross-server traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from . import prg
 from .fss import DcfKey, DpfKey
-from .gadgets import (
-    ArgmaxMaterial,
-    Max2Material,
-    MaxPoolMaterial,
-    SplineTable,
-    WireMaterial,
-    argmax_material,
-    deserialize_material,
-    max2_material,
-    maxpool_material,
-    serialize_material,
-    wire_material,
-)
+from .gadgets import (CentralSource, SplineTable, deserialize_material, recipe,
+                      serialize_material)
 from .params import ProtocolParams
 from .prg import Prf, PrfStream
 from .shares3 import A3, B3, Arith3Engine, Bool3Engine, TriadNet, lane_bits, spread
@@ -97,9 +86,7 @@ class GenRandPiece:
 class TeeParty:
     """One simulated enclave: pairwise seed, PRF, strictly monotone counter."""
 
-    def __init__(self, server: int, idx: int, seed: bytes):
-        self.server = server
-        self.idx = idx
+    def __init__(self, seed: bytes):
         self.prf = Prf(seed)
         self.counter = 0
 
@@ -122,20 +109,6 @@ class TeeParty:
         return GenRandPiece(r=r, sh0=sh0, sh1=(r - sh0) % p)
 
 
-def _dispatch(kind: str, k: int, table: SplineTable | None,
-              wire, max2, maxpool, argmax):
-    """The one gadget-kind dispatch of both enclave modes."""
-    if kind in ("relu", "sigmoid", "tanh"):
-        return wire(kind, table)
-    if kind == "max2":
-        return max2()
-    if kind == "maxpool":
-        return maxpool(k)
-    if kind == "argmax":
-        return argmax(k)
-    raise ValueError(f"unknown gadget kind {kind}")
-
-
 def _deliver(mat, to_host: Channel, host_end: Channel, table: SplineTable | None):
     """Pass an enclave's material to its host as a blob; the host re-attaches
     the public spline table, which the blob leaves out."""
@@ -152,22 +125,17 @@ class SingleTee:
     def __init__(self, server: int, params: ProtocolParams, bundle: SeedBundle,
                  to_host: Channel, host_end: Channel):
         self.server = server
-        self.params = params
-        self.stream = PrfStream(bundle.pair_seeds[0], tag=b"fssgen-single")
+        self.source = CentralSource(
+            params.p, PrfStream(bundle.pair_seeds[0], tag=b"fssgen-single"),
+            params.lam)
         self.to_host = to_host
         self.host_end = host_end
 
     def gadget_material(self, kind: str, k: int = 1,
                         table: SplineTable | None = None):
         """Build the key pair deterministically; deliver this server's half."""
-        p, lam, rng = self.params.p, self.params.lam, self.stream
-        pair = _dispatch(
-            kind, k, table,
-            lambda kind, table: wire_material(kind, p, rng, table=table, lam=lam),
-            lambda: max2_material(p, rng, lam=lam),
-            lambda k: maxpool_material(p, k, rng, lam=lam),
-            lambda k: argmax_material(p, k, rng, lam=lam))
-        return _deliver(pair[self.server], self.to_host, self.host_end, table)
+        build = recipe(kind, self.source, k, table)
+        return _deliver(build(self.server), self.to_host, self.host_end, table)
 
 
 @dataclass
@@ -181,6 +149,31 @@ class _KeyPlan:
     name: tuple  # the key's name in the view ledger
     key: DcfKey | DpfKey | None = None
 
+    def __getitem__(self, party: int) -> DcfKey | DpfKey:
+        """The key half of `party`: a triple makes only its own server's."""
+        if self.key is None or self.key.party != party:
+            raise KeyError(f"no key half of party {party}")
+        return self.key
+
+
+class _Batch:
+    """The key source of a triple's batch: a mask is the sum of three
+    GenRand pieces, and each key is planned into `plans` for `_gen_keys`."""
+
+    def __init__(self, tee: "TeeTriple"):
+        self.tee, self.p, self.plans = tee, tee.params.p, []
+
+    def mask(self) -> list[GenRandPiece]:
+        return [pt.genrand(self.p) for pt in self.tee.parties]
+
+    def key(self, kind: str, point: list[GenRandPiece], payload: list) -> _KeyPlan:
+        spec = [("mask", c) if isinstance(c, list) else ("const", c) for c in payload]
+        return self.tee._plan_key(self.plans, kind, point, spec)
+
+    def share(self, pieces: list[GenRandPiece]) -> list[int]:
+        # each piece's split was drawn with it, so this draws nothing
+        return [sum(pc.share(b) for pc in pieces) % self.p for b in (0, 1)]
+
 
 class TeeTriple:
     """Three enclaves per server with distributed FSS key generation."""
@@ -189,8 +182,7 @@ class TeeTriple:
                  net: TriadNet, to_host: list[Channel], host_ends: list[Channel]):
         self.server = server
         self.params = params
-        self.parties = [TeeParty(server, i, bundle.pair_seeds[i])
-                        for i in range(3)]
+        self.parties = [TeeParty(bundle.pair_seeds[i]) for i in range(3)]
         self.net = net
         self.to_host = to_host
         self.host_ends = host_ends
@@ -230,12 +222,6 @@ class TeeTriple:
         return bad
 
     # -- randomness ----------------------------------------------------------
-
-    def genrand_pieces(self) -> tuple[list[GenRandPiece], int]:
-        """All three pair-derived pieces plus this server's combined share."""
-        pieces = [pt.genrand(self.params.p) for pt in self.parties]
-        share = sum(pc.share(self.server) for pc in pieces) % self.params.p
-        return pieces, share
 
     def _beta_pieces(self, plans: list[_KeyPlan]) -> list[list[int]]:
         """Enclave j's additive pieces of every lane's payload: constants
@@ -462,51 +448,14 @@ class TeeTriple:
         self._gen_keys(plans)
         return plan.key
 
-    # -- gadget material: plan, then run ----------------------------------------
-
-    def _plan_wire(self, plans: list[_KeyPlan], kind: str,
-                   table: SplineTable | None):
-        pieces, mask_share = self.genrand_pieces()
-        cmp = self._plan_key(plans, "dcf", pieces, [("const", 1), ("mask", pieces)])
-        return lambda: WireMaterial(kind, self.server, self.params.p, mask_share,
-                                    cmp.key, table)
-
-    def _plan_max2(self, plans: list[_KeyPlan]):
-        subs = [self._plan_wire(plans, "relu", None) for _ in range(3)]
-        (p3, s3), (p4, s4), (p5, s5), (p6, s6) = (self.genrand_pieces()
-                                                  for _ in range(4))
-        pf3, pf4 = (self._plan_key(plans, "dpf", pieces,
-                                   [("const", 1), ("mask", p5), ("mask", p6)])
-                    for pieces in (p3, p4))
-        return lambda: Max2Material(self.server, self.params.p,
-                                    *(sub() for sub in subs), s3, s4, s5, s6,
-                                    pf3.key, pf4.key)
-
-    def _plan_maxpool(self, plans: list[_KeyPlan], k: int):
-        # a knockout over k entries plays k - 1 matches, one max2 node each
-        nodes = [self._plan_max2(plans) for _ in range(k - 1)]
-        return lambda: MaxPoolMaterial(self.server, self.params.p, k,
-                                       [node() for node in nodes])
-
-    def _plan_argmax(self, plans: list[_KeyPlan], k: int):
-        pool = self._plan_maxpool(plans, k)
-        rho = [self.genrand_pieces() for _ in range(k)]
-        keys = [self._plan_key(plans, "dpf", pieces, [("const", i + 1)])
-                for i, (pieces, _) in enumerate(rho)]
-        return lambda: ArgmaxMaterial(self.server, self.params.p, k, pool(),
-                                      [s for _, s in rho], [kp.key for kp in keys])
-
     def gadget_material(self, kind: str, k: int = 1,
                         table: SplineTable | None = None):
         """Plan every key of the material, generate them all in one batch,
         then assemble and deliver it."""
-        plans: list[_KeyPlan] = []
-        build = _dispatch(kind, k, table, *(
-            partial(planner, plans) for planner in (
-                self._plan_wire, self._plan_max2, self._plan_maxpool,
-                self._plan_argmax)))
-        self._gen_keys(plans)
-        return _deliver(build(), self.to_host[0], self.host_ends[0], table)
+        batch = _Batch(self)
+        build = recipe(kind, batch, k, table)
+        self._gen_keys(batch.plans)
+        return _deliver(build(self.server), self.to_host[0], self.host_ends[0], table)
 
 
 def build_single_tee(server: int, params: ProtocolParams, bundle: SeedBundle):

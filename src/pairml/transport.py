@@ -67,9 +67,7 @@ class ChannelMeter:
     sent_bytes: int = 0          # on-wire, headers included
     sent_payload: int = 0
     recv_bytes: int = 0
-    recv_payload: int = 0
     msgs_sent: int = 0
-    msgs_recv: int = 0
     rounds: int = 0              # send -> recv direction flips
     wait_seconds: float = 0.0
     _last_dir: str = field(default="", repr=False)
@@ -80,10 +78,8 @@ class ChannelMeter:
         self.msgs_sent += 1
         self._last_dir = "send"
 
-    def on_recv(self, wire: int, payload: int, waited: float):
+    def on_recv(self, wire: int, waited: float):
         self.recv_bytes += wire
-        self.recv_payload += payload
-        self.msgs_recv += 1
         self.wait_seconds += waited
         if self._last_dir == "send":
             self.rounds += 1
@@ -140,7 +136,7 @@ class Channel:
         payload = raw[HEADER.size:]
         if len(payload) != length:
             raise TransportError("frame length mismatch")
-        self.meter.on_recv(len(raw), len(payload), waited)
+        self.meter.on_recv(len(raw), waited)
         if self._logged:
             self.log.append(LogEntry("recv", kind, phase, len(payload),
                                      payload if self.record else None))

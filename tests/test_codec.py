@@ -9,9 +9,8 @@ from pairml.codec import Reader, Writer
 from pairml.engine import (DealerRole, decode_mat, decode_vec, encode_mat, encode_vec,
                            parse_manifest, serialize_manifest)
 from pairml.fss import DcfKey, DpfKey, dcf_gen, dpf_gen
-from pairml.gadgets import (argmax_material, deserialize_material, max2_material,
-                            maxpool_material, serialize_material, tanh_table,
-                            wire_material)
+from pairml.gadgets import (deserialize_material, material_pair, serialize_material,
+                            tanh_table)
 from pairml.lpr import LprCiphertext, encrypt, keygen
 from pairml.params import ProtocolParams
 from pairml.ring import RingPoly
@@ -49,7 +48,7 @@ def test_reader_refuses_short_and_trailing_input():
 def _decoders():
     p = PARAMS.p
     rng = random.Random(50)
-    wire = wire_material("tanh", p, rng, table=tanh_table(PARAMS.fp_scale, p))[0]
+    wire = material_pair("tanh", p, rng, table=tanh_table(PARAMS.fp_scale, p))[0]
     keys = keygen(PARAMS, rng)
     ct = encrypt(PARAMS, keys.pk, RingPoly.random(PARAMS, rng, tag="p"), rng)
     mat = np.array([[rng.randrange(p) for _ in range(3)] for _ in range(4)],
@@ -58,11 +57,11 @@ def _decoders():
     return [
         ("wire material", deserialize_material, serialize_material(wire)),
         ("max2 material", deserialize_material,
-         serialize_material(max2_material(p, rng)[0])),
+         serialize_material(material_pair("max2", p, rng)[0])),
         ("maxpool material", deserialize_material,
-         serialize_material(maxpool_material(p, 3, rng)[1])),
+         serialize_material(material_pair("maxpool", p, rng, k=3)[1])),
         ("argmax material", deserialize_material,
-         serialize_material(argmax_material(p, 3, rng)[0])),
+         serialize_material(material_pair("argmax", p, rng, k=3)[0])),
         ("dpf key", DpfKey.deserialize, dpf_gen(p, 5, [1, 2], rng)[0].serialize()),
         ("dcf key", DcfKey.deserialize, dcf_gen(p, 5, [1, 2], rng)[1].serialize()),
         ("poly p", lambda b: RingPoly.deserialize(PARAMS, b),

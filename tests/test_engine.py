@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from pairml.codec import Writer
-from pairml.engine import ConvLayer, DealerRole, ServerRole, direct_conv, im2col_matrix
+from pairml.engine import (ConvLayer, DealerRole, DenseLayer, GadgetLayer,
+                           MaxPoolVecLayer, ModelManifest, ServerRole, ShapeError,
+                           direct_conv, im2col_matrix, lower_manifest)
 from pairml.hss import dealer_setup
 from pairml.params import ProtocolParams
 from pairml.transport import KIND_DEALER, PHASE_LOAD, WIDE_AREA, inproc_pair
@@ -107,3 +109,20 @@ def test_im2col_matches_direct_conv(stride, padding, cin, cout):
     for _ in range(3):
         x = [rng.randrange(p) for _ in range(h * w * cin)]
         assert list((np.array(x, dtype=object) @ t) % p) == direct_conv(layer, x, p)
+
+
+def _pool_manifest(k: int) -> ModelManifest:
+    """dense 4 -> 10, then a maxpool over groups of k."""
+    weights = np.zeros((4, 10), dtype=object)
+    return ModelManifest("pool", 8, 4, [DenseLayer(weights), MaxPoolVecLayer(k)])
+
+
+@pytest.mark.parametrize("k", [3, 0, -2])
+def test_maxpool_must_divide_its_width(k):
+    with pytest.raises(ShapeError, match=f"layer 1: maxpool k={k}"):
+        lower_manifest(_pool_manifest(k), ProtocolParams.testing())
+
+
+def test_maxpool_lowers_to_groups_of_k():
+    lowered = lower_manifest(_pool_manifest(5), ProtocolParams.testing())
+    assert lowered[1] == GadgetLayer("maxpool", width=10, k=5)

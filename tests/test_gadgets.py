@@ -12,11 +12,9 @@ from pairml.gadgets import (
     Max2Material,
     MaxPoolMaterial,
     WireMaterial,
-    argmax_material,
     deserialize_material,
     make_session,
-    max2_material,
-    maxpool_material,
+    material_pair,
     plain_argmax,
     plain_max,
     plain_max2,
@@ -25,7 +23,6 @@ from pairml.gadgets import (
     serialize_material,
     sigmoid_table,
     tanh_table,
-    wire_material,
     _half,
     _interval_shares,
 )
@@ -68,7 +65,7 @@ def test_relu_named_cases():
     rng = random.Random(1)
     p = P10
     for z, expect in [((-2) % p, 0), (7, 7), (0, 0), ((p - 1) // 2, (p - 1) // 2)]:
-        m0, m1 = wire_material("relu", p, rng)
+        m0, m1 = material_pair("relu", p, rng)
         got, _ = _run(m0, m1, [z], p, rng)
         assert got[0] == expect
 
@@ -77,7 +74,7 @@ def test_relu_exhaustive_10bit_many_masks():
     p = P10
     for mask_trial in range(3):
         rng = random.Random(100 + mask_trial)
-        m0, m1 = wire_material("relu", p, rng)
+        m0, m1 = material_pair("relu", p, rng)
         for z in range(p):
             sh0 = rng.randrange(p)
             s0, s1 = run_pair(*_fresh(m0, m1), [sh0], [(z - sh0) % p], p)
@@ -94,14 +91,14 @@ def _fresh(m0, m1):
 
 def test_relu_round_count():
     rng = random.Random(2)
-    m0, m1 = wire_material("relu", P10, rng)
+    m0, m1 = material_pair("relu", P10, rng)
     _, s0 = _run(m0, m1, [5], P10, rng)
     assert s0.rounds == 1
 
 
 def test_relu_material_reuse_raises():
     rng = random.Random(3)
-    m0, m1 = wire_material("relu", P10, rng)
+    m0, m1 = material_pair("relu", P10, rng)
     _run(m0, m1, [5], P10, rng)
     with pytest.raises(GadgetReuseError):
         make_session(m0, [1])
@@ -117,7 +114,7 @@ def test_spline_dense_grid_error(kind):
     rng = random.Random(4)
     table = sigmoid_table(scale, p) if kind == "sigmoid" else tanh_table(scale, p)
     fn = (lambda x: 1 / (1 + math.exp(-x))) if kind == "sigmoid" else math.tanh
-    m0, m1 = wire_material(kind, p, rng, table=table)
+    m0, m1 = material_pair(kind, p, rng, table=table)
     worst = 0.0
     for i in range(-200, 201):  # grid over [-8, 8]; the acceptance run is denser
         x = i / 25
@@ -136,7 +133,7 @@ def test_spline_matches_reference_exactly():
     scale = 8
     rng = random.Random(5)
     table = tanh_table(scale, p)
-    m0, m1 = wire_material("tanh", p, rng, table=table)
+    m0, m1 = material_pair("tanh", p, rng, table=table)
     for trial in range(200):
         z = rng.randrange(-(1 << (scale + 4)), 1 << (scale + 4)) % p
         sh0 = rng.randrange(p)
@@ -165,7 +162,7 @@ def test_one_walk_sessions_match_the_per_point_path(kind):
     table = tanh_table(8, p) if kind == "tanh" else None
     walked = per_point = 0
     for _ in range(4):
-        m0, m1 = wire_material(kind, p, rng, table=table)  # a fresh mask each
+        m0, m1 = material_pair(kind, p, rng, table=table)  # a fresh mask each
         z = rng.randrange(-(1 << 12), 1 << 12) % p
         sh0 = rng.randrange(p)
         before = prg.calls
@@ -183,11 +180,11 @@ def test_sigmoid_symmetry_point():
     p = P_BIG
     scale = 10
     rng = random.Random(6)
-    m0, m1 = wire_material("sigmoid", p, rng, table=sigmoid_table(scale, p))
+    m0, m1 = material_pair("sigmoid", p, rng, table=sigmoid_table(scale, p))
     got, _ = _run(m0, m1, [0], p, rng)
     val = to_signed(got[0], p) / (1 << (2 * scale))
     assert abs(val - 0.5) <= 2.0 ** -scale
-    m0, m1 = wire_material("tanh", p, rng, table=tanh_table(scale, p))
+    m0, m1 = material_pair("tanh", p, rng, table=tanh_table(scale, p))
     got, _ = _run(m0, m1, [0], p, rng)
     assert to_signed(got[0], p) == 0
 
@@ -199,7 +196,7 @@ def test_max2_paper_case_p7():
     # x=5, y=3, p=7: x encodes -2, so the max is 3
     p = 7
     rng = random.Random(7)
-    m0, m1 = max2_material(p, rng)
+    m0, m1 = material_pair("max2", p, rng)
     got, s0 = _run(m0, m1, [5, 3], p, rng)
     assert got[0] == 3
     assert s0.rounds == 2
@@ -207,7 +204,7 @@ def test_max2_paper_case_p7():
 
 def test_max2_tie():
     rng = random.Random(8)
-    m0, m1 = max2_material(P10, rng)
+    m0, m1 = material_pair("max2", P10, rng)
     got, _ = _run(m0, m1, [42, 42], P10, rng)
     assert got[0] == 42
 
@@ -216,7 +213,7 @@ def test_max2_exhaustive_6bit():
     p = P6
     for trial in range(2):
         rng = random.Random(200 + trial)
-        m0, m1 = max2_material(p, rng)
+        m0, m1 = material_pair("max2", p, rng)
         for x in range(p):
             for y in range(p):
                 _reset_max2(m0)
@@ -245,7 +242,7 @@ def test_max2_mixed_signs():
     rng = random.Random(9)
     cases = [(5, p - 3), (p - 5, 3), (p - 5, p - 3), (5, 3), (0, p - 1), (p - 1, 0)]
     for x, y in cases:
-        m0, m1 = max2_material(p, rng)
+        m0, m1 = material_pair("max2", p, rng)
         got, _ = _run(m0, m1, [x, y], p, rng)
         assert got[0] == plain_max2(x, y, p), (x, y)
 
@@ -255,7 +252,7 @@ def test_max2_mixed_signs():
 
 def test_maxpool_k1_identity():
     rng = random.Random(10)
-    m0, m1 = maxpool_material(P10, 1, rng)
+    m0, m1 = material_pair("maxpool", P10, rng, k=1)
     got, s0 = _run(m0, m1, [123], P10, rng)
     assert got[0] == 123
     assert s0.rounds == 0
@@ -265,7 +262,7 @@ def test_maxpool_k1_identity():
 def test_maxpool_random_sets(k):
     p = P6
     rng = random.Random(300 + k)
-    m0, m1 = maxpool_material(p, k, rng)
+    m0, m1 = material_pair("maxpool", p, rng, k=k)
     for trial in range(60):
         _reset_pool(m0)
         _reset_pool(m1)
@@ -281,7 +278,7 @@ def test_maxpool_random_sets(k):
 def test_maxpool_rejects_k0():
     rng = random.Random(11)
     with pytest.raises(GadgetParameterError):
-        maxpool_material(P10, 0, rng)
+        material_pair("maxpool", P10, rng, k=0)
 
 
 # -- argmax --------------------------------------------------------------------------
@@ -290,7 +287,7 @@ def test_maxpool_rejects_k0():
 def test_argmax_named_case():
     p = P10
     rng = random.Random(12)
-    m0, m1 = argmax_material(p, 3, rng)
+    m0, m1 = material_pair("argmax", p, rng, k=3)
     got, s0 = _run(m0, m1, [2, 9, 4], p, rng)
     assert got == [0, 2, 0]
     assert s0.rounds == 2 * math.ceil(math.log2(3)) + 1
@@ -298,7 +295,7 @@ def test_argmax_named_case():
 
 def test_argmax_k1():
     rng = random.Random(13)
-    m0, m1 = argmax_material(P10, 1, rng)
+    m0, m1 = material_pair("argmax", P10, rng, k=1)
     got, _ = _run(m0, m1, [77], P10, rng)
     assert got == [1]
 
@@ -306,7 +303,7 @@ def test_argmax_k1():
 def test_argmax_all_equal_multi_hot():
     p = P10
     rng = random.Random(14)
-    m0, m1 = argmax_material(p, 4, rng)
+    m0, m1 = material_pair("argmax", p, rng, k=4)
     got, _ = _run(m0, m1, [5, 5, 5, 5], p, rng)
     assert got == [1, 2, 3, 4]  # every position reports its own index
 
@@ -315,7 +312,7 @@ def test_argmax_all_equal_multi_hot():
 def test_argmax_random_sets(k):
     p = P6
     rng = random.Random(400 + k)
-    m0, m1 = argmax_material(p, k, rng)
+    m0, m1 = material_pair("argmax", p, rng, k=k)
     for trial in range(40):
         _reset_argmax(m0)
         _reset_argmax(m1)
@@ -341,7 +338,7 @@ def test_reveals_are_masked():
     seen = set()
     for trial in range(30):
         rng = random.Random(500 + trial)
-        m0, m1 = wire_material("relu", p, rng)
+        m0, m1 = material_pair("relu", p, rng)
         log = []
         run_pair(m0, m1, [3], [4], p, reveal_log=log)
         seen.add(log[0][0])
@@ -352,11 +349,11 @@ def test_material_serialization_round_trip():
     p = P10
     rng = random.Random(15)
     mats = [
-        wire_material("relu", p, rng)[0],
-        wire_material("sigmoid", P_BIG, rng, table=sigmoid_table(8, P_BIG))[0],
-        max2_material(p, rng)[1],
-        maxpool_material(p, 3, rng)[0],
-        argmax_material(p, 4, rng)[1],
+        material_pair("relu", p, rng)[0],
+        material_pair("sigmoid", P_BIG, rng, table=sigmoid_table(8, P_BIG))[0],
+        material_pair("max2", p, rng)[1],
+        material_pair("maxpool", p, rng, k=3)[0],
+        material_pair("argmax", p, rng, k=4)[1],
     ]
     for mat in mats:
         buf = serialize_material(mat)
@@ -368,7 +365,7 @@ def test_material_serialization_round_trip():
 def test_serialized_material_still_evaluates():
     p = P10
     rng = random.Random(16)
-    m0, m1 = max2_material(p, rng)
+    m0, m1 = material_pair("max2", p, rng)
     m0b = deserialize_material(serialize_material(m0))
     got, _ = _run(m0b, m1, [9, p - 2], p, rng)
     assert got[0] == plain_max2(9, p - 2, p)

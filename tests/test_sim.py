@@ -2,9 +2,9 @@
 
 These runs go through the whole protocol path (owner, dealer, both servers
 and their enclaves) and let `Simulation._trusted_checks` verify F + B = Y for
-every secret linear layer and c = a*B for every Beaver triple.  They check
-no labels against `reference_infer`.  A party that raises must stop the run
-with an error that names it, in bounded time.
+every secret linear layer and c = a*B for every Beaver triple.  Only the
+maxpool model's run checks its labels against `reference_infer`.  A party
+that raises must stop the run with an error that names it, in bounded time.
 """
 
 import itertools
@@ -14,6 +14,8 @@ import threading
 import pytest
 
 from pairml import models
+from pairml.engine import ArgmaxLayer, MaxPoolVecLayer, ModelManifest, reference_infer
+from pairml.fixedpoint import FixedPointCodec
 from pairml.hss import TripleGenSession
 from pairml.params import ProtocolParams
 from pairml.sim import PartyError, RunConfig, Simulation, encode_inputs, run_inproc
@@ -51,6 +53,26 @@ def test_online_reveals_match_the_closed_form_budget(model):
             for phase, run in itertools.groupby(role.peer.log, lambda e: e.phase)
             if phase == PHASE_ONLINE]
         assert per_session == [role.online_budget_elements()] * 2
+
+
+@pytest.mark.parametrize("mode", ["single-tee", "multi-tee"])
+def test_a_maxpool_model_matches_the_reference(mode):
+    # at seed 9 every pooled pair holds two distinct values and the logits
+    # (66, 0, 57) pick one label; many seeds give all-zero logits, whose
+    # multi-hot label a wrong max would not change
+    rng = random.Random(9)
+    codec = FixedPointCodec(PARAMS)
+    manifest = ModelManifest("pool", PARAMS.fp_scale, 8, [
+        models._dense(codec, rng, 8, 8, "relu"), MaxPoolVecLayer(2),
+        models._dense(codec, rng, 4, 3, "relu"), ArgmaxLayer()])
+    inputs = encode_inputs(manifest, PARAMS, [models.random_input(manifest, rng)])
+    result = run_inproc(PARAMS, manifest, inputs,
+                        RunConfig(mode=mode, trusted_test=True, seed=9))
+    assert result.labels == [reference_infer(manifest, PARAMS, inputs[0])]
+    for role in result.roles:
+        sent = sum(e.size for e in role.peer.log if e.direction == "send"
+                   and e.kind == KIND_MASKED_REVEAL and e.phase == PHASE_ONLINE)
+        assert sent // 8 == role.online_budget_elements()
 
 
 def _failed_run(model: str, patch, deadline: float = 30.0) -> PartyError:

@@ -42,7 +42,7 @@ def _triples(params, seed=7):
 
 def test_genrand_share_identity(small_params):
     p = small_params.p
-    a = TeeParty(0, 0, b"seed-a" * 6)
+    a = TeeParty(b"seed-a" * 6)
     for _ in range(1000):
         piece = a.genrand(p)
         assert (piece.sh0 + piece.sh1) % p == piece.r
@@ -50,8 +50,8 @@ def test_genrand_share_identity(small_params):
 
 def test_genrand_cross_server_determinism(small_params):
     p = small_params.p
-    t0 = TeeParty(0, 1, b"shared-pair-seed")
-    t1 = TeeParty(1, 1, b"shared-pair-seed")
+    t0 = TeeParty(b"shared-pair-seed")
+    t1 = TeeParty(b"shared-pair-seed")
     for _ in range(50):
         a, b = t0.genrand(p), t1.genrand(p)
         assert (a.r, a.sh0, a.sh1) == (b.r, b.sh0, b.sh1)
@@ -59,7 +59,7 @@ def test_genrand_cross_server_determinism(small_params):
 
 
 def test_counter_monotone_and_overflow():
-    t = TeeParty(0, 0, b"x")
+    t = TeeParty(b"x")
     c0 = t.counter
     t.draw_bytes(4)
     assert t.counter == c0 + 1
@@ -387,6 +387,32 @@ def test_batched_materials_are_pinned(testing_params, kind, k, seed):
         mat = tee.gadget_material(kind, k=k, table=table)
         got.append(hashlib.sha256(serialize_material(mat)).hexdigest()[:32])
     assert tuple(got) == PINNED[(kind, k, seed)]
+
+
+# the same digests for single-TEE materials, each made centrally by one
+# enclave from the pair seed's PRF stream
+PINNED_SINGLE = {
+    ("relu", 1, 61): ("b9403a00af2c94c85153dba5abc96470",
+                      "bdf2153ceeceae6659cba436b6d4f1cd"),
+    ("tanh", 1, 62): ("5c04e6c1644d448c337a8a1c61e88ab0",
+                      "41e653abda17cc5bfdb59cd169e84e7c"),
+    ("maxpool", 4, 64): ("77035bd6997172d20ace6188e993bcba",
+                         "0005d39d858a3d0871ea19513e67f4aa"),
+    ("argmax", 8, 65): ("23a588e484976c3d158c93042868719b",
+                        "a818a695a4885c827c5c5cfc66e01472"),
+}
+
+
+@pytest.mark.parametrize("kind, k, seed", list(PINNED_SINGLE))
+def test_single_tee_materials_are_pinned(testing_params, kind, k, seed):
+    table = (tanh_table(testing_params.fp_scale, testing_params.p)
+             if kind == "tanh" else None)
+    got = []
+    for server in (0, 1):
+        tee, _ = build_single_tee(server, testing_params, _bundle(seed))
+        mat = tee.gadget_material(kind, k=k, table=table)
+        got.append(hashlib.sha256(serialize_material(mat)).hexdigest()[:32])
+    assert tuple(got) == PINNED_SINGLE[(kind, k, seed)]
 
 
 class _Roots:
