@@ -401,7 +401,8 @@ class SessionMaterial:
 
 class ServerRole:
     """One server's protocol endpoint; both servers run identical call
-    sequences against their own shares."""
+    sequences against their own shares.  Each `run_*` phase is a generator
+    that yields the channel it waits on (see `sim.run_parties`)."""
 
     def __init__(self, b: int, params: ProtocolParams, peer: Channel,
                  dealer: Channel, owner: Channel, mode: str = "single-tee",
@@ -428,10 +429,9 @@ class ServerRole:
     # ---- setup -------------------------------------------------------------
 
     def run_setup(self):
-        self.peer.send(KIND_HELLO, PHASE_SETUP, b"")
-        self.peer.recv()
+        yield from self.peer.exchange(KIND_HELLO, PHASE_SETUP, b"")
         size = RingPoly.wire_size(self.params, "q")
-        with Reader(self.dealer.recv().payload) as r:
+        with Reader((yield from self.dealer.wait()).payload) as r:
             seeds = [r.raw(32) for _ in range(r.u32())]
             pk0, pk1, s_share = (RingPoly.deserialize(self.params, r.raw(size))
                                  for _ in range(3))
@@ -449,7 +449,7 @@ class ServerRole:
     # ---- model loading -----------------------------------------------------
 
     def run_load(self):
-        with Reader(self.owner.recv().payload) as r:
+        with Reader((yield from self.owner.wait()).payload) as r:
             self.manifest = parse_manifest(r.blob())
         self.lowered = lower_manifest(self.manifest, self.params)
         p = self.params.p
@@ -468,8 +468,8 @@ class ServerRole:
                 [[self.rng.randrange(p) for _ in range(step.m)]
                  for _ in range(step.n)], dtype=object)
             f_share = (y_share - b_share) % p
-            peer_f = decode_mat(self.peer.exchange(
-                KIND_MASKED_REVEAL, PHASE_LOAD, encode_mat(f_share)).payload)
+            peer_f = decode_mat((yield from self.peer.exchange(
+                KIND_MASKED_REVEAL, PHASE_LOAD, encode_mat(f_share))).payload)
             self.f_public[step.job_id] = (f_share + peer_f) % p
             self.b_shares[step.job_id] = b_share
         # dealer conversion of every packed column of B
@@ -479,7 +479,8 @@ class ServerRole:
             bmat = self.b_shares[job.job_id]
             for t in range(job.m):
                 req.u32(job.job_id).u32(t).u32(bmat.shape[0]).u64s(bmat[:, t])
-        reply = self.dealer.exchange(KIND_DEALER, PHASE_LOAD, req.getvalue())
+        reply = yield from self.dealer.exchange(KIND_DEALER, PHASE_LOAD,
+                                                req.getvalue())
         size = RingPoly.wire_size(self.params, "q")
         with Reader(reply.payload) as r:
             for _ in range(r.u32()):
@@ -495,8 +496,9 @@ class ServerRole:
         setup = DealerSetup(self.setup_msg[0], self.setup_msg[1])
         triple_sess = TripleGenSession(self.params, self.plan, self.b, setup,
                                        self.b_shares, self.converted, self.rng)
-        reply = self.peer.exchange(KIND_CIPHERTEXT, PHASE_PREPROCESS,
-                                   Writer().blobs(triple_sess.start()).getvalue())
+        reply = yield from self.peer.exchange(
+            KIND_CIPHERTEXT, PHASE_PREPROCESS,
+            Writer().blobs(triple_sess.start()).getvalue())
         with Reader(reply.payload) as r:
             peer_blobs = r.blobs()
         triple_sess.feed(peer_blobs)
@@ -522,8 +524,7 @@ class ServerRole:
         mat.consumed = True
         p = self.params.p
         scale = self.manifest.fp_scale
-        frame = self.owner.recv()
-        x = decode_vec(frame.payload)
+        x = decode_vec((yield from self.owner.wait()).payload)
         gadget_idx = 0
         for idx, step in enumerate(self.lowered):
             self.layer = idx
@@ -532,9 +533,9 @@ class ServerRole:
                 triple.consume()
                 e_share = [(int(xv) - int(av)) % p
                            for xv, av in zip(x, triple.a)]
-                peer_e = decode_vec(self.peer.exchange(
+                peer_e = decode_vec((yield from self.peer.exchange(
                     KIND_MASKED_REVEAL, PHASE_ONLINE,
-                    encode_vec(e_share)).payload)
+                    encode_vec(e_share))).payload)
                 e = np.array([(a + b) % p for a, b in zip(e_share, peer_e)],
                              dtype=object)
                 xs = np.array(x, dtype=object)
@@ -546,7 +547,7 @@ class ServerRole:
                 z = (np.array(x, dtype=object) @ step.mat) % p
                 x = truncate_share_vec(z, scale, self.b, p)
             else:
-                x = self._run_gadget(step, mat.gadgets[gadget_idx], x)
+                x = yield from self._run_gadget(step, mat.gadgets[gadget_idx], x)
                 gadget_idx += 1
                 if step.table is not None:  # a spline's output is at scale 2s
                     x = truncate_share_vec(x, scale, self.b, p)
@@ -558,12 +559,12 @@ class ServerRole:
         p, k = self.params.p, step.k
 
         def reveal(flat):
-            peer = decode_vec(self.peer.exchange(
-                KIND_MASKED_REVEAL, PHASE_ONLINE, encode_vec(flat)).payload)
+            peer = decode_vec((yield from self.peer.exchange(
+                KIND_MASKED_REVEAL, PHASE_ONLINE, encode_vec(flat))).payload)
             return [(a + b) % p for a, b in zip(flat, peer)]
 
-        return drive([make_session(m, x[i * k:(i + 1) * k])
-                      for i, m in enumerate(materials)], reveal)
+        return (yield from drive([make_session(m, x[i * k:(i + 1) * k])
+                                  for i, m in enumerate(materials)], reveal))
 
     # ---- closed-form online budget -------------------------------------------
 
@@ -598,7 +599,8 @@ def max2_count(k: int) -> int:
 
 class DealerRole:
     """Ideal-functionality stand-in for the garbled-circuit steps: brokers
-    seeds and keys at setup, converts masked-matrix columns at load."""
+    seeds and keys at setup, converts masked-matrix columns at load (a
+    generator, like the `ServerRole` phases)."""
 
     def __init__(self, params: ProtocolParams, chan0: Channel, chan1: Channel,
                  rng):
@@ -620,8 +622,8 @@ class DealerRole:
             self.chans[b].send(KIND_DEALER, PHASE_SETUP, w.getvalue())
 
     def run_convert(self):
-        reqs = [self._parse_req(ch.recv().payload) for ch in self.chans]
-        (s0, cols0), (s1, cols1) = reqs
+        s0, cols0 = self._parse_req((yield from self.chans[0].wait()).payload)
+        s1, cols1 = self._parse_req((yield from self.chans[1].wait()).payload)
         if sorted(cols0) != sorted(cols1):
             raise EngineError("servers disagree on conversion requests")
         # the pack plan is public: job shapes follow from the request keys

@@ -341,7 +341,9 @@ def _relu_share(mat: WireMaterial, w: int) -> int:
 #
 # A session's start() and feed() return the masked shares it reveals in its
 # next round, or None once `output` holds its output shares; `drive` runs
-# any number of sessions side by side.
+# any number of sessions side by side.  A multi-round session is one `_play`
+# generator whose yields are its rounds; a maxpool level and an argmax's
+# pool run through `drive` inside it.
 
 
 class ReluSession:
@@ -394,54 +396,65 @@ class SplineSession:
         return None
 
 
+def _resume(session, revealed):
+    """Run a multi-round session's `_play` to its next round: the masked
+    shares that round reveals, or None once `output` holds the output."""
+    try:
+        batch = session.play.send(revealed)
+    except StopIteration as end:
+        session.output = end.value
+        return None
+    session.rounds += 1
+    return batch
+
+
+def _start(session):
+    """Start a multi-round session's `_play`: its first round's masked shares.
+    Each such class binds `start, feed = _start, _resume` as its own."""
+    session.play = session._play()
+    return _resume(session, None)
+
+
+def _round(flat):
+    """A `drive` reveal that hands the masked shares up to the enclosing
+    session's round, which feeds back the revealed values."""
+    return (yield flat)
+
+
 class Max2Session:
     def __init__(self, mat: Max2Material, x_share: int, y_share: int):
         mat.consume()
         self.mat = mat
-        p = mat.p
-        self.x = int(x_share) % p
-        self.y = int(y_share) % p
-        self.stage = 0
+        self.x = int(x_share) % mat.p
+        self.y = int(y_share) % mat.p
         self.output: list[int] | None = None
         self.rounds = 0
 
-    def start(self):
-        m = self.mat
+    start, feed = _start, _resume
+
+    def _play(self):
+        m, x, y = self.mat, self.x, self.y
         p = m.p
         for sub in (m.relu_xy, m.relu_x, m.relu_y):
             sub.consume()
-        self.rounds += 1
-        return [((self.x - self.y) % p + m.relu_xy.mask_share) % p,
-                (self.x + m.relu_x.mask_share) % p,
-                (self.y + m.relu_y.mask_share) % p]
-
-    def feed(self, revealed):
-        m = self.mat
-        p = m.p
-        if self.stage == 0:
-            wa, wb, wc = revealed
-            relu_xy, relu_x, relu_y = (
-                _relu_share(sub, w)
-                for sub, w in ((m.relu_xy, wa), (m.relu_x, wb), (m.relu_y, wc)))
-            self.u1 = (relu_xy + self.y) % p
-            self.u2 = (relu_x + relu_y) % p
-            self.u3 = (self.u2 - self.x - self.y) % p
-            self.stage = 1
-            self.rounds += 1
-            return [(self.u2 + m.r3_share) % p,
-                    (self.u3 + m.r4_share) % p,
-                    (self.u1 + m.r5_share) % p,
-                    (self.u2 + m.r6_share) % p]
-        w3, w4, w5, w6 = revealed
+        wa, wb, wc = yield [((x - y) % p + m.relu_xy.mask_share) % p,
+                            (x + m.relu_x.mask_share) % p,
+                            (y + m.relu_y.mask_share) % p]
+        relu_xy, relu_x, relu_y = (
+            _relu_share(sub, w)
+            for sub, w in ((m.relu_xy, wa), (m.relu_x, wb), (m.relu_y, wc)))
+        u1 = (relu_xy + y) % p
+        u2 = (relu_x + relu_y) % p
+        u3 = (u2 - x - y) % p
+        w3, w4, w5, w6 = yield [(u2 + m.r3_share) % p, (u3 + m.r4_share) % p,
+                                (u1 + m.r5_share) % p, (u2 + m.r6_share) % p]
         e3 = dpf_eval(m.party, m.pf3, w3)
         e4 = dpf_eval(m.party, m.pf4, w4)
         s_b = (e3[0] + e4[0]) % p
         s_br5 = (e3[1] + e4[1]) % p
         s_br6 = (e3[2] + e4[2]) % p
         # max = b*u1 + (1-b)*u2, with u1, u2 only available masked
-        out = (w5 * s_b - s_br5 + self.u2 - w6 * s_b + s_br6) % p
-        self.output = [out]
-        return None
+        return [(w5 * s_b - s_br5 + u2 - w6 * s_b + s_br6) % p]
 
 
 def _tournament(k: int) -> list[list[tuple[int, int]]]:
@@ -457,64 +470,27 @@ def _tournament(k: int) -> list[list[tuple[int, int]]]:
 
 
 class MaxPoolSession:
-    """Tournament of max2 nodes; one max share out.  2*ceil(log2 k) rounds."""
+    """Tournament of max2 nodes; one max share out.  2*ceil(log2 k) rounds:
+    each level drives its nodes side by side."""
 
     def __init__(self, mat: MaxPoolMaterial, in_shares):
         if len(in_shares) != mat.k:
             raise GadgetParameterError("maxpool input width mismatch")
         self.mat = mat
         self.values = [int(v) % mat.p for v in in_shares]
-        self.levels = _tournament(mat.k)
-        self.level_idx = 0
-        self.node_idx = 0
-        self.sessions: list[Max2Session] = []
         self.output: list[int] | None = None
         self.rounds = 0
 
-    def start(self):
-        if not self.levels:
-            self.output = [self.values[0]]
-            return None
-        return self._open_level()
+    start, feed = _start, _resume
 
-    def _open_level(self):
-        pairs = self.levels[self.level_idx]
-        self.sessions = []
-        batch = []
-        self._splits = []
-        for (i, j) in pairs:
-            sess = Max2Session(self.mat.nodes[self.node_idx],
-                               self.values[i], self.values[j])
-            self.node_idx += 1
-            part = sess.start()
-            self._splits.append(len(part))
-            batch.extend(part)
-            self.sessions.append(sess)
-        self.rounds += 1
-        return batch
-
-    def feed(self, revealed):
-        batch = []
-        off = 0
-        splits = []
-        for sess, ln in zip(self.sessions, self._splits):
-            part = sess.feed(revealed[off:off + ln])
-            off += ln
-            if part is not None:
-                splits.append(len(part))
-                batch.extend(part)
-        if batch:
-            self._splits = splits
-            self.rounds += 1
-            return batch
-        # level finished: collect winners into slot a of each pair
-        for sess, (i, _) in zip(self.sessions, self.levels[self.level_idx]):
-            self.values[i] = sess.output[0]
-        self.level_idx += 1
-        if self.level_idx < len(self.levels):
-            return self._open_level()
-        self.output = [self.values[0]]
-        return None
+    def _play(self):
+        values, nodes = self.values, iter(self.mat.nodes)
+        for pairs in _tournament(self.mat.k):
+            winners = yield from drive([Max2Session(next(nodes), values[i], values[j])
+                                        for i, j in pairs], _round)
+            for (i, _), v in zip(pairs, winners):
+                values[i] = v
+        return [values[0]]
 
 
 class ArgmaxSession:
@@ -525,36 +501,19 @@ class ArgmaxSession:
         self.mat = mat
         self.shares = [int(v) % mat.p for v in in_shares]
         self.pool = MaxPoolSession(mat.pool, in_shares)
-        self.in_pool = True
         self.output: list[int] | None = None
         self.rounds = 0
 
-    def start(self):
-        batch = self.pool.start()
-        if batch is None:
-            return self._final_round()
-        self.rounds += 1
-        return batch
+    start, feed = _start, _resume
 
-    def _final_round(self):
-        p = self.mat.p
-        mu = self.pool.output[0]
-        self.in_pool = False
-        self.rounds += 1
-        return [(x - mu + rho) % p
-                for x, rho in zip(self.shares, self.mat.rho_shares)]
-
-    def feed(self, revealed):
-        if self.in_pool:
-            batch = self.pool.feed(revealed)
-            if batch is not None:
-                self.rounds += 1
-                return batch
-            return self._final_round()
-        p = self.mat.p
-        self.output = [dpf_eval(self.mat.party, key, d)[0] % p
-                       for key, d in zip(self.mat.pf_keys, revealed)]
-        return None
+    def _play(self):
+        m = self.mat
+        p = m.p
+        (mu,) = yield from drive([self.pool], _round)
+        revealed = yield [(x - mu + rho) % p
+                          for x, rho in zip(self.shares, m.rho_shares)]
+        return [dpf_eval(m.party, key, d)[0] % p
+                for key, d in zip(m.pf_keys, revealed)]
 
 
 def make_session(mat, in_shares):
@@ -571,13 +530,14 @@ def make_session(mat, in_shares):
     raise GadgetParameterError(f"unknown material {type(mat)!r}")
 
 
-def drive(sessions, reveal) -> list[int]:
+def drive(sessions, reveal):
     """Run `sessions` to their end, one masked-reveal round per call of
-    `reveal`, which maps the flat masked shares of every pending session to
-    the revealed values; the sessions' outputs, concatenated."""
+    `reveal`, a generator that maps the flat masked shares of every pending
+    session to the revealed values; the sessions' outputs, concatenated."""
     pending = [s.start() for s in sessions]
     while any(batch is not None for batch in pending):
-        revealed = reveal([v for batch in pending if batch is not None for v in batch])
+        revealed = yield from reveal([v for batch in pending if batch is not None
+                                      for v in batch])
         off = 0
         for i, (s, batch) in enumerate(zip(sessions, pending)):
             if batch is not None:
@@ -596,8 +556,10 @@ def run_pair(mat0, mat1, shares0, shares1, p: int, reveal_log: list | None = Non
         if reveal_log is not None:
             reveal_log.append(revealed)
         return revealed * 2
+        yield  # a generator that waits on nothing: both halves are at hand
 
-    drive(sessions, reveal)
+    for _ in drive(sessions, reveal):
+        pass
     return sessions[0], sessions[1]
 
 

@@ -1,10 +1,10 @@
-"""In-process simulation: two server threads, a dealer thread, owner drivers,
-and trusted-test reconstruction checks."""
+"""In-process simulation: the dealer, two servers and the owner, each a
+generator, stepped in one thread by `run_parties`, and trusted-test
+reconstruction checks."""
 
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +32,7 @@ from .transport import (
     PHASE_ONLINE,
     PHASE_PREPROCESS,
     PHASE_SETUP,
+    TransportError,
     WIDE_AREA,
     inproc_pair,
 )
@@ -42,8 +43,8 @@ class ConfigError(ValueError):
 
 
 class PartyError(RuntimeError):
-    """The first party of a run that failed: who, in which phase and, for a
-    server online, at which lowered layer."""
+    """The party of a run that raised: who, in which phase and, for a server
+    online, at which lowered layer."""
 
     def __init__(self, party: str, phase: int, cause: BaseException,
                  layer: int | None = None):
@@ -51,6 +52,26 @@ class PartyError(RuntimeError):
         super().__init__(f"{party} failed in {PHASE_NAMES[phase]}{where}: {cause!r}")
         self.party, self.phase, self.layer = party, phase, layer
         self.__cause__ = cause
+
+
+def run_parties(parties: dict):
+    """Run every party, a generator that yields the channel it waits on, to
+    its end in this thread: resume each party whose channel has a frame
+    until all have ended.  A party's exception propagates at once; when no
+    party can move, raise TransportError naming each party and its channel."""
+    waits = dict.fromkeys(parties)  # None: the party has not waited yet
+    while waits:
+        moved = False
+        for name, chan in list(waits.items()):
+            if chan is None or chan.ready():
+                moved = True
+                try:
+                    waits[name] = next(parties[name])
+                except StopIteration:
+                    del waits[name]
+        if not moved:
+            raise TransportError("no party can move: " + ", ".join(
+                f"{name} waits on {chan.name}" for name, chan in waits.items()))
 
 
 @dataclass
@@ -96,7 +117,8 @@ class RunResult:
 
 
 class Simulation:
-    """Inproc four-phase run over metered channels."""
+    """Inproc four-phase run over metered channels, every party in this
+    thread; a party that raises stops the run with a `PartyError`."""
 
     def __init__(self, params: ProtocolParams, manifest: ModelManifest,
                  config: RunConfig):
@@ -131,92 +153,72 @@ class Simulation:
         n_sessions = len(inputs_field)
         p = self.params.p
         man0, man1 = split_weights(self.manifest, p, self.owner_rng)
-        failures: list[PartyError] = []
-        lock = threading.Lock()
-
-        def fail(party: str, phase: int, e: Exception, layer: int | None = None):
-            # the first failure is the cause; closing every channel makes
-            # each party blocked in a recv fail after it
-            with lock:
-                failures.append(PartyError(party, phase, e, layer))
-                for ch in self._all_channels():
-                    ch.close()
+        labels = []
+        label_shares = []
 
         def dealer_script():
             phase = PHASE_SETUP
             try:
                 self.dealer.run_setup()
                 phase = PHASE_LOAD
-                self.dealer.run_convert()
+                yield from self.dealer.run_convert()
             except Exception as e:
-                fail("dealer", phase, e)
+                raise PartyError("dealer", phase, e)
 
         def server_script(role: ServerRole):
             phase = PHASE_SETUP
             try:
-                role.run_setup()
+                yield from role.run_setup()
                 phase = PHASE_LOAD
-                role.run_load()
+                yield from role.run_load()
                 for i in range(n_sessions):
                     phase = PHASE_PREPROCESS
-                    role.run_preprocess(i)
+                    yield from role.run_preprocess(i)
                     phase = PHASE_ONLINE
-                    role.run_infer(i)
+                    yield from role.run_infer(i)
             except Exception as e:
-                fail(f"server{role.b}", phase, e,
-                     role.layer if phase == PHASE_ONLINE else None)
+                raise PartyError(f"server{role.b}", phase, e,
+                                 role.layer if phase == PHASE_ONLINE else None)
 
-        threads = [threading.Thread(target=dealer_script, daemon=True)]
-        for role in self.roles:
-            threads.append(threading.Thread(target=server_script, args=(role,),
-                                            daemon=True))
-        for t in threads:
-            t.start()
+        def owner_script():
+            phase = PHASE_LOAD
+            try:
+                # deliver model shares, then per-session input shares
+                for chan, man in zip(self.owner_chans, (man0, man1)):
+                    chan.send(KIND_SHARE_DELIVERY, PHASE_LOAD,
+                              Writer().blob(serialize_manifest(man)).getvalue())
+                phase = PHASE_ONLINE
+                for x in inputs_field:
+                    sh0 = [self.owner_rng.randrange(p) for _ in x]
+                    sh1 = [(int(v) - a) % p for v, a in zip(x, sh0)]
+                    for chan, sh in zip(self.owner_chans, (sh0, sh1)):
+                        chan.send(KIND_SHARE_DELIVERY, PHASE_ONLINE, encode_vec(sh))
+                for _ in range(n_sessions):
+                    outs = []
+                    for chan in self.owner_chans:
+                        outs.append(decode_vec((yield from chan.wait()).payload))
+                    label_shares.append((outs[0], outs[1]))
+                    labels.append([(a + b) % p for a, b in zip(outs[0], outs[1])])
+            except Exception as e:
+                raise PartyError("owner", phase, e)
 
-        labels = []
-        label_shares = []
-        phase = PHASE_LOAD
-        try:
-            # owner: deliver model shares, then per-session input shares
-            for chan, man in zip(self.owner_chans, (man0, man1)):
-                chan.send(KIND_SHARE_DELIVERY, PHASE_LOAD,
-                          Writer().blob(serialize_manifest(man)).getvalue())
-            phase = PHASE_ONLINE
-            for x in inputs_field:
-                sh0 = [self.owner_rng.randrange(p) for _ in x]
-                sh1 = [(int(v) - a) % p for v, a in zip(x, sh0)]
-                for chan, sh in zip(self.owner_chans, (sh0, sh1)):
-                    chan.send(KIND_SHARE_DELIVERY, PHASE_ONLINE, encode_vec(sh))
-            for _ in range(n_sessions):
-                outs = [decode_vec(chan.recv().payload) for chan in self.owner_chans]
-                label_shares.append((outs[0], outs[1]))
-                labels.append([(a + b) % p for a, b in zip(outs[0], outs[1])])
-        except Exception as e:
-            fail("owner", phase, e)
-        for t in threads:
-            t.join(timeout=600)
-        if failures:
-            raise failures[0]
-        errors = ["thread did not finish" for t in threads if t.is_alive()]
+        run_parties({"dealer": dealer_script(),
+                     "server0": server_script(self.roles[0]),
+                     "server1": server_script(self.roles[1]),
+                     "owner": owner_script()})
 
         # collect the tee channels into the registry for sweeps and meters
-        for ch in self._all_channels():
-            self.channels[ch.name] = ch
+        for role in self.roles:
+            self.channels.update((ch.name, ch) for ch in role.tee_channels)
 
         result = RunResult(labels=labels, label_shares=label_shares,
                            channels=self.channels, roles=self.roles,
-                           dealer=self.dealer, errors=errors)
-        if errors:
-            raise RuntimeError(f"simulation errors: {errors}")
+                           dealer=self.dealer)
         if self.config.trusted_test:
             self._trusted_checks(result)
         return result
 
-    def _all_channels(self) -> list[Channel]:
-        return [*self.channels.values(),
-                *(ch for role in self.roles for ch in role.tee_channels)]
-
-    # -- trusted-test-mode reconstruction assertions ---------------------------
+    # -- trusted-test-mode reconstruction checks --------------------------------
 
     def _trusted_checks(self, result: RunResult):
         p = self.params.p
@@ -227,10 +229,11 @@ class Simulation:
             jid = step.job_id
             b_full = (r0.b_shares[jid] + r1.b_shares[jid]) % p
             f_pub = r0.f_public[jid]
-            assert np.array_equal(f_pub, r1.f_public[jid]), "F disagreement"
+            if not np.array_equal(f_pub, r1.f_public[jid]):
+                raise RuntimeError(f"the servers disagree on F at job {jid}")
             y_full = (f_pub + b_full) % p
-            assert np.array_equal(y_full, np.array(step.y, dtype=object) % p), \
-                f"F + B != Y at job {jid}"
+            if not np.array_equal(y_full, np.array(step.y, dtype=object) % p):
+                raise RuntimeError(f"F + B != Y at job {jid}")
         flagged = []
         for sid in r0.sessions:
             t0s, t1s = r0.sessions[sid].triples, r1.sessions[sid].triples
@@ -242,12 +245,12 @@ class Simulation:
                 if list(c) != list(expect):
                     flagged.append(f"flagged triple: session {sid} job {jid}")
         if flagged:
-            result.errors.extend(flagged)
             raise RuntimeError(f"trusted-test checks failed: {flagged}")
         if self.config.mode == "multi-tee":
             for role in result.roles:
                 bad = role.tee.check_view_discipline()
-                assert not bad, bad
+                if bad:
+                    raise RuntimeError(f"server{role.b} view discipline: {bad}")
 
 
 def encode_inputs(manifest: ModelManifest, params: ProtocolParams,

@@ -8,9 +8,9 @@ nothing but declared operation types ever crosses a wide-area channel.
 
 from __future__ import annotations
 
-import queue
 import struct
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 # channel classes
@@ -78,9 +78,8 @@ class ChannelMeter:
         self.msgs_sent += 1
         self._last_dir = "send"
 
-    def on_recv(self, wire: int, waited: float):
+    def on_recv(self, wire: int):
         self.recv_bytes += wire
-        self.wait_seconds += waited
         if self._last_dir == "send":
             self.rounds += 1
         self._last_dir = "recv"
@@ -98,12 +97,15 @@ class LogEntry:
 class Channel:
     """One endpoint of a bidirectional framed link.
 
+    A `recv` takes a queued frame, and raises with none queued.  A party
+    that must wait is a generator that runs `yield from chan.wait()`: it
+    yields the channel until `ready()`, and its meter counts that time.
     Only wide-area endpoints keep a message log: the leakage sweep reads
-    nothing else.  `close` makes a `recv` blocked on either end raise.
+    nothing else.
     """
 
     def __init__(self, name: str, chan_class: str, send_raw, recv_raw,
-                 record: bool = False, close_raw=None):
+                 record: bool = False, ready=None):
         self.name = name
         self.chan_class = chan_class
         self.meter = ChannelMeter(chan_class)
@@ -112,7 +114,7 @@ class Channel:
         self._logged = chan_class == WIDE_AREA
         self._send_raw = send_raw
         self._recv_raw = recv_raw
-        self._close_raw = close_raw
+        self.ready = ready  # () -> bool: a frame is waiting
 
     def send(self, kind: int, phase: int, payload: bytes):
         frame = Frame(kind, phase, payload).encode(self.chan_class)
@@ -123,11 +125,10 @@ class Channel:
                                      payload if self.record else None))
 
     def recv(self) -> Frame:
-        t0 = time.perf_counter()
-        raw = self._recv_raw()
-        waited = time.perf_counter() - t0
-        if raw is None:
-            raise TransportError(f"{self.name}: channel closed")
+        try:
+            raw = self._recv_raw()
+        except IndexError:
+            raise TransportError(f"{self.name}: nothing to receive") from None
         if len(raw) < HEADER.size:
             raise TransportError(f"short frame: {len(raw)} bytes")
         magic, ver, kind, phase, cls, _, length = HEADER.unpack_from(raw, 0)
@@ -136,33 +137,32 @@ class Channel:
         payload = raw[HEADER.size:]
         if len(payload) != length:
             raise TransportError("frame length mismatch")
-        self.meter.on_recv(len(raw), waited)
+        self.meter.on_recv(len(raw))
         if self._logged:
             self.log.append(LogEntry("recv", kind, phase, len(payload),
                                      payload if self.record else None))
         return Frame(kind, phase, payload)
 
-    def exchange(self, kind: int, phase: int, payload: bytes) -> Frame:
-        """Symmetric send-then-receive; the protocol's only blocking pattern."""
-        self.send(kind, phase, payload)
+    def wait(self):
+        """Yield this channel until a frame is ready; that frame."""
+        t0 = time.perf_counter()
+        while not self.ready():
+            yield self
+        self.meter.wait_seconds += time.perf_counter() - t0
         return self.recv()
 
-    def close(self):
-        self._close_raw()
+    def exchange(self, kind: int, phase: int, payload: bytes):
+        """Symmetric send-then-receive; the protocol's only waiting pattern."""
+        self.send(kind, phase, payload)
+        return (yield from self.wait())
 
 
 def inproc_pair(name_a: str, name_b: str, chan_class: str,
                 record: bool = False) -> tuple[Channel, Channel]:
-    # SimpleQueue: C-implemented, thread-safe, no task tracking to pay for
-    qa: queue.SimpleQueue = queue.SimpleQueue()
-    qb: queue.SimpleQueue = queue.SimpleQueue()
-
-    def close():  # None in each queue wakes a recv waiting on either end
-        qa.put(None)
-        qb.put(None)
-
-    a = Channel(name_a, chan_class, qa.put, qb.get, record, close)
-    b = Channel(name_b, chan_class, qb.put, qa.get, record, close)
+    qa: deque = deque()  # frames from a to b
+    qb: deque = deque()
+    a = Channel(name_a, chan_class, qa.append, qb.popleft, record, lambda: bool(qb))
+    b = Channel(name_b, chan_class, qb.append, qa.popleft, record, lambda: bool(qa))
     return a, b
 
 

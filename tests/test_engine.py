@@ -1,5 +1,4 @@
 import random
-import threading
 
 import numpy as np
 import pytest
@@ -10,26 +9,8 @@ from pairml.engine import (ConvLayer, DealerRole, DenseLayer, GadgetLayer,
                            direct_conv, im2col_matrix, lower_manifest)
 from pairml.hss import dealer_setup
 from pairml.params import ProtocolParams
+from pairml.sim import run_parties
 from pairml.transport import KIND_DEALER, PHASE_LOAD, WIDE_AREA, inproc_pair
-
-
-def _run_threads(*targets, timeout=60.0):
-    errors = []
-
-    def guard(fn):
-        try:
-            fn()
-        except Exception as e:  # reported below, so a failed party fails the test
-            errors.append(e)
-
-    threads = [threading.Thread(target=guard, args=(fn,), daemon=True)
-               for fn in targets]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout)
-    assert not any(t.is_alive() for t in threads), "a party did not finish"
-    assert not errors, errors
 
 
 def test_setup_frame_round_trip():
@@ -40,7 +21,8 @@ def test_setup_frame_round_trip():
     dealer = DealerRole(params, d0d, d1d, random.Random(1))
     servers = [ServerRole(b, params, peer, dealer_chan, owner=None)
                for b, peer, dealer_chan in ((0, peer0, d0s), (1, peer1, d1s))]
-    _run_threads(dealer.run_setup, *(s.run_setup for s in servers))
+    dealer.run_setup()
+    run_parties({f"server{s.b}": s.run_setup() for s in servers})
     for s in servers:
         assert s.setup_msg[0] == dealer.keys.pk
         assert s.tee is not None
@@ -58,7 +40,7 @@ def _convert(params, cols0, cols1):
         for (jid, t), col in cols.items():
             w.u32(jid).u32(t).u32(len(col)).u64s(col)
         server.send(KIND_DEALER, PHASE_LOAD, w.getvalue())
-    dealer.run_convert()
+    run_parties({"dealer": dealer.run_convert()})
     return [server.recv() for server, _ in chans]
 
 

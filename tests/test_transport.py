@@ -1,5 +1,4 @@
 import random
-import threading
 
 import pytest
 
@@ -72,17 +71,16 @@ def test_round_counting():
 
 def test_exchange_helper():
     a, b = inproc_pair("a", "b", WIDE_AREA)
-    out = {}
-
-    def side_b():
-        out["b"] = b.exchange(KIND_MASKED_REVEAL, PHASE_ONLINE, b"from-b")
-
-    t = threading.Thread(target=side_b)
-    t.start()
-    fa = a.exchange(KIND_MASKED_REVEAL, PHASE_ONLINE, b"from-a")
-    t.join()
-    assert fa.payload == b"from-b"
-    assert out["b"].payload == b"from-a"
+    side_a = a.exchange(KIND_MASKED_REVEAL, PHASE_ONLINE, b"from-a")
+    assert next(side_a) is a  # sent, and waits for b's frame
+    assert not a.ready() and b.ready()
+    side_b = b.exchange(KIND_MASKED_REVEAL, PHASE_ONLINE, b"from-b")
+    with pytest.raises(StopIteration) as got_b:  # a's frame was already queued
+        next(side_b)
+    assert got_b.value.value.payload == b"from-a"
+    with pytest.raises(StopIteration) as got_a:
+        next(side_a)
+    assert got_a.value.value.payload == b"from-b"
 
 
 def test_short_frame_rejected():
@@ -128,24 +126,15 @@ def test_only_wide_area_channels_keep_logs():
         f"wan-a: kind {KIND_B3PC} not declared for wide-area"]
 
 
-def test_close_wakes_a_blocked_recv_on_either_end():
+def test_a_recv_with_nothing_queued_raises():
     a, b = inproc_pair("a", "b", WIDE_AREA)
-    errors = []
-
-    def wait(ch):
-        try:
-            ch.recv()
-        except TransportError as e:
-            errors.append(str(e))
-
-    threads = [threading.Thread(target=wait, args=(ch,), daemon=True)
-               for ch in (a, b)]
-    for t in threads:
-        t.start()
-    a.close()
-    for t in threads:
-        t.join(timeout=10)
-    assert sorted(errors) == ["a: channel closed", "b: channel closed"]
+    a.send(KIND_HELLO, PHASE_SETUP, b"")
+    with pytest.raises(TransportError, match="^a: nothing to receive$"):
+        a.recv()  # a's own frame waits at b, not at a
+    b.recv()
+    with pytest.raises(TransportError, match="^b: nothing to receive$"):
+        b.recv()
+    assert b.meter.recv_bytes == HEADER.size
 
 
 def test_transcript_recording():
