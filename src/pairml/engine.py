@@ -533,11 +533,7 @@ class ServerRole:
                 triple.consume()
                 e_share = [(int(xv) - int(av)) % p
                            for xv, av in zip(x, triple.a)]
-                peer_e = decode_vec((yield from self.peer.exchange(
-                    KIND_MASKED_REVEAL, PHASE_ONLINE,
-                    encode_vec(e_share))).payload)
-                e = np.array([(a + b) % p for a, b in zip(e_share, peer_e)],
-                             dtype=object)
+                e = np.array((yield from self._reveal(e_share)), dtype=object)
                 xs = np.array(x, dtype=object)
                 z = (xs @ self.f_public[step.job_id]
                      + e @ triple.b_mat
@@ -554,17 +550,21 @@ class ServerRole:
         self.layer = None
         self.owner.send(KIND_SHARE_DELIVERY, PHASE_ONLINE, encode_vec(x))
 
+    def _reveal(self, flat: list[int]):
+        """Exchange masked shares with the peer; the revealed values.  A
+        reveal of another length is rejected, not cut to fit."""
+        peer = decode_vec((yield from self.peer.exchange(
+            KIND_MASKED_REVEAL, PHASE_ONLINE, encode_vec(flat))).payload)
+        if len(peer) != len(flat):
+            raise EngineError(f"the peer revealed {len(peer)} values, "
+                              f"expected {len(flat)}")
+        return [(a + b) % self.params.p for a, b in zip(flat, peer)]
+
     def _run_gadget(self, step: GadgetLayer, materials: list,
                     x: list[int]) -> list[int]:
-        p, k = self.params.p, step.k
-
-        def reveal(flat):
-            peer = decode_vec((yield from self.peer.exchange(
-                KIND_MASKED_REVEAL, PHASE_ONLINE, encode_vec(flat))).payload)
-            return [(a + b) % p for a, b in zip(flat, peer)]
-
+        k = step.k
         return (yield from drive([make_session(m, x[i * k:(i + 1) * k])
-                                  for i, m in enumerate(materials)], reveal))
+                                  for i, m in enumerate(materials)], self._reveal))
 
     # ---- closed-form online budget -------------------------------------------
 
@@ -584,14 +584,10 @@ def gadget_reveal_elements(step: GadgetLayer) -> int:
         return step.width
     if step.kind == "maxpool":
         groups = step.width // step.k
-        return groups * max2_count(step.k) * 7  # 3 + 4 reveals per max2 node
+        return groups * (step.k - 1) * 7  # k - 1 max2 nodes, 3 + 4 reveals each
     if step.kind == "argmax":
-        return max2_count(step.k) * 7 + step.k
+        return (step.k - 1) * 7 + step.k
     raise ShapeError(step.kind)
-
-
-def max2_count(k: int) -> int:
-    return k - 1
 
 
 # -- dealer role ------------------------------------------------------------------------------

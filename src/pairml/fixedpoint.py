@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .params import ProtocolParams
 
 
@@ -44,12 +42,6 @@ class FixedPointCodec:
 
     def decode(self, v: int) -> float:
         return to_signed(v, self.params.p) / self.scale
-
-    def encode_vec(self, xs) -> np.ndarray:
-        return np.array([self.encode(float(x)) for x in xs], dtype=np.int64)
-
-    def decode_vec(self, vs) -> np.ndarray:
-        return np.array([self.decode(int(v)) for v in vs], dtype=float)
 
 
 def truncate_share(share: int, f: int, party: int, p: int) -> int:

@@ -12,7 +12,10 @@ single comparison key at threshold r evaluated at two public points:
 
 with D(y) = [y < r], M the public segment length, and the bracketed term a
 public constant.  Payload vectors carry (1, r) so that products ind*z =
-w*ind - ind*r stay linear in revealed values.
+w*ind - ind*r stay linear in revealed values.  A wire's output is the sum
+of ind*(a*z + c) over the segments of its spline; ReLU is the one-segment
+spline [0, (p-1)/2] with slope 1 and intercept 0, so one evaluator serves
+every wire.
 
 Each material's layout is written once, as a recipe against a key source.
 A source has three calls: `mask()` draws a mask, `key(kind, point,
@@ -102,10 +105,13 @@ class SplineTable:
         raise GadgetParameterError("spline segments do not cover input")
 
 
-def _build_table(kind: str, fn, knots: list[float], in_scale: int, p: int,
-                 lo_val: float, hi_val: float) -> SplineTable:
+def _build_table(kind: str, fn, knot_step: float, span: float, in_scale: int,
+                 p: int, lo_val: float, hi_val: float) -> SplineTable:
+    """Knots every `knot_step` over [-span, span], flat outside them."""
     s = 1 << in_scale
     half = _half(p)
+    knots = [round(-span + i * knot_step, 6)
+             for i in range(int(2 * span / knot_step) + 1)]
     enc = [round(k * s) for k in knots]
     if enc[-1] >= half:
         raise GadgetParameterError("spline knots exceed the signed field range")
@@ -122,19 +128,13 @@ def _build_table(kind: str, fn, knots: list[float], in_scale: int, p: int,
     return SplineTable(kind=kind, in_scale=in_scale, segments=tuple(segs))
 
 
-def sigmoid_table(in_scale: int, p: int, knot_step: float = 0.5,
-                  span: float = 8.0) -> SplineTable:
-    knots = [round(-span + i * knot_step, 6)
-             for i in range(int(2 * span / knot_step) + 1)]
+def sigmoid_table(in_scale: int, p: int) -> SplineTable:
     return _build_table("sigmoid", lambda x: 1.0 / (1.0 + math.exp(-x)),
-                        knots, in_scale, p, lo_val=0.0, hi_val=1.0)
+                        0.5, 8.0, in_scale, p, lo_val=0.0, hi_val=1.0)
 
 
-def tanh_table(in_scale: int, p: int, knot_step: float = 0.25,
-               span: float = 4.0) -> SplineTable:
-    knots = [round(-span + i * knot_step, 6)
-             for i in range(int(2 * span / knot_step) + 1)]
-    return _build_table("tanh", math.tanh, knots, in_scale, p,
+def tanh_table(in_scale: int, p: int) -> SplineTable:
+    return _build_table("tanh", math.tanh, 0.25, 4.0, in_scale, p,
                         lo_val=-1.0, hi_val=1.0)
 
 
@@ -299,20 +299,13 @@ def _interval_points(w: int, lo: int, hi: int, p: int) -> tuple[int, int]:
     return (u - (hi - lo) % p - 1) % p, u
 
 
-def _cmp_shares(mat: WireMaterial, points) -> dict[int, list[int]]:
-    """The comparison key's shares at every point, from one tree walk,
-    which expands shared prefixes once."""
-    pts = sorted(set(points))
-    return dict(zip(pts, dcf_eval_many(mat.party, mat.cmp_key, pts)))
-
-
 def _interval_shares(mat: WireMaterial, w: int, lo: int, hi: int,
                      cache: dict[int, list[int]]) -> tuple[int, int]:
     """Shares of (ind, ind*r) for z in [lo, hi] (signed bounds), given w = z+r.
 
     `cache` maps points where the comparison key was evaluated to its shares;
     a point missing from it is evaluated on its own and added.  Sessions fill
-    it first from `_cmp_shares`; an empty cache gives the per-point path.
+    it first in `_wire_share`; an empty cache gives the per-point path.
     """
     p = mat.p
     b = mat.party
@@ -328,13 +321,23 @@ def _interval_shares(mat: WireMaterial, w: int, lo: int, hi: int,
     return s_ind, s_ind_r
 
 
-def _relu_share(mat: WireMaterial, w: int) -> int:
-    """This party's share of relu(z), given w = z + r: the key read at both
-    points of [0, (p-1)/2] in one walk."""
+def _wire_share(mat: WireMaterial, w: int) -> int:
+    """This party's share of the wire's output, given w = z + r: the sum over
+    its segments of ind * (a*z + c), with the comparison key read at both
+    points of every segment in one walk, which expands shared prefixes once.
+    ReLU is the one segment [0, (p-1)/2] with slope 1 and intercept 0."""
     p = mat.p
-    cache = _cmp_shares(mat, _interval_points(w, 0, _half(p), p))
-    s_ind, s_ind_r = _interval_shares(mat, w, 0, _half(p), cache)
-    return (w * s_ind - s_ind_r) % p
+    segments = mat.table.segments if mat.table else ((0, _half(p), 1, 0),)
+    # adjacent segments share endpoints
+    pts = sorted({y for lo, hi, _, _ in segments
+                  for y in _interval_points(w, lo, hi, p)})
+    cache = dict(zip(pts, dcf_eval_many(mat.party, mat.cmp_key, pts)))
+    acc = 0
+    for lo, hi, a, c in segments:
+        s_ind, s_ind_r = _interval_shares(mat, w, lo, hi, cache)
+        # ind*z = w*ind - ind*r, all mod p; a spline lands at scale 2s
+        acc += a * ((w * s_ind - s_ind_r) % p) + c * s_ind
+    return acc % p
 
 
 # -- evaluation sessions -------------------------------------------------------------
@@ -346,6 +349,20 @@ def _relu_share(mat: WireMaterial, w: int) -> int:
 # pool run through `drive` inside it.
 
 
+def _wire_start(session):
+    """A wire session's one round: its masked input share."""
+    session.rounds += 1
+    return [(session.in_share + session.mat.mask_share) % session.mat.p]
+
+
+def _wire_feed(session, revealed):
+    """A wire session's output from its revealed w; nothing more to reveal.
+    ReluSession and SplineSession each bind these two as their own."""
+    (w,) = revealed
+    session.output = [_wire_share(session.mat, w)]
+    return None
+
+
 class ReluSession:
     def __init__(self, mat: WireMaterial, in_share: int):
         mat.consume()
@@ -354,46 +371,16 @@ class ReluSession:
         self.output: list[int] | None = None
         self.rounds = 0
 
-    def start(self):
-        self.rounds += 1
-        return [(self.in_share + self.mat.mask_share) % self.mat.p]
-
-    def feed(self, revealed):
-        (w,) = revealed
-        self.output = [_relu_share(self.mat, w)]
-        return None
+    start, feed = _wire_start, _wire_feed
 
 
-class SplineSession:
+class SplineSession(ReluSession):
     def __init__(self, mat: WireMaterial, in_share: int):
-        mat.consume()
         if mat.table is None:
             raise GadgetParameterError("spline session without table")
-        self.mat = mat
-        self.in_share = int(in_share) % mat.p
-        self.output: list[int] | None = None
-        self.rounds = 0
+        super().__init__(mat, in_share)
 
-    def start(self):
-        self.rounds += 1
-        return [(self.in_share + self.mat.mask_share) % self.mat.p]
-
-    def feed(self, revealed):
-        (w,) = revealed
-        mat = self.mat
-        p = mat.p
-        segments = mat.table.segments
-        # every knot point of the wire in one walk; adjacent segments share
-        # endpoints
-        cache = _cmp_shares(mat, [y for lo, hi, _, _ in segments
-                                  for y in _interval_points(w, lo, hi, p)])
-        acc = 0
-        for lo, hi, a, c in segments:
-            s_ind, s_ind_r = _interval_shares(mat, w, lo, hi, cache)
-            # ind*z = w*ind - ind*r, all mod p; output lands at scale 2s
-            acc += a * ((w * s_ind - s_ind_r) % p) + c * s_ind
-        self.output = [acc % p]
-        return None
+    start, feed = _wire_start, _wire_feed
 
 
 def _resume(session, revealed):
@@ -441,7 +428,7 @@ class Max2Session:
                             (x + m.relu_x.mask_share) % p,
                             (y + m.relu_y.mask_share) % p]
         relu_xy, relu_x, relu_y = (
-            _relu_share(sub, w)
+            _wire_share(sub, w)
             for sub, w in ((m.relu_xy, wa), (m.relu_x, wb), (m.relu_y, wc)))
         u1 = (relu_xy + y) % p
         u2 = (relu_x + relu_y) % p

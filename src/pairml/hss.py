@@ -73,10 +73,6 @@ class PackPlan:
     def n_polys(self) -> int:
         return max(j.poly for j in self.jobs) + 1
 
-    @property
-    def ciphertext_count(self) -> int:
-        return self.n_polys
-
     def slot_range(self, job: PackJob) -> tuple[int, int]:
         start = job.seg * self.seg_len
         return start, start + job.n

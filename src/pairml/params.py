@@ -109,11 +109,6 @@ class ProtocolParams:
         return (self.p - 1).bit_length()
 
     @property
-    def half(self) -> int:
-        """Largest non-negative signed value (p-1)/2."""
-        return (self.p - 1) // 2
-
-    @property
     def magnitude_bound(self) -> int:
         return self.p // 4
 

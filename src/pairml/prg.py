@@ -214,10 +214,10 @@ class PrfStream:
     PrfStream can stand in wherever a random.Random would.
     """
 
-    def __init__(self, seed: bytes, tag: bytes = b"", start: int = 0):
+    def __init__(self, seed: bytes, tag: bytes = b""):
         self._prf = Prf(seed)
         self._tag = tag
-        self.counter = start
+        self.counter = 0
 
     def randbytes(self, n: int) -> bytes:
         out = self._prf.rand_bytes(self.counter, n, self._tag)

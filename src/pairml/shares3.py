@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .prg import PrfStream
-from .transport import Channel, KIND_B3PC
+from .transport import Channel, KIND_B3PC, PHASE_PREPROCESS
 
 
 @dataclass
@@ -108,19 +108,19 @@ def _shift(x: B3, d: int, w: int) -> B3:
 
 
 class TriadNet:
-    """The three pairwise enclave channels of one server, lockstep-driven."""
+    """The three pairwise enclave channels of one server, lockstep-driven.
+    Enclaves run only in preprocessing, so every message is tagged with it."""
 
-    def __init__(self, channels: dict[tuple[int, int], Channel], phase: int):
+    def __init__(self, channels: dict[tuple[int, int], Channel]):
         # channels[(i, j)] sends from enclave i to enclave j
         self.channels = channels
-        self.phase = phase
         self._queued: dict[int, list[list[bytes]]] | None = None
 
     def pass_ring(self, payloads: list[bytes], step: int) -> list[bytes]:
         """Enclave j sends payloads[j] to enclave (j+step) mod 3; returns
         what each enclave received."""
         for j in range(3):
-            self.channels[(j, (j + step) % 3)].send(KIND_B3PC, self.phase,
+            self.channels[(j, (j + step) % 3)].send(KIND_B3PC, PHASE_PREPROCESS,
                                                     payloads[j])
         out = [b""] * 3
         for j in range(3):

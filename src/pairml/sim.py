@@ -5,7 +5,7 @@ reconstruction checks."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,11 +109,8 @@ def split_weights(manifest: ModelManifest, p: int, rng) -> tuple[ModelManifest,
 @dataclass
 class RunResult:
     labels: list[list[int]]
-    label_shares: list[tuple[list[int], list[int]]]
     channels: dict[str, Channel]
     roles: tuple[ServerRole, ServerRole]
-    dealer: DealerRole
-    errors: list[str] = field(default_factory=list)
 
 
 class Simulation:
@@ -127,11 +124,11 @@ class Simulation:
         self.manifest = manifest
         self.config = config
         self.channels: dict[str, Channel] = {}
-        p0, p1 = inproc_pair("s0-peer", "s1-peer", WIDE_AREA, record=True)
-        d0s, d0d = inproc_pair("s0-dealer", "dealer-s0", WIDE_AREA, record=True)
-        d1s, d1d = inproc_pair("s1-dealer", "dealer-s1", WIDE_AREA, record=True)
-        o0s, o0o = inproc_pair("s0-owner", "owner-s0", WIDE_AREA, record=True)
-        o1s, o1o = inproc_pair("s1-owner", "owner-s1", WIDE_AREA, record=True)
+        p0, p1 = inproc_pair("s0-peer", "s1-peer", WIDE_AREA)
+        d0s, d0d = inproc_pair("s0-dealer", "dealer-s0", WIDE_AREA)
+        d1s, d1d = inproc_pair("s1-dealer", "dealer-s1", WIDE_AREA)
+        o0s, o0o = inproc_pair("s0-owner", "owner-s0", WIDE_AREA)
+        o1s, o1o = inproc_pair("s1-owner", "owner-s1", WIDE_AREA)
         for ch in (p0, p1, d0s, d0d, d1s, d1d, o0s, o0o, o1s, o1o):
             self.channels[ch.name] = ch
 
@@ -154,7 +151,6 @@ class Simulation:
         p = self.params.p
         man0, man1 = split_weights(self.manifest, p, self.owner_rng)
         labels = []
-        label_shares = []
 
         def dealer_script():
             phase = PHASE_SETUP
@@ -197,7 +193,6 @@ class Simulation:
                     outs = []
                     for chan in self.owner_chans:
                         outs.append(decode_vec((yield from chan.wait()).payload))
-                    label_shares.append((outs[0], outs[1]))
                     labels.append([(a + b) % p for a, b in zip(outs[0], outs[1])])
             except Exception as e:
                 raise PartyError("owner", phase, e)
@@ -211,9 +206,7 @@ class Simulation:
         for role in self.roles:
             self.channels.update((ch.name, ch) for ch in role.tee_channels)
 
-        result = RunResult(labels=labels, label_shares=label_shares,
-                           channels=self.channels, roles=self.roles,
-                           dealer=self.dealer)
+        result = RunResult(labels=labels, channels=self.channels, roles=self.roles)
         if self.config.trusted_test:
             self._trusted_checks(result)
         return result
@@ -257,10 +250,3 @@ def encode_inputs(manifest: ModelManifest, params: ProtocolParams,
                   xs: list[list[float]]) -> list[list[int]]:
     codec = FixedPointCodec(params, scale_bits=manifest.fp_scale)
     return [[codec.encode(float(v)) for v in x] for x in xs]
-
-
-def run_inproc(params: ProtocolParams, manifest: ModelManifest,
-               inputs_field: list[list[int]], config: RunConfig | None = None
-               ) -> RunResult:
-    sim = Simulation(params, manifest, config or RunConfig())
-    return sim.run(inputs_field)

@@ -68,8 +68,8 @@ class SeedBundle:
     intra_seeds: list[bytes]
 
     @classmethod
-    def from_rng(cls, rng, n_enclaves: int = 3) -> "SeedBundle":
-        return cls(pair_seeds=[rng.randbytes(32) for _ in range(n_enclaves)],
+    def from_rng(cls, rng) -> "SeedBundle":
+        return cls(pair_seeds=[rng.randbytes(32) for _ in range(3)],
                    intra_seeds=[rng.randbytes(32) for _ in range(3)])
 
 
@@ -179,13 +179,13 @@ class TeeTriple:
     """Three enclaves per server with distributed FSS key generation."""
 
     def __init__(self, server: int, params: ProtocolParams, bundle: SeedBundle,
-                 net: TriadNet, to_host: list[Channel], host_ends: list[Channel]):
+                 net: TriadNet, to_host: Channel, host_end: Channel):
         self.server = server
         self.params = params
         self.parties = [TeeParty(bundle.pair_seeds[i]) for i in range(3)]
         self.net = net
-        self.to_host = to_host
-        self.host_ends = host_ends
+        self.to_host = to_host  # enclave 0 delivers the assembled material
+        self.host_end = host_end
         zero_streams = [PrfStream(s, tag=b"zero3") for s in bundle.intra_seeds]
         self.bool3 = Bool3Engine(net, zero_streams)
         self.arith = Arith3Engine(
@@ -455,7 +455,7 @@ class TeeTriple:
         batch = _Batch(self)
         build = recipe(kind, batch, k, table)
         self._gen_keys(batch.plans)
-        return _deliver(build(self.server), self.to_host[0], self.host_ends[0], table)
+        return _deliver(build(self.server), self.to_host, self.host_end, table)
 
 
 def build_single_tee(server: int, params: ProtocolParams, bundle: SeedBundle):
@@ -468,7 +468,7 @@ def build_single_tee(server: int, params: ProtocolParams, bundle: SeedBundle):
 
 
 def build_tee_triple(server: int, params: ProtocolParams, bundle: SeedBundle):
-    from .transport import ENCLAVE, LOCAL, PHASE_PREPROCESS, inproc_pair
+    from .transport import ENCLAVE, LOCAL, inproc_pair
     chans = {}
     all_channels = []
     for i in range(3):
@@ -478,13 +478,8 @@ def build_tee_triple(server: int, params: ProtocolParams, bundle: SeedBundle):
             chans[(i, j)] = a
             chans[(j, i)] = b
             all_channels += [a, b]
-    net = TriadNet(chans, PHASE_PREPROCESS)
-    to_host, host_ends = [], []
-    for i in range(3):
-        enc_end, host_end = inproc_pair(f"s{server}-enc{i}-host",
-                                        f"s{server}-host-enc{i}", LOCAL)
-        to_host.append(enc_end)
-        host_ends.append(host_end)
-        all_channels += [enc_end, host_end]
-    tee = TeeTriple(server, params, bundle, net, to_host, host_ends)
+    enc_end, host_end = inproc_pair(f"s{server}-enc0-host", f"s{server}-host-enc0",
+                                    LOCAL)
+    all_channels += [enc_end, host_end]
+    tee = TeeTriple(server, params, bundle, TriadNet(chans), enc_end, host_end)
     return tee, all_channels

@@ -4,6 +4,9 @@ byte/round accounting, the wide-area leakage sweep, and the dollar-cost model.
 Every protocol message is a 16-byte header plus payload.  The header carries
 a message kind and protocol phase so the leakage sweep can check that
 nothing but declared operation types ever crosses a wide-area channel.
+Channels keep no payload transcripts: a wide-area log entry holds a
+message's direction, kind, phase and size, and the payload goes to its
+receiver alone.
 """
 
 from __future__ import annotations
@@ -91,7 +94,6 @@ class LogEntry:
     kind: int
     phase: int
     size: int
-    payload: bytes | None  # retained only when the channel records transcripts
 
 
 class Channel:
@@ -104,13 +106,11 @@ class Channel:
     nothing else.
     """
 
-    def __init__(self, name: str, chan_class: str, send_raw, recv_raw,
-                 record: bool = False, ready=None):
+    def __init__(self, name: str, chan_class: str, send_raw, recv_raw, ready=None):
         self.name = name
         self.chan_class = chan_class
         self.meter = ChannelMeter(chan_class)
         self.log: list[LogEntry] = []
-        self.record = record
         self._logged = chan_class == WIDE_AREA
         self._send_raw = send_raw
         self._recv_raw = recv_raw
@@ -121,8 +121,7 @@ class Channel:
         self._send_raw(frame)
         self.meter.on_send(len(frame), len(payload))
         if self._logged:
-            self.log.append(LogEntry("send", kind, phase, len(payload),
-                                     payload if self.record else None))
+            self.log.append(LogEntry("send", kind, phase, len(payload)))
 
     def recv(self) -> Frame:
         try:
@@ -139,8 +138,7 @@ class Channel:
             raise TransportError("frame length mismatch")
         self.meter.on_recv(len(raw))
         if self._logged:
-            self.log.append(LogEntry("recv", kind, phase, len(payload),
-                                     payload if self.record else None))
+            self.log.append(LogEntry("recv", kind, phase, len(payload)))
         return Frame(kind, phase, payload)
 
     def wait(self):
@@ -157,12 +155,11 @@ class Channel:
         return (yield from self.wait())
 
 
-def inproc_pair(name_a: str, name_b: str, chan_class: str,
-                record: bool = False) -> tuple[Channel, Channel]:
+def inproc_pair(name_a: str, name_b: str, chan_class: str) -> tuple[Channel, Channel]:
     qa: deque = deque()  # frames from a to b
     qb: deque = deque()
-    a = Channel(name_a, chan_class, qa.append, qb.popleft, record, lambda: bool(qb))
-    b = Channel(name_b, chan_class, qb.append, qa.popleft, record, lambda: bool(qa))
+    a = Channel(name_a, chan_class, qa.append, qb.popleft, lambda: bool(qb))
+    b = Channel(name_b, chan_class, qb.append, qa.popleft, lambda: bool(qa))
     return a, b
 
 
@@ -194,8 +191,7 @@ DEFAULT_CPU_PRICES = {
     "amd": 0.022,
     "sgx": 0.079,
 }
-WAN_PRICE_PER_GB = 0.05          # headline price
-WAN_PRICE_PER_GB_APPENDIX = 0.5  # alternative figure; selectable, not default
+WAN_PRICE_PER_GB = 0.05  # headline price
 
 
 @dataclass(frozen=True)

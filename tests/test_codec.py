@@ -173,8 +173,8 @@ def test_wide_area_formats_pinned():
     ct = encrypt(PARAMS, keys.pk, RingPoly.random(PARAMS, rng, tag="p"), rng)
     got["ct"] = _digest(ct.serialize())
     got["ct_values"] = _coeff_digest(ct.c0, ct.c1)
-    (d0, _s0), (d1, _s1) = (inproc_pair("d0", "s0", WIDE_AREA, record=True),
-                            inproc_pair("d1", "s1", WIDE_AREA, record=True))
+    (d0, s0), (d1, s1) = (inproc_pair("d0", "s0", WIDE_AREA),
+                          inproc_pair("d1", "s1", WIDE_AREA))
     DealerRole(PARAMS, d0, d1, random.Random(45)).run_setup()
-    got["setup0"], got["setup1"] = (_digest(c.log[0].payload) for c in (d0, d1))
+    got["setup0"], got["setup1"] = (_digest(c.recv().payload) for c in (s0, s1))
     assert got == PINNED

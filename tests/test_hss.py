@@ -216,21 +216,21 @@ def test_hss_mult_random_product(pr):
 def test_plan_two_jobs_one_poly(pr):
     plan = plan_packing(pr, [(128, 4), (128, 4)])
     assert plan.seg_len == 128 and plan.k == 2
-    assert plan.n_polys == 1 and plan.ciphertext_count == 1
+    assert plan.n_polys == 1
     assert plan.jobs[0].seg != plan.jobs[1].seg
 
 
 def test_plan_full_width_identity(pr):
     plan = plan_packing(pr, [(pr.n_ring, 2)])
     assert plan.k == 1 and plan.seg_len == pr.n_ring
-    assert plan.ciphertext_count == 1
+    assert plan.n_polys == 1
 
 
 def test_plan_ceiling_formula(pr):
     jobs = [(32, 3)] * 10  # 10 segments of 32 -> ceil(320/256) = 2 polys
     plan = plan_packing(pr, jobs)
     demand = sum(32 for _ in jobs)
-    assert plan.ciphertext_count == -(-demand // pr.n_ring)
+    assert plan.n_polys == -(-demand // pr.n_ring)
 
 
 def test_plan_oversized_rejected(pr):
@@ -259,7 +259,7 @@ def test_triples_random_8x8(pr):
 
 def test_triples_packed_pair(pr):
     plan, out0, out1, (b0s, b1s) = _run_triples(pr, [(8, 8), (8, 8)], 300)
-    assert plan.ciphertext_count == 1  # both triples share one ciphertext
+    assert plan.n_polys == 1  # both triples share one ciphertext
     for j in range(2):
         assert _check_triple(pr.p, out0[j], out1[j], b0s[j], b1s[j])
 
@@ -274,9 +274,9 @@ def test_packed_vs_unpacked_ciphertext_economy(pr):
     k = 4
     n = pr.n_ring // k
     packed = plan_packing(pr, [(n, 2)] * k)
-    assert packed.ciphertext_count == 1
+    assert packed.n_polys == 1
     unpacked = [plan_packing(pr, [(n, 2)]) for _ in range(k)]
-    assert sum(pl.ciphertext_count for pl in unpacked) == k
+    assert sum(pl.n_polys for pl in unpacked) == k
 
 
 def test_session_double_start_raises(pr):

@@ -4,12 +4,12 @@ These runs go through the whole protocol path (owner, dealer, both servers
 and their enclaves) and let `Simulation._trusted_checks` verify F + B = Y for
 every secret linear layer and c = a*B for every Beaver triple.  Only the
 maxpool model's run checks its labels against `reference_infer`.  A party
-that raises must stop the run with an error that names it, in bounded time.
+that raises must stop the run with an error that names it.
 """
 
 import itertools
 import random
-import threading
+import re
 
 import pytest
 
@@ -18,7 +18,7 @@ from pairml.engine import ArgmaxLayer, MaxPoolVecLayer, ModelManifest, reference
 from pairml.fixedpoint import FixedPointCodec
 from pairml.hss import TripleGenSession
 from pairml.params import ProtocolParams
-from pairml.sim import PartyError, RunConfig, Simulation, encode_inputs, run_inproc
+from pairml.sim import PartyError, RunConfig, Simulation, encode_inputs
 from pairml.transport import KIND_MASKED_REVEAL, PHASE_ONLINE
 
 PARAMS = ProtocolParams.testing()
@@ -30,13 +30,12 @@ def _run(model: str, seed: int):
     inputs = encode_inputs(manifest, PARAMS,
                            [models.random_input(manifest, rng) for _ in range(2)])
     config = RunConfig(mode="single-tee", trusted_test=True, seed=seed)
-    return run_inproc(PARAMS, manifest, inputs, config)
+    return Simulation(PARAMS, manifest, config).run(inputs)
 
 
 @pytest.mark.parametrize("model", ["mfnn", "ifnn", "mcnn"])
 def test_trusted_run_verifies_every_triple(model):
     result = _run(model, 3)
-    assert not result.errors
     assert len(result.labels) == 2
     for role in result.roles:
         assert len(role.sessions) == 2
@@ -66,8 +65,8 @@ def test_a_maxpool_model_matches_the_reference(mode):
         models._dense(codec, rng, 8, 8, "relu"), MaxPoolVecLayer(2),
         models._dense(codec, rng, 4, 3, "relu"), ArgmaxLayer()])
     inputs = encode_inputs(manifest, PARAMS, [models.random_input(manifest, rng)])
-    result = run_inproc(PARAMS, manifest, inputs,
-                        RunConfig(mode=mode, trusted_test=True, seed=9))
+    result = Simulation(PARAMS, manifest,
+                        RunConfig(mode=mode, trusted_test=True, seed=9)).run(inputs)
     assert result.labels == [reference_infer(manifest, PARAMS, inputs[0])]
     for role in result.roles:
         sent = sum(e.size for e in role.peer.log if e.direction == "send"
@@ -75,28 +74,17 @@ def test_a_maxpool_model_matches_the_reference(mode):
         assert sent // 8 == role.online_budget_elements()
 
 
-def _failed_run(model: str, patch, deadline: float = 30.0) -> PartyError:
-    """Run one inference with `patch(sim)` applied; the error it raised."""
+def _failed_run(model: str, patch) -> PartyError:
+    """Run one inference with `patch(sim)` applied; the error it raised.  A
+    deadlock raises at once (`sim.run_parties`), so the run cannot hang."""
     manifest = models.GENERATORS[model](PARAMS, random.Random(6))
     inputs = encode_inputs(manifest, PARAMS,
                            [models.random_input(manifest, random.Random(7))])
     sim = Simulation(PARAMS, manifest, RunConfig(seed=6))
     patch(sim)
-    out = []
-
-    def go():
-        try:
-            sim.run(inputs)
-        except Exception as e:
-            out.append(e)
-
-    t = threading.Thread(target=go, daemon=True)
-    t.start()
-    t.join(deadline)
-    assert not t.is_alive(), f"the run still blocks after {deadline} s"
-    (err,) = out
-    assert isinstance(err, PartyError), err
-    return err
+    with pytest.raises(PartyError) as err:
+        sim.run(inputs)
+    return err.value
 
 
 def _boom(*args):
@@ -116,6 +104,30 @@ def test_the_error_names_the_failing_layer(monkeypatch):
         sim.roles[0], "_run_gadget", _boom))
     assert (err.party, err.phase, err.layer) == ("server0", PHASE_ONLINE, 1)
     assert str(err).startswith("server0 failed in online at layer 1: ")
+
+
+@pytest.mark.parametrize("nth, layer", [(0, 0), (1, 1)])
+def test_a_peer_reveal_of_the_wrong_length_fails_the_run(monkeypatch, nth, layer):
+    # server 1's nth online reveal carries one value too many: the e exchange
+    # of mfnn's first dense layer, then the reveal of the relu after it
+    def patch(sim):
+        peer = sim.roles[1].peer
+        send, reveals = peer.send, []
+
+        def long_send(kind, phase, payload):
+            if (kind, phase) == (KIND_MASKED_REVEAL, PHASE_ONLINE):
+                if len(reveals) == nth:
+                    payload += bytes(8)
+                reveals.append(payload)
+            send(kind, phase, payload)
+
+        monkeypatch.setattr(peer, "send", long_send)
+
+    err = _failed_run("mfnn", patch)
+    assert (err.party, err.phase, err.layer) == ("server0", PHASE_ONLINE, layer)
+    got, expected = map(int, re.search(
+        r"the peer revealed (\d+) values, expected (\d+)", str(err)).groups())
+    assert got == expected + 1
 
 
 def test_corrupted_beaver_share_fails_the_run(monkeypatch):

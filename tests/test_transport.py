@@ -137,14 +137,6 @@ def test_a_recv_with_nothing_queued_raises():
     assert b.meter.recv_bytes == HEADER.size
 
 
-def test_transcript_recording():
-    a, b = inproc_pair("a", "b", WIDE_AREA, record=True)
-    a.send(KIND_MASKED_REVEAL, PHASE_ONLINE, b"abc")
-    b.recv()
-    assert a.log[0].payload == b"abc"
-    assert b.log[0].payload == b"abc"
-
-
 # -- cost model ------------------------------------------------------------------
 
 
