@@ -7,7 +7,7 @@ decoders read inside `with Reader(buf) as r:`, which calls `end()`, so each
 accepts exactly one encoding.  Polynomial arrays pass through `raw` as numpy
 bytes.  Transport frame headers keep their own `transport.HEADER`.
 
-Formats carried.  All but the last are pinned, since they cross a wide-area
+Formats carried.  All but the last two are pinned, since they cross a wide-area
 channel or a test pins them (`tests/test_codec.py`, and `tests/test_fss.py`
 for keys):
 
@@ -20,7 +20,10 @@ for keys):
 * `RingPoly` and `LprCiphertext`, in `ring` and `lpr`;
 * DPF/DCF keys, `fss._serialize_tree`;
 * the material blob, `gadgets.serialize_material`, which only crosses the
-  local enclave-to-host channel; its layout is versioned by `_MAT_VERSION`.
+  local enclave-to-host channel; its layout is versioned by `_MAT_VERSION`;
+* the enclaves' 3PC messages: the u64 runs of `shares3.Arith3Engine` go
+  through `Writer`, and boolean sharings travel as single little-endian ints
+  of their width.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from .gadgets import (
 from .hss import (
     BeaverShare,
     ConvertedColumn,
+    DealerSetup,
     PackPlan,
     TripleGenSession,
     dealer_convert_column,
@@ -416,7 +417,7 @@ class ServerRole:
         self.rng = rng
         self.tee = None
         self.tee_channels: list[Channel] = []
-        self.setup_msg = None
+        self.setup: DealerSetup | None = None
         self.manifest: ModelManifest | None = None
         self.lowered: list | None = None
         self.f_public: dict[int, np.ndarray] = {}
@@ -438,7 +439,7 @@ class ServerRole:
         if len(seeds) != 6:
             raise EngineError(f"setup frame carries {len(seeds)} seeds, not 6")
         bundle = SeedBundle(pair_seeds=seeds[:3], intra_seeds=seeds[3:])
-        self.setup_msg = ((pk0, pk1), s_share)
+        self.setup = DealerSetup((pk0, pk1), s_share)
         if self.mode == "single-tee":
             self.tee, self.tee_channels = build_single_tee(
                 self.b, self.params, bundle)
@@ -473,7 +474,7 @@ class ServerRole:
             self.f_public[step.job_id] = (f_share + peer_f) % p
             self.b_shares[step.job_id] = b_share
         # dealer conversion of every packed column of B
-        req = Writer().blob(self.setup_msg[1].serialize())
+        req = Writer().blob(self.setup.s_share.serialize())
         req.u32(sum(job.m for job in self.plan.jobs))
         for job in self.plan.jobs:
             bmat = self.b_shares[job.job_id]
@@ -492,9 +493,7 @@ class ServerRole:
     # ---- preprocessing -----------------------------------------------------
 
     def run_preprocess(self, session_id: int):
-        from .hss import DealerSetup
-        setup = DealerSetup(self.setup_msg[0], self.setup_msg[1])
-        triple_sess = TripleGenSession(self.params, self.plan, self.b, setup,
+        triple_sess = TripleGenSession(self.params, self.plan, self.b, self.setup,
                                        self.b_shares, self.converted, self.rng)
         reply = yield from self.peer.exchange(
             KIND_CIPHERTEXT, PHASE_PREPROCESS,

@@ -351,7 +351,6 @@ def _wire_share(mat: WireMaterial, w: int) -> int:
 
 def _wire_start(session):
     """A wire session's one round: its masked input share."""
-    session.rounds += 1
     return [(session.in_share + session.mat.mask_share) % session.mat.p]
 
 
@@ -369,7 +368,6 @@ class ReluSession:
         self.mat = mat
         self.in_share = int(in_share) % mat.p
         self.output: list[int] | None = None
-        self.rounds = 0
 
     start, feed = _wire_start, _wire_feed
 
@@ -391,7 +389,6 @@ def _resume(session, revealed):
     except StopIteration as end:
         session.output = end.value
         return None
-    session.rounds += 1
     return batch
 
 
@@ -415,7 +412,6 @@ class Max2Session:
         self.x = int(x_share) % mat.p
         self.y = int(y_share) % mat.p
         self.output: list[int] | None = None
-        self.rounds = 0
 
     start, feed = _start, _resume
 
@@ -466,7 +462,6 @@ class MaxPoolSession:
         self.mat = mat
         self.values = [int(v) % mat.p for v in in_shares]
         self.output: list[int] | None = None
-        self.rounds = 0
 
     start, feed = _start, _resume
 
@@ -489,7 +484,6 @@ class ArgmaxSession:
         self.shares = [int(v) % mat.p for v in in_shares]
         self.pool = MaxPoolSession(mat.pool, in_shares)
         self.output: list[int] | None = None
-        self.rounds = 0
 
     start, feed = _start, _resume
 

@@ -112,17 +112,14 @@ class DealerSetup:
     s_share: RingPoly  # additive share of s over R_q
 
 
-class ColumnShares(NamedTuple):
+class ConvertedColumn(NamedTuple):
     """Per-party output of the column conversion: shares of (y, y*s) over R_q,
-    where y is the slot-placed polynomial encoding of one matrix column."""
+    where y is the slot-placed polynomial encoding of one matrix column.  A
+    server stores the shares it receives as they are: in NTT form, the form
+    Mult consumes."""
 
     y_share: RingPoly
     ys_share: RingPoly
-
-
-# A server stores the shares it receives as they are: in NTT form, the form
-# Mult consumes.
-ConvertedColumn = ColumnShares
 
 
 def dealer_setup(params: ProtocolParams, rng) -> tuple[LprKeys, DealerSetup, DealerSetup]:
@@ -139,7 +136,7 @@ def dealer_setup(params: ProtocolParams, rng) -> tuple[LprKeys, DealerSetup, Dea
 
 def dealer_convert_column(params: ProtocolParams, s0: RingPoly, s1: RingPoly,
                           col0: np.ndarray, col1: np.ndarray, rng
-                          ) -> tuple[ColumnShares, ColumnShares]:
+                          ) -> tuple[ConvertedColumn, ConvertedColumn]:
     """Ideal conversion: slot-placed column shares -> R_q shares of (y, y*s).
 
     col0/col1 are length-N slot vectors (already positioned per the pack
@@ -155,7 +152,7 @@ def dealer_convert_column(params: ProtocolParams, s0: RingPoly, s1: RingPoly,
     ys = y_q * s
     y_sh0 = RingPoly.random(params, rng, tag="q", form=NTT)
     ys_sh0 = RingPoly.random(params, rng, tag="q", form=NTT)
-    return ColumnShares(y_sh0, ys_sh0), ColumnShares(y_q - y_sh0, ys - ys_sh0)
+    return ConvertedColumn(y_sh0, ys_sh0), ConvertedColumn(y_q - y_sh0, ys - ys_sh0)
 
 
 # -- the Mult instruction -------------------------------------------------------------

@@ -140,9 +140,9 @@ class ProtocolParams:
         return cls.generate(n_ring=n_ring, p_bits=p_bits, fp_scale=fp_scale,
                             noise_margin=30, test_mode=True)
 
-    # -- textual key=value parameter file ------------------------------------
-
     def dump(self) -> str:
+        """The parameters as key=value text lines, which `lpr.params_digest`
+        hashes into every ciphertext header."""
         lines = [
             f"p={self.p}",
             f"N={self.n_ring}",
@@ -153,25 +153,3 @@ class ProtocolParams:
             f"test_mode={int(self.test_mode)}",
         ]
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def load(cls, text: str) -> "ProtocolParams":
-        kv: dict[str, str] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            k, _, v = line.partition("=")
-            kv[k.strip()] = v.strip()
-        try:
-            return cls(
-                p=int(kv["p"]),
-                n_ring=int(kv["N"]),
-                q_primes=tuple(int(x) for x in kv["q_primes"].split(",")),
-                lam=int(kv.get("lambda", "128")),
-                fp_scale=int(kv.get("fp_scale", "12")),
-                noise_margin=int(kv.get("noise_margin", "40")),
-                test_mode=bool(int(kv.get("test_mode", "0"))),
-            )
-        except KeyError as e:
-            raise ParameterError(f"parameter file missing key {e}") from e

@@ -203,9 +203,6 @@ class Prf:
     def field_element(self, counter: int, p: int, tag: bytes = b"") -> int:
         return int.from_bytes(self.raw(counter, tag, 32), "little") % p
 
-    def rand_bytes(self, counter: int, n: int, tag: bytes = b"") -> bytes:
-        return self.raw(counter, tag, n)
-
 
 class PrfStream:
     """Stateful wrapper over Prf that auto-advances the counter.
@@ -220,7 +217,7 @@ class PrfStream:
         self.counter = 0
 
     def randbytes(self, n: int) -> bytes:
-        out = self._prf.rand_bytes(self.counter, n, self._tag)
+        out = self._prf.raw(self.counter, self._tag, n)
         self.counter += 1
         return out
 

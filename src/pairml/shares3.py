@@ -22,6 +22,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+from .codec import Writer
 from .prg import PrfStream
 from .transport import Channel, KIND_B3PC, PHASE_PREPROCESS
 
@@ -116,17 +117,15 @@ class TriadNet:
         self.channels = channels
         self._queued: dict[int, list[list[bytes]]] | None = None
 
-    def pass_ring(self, payloads: list[bytes], step: int) -> list[bytes]:
-        """Enclave j sends payloads[j] to enclave (j+step) mod 3; returns
-        what each enclave received."""
+    def pass_ring(self, payloads: list[bytes], step: int):
+        """Enclave j sends payloads[j] to enclave (j+step) mod 3, which
+        receives it.  The engines compute in lockstep from the shares they
+        already hold, so what arrives is only metered."""
         for j in range(3):
             self.channels[(j, (j + step) % 3)].send(KIND_B3PC, PHASE_PREPROCESS,
                                                     payloads[j])
-        out = [b""] * 3
         for j in range(3):
-            src = (j - step) % 3
-            out[j] = self.channels[(j, src)].recv().payload
-        return out
+            self.channels[(j, (j - step) % 3)].recv()
 
     def send(self, payloads: list[bytes], step: int):
         """One ring pass now, or, inside `round()`, queued for its end."""
@@ -154,14 +153,6 @@ class TriadNet:
             self.pass_ring([b"".join(part) for part in parts], step)
 
 
-def _ibytes(x: int, n: int) -> bytes:
-    return x.to_bytes(n, "little")
-
-
-def _iint(b: bytes) -> int:
-    return int.from_bytes(b, "little")
-
-
 class Bool3Engine:
     """Boolean replicated 3PC over a TriadNet."""
 
@@ -173,7 +164,7 @@ class Bool3Engine:
     # zero sharing: zeta_j = F_j() ^ F_{j-1}(); xor over j telescopes to 0
     def _zeros(self, width: int) -> list[int]:
         nb = (width + 7) // 8
-        vs = [_iint(self.pair[j].expand(nb)) & ((1 << width) - 1)
+        vs = [int.from_bytes(self.pair[j].expand(nb), "little") & ((1 << width) - 1)
               for j in range(3)]
         return [vs[j] ^ vs[j - 1] for j in range(3)]
 
@@ -206,12 +197,12 @@ class Bool3Engine:
             raw[j] = (xj & yj) ^ (xj & yj1) ^ (xj1 & yj) ^ zeta[j]
         nb = (width + 7) // 8
         # enclave j+1 computed share j+1; resharing hands it to enclave j
-        self.net.send([_ibytes(raw[j], nb) for j in range(3)], step=2)
+        self.net.send([raw[j].to_bytes(nb, "little") for j in range(3)], step=2)
         return B3(raw, width)
 
     def reveal(self, a: B3) -> int:
         nb = (a.width + 7) // 8
-        self.net.send([_ibytes(a.shares[j], nb) for j in range(3)], step=1)
+        self.net.send([a.shares[j].to_bytes(nb, "little") for j in range(3)], step=1)
         return a.value()
 
     def _add(self, x: B3, y: B3 | int, w: int) -> tuple[B3, B3]:
@@ -258,7 +249,7 @@ class Bool3Engine:
             return sum((v & full) << (l * w) for l, v in enumerate(vals))
 
         # replicate each piece to its co-holder before treating it as a share
-        self.net.send([_ibytes(pack(lanes[j]), (width + 7) // 8)
+        self.net.send([pack(lanes[j]).to_bytes((width + 7) // 8, "little")
                        for j in range(3)], step=2)
         x0, x1, x2 = (self.input_known(j, pack(lanes[j]), width) for j in range(3))
         # full adders: x0 + x1 + x2 = s + 2 maj
@@ -296,7 +287,8 @@ class Arith3Engine:
         vs = []
         for j in range(3):
             raw = self.pair[j].expand(16 * ln)
-            vs.append([_iint(raw[16 * i:16 * i + 16]) % self.p for i in range(ln)])
+            vs.append([int.from_bytes(raw[16 * i:16 * i + 16], "little") % self.p
+                       for i in range(ln)])
         return [[(a - b) % self.p for a, b in zip(vs[j], vs[j - 1])]
                 for j in range(3)]
 
@@ -308,10 +300,10 @@ class Arith3Engine:
     def input_additive(self, pieces: list[list[int]]) -> A3:
         """Lift 1-of-3 additive pieces (piece j known only to enclave j) into
         replicated form; one reshare message per enclave."""
-        payloads = [b"".join(_ibytes(v % self.p, 8) for v in pieces[j])
-                    for j in range(3)]
-        self.net.send(payloads, step=2)  # j -> j-1 learns share j
-        return A3([[v % self.p for v in piece] for piece in pieces])
+        shares = [[v % self.p for v in piece] for piece in pieces]
+        # j -> j-1 learns share j
+        self.net.send([Writer().u64s(s).getvalue() for s in shares], step=2)
+        return A3(shares)
 
     def const(self, vec: list[int]) -> A3:
         return self.input_known(0, vec)
@@ -337,8 +329,7 @@ class Arith3Engine:
             bj, bj1 = b.shares[j], b.shares[(j + 1) % 3]
             raw[j] = [(aj[i] * bj[i] + aj[i] * bj1[i] + aj1[i] * bj[i]
                        + zeta[j][i]) % self.p for i in range(ln)]
-        payloads = [b"".join(_ibytes(v, 8) for v in raw[j]) for j in range(3)]
-        self.net.send(payloads, step=2)
+        self.net.send([Writer().u64s(r).getvalue() for r in raw], step=2)
         return A3(raw)
 
     def xor_bits(self, a: A3, b: A3) -> A3:
@@ -353,8 +344,6 @@ class Arith3Engine:
         return self.xor_bits(self.xor_bits(b[0], b[1]), b[2])
 
     def reveal(self, a: A3) -> list[int]:
-        payloads = [b"".join(_ibytes(v, 8) for v in a.shares[j])
-                    for j in range(3)]
-        self.net.send(payloads, step=1)
+        self.net.send([Writer().u64s(s).getvalue() for s in a.shares], step=1)
         return [(x + y + z) % self.p
                 for x, y, z in zip(a.shares[0], a.shares[1], a.shares[2])]

@@ -193,6 +193,9 @@ class Simulation:
                     outs = []
                     for chan in self.owner_chans:
                         outs.append(decode_vec((yield from chan.wait()).payload))
+                    if len(outs[0]) != len(outs[1]):
+                        raise ValueError(f"server 0 sent {len(outs[0])} output "
+                                         f"shares, server 1 sent {len(outs[1])}")
                     labels.append([(a + b) % p for a, b in zip(outs[0], outs[1])])
             except Exception as e:
                 raise PartyError("owner", phase, e)

@@ -35,6 +35,10 @@ gates are batched.
 Both servers' triples execute the identical deterministic protocol from the
 shared pair seeds, so server b ends up with key half k_b of a consistent
 pair without any cross-server traffic.
+
+An enclave's inputs are the prime p, the security parameter lam, its seed
+bundle and its channels; `build_single_tee` and `build_tee_triple`, which
+the host calls, read p and lam off the host's parameter set.
 """
 
 from __future__ import annotations
@@ -98,7 +102,7 @@ class TeeParty:
         return c
 
     def draw_bytes(self, n: int, tag: bytes = b"") -> bytes:
-        return self.prf.rand_bytes(self._tick(), n, tag)
+        return self.prf.raw(self._tick(), tag, n)
 
     def genrand(self, p: int) -> GenRandPiece:
         """Fig-style PRF-counter draw: both servers' enclaves of this pair
@@ -122,12 +126,11 @@ def _deliver(mat, to_host: Channel, host_end: Channel, table: SplineTable | None
 class SingleTee:
     """Single enclave per server: centralized FSS.Gen from the shared seed."""
 
-    def __init__(self, server: int, params: ProtocolParams, bundle: SeedBundle,
+    def __init__(self, server: int, p: int, lam: int, bundle: SeedBundle,
                  to_host: Channel, host_end: Channel):
         self.server = server
         self.source = CentralSource(
-            params.p, PrfStream(bundle.pair_seeds[0], tag=b"fssgen-single"),
-            params.lam)
+            p, PrfStream(bundle.pair_seeds[0], tag=b"fssgen-single"), lam)
         self.to_host = to_host
         self.host_end = host_end
 
@@ -161,7 +164,7 @@ class _Batch:
     GenRand pieces, and each key is planned into `plans` for `_gen_keys`."""
 
     def __init__(self, tee: "TeeTriple"):
-        self.tee, self.p, self.plans = tee, tee.params.p, []
+        self.tee, self.p, self.plans = tee, tee.p, []
 
     def mask(self) -> list[GenRandPiece]:
         return [pt.genrand(self.p) for pt in self.tee.parties]
@@ -178,10 +181,10 @@ class _Batch:
 class TeeTriple:
     """Three enclaves per server with distributed FSS key generation."""
 
-    def __init__(self, server: int, params: ProtocolParams, bundle: SeedBundle,
+    def __init__(self, server: int, p: int, lam: int, bundle: SeedBundle,
                  net: TriadNet, to_host: Channel, host_end: Channel):
         self.server = server
-        self.params = params
+        self.p, self.lam = p, lam
         self.parties = [TeeParty(bundle.pair_seeds[i]) for i in range(3)]
         self.net = net
         self.to_host = to_host  # enclave 0 delivers the assembled material
@@ -189,14 +192,12 @@ class TeeTriple:
         zero_streams = [PrfStream(s, tag=b"zero3") for s in bundle.intra_seeds]
         self.bool3 = Bool3Engine(net, zero_streams)
         self.arith = Arith3Engine(
-            net, [PrfStream(s, tag=b"zero3a") for s in bundle.intra_seeds],
-            params.p)
+            net, [PrfStream(s, tag=b"zero3a") for s in bundle.intra_seeds], p)
         # the view ledger of the batch in progress, and the violations of
         # the batches before it: seed names carry their batch's first
         # counter, so no batch names a seed of another
         self.views: dict[int, list[tuple]] = {0: [], 1: [], 2: []}
         self.violations: list[str] = []
-        self.prg_calls_outside = 0
 
     # -- view ledger --------------------------------------------------------
 
@@ -226,7 +227,7 @@ class TeeTriple:
     def _beta_pieces(self, plans: list[_KeyPlan]) -> list[list[int]]:
         """Enclave j's additive pieces of every lane's payload: constants
         with enclave 0, mask components as their GenRand pieces."""
-        p = self.params.p
+        p = self.p
         pieces = [[], [], []]
         for plan in plans:
             for comp in plan.beta_spec:
@@ -243,7 +244,7 @@ class TeeTriple:
                   beta_spec: list) -> _KeyPlan:
         """Plan one key into `plans`: its root blocks are drawn now, and
         `_gen_keys` generates it with the rest of the batch."""
-        lamb = self.params.lam // 8
+        lamb = self.lam // 8
         name = ("kg", self.parties[0].counter)
         roots = []
         for j, pt in enumerate(self.parties):
@@ -258,7 +259,7 @@ class TeeTriple:
                       blocks: list):
         """Block redistribution of both parties' next seeds: enclave k ends
         with clear block k of every lane's seed, in blocks[lane][k][party]."""
-        lam = self.params.lam
+        lam = self.lam
         lamb, mask = lam // 8, (1 << lam) - 1
         width = 3 * lam
         ring = [b""] * 3
@@ -283,8 +284,8 @@ class TeeTriple:
         """Generate every planned key in one level-synchronous 3PC, lane l
         running the l-th key, DCF lanes first."""
         plans = sorted(plans, key=lambda plan: plan.kind != "dcf")
-        params = self.params
-        p, n, lam = params.p, params.domain_bits, params.lam
+        p, lam = self.p, self.lam
+        n = (p - 1).bit_length()  # the depth of FSS trees over Z_p
         bool3, arith, net = self.bool3, self.arith, self.net
         xor = bool3.xor
         K = len(plans)
@@ -307,11 +308,9 @@ class TeeTriple:
         for level in range(n):
             a = lane_bits(alpha, n, n - 1 - level)
             t1s.append(t[1])
-            before = prg.calls
             # raw[c][l][j]: enclave j's expansion of its block of party c's seed
             raw = [[[prg.g_expand(blocks[l][j][c], tree.nbytes) for j in range(3)]
                     for l, tree in enumerate(trees)] for c in (0, 1)]
-            self.prg_calls_outside += prg.calls - before
 
             # enclave j's shares of party c's next seeds and control bits on
             # either side, lane l at bit W*l resp. l: read off its own
@@ -372,11 +371,9 @@ class TeeTriple:
             self._redistribute(plans, level, seeds, blocks)  # next seed blocks
 
         t1s.append(t[1])
-        before = prg.calls
         leaf = [[x for c in (0, 1) for l in range(K)
                  for x in prg.block_convert(blocks[l][j][c], Ls[l], p)]
                 for j in range(3)]
-        self.prg_calls_outside += prg.calls - before
         with net.round():
             leaf = arith.input_additive(leaf)
             beta = arith.input_additive(self._beta_pieces(plans))
@@ -463,7 +460,8 @@ def build_single_tee(server: int, params: ProtocolParams, bundle: SeedBundle):
     from .transport import LOCAL, inproc_pair
     enc_end, host_end = inproc_pair(f"tee{server}-enclave", f"tee{server}-host",
                                     LOCAL)
-    tee = SingleTee(server, params, bundle, to_host=enc_end, host_end=host_end)
+    tee = SingleTee(server, params.p, params.lam, bundle, to_host=enc_end,
+                    host_end=host_end)
     return tee, [enc_end, host_end]
 
 
@@ -481,5 +479,6 @@ def build_tee_triple(server: int, params: ProtocolParams, bundle: SeedBundle):
     enc_end, host_end = inproc_pair(f"s{server}-enc0-host", f"s{server}-host-enc0",
                                     LOCAL)
     all_channels += [enc_end, host_end]
-    tee = TeeTriple(server, params, bundle, TriadNet(chans), enc_end, host_end)
+    tee = TeeTriple(server, params.p, params.lam, bundle, TriadNet(chans), enc_end,
+                    host_end)
     return tee, all_channels

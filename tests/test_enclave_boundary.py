@@ -12,6 +12,10 @@ calls it or names it in an annotation.  The entry points are the classes
 `SingleTee`, `TeeTriple` and `TeeParty` and the gadget recipes.  The count
 is the source lines of the nodes reached, docstrings and comments included.
 
+An enclave's inputs are the prime p, the security parameter lam, its seed
+bundle and its channels.  It takes no `ProtocolParams`: the parameter set,
+with its prime search and text form, is host code.
+
 Run `python tests/test_enclave_boundary.py` to print the count by module.
 """
 
@@ -24,9 +28,10 @@ ENTRY = [("tee", "SingleTee"), ("tee", "TeeTriple"), ("tee", "TeeParty"),
          ("gadgets", "recipe"), ("gadgets", "_wire"), ("gadgets", "_max2"),
          ("gadgets", "_maxpool"), ("gadgets", "_argmax")]
 
-# host code: the servers' protocol, HSS and its ring, fixed point, the
-# models, the online gadget sessions and the FSS tree walker
-HOST_MODULES = {"engine", "sim", "hss", "lpr", "ring", "fixedpoint", "models"}
+# host code: the servers' protocol, the parameter set, HSS and its ring,
+# fixed point, the models, the online gadget sessions and the FSS tree walker
+HOST_MODULES = {"engine", "sim", "params", "hss", "lpr", "ring", "fixedpoint",
+                "models"}
 HOST_NODES = {("fss", "_walk")}
 
 

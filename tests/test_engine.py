@@ -24,9 +24,9 @@ def test_setup_frame_round_trip():
     dealer.run_setup()
     run_parties({f"server{s.b}": s.run_setup() for s in servers})
     for s in servers:
-        assert s.setup_msg[0] == dealer.keys.pk
+        assert s.setup.pk == dealer.keys.pk
         assert s.tee is not None
-    s_sum = servers[0].setup_msg[1] + servers[1].setup_msg[1]
+    s_sum = servers[0].setup.s_share + servers[1].setup.s_share
     assert s_sum == dealer.keys.s
 
 

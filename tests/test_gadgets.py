@@ -39,8 +39,9 @@ def _run(mat0, mat1, vals, p, rng):
         a, b = _share(rng, p, v)
         sh0.append(a)
         sh1.append(b)
-    s0, s1 = run_pair(mat0, mat1, sh0, sh1, p)
-    return [(a + b) % p for a, b in zip(s0.output, s1.output)], s0
+    log = []  # one entry per round: the values it revealed
+    s0, s1 = run_pair(mat0, mat1, sh0, sh1, p, reveal_log=log)
+    return [(a + b) % p for a, b in zip(s0.output, s1.output)], log
 
 
 P10 = 1009  # ~10-bit signed test field
@@ -92,8 +93,8 @@ def _fresh(m0, m1):
 def test_relu_round_count():
     rng = random.Random(2)
     m0, m1 = material_pair("relu", P10, rng)
-    _, s0 = _run(m0, m1, [5], P10, rng)
-    assert s0.rounds == 1
+    _, log = _run(m0, m1, [5], P10, rng)
+    assert len(log) == 1
 
 
 def test_relu_material_reuse_raises():
@@ -197,9 +198,9 @@ def test_max2_paper_case_p7():
     p = 7
     rng = random.Random(7)
     m0, m1 = material_pair("max2", p, rng)
-    got, s0 = _run(m0, m1, [5, 3], p, rng)
+    got, log = _run(m0, m1, [5, 3], p, rng)
     assert got[0] == 3
-    assert s0.rounds == 2
+    assert len(log) == 2
 
 
 def test_max2_tie():
@@ -253,9 +254,9 @@ def test_max2_mixed_signs():
 def test_maxpool_k1_identity():
     rng = random.Random(10)
     m0, m1 = material_pair("maxpool", P10, rng, k=1)
-    got, s0 = _run(m0, m1, [123], P10, rng)
+    got, log = _run(m0, m1, [123], P10, rng)
     assert got[0] == 123
-    assert s0.rounds == 0
+    assert len(log) == 0
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 8])
@@ -269,10 +270,11 @@ def test_maxpool_random_sets(k):
         vals = [rng.randrange(p) for _ in range(k)]
         sh0 = [rng.randrange(p) for _ in range(k)]
         sh1 = [(v - s) % p for v, s in zip(vals, sh0)]
-        s0, s1 = run_pair(m0, m1, sh0, sh1, p)
+        log = []
+        s0, s1 = run_pair(m0, m1, sh0, sh1, p, reveal_log=log)
         got = (s0.output[0] + s1.output[0]) % p
         assert got == plain_max(vals, p), (k, vals)
-        assert s0.rounds == 2 * math.ceil(math.log2(k))
+        assert len(log) == 2 * math.ceil(math.log2(k))
 
 
 def test_maxpool_rejects_k0():
@@ -288,9 +290,9 @@ def test_argmax_named_case():
     p = P10
     rng = random.Random(12)
     m0, m1 = material_pair("argmax", p, rng, k=3)
-    got, s0 = _run(m0, m1, [2, 9, 4], p, rng)
+    got, log = _run(m0, m1, [2, 9, 4], p, rng)
     assert got == [0, 2, 0]
-    assert s0.rounds == 2 * math.ceil(math.log2(3)) + 1
+    assert len(log) == 2 * math.ceil(math.log2(3)) + 1
 
 
 def test_argmax_k1():

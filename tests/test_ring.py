@@ -50,12 +50,6 @@ def test_param_production_shape():
     assert p.bit_length() == 52 and p % 16384 == 1
 
 
-def test_param_file_round_trip(small):
-    text = small.dump()
-    again = ProtocolParams.load(text)
-    assert again == small
-
-
 def test_param_rejects_bad_modulus():
     with pytest.raises(ParameterError):
         ProtocolParams(p=17, n_ring=8, q_primes=(17, 97))

@@ -19,7 +19,7 @@ from pairml.fixedpoint import FixedPointCodec
 from pairml.hss import TripleGenSession
 from pairml.params import ProtocolParams
 from pairml.sim import PartyError, RunConfig, Simulation, encode_inputs
-from pairml.transport import KIND_MASKED_REVEAL, PHASE_ONLINE
+from pairml.transport import KIND_MASKED_REVEAL, KIND_SHARE_DELIVERY, PHASE_ONLINE
 
 PARAMS = ProtocolParams.testing()
 
@@ -128,6 +128,25 @@ def test_a_peer_reveal_of_the_wrong_length_fails_the_run(monkeypatch, nth, layer
     got, expected = map(int, re.search(
         r"the peer revealed (\d+) values, expected (\d+)", str(err)).groups())
     assert got == expected + 1
+
+
+def test_an_output_share_of_the_wrong_length_fails_the_run(monkeypatch):
+    # server 1 delivers one output share too many; the owner must not add
+    # the two vectors by dropping the extra value
+    def patch(sim):
+        owner = sim.roles[1].owner
+        send = owner.send
+
+        def long_send(kind, phase, payload):
+            if (kind, phase) == (KIND_SHARE_DELIVERY, PHASE_ONLINE):
+                payload += bytes(8)
+            send(kind, phase, payload)
+
+        monkeypatch.setattr(owner, "send", long_send)
+
+    err = _failed_run("mfnn", patch)
+    assert (err.party, err.phase, err.layer) == ("owner", PHASE_ONLINE, None)
+    assert "server 0 sent 10 output shares, server 1 sent 11" in str(err)
 
 
 def test_corrupted_beaver_share_fails_the_run(monkeypatch):
