@@ -20,6 +20,11 @@ adds only the words of a side that holds points, unreduced, and reduces each
 payload word once, at its leaf; the generator reduces only where it forms a
 correction word.  Seeds are ints while a tree is generated or walked, and
 bytes in a key.
+
+A key's seeds are one or three lam-bit blocks (`prg`): one when a single
+party generates the pair, three when three enclaves generate it together,
+each expanding its own block.  A key carries its block count, and its
+variant byte names it.
 """
 
 from __future__ import annotations
@@ -36,20 +41,22 @@ class FssParameterError(ValueError):
     pass
 
 
-def _seed_bytes(lam: int) -> int:
-    return prg.BLOCKS * lam // 8
+def _seed_bytes(lam: int, blocks: int) -> int:
+    return blocks * lam // 8
 
 
 @dataclass
 class DpfKey:
-    """Key for f(x) = beta * [x == alpha] over an n-bit domain."""
+    """Key for f(x) = beta * [x == alpha] over an n-bit domain, with seeds
+    of `blocks` lam-bit blocks."""
 
-    _variant: ClassVar[int] = 0x01
+    _variants: ClassVar[dict[int, int]] = {3: 0x01, 1: 0x03}  # blocks -> byte
     party: int
     domain_bits: int
     p: int
     payload_len: int
     lam: int
+    blocks: int
     root_seed: bytes
     root_t: int
     seed_cws: list[bytes]
@@ -69,7 +76,7 @@ class DcfKey(DpfKey):
     """Key for f(x) = beta * [x < threshold] over an n-bit domain: the DPF
     fields plus one payload correction word per level."""
 
-    _variant: ClassVar[int] = 0x02
+    _variants: ClassVar[dict[int, int]] = {3: 0x02, 1: 0x04}
     v_cws: list[list[int]]
 
 
@@ -77,14 +84,15 @@ class DcfKey(DpfKey):
 
 
 def _tree_gen(p: int, alpha: int, beta: list[int], rng, n: int, lam: int,
-              cmp: bool):
-    """Key pair for beta * [x < alpha] (cmp) or beta * [x == alpha]."""
+              cmp: bool, blocks: int = 3):
+    """Key pair for beta * [x < alpha] (cmp) or beta * [x == alpha], with
+    seeds of `blocks` lam-bit blocks."""
     if alpha >> n:
         raise FssParameterError(f"point {alpha} outside {n}-bit domain")
     beta = [int(v) % p for v in beta]
     L = len(beta)
-    tree = prg.tree(lam, L, cmp)
-    sb = _seed_bytes(lam)
+    tree = prg.tree(blocks, lam, L, cmp)
+    sb = _seed_bytes(lam, blocks)
     roots = (rng.randbytes(sb), rng.randbytes(sb))
     s, t = [int.from_bytes(r, "little") for r in roots], [0, 1]
     # what the leaf correction must still pay out, unreduced: a DPF pays all
@@ -95,14 +103,14 @@ def _tree_gen(p: int, alpha: int, beta: list[int], rng, n: int, lam: int,
     t_cws: list[tuple[int, int]] = []
     for i in range(n - 1, -1, -1):
         bit = (alpha >> i) & 1
-        (a0, *x0), (a1, *x1) = tree.expand(s[0]), tree.expand(s[1])
+        (a0, x0), (a1, x1) = tree.expand(s[0]), tree.expand(s[1])
         keep, lose = bit, 1 - bit
         (sl, tl), (sr, tr) = tree.child(a0 ^ a1, 0), tree.child(a0 ^ a1, 1)
         s_cw = sl if bit else sr
         t_cw = (tl ^ bit ^ 1, tr ^ bit)
         if cmp:
             sign = -1 if t[1] else 1
-            w0, w1 = tree.sums(*x0), tree.sums(*x1)
+            w0, w1 = tree.sums(x0), tree.sums(x1)
             cl0, cl1 = w0[lose * L:(lose + 1) * L], w1[lose * L:(lose + 1) * L]
             v_cw = [sign * (b1 - b0 - va) % p for b1, b0, va in zip(cl1, cl0, v_alpha)]
             if bit:  # lose side is L: everything left of the path is below alpha
@@ -124,8 +132,9 @@ def _tree_gen(p: int, alpha: int, beta: list[int], rng, n: int, lam: int,
     for b in (0, 1):
         extra = dict(v_cws=[list(v) for v in v_cws]) if cmp else {}
         keys.append(cls(party=b, domain_bits=n, p=p, payload_len=L, lam=lam,
-                        root_seed=roots[b], root_t=b, seed_cws=list(seed_cws),
-                        t_cws=list(t_cws), final_cw=list(final_cw), **extra))
+                        blocks=blocks, root_seed=roots[b], root_t=b,
+                        seed_cws=list(seed_cws), t_cws=list(t_cws),
+                        final_cw=list(final_cw), **extra))
     return keys[0], keys[1]
 
 
@@ -133,7 +142,7 @@ def _walk(b: int, key: DpfKey | DcfKey, xs) -> list[list[int]]:
     """Party b's output shares at each point of xs, in the order given."""
     n, p = key.domain_bits, key.p
     cmp = isinstance(key, DcfKey)
-    tree = prg.tree(key.lam, key.payload_len, cmp)
+    tree = prg.tree(key.blocks, key.lam, key.payload_len, cmp)
     expand, child, add = tree.expand, tree.child, tree.add
     pts = sorted(set(xs))
     if pts and (pts[0] < 0 or pts[-1] >> n):
@@ -153,36 +162,36 @@ def _walk(b: int, key: DpfKey | DcfKey, xs) -> list[list[int]]:
     out = {}
     while todo:
         i, s, t, acc, lo, hi = todo.pop()
-        x = pts[lo]
+        pt = pts[lo]
         for i in range(i, n):
-            a, x0, x1, x2 = expand(s)
+            a, x = expand(s)
             if t:
                 a ^= cws[i]
                 if cmp:
                     acc = (acc[0] + v_cws[i][0], acc[1] + v_cws[i][1])
             shift = n - 1 - i
-            side = (x >> shift) & 1
+            side = (pt >> shift) & 1
             if not side and hi - lo > 1:
-                mid = bisect_left(pts, (x >> shift | 1) << shift, lo, hi)
+                mid = bisect_left(pts, (pt >> shift | 1) << shift, lo, hi)
                 if mid < hi:
                     todo.append((i + 1, *child(a, 1),
-                                 add(acc, x0, x1, x2, 1) if cmp else acc, mid, hi))
+                                 add(acc, x, 1) if cmp else acc, mid, hi))
                     hi = mid
             s, t = child(a, side)
             if cmp:
-                acc = add(acc, x0, x1, x2, side)
+                acc = add(acc, x, side)
         acc = tree.leaf(s, acc)
         if t:
             acc = (acc[0] + final_cw[0], acc[1] + final_cw[1])
-        out[x] = [-v % p if b else v % p for v in tree.unpack(acc)]
+        out[pt] = [-v % p if b else v % p for v in tree.unpack(acc)]
     return [out[x] for x in xs]
 
 
 def dpf_gen(p: int, alpha: int, beta: list[int], rng, domain_bits: int | None = None,
-            lam: int = 128) -> tuple[DpfKey, DpfKey]:
+            lam: int = 128, blocks: int = 3) -> tuple[DpfKey, DpfKey]:
     """Keys k0, k1 with eval0(x) + eval1(x) = beta * [x == alpha] (mod p)."""
     n = domain_bits if domain_bits is not None else (p - 1).bit_length()
-    return _tree_gen(p, alpha, beta, rng, n, lam, cmp=False)
+    return _tree_gen(p, alpha, beta, rng, n, lam, False, blocks)
 
 
 def dpf_eval(b: int, key: DpfKey, x: int) -> list[int]:
@@ -196,10 +205,11 @@ def dpf_eval_all(b: int, key: DpfKey) -> list[list[int]]:
 
 
 def dcf_gen(p: int, threshold: int, beta: list[int], rng,
-            domain_bits: int | None = None, lam: int = 128) -> tuple[DcfKey, DcfKey]:
+            domain_bits: int | None = None, lam: int = 128,
+            blocks: int = 3) -> tuple[DcfKey, DcfKey]:
     """Comparison keys: share sums equal beta * [x < threshold]."""
     n = domain_bits if domain_bits is not None else (p - 1).bit_length()
-    return _tree_gen(p, threshold, beta, rng, n, lam, cmp=True)
+    return _tree_gen(p, threshold, beta, rng, n, lam, True, blocks)
 
 
 def dcf_eval(b: int, key: DcfKey, x: int) -> list[int]:
@@ -218,15 +228,19 @@ def dcf_eval_all(b: int, key: DcfKey) -> list[list[int]]:
 
 # -- serialization ------------------------------------------------------------------
 
-# variant u8, party u8, domain_bits u8, L u16, p u64, lam u16, root_t u8; root
-# seed; per level its seed correction word and a flags byte (bit0 = tL,
-# bit1 = tR); final_cw (L words); DCF only: per level v_cw (L words).  All
-# levels' seed correction words and flags go as one raw field, and final_cw
-# and the v_cws as one run of words.
+# variant u8 (the key class and its block count: 0x01 DPF and 0x02 DCF with
+# three-block seeds, 0x03 DPF and 0x04 DCF with one-block seeds), party u8,
+# domain_bits u8, L u16, p u64, lam u16, root_t u8; root seed; per level its
+# seed correction word and a flags byte (bit0 = tL, bit1 = tR); final_cw (L
+# words); DCF only: per level v_cw (L words).  All levels' seed correction
+# words and flags go as one raw field, and final_cw and the v_cws as one run
+# of words.
 
 
 def _serialize_tree(key: DpfKey | DcfKey) -> bytes:
-    sb, n, L = _seed_bytes(key.lam), key.domain_bits, key.payload_len
+    if key.blocks not in key._variants:
+        raise ValueError(f"inconsistent FSS key: {key.blocks} seed blocks")
+    sb, n, L = _seed_bytes(key.lam, key.blocks), key.domain_bits, key.payload_len
     cmp = isinstance(key, DcfKey)
     v_cws = key.v_cws if cmp else []
     if not (len(key.root_seed) == sb and len(key.final_cw) == L
@@ -234,7 +248,7 @@ def _serialize_tree(key: DpfKey | DcfKey) -> bytes:
             and all(len(s) == sb for s in key.seed_cws)
             and len(v_cws) == n * cmp and all(len(v) == L for v in v_cws)):
         raise ValueError("inconsistent FSS key: field sizes do not match its header")
-    w = Writer().u8(key._variant).u8(key.party).u8(n).u16(L).u64(key.p)
+    w = Writer().u8(key._variants[key.blocks]).u8(key.party).u8(n).u16(L).u64(key.p)
     w.u16(key.lam).u8(key.root_t).raw(key.root_seed)
     w.raw(b"".join(s_cw + bytes((tl | tr << 1,))
                    for s_cw, (tl, tr) in zip(key.seed_cws, key.t_cws)))
@@ -246,17 +260,18 @@ def _deserialize_tree(buf: bytes, cls) -> dict:
     """Constructor fields of a `cls` key; the buffer must be exactly one key."""
     with Reader(buf) as r:
         variant, party, n, pl, p = r.u8(), r.u8(), r.u8(), r.u16(), r.u64()
-        if variant != cls._variant:
+        blocks = {v: k for k, v in cls._variants.items()}.get(variant)
+        if blocks is None:
             raise ValueError(f"not a {cls.__name__}: variant {variant:#04x}")
         lam, root_t = r.u16(), r.u8()
-        sb = _seed_bytes(lam)
+        sb = _seed_bytes(lam, blocks)
         root_seed, levels = r.raw(sb), r.raw(n * (sb + 1))
         flags = levels[sb::sb + 1]
         if flags and max(flags) > 3:
             raise ValueError(f"malformed {cls.__name__}: control flags "
                              f"{max(flags):#04x}")
         fields = dict(party=party, domain_bits=n, p=p, payload_len=pl, lam=lam,
-                      root_seed=root_seed, root_t=root_t,
+                      blocks=blocks, root_seed=root_seed, root_t=root_t,
                       seed_cws=[levels[i:i + sb] for i in range(0, n * (sb + 1), sb + 1)],
                       t_cws=[(f & 1, f >> 1) for f in flags])
         words = r.u64s(pl * (1 + n * (cls is DcfKey)))

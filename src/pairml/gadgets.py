@@ -23,9 +23,10 @@ payload)` makes a DCF or DPF key pair whose payload holds public ints and
 masks, and `share(mask)` gives the parties' shares of a mask; a key pair
 and a share are indexed by party.  A recipe draws in a fixed order and
 returns a function of the party that assembles that party's material once
-its keys exist.  `CentralSource` draws everything from one generator; it
-serves the single-TEE enclave and `material_pair`.  `tee.TeeTriple` is the
-other source: it plans each key into a batch of distributed key generation.
+its keys exist.  `CentralSource` draws everything from one generator and
+makes keys with one-block seeds; it serves the single-TEE enclave and
+`material_pair`.  `tee.TeeTriple` is the other source: it plans each key
+into a batch of distributed key generation, with three-block seeds.
 """
 
 from __future__ import annotations
@@ -217,7 +218,8 @@ class ArgmaxMaterial:
 
 
 class CentralSource:
-    """The key source of an enclave that draws every mask and key itself."""
+    """The key source of an enclave that draws every mask and key itself.
+    It holds every seed whole, so its keys have one-block seeds."""
 
     def __init__(self, p: int, rng, lam: int = 128):
         self.p, self.rng, self.lam = p, rng, lam
@@ -227,7 +229,7 @@ class CentralSource:
 
     def key(self, kind: str, point: int, payload: list[int]):
         gen = dcf_gen if kind == "dcf" else dpf_gen
-        return gen(self.p, point, payload, self.rng, lam=self.lam)
+        return gen(self.p, point, payload, self.rng, lam=self.lam, blocks=1)
 
     def share(self, mask: int) -> tuple[int, int]:
         s0 = self.rng.randrange(self.p)

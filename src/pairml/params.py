@@ -104,11 +104,6 @@ class ProtocolParams:
         return self.q // self.p
 
     @property
-    def domain_bits(self) -> int:
-        """Bits needed to index [0, p); FSS trees over Z_p have this depth."""
-        return (self.p - 1).bit_length()
-
-    @property
     def magnitude_bound(self) -> int:
         return self.p // 4
 

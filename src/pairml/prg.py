@@ -1,19 +1,26 @@
-"""Block-structured tree PRG and keyed PRF.
+"""Tree PRG and keyed PRF.
 
-Seeds are 3*lam bits, viewed as three lam-bit blocks x[0] || x[1] || x[2],
-and each block has its own local expansion g(x[j]) (SHAKE-128).  A tree node
-is expanded once.  Its seed area (left seed, right seed, control-bit byte) is
-G'(x) = g(x[0]) ^ g(x[1]) ^ g(x[2]); after that area every block expansion
-carries L 128-bit payload words per side, and the node's payload words are
-their block-wise sums mod p, so the PRG output itself carries the payload
-group elements (Boyle-Gilboa-Ishai, CCS'16).  A leaf converts its seed
-likewise, as a block-wise sum under its own tag.  Three parties who each hold
-one block in the clear thus get an XOR share of the seed area and an additive
-share of every payload word from one local PRG call; revealing any two blocks
-leaves a full lam bits of seed entropy.
+A tree seed is one or three lam-bit blocks, and a tree node is expanded
+once.  The expansion starts with a seed area (left seed, right seed,
+control-bit byte); after it come L 128-bit payload words per side, so the
+PRG output itself carries the payload group elements (Boyle-Gilboa-Ishai,
+CCS'16).  A leaf converts its seed to L payload words under its own tag.
+The local expansion g of one block is SHAKE-128.
 
-`Tree` holds this layout for one seed size and payload length, and the node
-kernel that every tree walk and key generator runs.  A node's three block
+A one-block seed is a plain GGM seed: a node is one pass of g over it, and
+its payload words are read straight off that pass.  A key generator that
+holds every seed whole, as a single enclave does, needs nothing more.
+
+A three-block seed x[0] || x[1] || x[2] serves three enclaves that each
+hold one block in the clear.  Every block has its own expansion g(x[j]).
+The node's seed area is G'(x) = g(x[0]) ^ g(x[1]) ^ g(x[2]), and its
+payload words are the block-wise sums of theirs mod p; a leaf converts
+likewise, as a block-wise sum.  So each enclave gets an XOR share of the
+seed area and an additive share of every payload word from one local PRG
+call, and revealing any two blocks leaves a full lam bits of seed entropy.
+
+`Tree` holds the layout for one block count, seed size and payload length,
+and the node kernel that every tree walk and key generator runs.  A node's
 expansions are read into ints once.  Its payload words are summed one side
 at a time, only for a child that needs them, and stay unreduced and packed:
 the even words of a side in one int and the odd words in another, each word
@@ -26,7 +33,6 @@ from __future__ import annotations
 import hashlib
 from functools import cache
 
-BLOCKS = 3
 WORD = 16  # bytes per payload word, before its reduction mod p
 _LANE = 16 * WORD  # bits per lane of a packed sum: a word and room for carries
 _LANE_MASK = (1 << _LANE) - 1
@@ -48,12 +54,6 @@ def reset_call_counter() -> int:
     return prev
 
 
-def node_bytes(lam: int, L: int) -> int:
-    """One block's node expansion: sL | sR | flags byte (bit0 = tL,
-    bit1 = tR) | L payload words of the left side | L of the right."""
-    return 2 * BLOCKS * lam // 8 + 1 + 2 * WORD * L
-
-
 def g_expand(block: bytes, out_len: int) -> bytes:
     """The local node expander g of one lam-bit block."""
     global calls, bytes_expanded
@@ -72,12 +72,20 @@ def block_convert(block: bytes, payload_len: int, p: int) -> list[int]:
             for i in range(0, WORD * payload_len, WORD)]
 
 
+def _expand1(tag: bytes, seed: int, w: int, n: int) -> int:
+    """n bytes from a one-block seed of w bytes, as an int."""
+    global calls, bytes_expanded
+    calls += 1
+    bytes_expanded += n
+    return int.from_bytes(_shake(tag + seed.to_bytes(w, "little")).digest(n), "little")
+
+
 def _expand3(tag: bytes, seed: int, w: int, n: int) -> tuple[int, int, int]:
     """n bytes from each of the three w-byte blocks of a seed, as ints."""
     global calls, bytes_expanded
-    calls += BLOCKS
-    bytes_expanded += BLOCKS * n
-    s = seed.to_bytes(BLOCKS * w, "little")
+    calls += 3
+    bytes_expanded += 3 * n
+    s = seed.to_bytes(3 * w, "little")
     return (int.from_bytes(_shake(tag + s[:w]).digest(n), "little"),
             int.from_bytes(_shake(tag + s[w:2 * w]).digest(n), "little"),
             int.from_bytes(_shake(tag + s[2 * w:]).digest(n), "little"))
@@ -97,19 +105,29 @@ _BOTH, _LEAF = 2, 3  # the parts `Tree.add` sums besides side 0 and side 1
 
 
 class Tree:
-    """Node and leaf layout of a tree with 3*lam-bit seeds and L payload
-    words per leaf and, unless `node_words` is off (a DPF), per node side.
+    """Node and leaf layout of a tree with seeds of `blocks` lam-bit blocks,
+    one or three, and L payload words per leaf and, unless `node_words` is
+    off (a DPF), per node side.
+
+    `expand` gives a node's seed area and its expansion x: one int for a
+    one-block seed, the three block expansions for a three-block seed.
+    `add`, `sums` and `leaf` read payload words off such an x; the kernel of
+    each block count is bound once, here, so a node pays no branch on it.
 
     A packed sum is a pair (even words, odd words) of ints, word 2m (resp.
     2m + 1) in lane m; `pack` and `unpack` convert from and to L words.
     """
 
-    def __init__(self, lam: int, L: int, node_words: bool = True):
+    def __init__(self, blocks: int, lam: int, L: int, node_words: bool = True):
+        if blocks not in (1, 3):
+            raise ValueError(f"a tree seed is 1 or 3 blocks, not {blocks}")
         self.L = L
         self.block = lam // 8
-        self.seed_bits = BLOCKS * lam
-        self.area = node_bytes(lam, 0)  # bytes of the seed area
-        self.nbytes = node_bytes(lam, L if node_words else 0)
+        self.seed_bits = blocks * lam
+        # a node: sL | sR | flags byte (bit0 = tL, bit1 = tR), the seed area;
+        # then L payload words of the left side and L of the right
+        self.area = 2 * blocks * self.block + 1
+        self.nbytes = self.area + (2 * WORD * L if node_words else 0)
         self._area_mask = (1 << 8 * self.area) - 1
         self._seed_mask = (1 << self.seed_bits) - 1
         # per part: the masks of its even and odd words, and the shifts that
@@ -119,12 +137,35 @@ class Tree:
             (_spread(count, 0) << at, at, _spread(count, 1) << at, at + 8 * WORD)
             for count, at in ((L, base), (L, base + 8 * WORD * L), (2 * L, base),
                               (L, 0))]
+        if blocks == 1:
+            self.expand, self.add, self._draw = self._node1, self._add1, _expand1
+        else:
+            self.expand, self.add, self._draw = self._node3, self._add3, _expand3
 
-    def expand(self, seed: int) -> tuple[int, int, int, int]:
+    def _node1(self, seed: int) -> tuple[int, int]:
+        """One node expansion: its seed area, and the one pass of g."""
+        x = _expand1(_G_TAG, seed, self.block, self.nbytes)
+        return x & self._area_mask, x
+
+    def _node3(self, seed: int) -> tuple[int, tuple[int, int, int]]:
         """One node expansion: its seed area, the XOR of the three block
-        expansions there, and the three block expansions as ints."""
-        x0, x1, x2 = _expand3(_G_TAG, seed, self.block, self.nbytes)
-        return (x0 ^ x1 ^ x2) & self._area_mask, x0, x1, x2
+        expansions there, and the three block expansions."""
+        x0, x1, x2 = x = _expand3(_G_TAG, seed, self.block, self.nbytes)
+        return (x0 ^ x1 ^ x2) & self._area_mask, x
+
+    def _add1(self, acc: tuple[int, int], x: int, side: int) -> tuple[int, int]:
+        """acc plus one side's payload words of a one-block expansion."""
+        em, es, om, os = self._parts[side]
+        return acc[0] + ((x & em) >> es), acc[1] + ((x & om) >> os)
+
+    def _add3(self, acc: tuple[int, int], x: tuple[int, int, int],
+              side: int) -> tuple[int, int]:
+        """acc plus the block-wise sums of one side's payload words, from a
+        node's three block expansions."""
+        x0, x1, x2 = x
+        em, es, om, os = self._parts[side]
+        return (acc[0] + (((x0 & em) + (x1 & em) + (x2 & em)) >> es),
+                acc[1] + (((x0 & om) + (x1 & om) + (x2 & om)) >> os))
 
     def child(self, area: int, side: int) -> tuple[int, int]:
         """The seed and control bit of one side of a seed area."""
@@ -137,23 +178,16 @@ class Tree:
         W = self.seed_bits
         return s_cw | s_cw << W | (t_cw[0] | t_cw[1] << 1) << 2 * W
 
-    def add(self, acc: tuple[int, int], x0: int, x1: int, x2: int,
-            side: int) -> tuple[int, int]:
-        """acc plus the block-wise sums of one side's payload words, from a
-        node's three block expansions."""
-        em, es, om, os = self._parts[side]
-        return (acc[0] + (((x0 & em) + (x1 & em) + (x2 & em)) >> es),
-                acc[1] + (((x0 & om) + (x1 & om) + (x2 & om)) >> os))
-
-    def sums(self, x0: int, x1: int, x2: int) -> list[int]:
-        """Both sides' payload words, block-wise summed: the left side's L,
-        then the right side's."""
-        return _unpack(self.add((0, 0), x0, x1, x2, _BOTH), 2 * self.L)
+    def sums(self, x) -> list[int]:
+        """Both sides' payload words of a node expansion x, unreduced: the
+        left side's L, then the right side's."""
+        return _unpack(self.add((0, 0), x, _BOTH), 2 * self.L)
 
     def leaf(self, seed: int, acc: tuple[int, int]) -> tuple[int, int]:
-        """acc plus a leaf's payload: the block-wise sums of its leaf
-        conversions."""
-        return self.add(acc, *_expand3(_CV_TAG, seed, self.block, WORD * self.L), _LEAF)
+        """acc plus a leaf's payload: its leaf conversion, block-wise summed
+        for a three-block seed."""
+        return self.add(acc, self._draw(_CV_TAG, seed, self.block, WORD * self.L),
+                        _LEAF)
 
     def words(self, raw: bytes, side: int) -> list[int]:
         """One block expansion's payload words of one side."""
@@ -175,9 +209,9 @@ class Tree:
 
 
 @cache
-def tree(lam: int, L: int, node_words: bool = True) -> Tree:
+def tree(blocks: int, lam: int, L: int, node_words: bool = True) -> Tree:
     """The shared `Tree` of one shape."""
-    return Tree(lam, L, node_words)
+    return Tree(blocks, lam, L, node_words)
 
 
 class Prf:

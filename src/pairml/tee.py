@@ -3,17 +3,19 @@
 Single-TEE mode: one enclave per server holds a cross-server pairwise PRF
 seed; both enclaves derive identical randomness, so each can centrally run
 FSS key generation and hand its server exactly one half of every key pair.
+Each enclave holds every tree seed whole, so its keys have one-block seeds:
+one PRG pass per node.
 
 Multiple-TEE mode: three enclaves per server run replicated-sharing 3PC to
 generate the same material without any single enclave learning the masks or
 assembling a full key.  The tree PRG is never evaluated inside the 3PC:
-node seeds are three lam-bit blocks, and each enclave learns exactly one
-block in the clear and expands it once, locally.  On the seed area the XOR
-of the three local expansions is the node expansion; the payload words
-after that area sum to the node's payload words mod p, so an enclave inputs
-the words of its own expansion as its additive share and no payload block
-leaves it.  Only the cheap correction-word logic runs as boolean/arithmetic
-3PC gates.
+node seeds are three lam-bit blocks (`prg`), and each enclave learns
+exactly one block in the clear and expands it once, locally.  On the seed
+area the XOR of the three local expansions is the node expansion; the
+payload words after that area sum to the node's payload words mod p, so an
+enclave inputs the words of its own expansion as its additive share and no
+payload block leaves it.  Only the cheap correction-word logic runs as
+boolean/arithmetic 3PC gates.
 
 A material is made in two steps.  Planning runs the material's recipe in
 `gadgets` against a key source whose masks are sums of three GenRand
@@ -52,7 +54,8 @@ from .gadgets import (CentralSource, SplineTable, deserialize_material, recipe,
 from .params import ProtocolParams
 from .prg import Prf, PrfStream
 from .shares3 import A3, B3, Arith3Engine, Bool3Engine, TriadNet, lane_bits, spread
-from .transport import Channel, KIND_TEE_MATERIAL, PHASE_PREPROCESS
+from .transport import (Channel, ENCLAVE, KIND_TEE_MATERIAL, LOCAL, PHASE_PREPROCESS,
+                        inproc_pair)
 
 
 class CounterOverflowError(RuntimeError):
@@ -292,7 +295,7 @@ class TeeTriple:
         Kd = sum(plan.kind == "dcf" for plan in plans)
         Ls = [len(plan.beta_spec) for plan in plans]
         Ld = sum(Ls[:Kd])
-        trees = [prg.tree(lam, Ls[l], l < Kd) for l in range(K)]
+        trees = [prg.tree(3, lam, Ls[l], l < Kd) for l in range(K)]
         sb = 3 * lam // 8
         W = 8 * sb  # seed bits per lane
         lanes = (1 << K) - 1
@@ -421,7 +424,8 @@ class TeeTriple:
         for l, plan in enumerate(plans):
             final = words[n * Ld + offs[l]:n * Ld + offs[l] + Ls[l]]
             common = dict(party=self.server, domain_bits=n, p=p, payload_len=Ls[l],
-                          lam=lam, root_seed=b"".join(r[self.server] for r in plan.roots),
+                          lam=lam, blocks=3,
+                          root_seed=b"".join(r[self.server] for r in plan.roots),
                           root_t=self.server, seed_cws=seed_cws[l], t_cws=t_cws[l],
                           final_cw=final)
             if l < Kd:
@@ -457,7 +461,6 @@ class TeeTriple:
 
 def build_single_tee(server: int, params: ProtocolParams, bundle: SeedBundle):
     """SingleTee plus the channels the engine should keep for metering."""
-    from .transport import LOCAL, inproc_pair
     enc_end, host_end = inproc_pair(f"tee{server}-enclave", f"tee{server}-host",
                                     LOCAL)
     tee = SingleTee(server, params.p, params.lam, bundle, to_host=enc_end,
@@ -466,19 +469,14 @@ def build_single_tee(server: int, params: ProtocolParams, bundle: SeedBundle):
 
 
 def build_tee_triple(server: int, params: ProtocolParams, bundle: SeedBundle):
-    from .transport import ENCLAVE, LOCAL, inproc_pair
+    """TeeTriple plus the channels the engine should keep for metering."""
     chans = {}
-    all_channels = []
     for i in range(3):
         for j in range(i + 1, 3):
-            a, b = inproc_pair(f"s{server}-enc{i}->{j}", f"s{server}-enc{j}->{i}",
-                               ENCLAVE)
-            chans[(i, j)] = a
-            chans[(j, i)] = b
-            all_channels += [a, b]
+            chans[(i, j)], chans[(j, i)] = inproc_pair(
+                f"s{server}-enc{i}->{j}", f"s{server}-enc{j}->{i}", ENCLAVE)
     enc_end, host_end = inproc_pair(f"s{server}-enc0-host", f"s{server}-host-enc0",
                                     LOCAL)
-    all_channels += [enc_end, host_end]
     tee = TeeTriple(server, params.p, params.lam, bundle, TriadNet(chans), enc_end,
                     host_end)
-    return tee, all_channels
+    return tee, [*chans.values(), enc_end, host_end]

@@ -29,7 +29,7 @@ def _sum(p, a, b):
     return [(x + y) % p for x, y in zip(a, b)]
 
 
-# -- block PRG ----------------------------------------------------------------
+# -- tree PRG -----------------------------------------------------------------
 
 
 def _blocks(seed: int) -> list[bytes]:
@@ -43,23 +43,24 @@ def test_blockprg_xor_of_three_reconstruction():
     rng = random.Random(1)
     area = 2 * 48 + 1
     for L in (0, 1, 3):
-        tree = prg.tree(128, L)
+        tree = prg.tree(3, 128, L)
         for _ in range(30):
             seed = rng.getrandbits(384)
             whole = tree.expand(seed)[0]
             acc = 0
             for blk in _blocks(seed):
-                raw = prg.g_expand(blk, prg.node_bytes(128, L))
+                raw = prg.g_expand(blk, tree.nbytes)
                 acc ^= int.from_bytes(raw[:area], "little")
             assert acc == whole
 
 
 def test_blockprg_deterministic_and_avalanche():
-    tree = prg.tree(128, 2)
-    assert tree.expand(0) == tree.expand(0)
-    area, *blocks = tree.expand(1)
-    other, *other_blocks = tree.expand(0)
-    assert area != other and tree.sums(*blocks) != tree.sums(*other_blocks)
+    for blocks in (1, 3):
+        tree = prg.tree(blocks, 128, 2)
+        assert tree.expand(0) == tree.expand(0)
+        area, x = tree.expand(1)
+        other, other_x = tree.expand(0)
+        assert area != other and tree.sums(x) != tree.sums(other_x)
 
 
 def test_block_convert_sums_match():
@@ -69,19 +70,41 @@ def test_block_convert_sums_match():
     rng = random.Random(2)
     for p in (P_TEST, (1 << 61) - 1):
         for L in (1, 2, 3):
-            tree = prg.tree(128, L)
+            tree = prg.tree(3, 128, L)
             seed = rng.getrandbits(384)
-            _, *xs = tree.expand(seed)
+            _, x = tree.expand(seed)
             acc, leaf = [0] * (2 * L), [0] * L
             for blk in _blocks(seed):
-                raw = prg.g_expand(blk, prg.node_bytes(128, L))
+                raw = prg.g_expand(blk, tree.nbytes)
                 acc = [a + w for a, w in zip(acc, tree.words(raw, 0) + tree.words(raw, 1))]
                 leaf = [a + w for a, w in zip(leaf, prg.block_convert(blk, L, p))]
-            assert tree.sums(*xs) == acc
-            assert [tree.unpack(tree.add((0, 0), *xs, side))
+            assert tree.sums(x) == acc
+            assert [tree.unpack(tree.add((0, 0), x, side))
                     for side in (0, 1)] == [acc[:L], acc[L:]]
             assert ([w % p for w in tree.unpack(tree.leaf(seed, (0, 0)))]
                     == [a % p for a in leaf])
+
+
+def test_one_block_node_is_one_pass_of_g():
+    # a one-block seed is a plain 128-bit GGM seed: its node is one pass of g,
+    # with the seed area and both sides' payload words read straight off it,
+    # and its leaf is one leaf conversion
+    rng = random.Random(26)
+    for p in (P_TEST, (1 << 61) - 1):
+        for L in (0, 1, 3):
+            tree = prg.tree(1, 128, L)
+            assert tree.area == 2 * 16 + 1
+            seed = rng.getrandbits(128)
+            blk = seed.to_bytes(16, "little")
+            prg.reset_call_counter()
+            area, x = tree.expand(seed)
+            leaf = tree.unpack(tree.leaf(seed, (0, 0)))
+            assert prg.reset_call_counter() == 2
+            raw = prg.g_expand(blk, tree.nbytes)
+            assert x == int.from_bytes(raw, "little")
+            assert area == int.from_bytes(raw[:tree.area], "little")
+            assert tree.sums(x) == tree.words(raw, 0) + tree.words(raw, 1)
+            assert [w % p for w in leaf] == prg.block_convert(blk, L, p)
 
 
 # -- DPF ------------------------------------------------------------------------
@@ -89,14 +112,14 @@ def test_block_convert_sums_match():
 
 def test_dpf_exhaustive_8bit():
     rng = random.Random(3)
-    for trial in range(6):
+    for blocks, trial in [(b, t) for b in (3, 1) for t in range(6)]:
         alpha = rng.randrange(256)
         beta = [rng.randrange(P_TEST), rng.randrange(P_TEST)]
-        k0, k1 = dpf_gen(P_TEST, alpha, beta, rng, domain_bits=8)
+        k0, k1 = dpf_gen(P_TEST, alpha, beta, rng, domain_bits=8, blocks=blocks)
         for x in range(256):
             got = _sum(P_TEST, dpf_eval(0, k0, x), dpf_eval(1, k1, x))
             expect = beta if x == alpha else [0, 0]
-            assert got == expect, (trial, alpha, x)
+            assert got == expect, (blocks, trial, alpha, x)
 
 
 def test_dpf_known_point_case():
@@ -177,23 +200,25 @@ def test_dpf_eval_prg_budget():
 
 
 def test_dcf_gen_prg_budget():
-    # one node expansion (three block calls) per party and level, then one
-    # leaf conversion per party: 3 (2n + 2) block calls
+    # one node expansion (a block call per seed block) per party and level,
+    # then one leaf conversion per party: blocks (2n + 2) block calls
     rng = random.Random(24)
-    for p, n in ((P_TEST, 8), (P_WIDE, 30)):
-        prg.reset_call_counter()
-        dcf_gen(p, 5, [1, 2], rng, domain_bits=n)
-        assert prg.reset_call_counter() == 3 * (2 * n + 2)
+    for blocks in (1, 3):
+        for p, n in ((P_TEST, 8), (P_WIDE, 30)):
+            prg.reset_call_counter()
+            dcf_gen(p, 5, [1, 2], rng, domain_bits=n, blocks=blocks)
+            assert prg.reset_call_counter() == blocks * (2 * n + 2)
 
 
 def test_dcf_eval_prg_budget():
-    # one node expansion per level and one leaf conversion: 3 (n + 1)
+    # one node expansion per level and one leaf conversion: blocks (n + 1)
     rng = random.Random(25)
-    for p, n in ((P_TEST, 8), (P_WIDE, 30)):
-        k0, _ = dcf_gen(p, 5, [1, 2], rng, domain_bits=n)
-        prg.reset_call_counter()
-        dcf_eval(0, k0, 123)
-        assert prg.reset_call_counter() == 3 * (n + 1)
+    for blocks in (1, 3):
+        for p, n in ((P_TEST, 8), (P_WIDE, 30)):
+            k0, _ = dcf_gen(p, 5, [1, 2], rng, domain_bits=n, blocks=blocks)
+            prg.reset_call_counter()
+            dcf_eval(0, k0, 123)
+            assert prg.reset_call_counter() == blocks * (n + 1)
 
 
 def test_dpf_domain_errors():
@@ -210,15 +235,15 @@ def test_dpf_domain_errors():
 
 def test_dcf_exhaustive_8bit():
     rng = random.Random(12)
-    for trial in range(6):
+    for blocks, trial in [(b, t) for b in (3, 1) for t in range(6)]:
         thr = rng.randrange(257)  # threshold range includes 2^n is excluded; [0,256]
         thr = min(thr, 255)
         beta = [rng.randrange(P_TEST)]
-        k0, k1 = dcf_gen(P_TEST, thr, beta, rng, domain_bits=8)
+        k0, k1 = dcf_gen(P_TEST, thr, beta, rng, domain_bits=8, blocks=blocks)
         for x in range(256):
             got = _sum(P_TEST, dcf_eval(0, k0, x), dcf_eval(1, k1, x))
             expect = beta if x < thr else [0]
-            assert got == expect, (trial, thr, x)
+            assert got == expect, (blocks, trial, thr, x)
 
 
 def test_dcf_threshold_zero_and_max():
@@ -267,7 +292,7 @@ def test_walk_point_sets_match_pointwise():
         _walk(0, keys[1], [3, 256])
 
 
-def _kernel_walks():
+def _kernel_walks(blocks=3):
     """Multi-point walks on wide domains, the point sets the sessions walk:
     tanh spline knots at P_BIG and P_PROD, ReLU point pairs at P_PROD, and
     single DPF points at both (party b's key, the points, the function)."""
@@ -277,18 +302,18 @@ def _kernel_walks():
         table = tanh_table(8, p)
         for _ in range(3):
             r, w = rng.randrange(p), rng.randrange(p)
-            keys = dcf_gen(p, r, [1, r], rng)
+            keys = dcf_gen(p, r, [1, r], rng, blocks=blocks)
             knots = [y for lo, hi, _, _ in table.segments
                      for y in _interval_points(w, lo, hi, p)]
             walks.append((keys, knots, lambda x, r=r: [1, r] if x < r else [0, 0]))
         for _ in range(3):
             alpha = rng.randrange(p)
-            keys = dpf_gen(p, alpha, [1, 2, 3], rng)
+            keys = dpf_gen(p, alpha, [1, 2, 3], rng, blocks=blocks)
             walks.append((keys, [alpha if rng.randrange(2) else rng.randrange(p)],
                           lambda x, a=alpha: [1, 2, 3] if x == a else [0, 0, 0]))
     for _ in range(4):
         r, w = rng.randrange(P_PROD), rng.randrange(P_PROD)
-        keys = dcf_gen(P_PROD, r, [1, r], rng)
+        keys = dcf_gen(P_PROD, r, [1, r], rng, blocks=blocks)
         walks.append((keys, list(_interval_points(w, 0, (P_PROD - 1) // 2, P_PROD)),
                       lambda x, r=r: [1, r] if x < r else [0, 0]))
     return walks
@@ -312,58 +337,103 @@ def test_multi_point_walks_match_pointwise_and_are_pinned():
     assert h.hexdigest()[:16] == "a8f42eaf7499d944"
 
 
+def test_one_block_walks_match_pointwise():
+    for keys, xs, f in _kernel_walks(blocks=1):
+        assert {key.blocks for key in keys} == {1}
+        ev = dcf_eval if isinstance(keys[0], DcfKey) else dpf_eval
+        shares = [_walk(b, key, xs) for b, key in enumerate(keys)]
+        for b, key in enumerate(keys):
+            assert shares[b] == [ev(b, key, x) for x in xs]
+        for x, s0, s1 in zip(xs, *shares):
+            assert _sum(keys[0].p, s0, s1) == f(x)
+
+
 def test_walk_prg_calls_count_prefixes_and_points():
-    # a walk expands each distinct prefix of its points once per level (three
-    # block calls) and converts each distinct point once (three more)
-    for keys, xs, _ in _kernel_walks():
-        n = keys[0].domain_bits
-        nodes = sum(len({x >> (n - i) for x in xs}) for i in range(n))
-        prg.reset_call_counter()
-        _walk(1, keys[1], xs)
-        assert prg.reset_call_counter() == 3 * (nodes + len(set(xs)))
+    # a walk expands each distinct prefix of its points once per level (a
+    # block call per seed block) and converts each distinct point once
+    for blocks in (1, 3):
+        for keys, xs, _ in _kernel_walks(blocks):
+            n = keys[0].domain_bits
+            nodes = sum(len({x >> (n - i) for x in xs}) for i in range(n))
+            prg.reset_call_counter()
+            _walk(1, keys[1], xs)
+            assert prg.reset_call_counter() == blocks * (nodes + len(set(xs)))
 
 
 # -- serialization ----------------------------------------------------------------
 
 
+# a key's variant byte names its class and its seeds' block count
+VARIANTS = {(DpfKey, 3): 0x01, (DcfKey, 3): 0x02, (DpfKey, 1): 0x03, (DcfKey, 1): 0x04}
+
+
 def test_key_serialization_round_trip():
     rng = random.Random(20)
-    k0, k1 = dpf_gen(P_TEST, 44, [1, 2], rng, domain_bits=8)
-    for k in (k0, k1):
-        buf = k.serialize()
-        again = DpfKey.deserialize(buf)
-        assert again == k
-        assert again.serialize() == buf
-    c0, c1 = dcf_gen(P_TEST, 99, [1, 2, 3], rng, domain_bits=8)
-    buf = c0.serialize()
-    assert DcfKey.deserialize(buf) == c0
-    assert DcfKey.deserialize(buf).serialize() == buf
+    for blocks in (3, 1):
+        k0, k1 = dpf_gen(P_TEST, 44, [1, 2], rng, domain_bits=8, blocks=blocks)
+        for k in (k0, k1):
+            buf = k.serialize()
+            assert buf[0] == VARIANTS[(DpfKey, blocks)]
+            again = DpfKey.deserialize(buf)
+            assert again == k and again.blocks == blocks
+            assert again.serialize() == buf
+        c0, c1 = dcf_gen(P_TEST, 99, [1, 2, 3], rng, domain_bits=8, blocks=blocks)
+        buf = c0.serialize()
+        assert buf[0] == VARIANTS[(DcfKey, blocks)]
+        assert DcfKey.deserialize(buf) == c0
+        assert DcfKey.deserialize(buf).serialize() == buf
 
 
 def test_malformed_keys_rejected():
     rng = random.Random(22)
-    k0, _ = dpf_gen(P_TEST, 44, [1, 2], rng, domain_bits=8)
-    c0, _ = dcf_gen(P_TEST, 99, [1, 2, 3], rng, domain_bits=8)
-    for cls, buf in ((DpfKey, k0.serialize()), (DcfKey, c0.serialize())):
-        for bad in (buf[:-8], buf[:-1], buf + b"junk", buf[:5], b""):
-            with pytest.raises(ValueError):
-                cls.deserialize(bad)
-    with pytest.raises(ValueError):
-        DcfKey.deserialize(k0.serialize())  # a DPF key is not a DCF key
-    with pytest.raises(ValueError):
-        replace(c0, v_cws=c0.v_cws[:-1]).serialize()
-    with pytest.raises(ValueError):
-        replace(k0, seed_cws=[s[:-1] for s in k0.seed_cws]).serialize()
+    for blocks in (3, 1):
+        k0, _ = dpf_gen(P_TEST, 44, [1, 2], rng, domain_bits=8, blocks=blocks)
+        c0, _ = dcf_gen(P_TEST, 99, [1, 2, 3], rng, domain_bits=8, blocks=blocks)
+        for cls, buf in ((DpfKey, k0.serialize()), (DcfKey, c0.serialize())):
+            for bad in (buf[:-8], buf[:-1], buf + b"\0", buf + b"junk", buf[:5], b""):
+                with pytest.raises(ValueError):
+                    cls.deserialize(bad)
+            # every variant byte but this one: another class's, the other
+            # block count's (its seeds do not fit this body) and unknown ones
+            for variant in set(range(256)) - {buf[0]}:
+                with pytest.raises(ValueError):
+                    cls.deserialize(bytes([variant]) + buf[1:])
+        with pytest.raises(ValueError):
+            DcfKey.deserialize(k0.serialize())  # a DPF key is not a DCF key
+        with pytest.raises(ValueError):
+            replace(c0, v_cws=c0.v_cws[:-1]).serialize()
+        with pytest.raises(ValueError):
+            replace(k0, seed_cws=[s[:-1] for s in k0.seed_cws]).serialize()
+        with pytest.raises(ValueError):
+            replace(k0, blocks=2).serialize()
+
+
+def test_key_length_closed_form():
+    # a 16-byte header, the root seed, per level a seed correction word and
+    # a flags byte, then final_cw and, for a DCF, a v_cw per level, 8 bytes
+    # a word
+    rng = random.Random(29)
+    for blocks in (1, 3):
+        sb = 16 * blocks
+        for gen, cmp in ((dpf_gen, 0), (dcf_gen, 1)):
+            for p, L in ((P_TEST, 1), (P_WIDE, 3), (P_PROD, 2)):
+                n = (p - 1).bit_length()
+                key = gen(p, rng.randrange(p), [1] * L, rng, blocks=blocks)[0]
+                assert len(key.serialize()) == (16 + sb + n * (sb + 1)
+                                                + 8 * L * (1 + n * cmp))
+    # a wire's comparison key at production(): payload (1, r), 52 levels
+    assert [len(dcf_gen(P_PROD, 5, [1, 5], rng, blocks=blocks)[0].serialize())
+            for blocks in (1, 3)] == [1764, 3460]
 
 
 # -- pinned key bytes -----------------------------------------------------------------
 
 
-def _table_digest(gen, eval_all, seed):
+def _table_digest(gen, eval_all, seed, blocks=3):
     rng = random.Random(seed)
     point = rng.randrange(256)
     beta = [rng.randrange(P_TEST) for _ in range(2)]
-    keys = gen(P_TEST, point, beta, rng, domain_bits=8)
+    keys = gen(P_TEST, point, beta, rng, domain_bits=8, blocks=blocks)
     h = hashlib.sha256()
     for b, key in enumerate(keys):
         h.update(key.serialize())
@@ -372,10 +442,10 @@ def _table_digest(gen, eval_all, seed):
     return h.hexdigest()[:16]
 
 
-def _point_digest(gen, ev, seed):
+def _point_digest(gen, ev, seed, blocks=3):
     rng = random.Random(seed)
     point = rng.randrange(P_WIDE)
-    keys = gen(P_WIDE, point, [1, point], rng)
+    keys = gen(P_WIDE, point, [1, point], rng, blocks=blocks)
     xs = [point - 1, point, point + 1] + [rng.randrange(P_WIDE) for _ in range(5)]
     h = hashlib.sha256()
     for b, key in enumerate(keys):
@@ -397,3 +467,16 @@ def test_key_bytes_and_tables_pinned():
         "66a9badc626c190b", "eafc090c6b2824f3"]
     assert [_point_digest(dcf_gen, dcf_eval, s) for s in (4, 5)] == [
         "595e144d73dc98dc", "ea70a82036d7be4a"]
+
+
+def test_one_block_key_bytes_and_tables_pinned():
+    # the same digests for keys with one-block seeds, the keys a single
+    # enclave makes (recorded when they were introduced)
+    assert [_table_digest(dpf_gen, dpf_eval_all, s, 1) for s in (1, 2, 3)] == [
+        "d5cb7be8ea62eb17", "cd771a076556581b", "9547d69c7e4cabfc"]
+    assert [_table_digest(dcf_gen, dcf_eval_all, s, 1) for s in (1, 2, 3)] == [
+        "fcd6a8ee1dc8b668", "bd908a81a2a51e5f", "4894946a1425aba9"]
+    assert [_point_digest(dpf_gen, dpf_eval, s, 1) for s in (4, 5)] == [
+        "7fb6b025d31d10b8", "88b17c5b5332077e"]
+    assert [_point_digest(dcf_gen, dcf_eval, s, 1) for s in (4, 5)] == [
+        "518d3190eed853c7", "a49085c2041741ad"]

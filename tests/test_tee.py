@@ -1,10 +1,12 @@
+import dataclasses
 import hashlib
 import random
 
 import pytest
 
 from pairml import prg
-from pairml.fss import _tree_gen, dcf_eval, dcf_eval_all, dcf_gen, dpf_eval_all, dpf_gen
+from pairml.fss import (DpfKey, _tree_gen, dcf_eval, dcf_eval_all, dcf_gen, dpf_eval_all,
+                        dpf_gen)
 from pairml.gadgets import (plain_argmax, plain_max, plain_max2, plain_relu, run_pair,
                             serialize_material, tanh_table)
 from pairml.params import ProtocolParams
@@ -293,7 +295,7 @@ def test_prg_calls_all_outside_3pc(small_params):
     before = prg.calls
     t0.dist_tree_gen("dcf", [_FakePiece(3), _FakePiece(9), _FakePiece(20)],
                      [("const", 1)])
-    n = small_params.domain_bits
+    n = (small_params.p - 1).bit_length()
     assert prg.calls - before == 2 * 3 * (n + 1) == 66
 
 
@@ -322,7 +324,7 @@ def test_dist_keygen_enclave_comm_budget(small_params):
     L = 2
     t0.dist_tree_gen("dcf", [_FakePiece(1), _FakePiece(2), _FakePiece(3)],
                      [("const", 1)] * L)
-    n = small_params.domain_bits
+    n = (small_params.p - 1).bit_length()
     lam_b = small_params.lam // 8
     sb = 3 * lam_b
     out_len = 2 * (2 * sb) + 1
@@ -347,7 +349,7 @@ def test_dist_dcf_payload_blocks_stay_in_their_enclave(small_params):
     t0, _, _ = _triples(small_params, seed=35)
     t0.dist_tree_gen("dcf", [_FakePiece(1), _FakePiece(2), _FakePiece(3)],
                      [("const", 1)] * 2)
-    n, lam_b = small_params.domain_bits, small_params.lam // 8
+    n, lam_b = (small_params.p - 1).bit_length(), small_params.lam // 8
     v_block_sends = n * 2 * 3 * 4 * lam_b  # per level: 2 passes, 3 enclaves, 4 fields
     sent = sum(c.meter.sent_bytes for c in t0.net.channels.values())
     assert sent <= 30675 - v_block_sends, sent
@@ -392,16 +394,17 @@ def test_batched_materials_are_pinned(testing_params, kind, k, seed):
 
 
 # the same digests for single-TEE materials, each made centrally by one
-# enclave from the pair seed's PRF stream
+# enclave from the pair seed's PRF stream (recorded when its keys' seeds
+# became one block)
 PINNED_SINGLE = {
-    ("relu", 1, 61): ("b9403a00af2c94c85153dba5abc96470",
-                      "bdf2153ceeceae6659cba436b6d4f1cd"),
-    ("tanh", 1, 62): ("5c04e6c1644d448c337a8a1c61e88ab0",
-                      "41e653abda17cc5bfdb59cd169e84e7c"),
-    ("maxpool", 4, 64): ("77035bd6997172d20ace6188e993bcba",
-                         "0005d39d858a3d0871ea19513e67f4aa"),
-    ("argmax", 8, 65): ("23a588e484976c3d158c93042868719b",
-                        "a818a695a4885c827c5c5cfc66e01472"),
+    ("relu", 1, 61): ("27cd41e1e9d93347e81ce271d041adcd",
+                      "ab0b75077f1162934f02d4126a448925"),
+    ("tanh", 1, 62): ("77f60abeda5717318821caa098c7ba2a",
+                      "9d67a7bf431fc3a18b8ee3534c331e18"),
+    ("maxpool", 4, 64): ("459824ed987d517023b9799b5de8ff5b",
+                         "e44358aefae375d68461cfc80c2e96c7"),
+    ("argmax", 8, 65): ("509f9a9f3e131cf9aec75f90ac53c4f1",
+                        "4ca1ba330ee19b93ef969e57e951d827"),
 }
 
 
@@ -415,6 +418,32 @@ def test_single_tee_materials_are_pinned(testing_params, kind, k, seed):
         mat = tee.gadget_material(kind, k=k, table=table)
         got.append(hashlib.sha256(serialize_material(mat)).hexdigest()[:32])
     assert tuple(got) == PINNED_SINGLE[(kind, k, seed)]
+
+
+def _keys(mat):
+    """Every FSS key a material holds, its sub-materials' included."""
+    if isinstance(mat, DpfKey):
+        return [mat]
+    if isinstance(mat, list):
+        return [key for item in mat for key in _keys(item)]
+    if dataclasses.is_dataclass(mat):
+        return [key for f in dataclasses.fields(mat)
+                for key in _keys(getattr(mat, f.name))]
+    return []
+
+
+@pytest.mark.parametrize("kind, k", [("relu", 1), ("tanh", 1), ("maxpool", 3),
+                                     ("argmax", 3)])
+def test_key_seeds_are_one_block_in_single_tee_and_three_in_triples(
+        testing_params, kind, k):
+    # a single enclave holds every seed whole, so one block per seed; three
+    # enclaves each expand their own block of a three-block seed
+    table = (tanh_table(testing_params.fp_scale, testing_params.p)
+             if kind == "tanh" else None)
+    for build, blocks in ((build_single_tee, 1), (build_tee_triple, 3)):
+        tee, _ = build(0, testing_params, _bundle(71))
+        keys = _keys(tee.gadget_material(kind, k=k, table=table))
+        assert keys and {key.blocks for key in keys} == {blocks}, build.__name__
 
 
 class _Roots:
@@ -448,7 +477,7 @@ def test_batched_keys_equal_central_keys(testing_params, monkeypatch):
         beta = [c[1] if c[0] == "const" else sum(pc.r for pc in c[1])
                 for c in plan.beta_spec]
         roots = [b"".join(r[party] for r in plan.roots) for party in (0, 1)]
-        central = _tree_gen(p, alpha, beta, _Roots(roots), testing_params.domain_bits,
+        central = _tree_gen(p, alpha, beta, _Roots(roots), (p - 1).bit_length(),
                             testing_params.lam, plan.kind == "dcf")
         assert plan.key == central[1]
 
