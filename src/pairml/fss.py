@@ -17,9 +17,12 @@ follows that point's bits.  A node costs one PRG pass of the node kernel,
 `prg.Tree`: its seed area holds both children's seeds and control bits, and
 a DCF node's payload words are both children's payload shares.  The walker
 adds only the words of a side that holds points, unreduced, and reduces each
-payload word once, at its leaf; the generator reduces only where it forms a
-correction word.  Seeds are ints while a tree is generated or walked, and
-bytes in a key.
+payload word once, at its leaf.  The generator makes each level in one fused
+kernel call, `prg.Tree.gen_level`, which expands both parties' nodes on the
+path and returns the next seeds, the seed and control correction words and
+each party's payload words as one int; it then forms a DCF level's payload
+correction word by word, reducing only there.  Seeds are ints while a tree
+is generated or walked, and bytes in a key.
 
 A key's seeds are one or three lam-bit blocks (`prg`): one when a single
 party generates the pair, three when three enclaves generate it together,
@@ -35,6 +38,9 @@ from typing import ClassVar
 
 from . import prg
 from .codec import Reader, Writer
+
+
+LAM = 128  # the security parameter of every deployed key, in bits
 
 
 class FssParameterError(ValueError):
@@ -92,40 +98,32 @@ def _tree_gen(p: int, alpha: int, beta: list[int], rng, n: int, lam: int,
     beta = [int(v) % p for v in beta]
     L = len(beta)
     tree = prg.tree(blocks, lam, L, cmp)
+    level, at, M = tree.gen_level, tree.at, tree.word_mask
     sb = _seed_bytes(lam, blocks)
     roots = (rng.randbytes(sb), rng.randbytes(sb))
-    s, t = [int.from_bytes(r, "little") for r in roots], [0, 1]
-    # what the leaf correction must still pay out, unreduced: a DPF pays all
-    # of beta there, a DCF whatever its level corrections left over
+    s0, s1 = (int.from_bytes(r, "little") for r in roots)
+    t0, t1 = 0, 1
+    # what the leaf correction must still pay out: a DPF pays all of beta
+    # there, a DCF whatever its last level correction left over
     v_alpha = [0] * L if cmp else [-v for v in beta]
     seed_cws: list[bytes] = []
     v_cws: list[list[int]] = []
     t_cws: list[tuple[int, int]] = []
     for i in range(n - 1, -1, -1):
         bit = (alpha >> i) & 1
-        (a0, x0), (a1, x1) = tree.expand(s[0]), tree.expand(s[1])
-        keep, lose = bit, 1 - bit
-        (sl, tl), (sr, tr) = tree.child(a0 ^ a1, 0), tree.child(a0 ^ a1, 1)
-        s_cw = sl if bit else sr
-        t_cw = (tl ^ bit ^ 1, tr ^ bit)
-        if cmp:
-            sign = -1 if t[1] else 1
-            w0, w1 = tree.sums(x0), tree.sums(x1)
-            cl0, cl1 = w0[lose * L:(lose + 1) * L], w1[lose * L:(lose + 1) * L]
-            v_cw = [sign * (b1 - b0 - va) % p for b1, b0, va in zip(cl1, cl0, v_alpha)]
-            if bit:  # lose side is L: everything left of the path is below alpha
-                v_cw = [(v + sign * bv) % p for v, bv in zip(v_cw, beta)]
-            ck0, ck1 = w0[keep * L:(keep + 1) * L], w1[keep * L:(keep + 1) * L]
-            v_alpha = [va - b1 + b0 + sign * v
-                       for va, b1, b0, v in zip(v_alpha, ck1, ck0, v_cw)]
-            v_cws.append(v_cw)
+        sign = -1 if t1 else 1
+        s0, t0, s1, t1, s_cw, t_cw, y0, y1 = level(s0, t0, s1, t1, bit)
         seed_cws.append(s_cw.to_bytes(sb, "little"))
         t_cws.append(t_cw)
-        cw = tree.cw_area(s_cw, t_cw)
-        for c, a in ((0, a0), (1, a1)):
-            s[c], t[c] = tree.child(a ^ cw if t[c] else a, keep)
-    c0, c1 = (tree.unpack(tree.leaf(sc, (0, 0))) for sc in s)
-    sign = -1 if t[1] else 1
+        if cmp:  # u: the lose side's difference, plus beta left of alpha
+            v_cw = []
+            for k, (lo, ke) in enumerate(at[bit]):
+                u = ((y1 >> lo) & M) - ((y0 >> lo) & M) + bit * beta[k]
+                v_cw.append(sign * (u - v_alpha[k]) % p)
+                v_alpha[k] = u - ((y1 >> ke) & M) + ((y0 >> ke) & M)
+            v_cws.append(v_cw)
+    c0, c1 = (tree.unpack(tree.leaf(sc, (0, 0))) for sc in (s0, s1))
+    sign = -1 if t1 else 1
     final_cw = [sign * (b1 - b0 - va) % p for b1, b0, va in zip(c1, c0, v_alpha)]
     cls = DcfKey if cmp else DpfKey
     keys = []
@@ -188,7 +186,7 @@ def _walk(b: int, key: DpfKey | DcfKey, xs) -> list[list[int]]:
 
 
 def dpf_gen(p: int, alpha: int, beta: list[int], rng, domain_bits: int | None = None,
-            lam: int = 128, blocks: int = 3) -> tuple[DpfKey, DpfKey]:
+            lam: int = LAM, blocks: int = 3) -> tuple[DpfKey, DpfKey]:
     """Keys k0, k1 with eval0(x) + eval1(x) = beta * [x == alpha] (mod p)."""
     n = domain_bits if domain_bits is not None else (p - 1).bit_length()
     return _tree_gen(p, alpha, beta, rng, n, lam, False, blocks)
@@ -199,13 +197,8 @@ def dpf_eval(b: int, key: DpfKey, x: int) -> list[int]:
     return _walk(b, key, [x])[0]
 
 
-def dpf_eval_all(b: int, key: DpfKey) -> list[list[int]]:
-    """Shares at every domain point via one tree walk (exhaustive tests)."""
-    return _walk(b, key, range(1 << key.domain_bits))
-
-
 def dcf_gen(p: int, threshold: int, beta: list[int], rng,
-            domain_bits: int | None = None, lam: int = 128,
+            domain_bits: int | None = None, lam: int = LAM,
             blocks: int = 3) -> tuple[DcfKey, DcfKey]:
     """Comparison keys: share sums equal beta * [x < threshold]."""
     n = domain_bits if domain_bits is not None else (p - 1).bit_length()
@@ -219,11 +212,6 @@ def dcf_eval(b: int, key: DcfKey, x: int) -> list[int]:
 def dcf_eval_many(b: int, key: DcfKey, xs) -> list[list[int]]:
     """Shares at each point of xs from one tree walk, in the order given."""
     return _walk(b, key, xs)
-
-
-def dcf_eval_all(b: int, key: DcfKey) -> list[list[int]]:
-    """Comparison shares at every domain point via one tree walk."""
-    return _walk(b, key, range(1 << key.domain_bits))
 
 
 # -- serialization ------------------------------------------------------------------
@@ -264,6 +252,8 @@ def _deserialize_tree(buf: bytes, cls) -> dict:
         if blocks is None:
             raise ValueError(f"not a {cls.__name__}: variant {variant:#04x}")
         lam, root_t = r.u16(), r.u8()
+        if lam != LAM:
+            raise ValueError(f"malformed {cls.__name__}: lam {lam}, not {LAM}")
         sb = _seed_bytes(lam, blocks)
         root_seed, levels = r.raw(sb), r.raw(n * (sb + 1))
         flags = levels[sb::sb + 1]

@@ -20,12 +20,17 @@ seed area and an additive share of every payload word from one local PRG
 call, and revealing any two blocks leaves a full lam bits of seed entropy.
 
 `Tree` holds the layout for one block count, seed size and payload length,
-and the node kernel that every tree walk and key generator runs.  A node's
-expansions are read into ints once.  Its payload words are summed one side
-at a time, only for a child that needs them, and stay unreduced and packed:
-the even words of a side in one int and the odd words in another, each word
-in a 256-bit lane, so a sum's carries stay in its lane.  A walk reduces each
-payload word once, at its leaf.
+and the node kernels that every tree walk and key generator runs.  A node's
+expansions are read into ints once.  In a walk, its payload words are summed
+one side at a time, only for a child that needs them, and stay unreduced and
+packed: the even words of a side in one int and the odd words in another,
+each word in a 256-bit lane, so a sum's carries stay in its lane.  A walk
+reduces each payload word once, at its leaf.  Key generation runs a level,
+the two parties' nodes on the path, as one fused call, `gen_level`: it
+expands both seeds, and one XOR of the two seed areas gives the level's seed
+and control correction words and both parties' next seeds and control bits.
+It returns each party's payload words, unreduced, as one int: for one block
+the expansion itself, for three the block-wise sums, evens then odds.
 """
 
 from __future__ import annotations
@@ -44,14 +49,6 @@ _shake = hashlib.shake_128
 # global expansion counters so tests can assert PRG-call budgets
 calls = 0
 bytes_expanded = 0
-
-
-def reset_call_counter() -> int:
-    global calls, bytes_expanded
-    prev = calls
-    calls = 0
-    bytes_expanded = 0
-    return prev
 
 
 def g_expand(block: bytes, out_len: int) -> bytes:
@@ -97,10 +94,6 @@ def _spread(count: int, first: int) -> int:
     return sum(((1 << 8 * WORD) - 1) << 8 * WORD * k for k in range(first, count, 2))
 
 
-def _unpack(acc: tuple[int, int], count: int) -> list[int]:
-    return [(acc[k & 1] >> _LANE * (k >> 1)) & _LANE_MASK for k in range(count)]
-
-
 _BOTH, _LEAF = 2, 3  # the parts `Tree.add` sums besides side 0 and side 1
 
 
@@ -111,8 +104,8 @@ class Tree:
 
     `expand` gives a node's seed area and its expansion x: one int for a
     one-block seed, the three block expansions for a three-block seed.
-    `add`, `sums` and `leaf` read payload words off such an x; the kernel of
-    each block count is bound once, here, so a node pays no branch on it.
+    `add` and `leaf` read payload words off such an x, and `gen_level` is
+    one level of key generation; each block count's kernel is bound once, here.
 
     A packed sum is a pair (even words, odd words) of ints, word 2m (resp.
     2m + 1) in lane m; `pack` and `unpack` convert from and to L words.
@@ -137,10 +130,18 @@ class Tree:
             (_spread(count, 0) << at, at, _spread(count, 1) << at, at + 8 * WORD)
             for count, at in ((L, base), (L, base + 8 * WORD * L), (2 * L, base),
                               (L, 0))]
+        # `gen_level`'s payload ints hold word m (left side's L, then right's) at bit
+        # place[m]; at[b][k] is word k's (lose, keep) places when the path bit is b
         if blocks == 1:
             self.expand, self.add, self._draw = self._node1, self._add1, _expand1
+            self.gen_level, self.word_mask = self._level1, (1 << 8 * WORD) - 1
+            place = [base + 8 * WORD * m for m in range(2 * L)]
         else:
             self.expand, self.add, self._draw = self._node3, self._add3, _expand3
+            self.gen_level, self.word_mask = self._level3, _LANE_MASK
+            place = [_LANE * ((m >> 1) + (m & 1) * L) for m in range(2 * L)]
+        self.at = [[(place[(1 - b) * L + k], place[b * L + k]) for k in range(L)]
+                   for b in (0, 1)]
 
     def _node1(self, seed: int) -> tuple[int, int]:
         """One node expansion: its seed area, and the one pass of g."""
@@ -167,6 +168,30 @@ class Tree:
         return (acc[0] + (((x0 & em) + (x1 & em) + (x2 & em)) >> es),
                 acc[1] + (((x0 & om) + (x1 & om) + (x2 & om)) >> os))
 
+    def _level1(self, s0: int, t0: int, s1: int, t1: int, bit: int) -> tuple:
+        """One key generation level, path side `bit`: `_correct`'s values, then x0, x1."""
+        x0 = _expand1(_G_TAG, s0, self.block, self.nbytes)
+        x1 = _expand1(_G_TAG, s1, self.block, self.nbytes)
+        return *self._correct(x0, x1, t0, t1, bit), x0, x1
+
+    def _level3(self, s0: int, t0: int, s1: int, t1: int, bit: int) -> tuple:
+        """`_level1` for three-block seeds: areas are XORs, payloads block-wise sums."""
+        x0 = _expand3(_G_TAG, s0, self.block, self.nbytes)
+        x1 = _expand3(_G_TAG, s1, self.block, self.nbytes)
+        (e0, o0), (e1, o1) = self._add3((0, 0), x0, _BOTH), self._add3((0, 0), x1, _BOTH)
+        return (*self._correct(x0[0] ^ x0[1] ^ x0[2], x1[0] ^ x1[1] ^ x1[2], t0, t1, bit),
+                e0 | o0 << _LANE * self.L, e1 | o1 << _LANE * self.L)
+
+    def _correct(self, a0: int, a1: int, t0: int, t1: int, bit: int) -> tuple:
+        """Both next seeds and control bits, then both correction words, from one XOR."""
+        W, m, d = self.seed_bits, self._seed_mask, a0 ^ a1
+        s_cw = (d >> (1 - bit) * W) & m  # the lose side's seeds' XOR
+        t_cw = ((d >> 2 * W) & 1 ^ bit ^ 1, (d >> 2 * W + 1) & 1 ^ bit)
+        sh, tk, tc = bit * W, 2 * W + bit, t_cw[bit]
+        return ((a0 >> sh) & m ^ (s_cw if t0 else 0), (a0 >> tk) & 1 ^ (tc & t0),
+                (a1 >> sh) & m ^ (s_cw if t1 else 0), (a1 >> tk) & 1 ^ (tc & t1),
+                s_cw, t_cw)
+
     def child(self, area: int, side: int) -> tuple[int, int]:
         """The seed and control bit of one side of a seed area."""
         W = self.seed_bits
@@ -177,11 +202,6 @@ class Tree:
         node's seed area, it corrects both children."""
         W = self.seed_bits
         return s_cw | s_cw << W | (t_cw[0] | t_cw[1] << 1) << 2 * W
-
-    def sums(self, x) -> list[int]:
-        """Both sides' payload words of a node expansion x, unreduced: the
-        left side's L, then the right side's."""
-        return _unpack(self.add((0, 0), x, _BOTH), 2 * self.L)
 
     def leaf(self, seed: int, acc: tuple[int, int]) -> tuple[int, int]:
         """acc plus a leaf's payload: its leaf conversion, block-wise summed
@@ -205,7 +225,7 @@ class Tree:
         return e, o
 
     def unpack(self, acc: tuple[int, int]) -> list[int]:
-        return _unpack(acc, self.L)
+        return [(acc[k & 1] >> _LANE * (k >> 1)) & _LANE_MASK for k in range(self.L)]
 
 
 @cache

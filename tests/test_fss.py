@@ -4,17 +4,17 @@ from dataclasses import replace
 
 import pytest
 
+from oracles import dcf_eval_all, dpf_eval_all, reset_call_counter
 from pairml import prg
+from pairml.codec import Writer
 from pairml.fss import (
     DcfKey,
     DpfKey,
     FssParameterError,
     _walk,
     dcf_eval,
-    dcf_eval_all,
     dcf_gen,
     dpf_eval,
-    dpf_eval_all,
     dpf_gen,
 )
 from pairml.gadgets import _interval_points, tanh_table
@@ -30,6 +30,12 @@ def _sum(p, a, b):
 
 
 # -- tree PRG -----------------------------------------------------------------
+
+
+def _sums(tree, x) -> list[int]:
+    """Both sides' payload words of a node expansion x, unreduced: the left
+    side's L, then the right side's."""
+    return [w for side in (0, 1) for w in tree.unpack(tree.add((0, 0), x, side))]
 
 
 def _blocks(seed: int) -> list[bytes]:
@@ -60,7 +66,7 @@ def test_blockprg_deterministic_and_avalanche():
         assert tree.expand(0) == tree.expand(0)
         area, x = tree.expand(1)
         other, other_x = tree.expand(0)
-        assert area != other and tree.sums(x) != tree.sums(other_x)
+        assert area != other and _sums(tree, x) != _sums(tree, other_x)
 
 
 def test_block_convert_sums_match():
@@ -78,7 +84,7 @@ def test_block_convert_sums_match():
                 raw = prg.g_expand(blk, tree.nbytes)
                 acc = [a + w for a, w in zip(acc, tree.words(raw, 0) + tree.words(raw, 1))]
                 leaf = [a + w for a, w in zip(leaf, prg.block_convert(blk, L, p))]
-            assert tree.sums(x) == acc
+            assert _sums(tree, x) == acc
             assert [tree.unpack(tree.add((0, 0), x, side))
                     for side in (0, 1)] == [acc[:L], acc[L:]]
             assert ([w % p for w in tree.unpack(tree.leaf(seed, (0, 0)))]
@@ -96,15 +102,43 @@ def test_one_block_node_is_one_pass_of_g():
             assert tree.area == 2 * 16 + 1
             seed = rng.getrandbits(128)
             blk = seed.to_bytes(16, "little")
-            prg.reset_call_counter()
+            reset_call_counter()
             area, x = tree.expand(seed)
             leaf = tree.unpack(tree.leaf(seed, (0, 0)))
-            assert prg.reset_call_counter() == 2
+            assert reset_call_counter() == 2
             raw = prg.g_expand(blk, tree.nbytes)
             assert x == int.from_bytes(raw, "little")
             assert area == int.from_bytes(raw[:tree.area], "little")
-            assert tree.sums(x) == tree.words(raw, 0) + tree.words(raw, 1)
+            assert _sums(tree, x) == tree.words(raw, 0) + tree.words(raw, 1)
             assert [w % p for w in leaf] == prg.block_convert(blk, L, p)
+
+
+def test_gen_level_is_two_node_expansions():
+    # one fused level of key generation equals the node kernel on both
+    # parties' seeds: the lose side's seed XOR and the control bits' XOR
+    # (the keep side's flipped) are the correction words, each party's next
+    # seed is its keep child, corrected where its control bit is set, and
+    # every payload word of both expansions is where `at` says
+    rng = random.Random(28)
+    for blocks in (1, 3):
+        for L in (1, 2, 3):
+            tree = prg.tree(blocks, 128, L)
+            for _ in range(8):
+                s = [rng.getrandbits(tree.seed_bits) for _ in range(2)]
+                t, bit = [rng.randrange(2) for _ in range(2)], rng.randrange(2)
+                got = tree.gen_level(s[0], t[0], s[1], t[1], bit)
+                (a0, x0), (a1, x1) = tree.expand(s[0]), tree.expand(s[1])
+                (sl, tl), (sr, tr) = tree.child(a0 ^ a1, 0), tree.child(a0 ^ a1, 1)
+                s_cw, t_cw = (sl if bit else sr), (tl ^ bit ^ 1, tr ^ bit)
+                cw = tree.cw_area(s_cw, t_cw)
+                nxt = [tree.child(a ^ cw if tc else a, bit)
+                       for a, tc in ((a0, t[0]), (a1, t[1]))]
+                assert got[:6] == (*nxt[0], *nxt[1], s_cw, t_cw)
+                for y, x in zip(got[6:], (x0, x1)):
+                    words = _sums(tree, x)
+                    for k, (lo, ke) in enumerate(tree.at[bit]):
+                        assert (y >> lo) & tree.word_mask == words[(1 - bit) * L + k]
+                        assert (y >> ke) & tree.word_mask == words[bit * L + k]
 
 
 # -- DPF ------------------------------------------------------------------------
@@ -192,9 +226,9 @@ def test_dpf_full_domain_sampled():
 def test_dpf_eval_prg_budget():
     rng = random.Random(10)
     k0, _ = dpf_gen(P_TEST, 5, [1], rng, domain_bits=8)
-    prg.reset_call_counter()
+    reset_call_counter()
     dpf_eval(0, k0, 123)
-    calls = prg.reset_call_counter()
+    calls = reset_call_counter()
     # 3 expansions per level plus 3 leaf conversions
     assert calls <= 4 * 8 + 3
 
@@ -205,9 +239,9 @@ def test_dcf_gen_prg_budget():
     rng = random.Random(24)
     for blocks in (1, 3):
         for p, n in ((P_TEST, 8), (P_WIDE, 30)):
-            prg.reset_call_counter()
+            reset_call_counter()
             dcf_gen(p, 5, [1, 2], rng, domain_bits=n, blocks=blocks)
-            assert prg.reset_call_counter() == blocks * (2 * n + 2)
+            assert reset_call_counter() == blocks * (2 * n + 2)
 
 
 def test_dcf_eval_prg_budget():
@@ -216,9 +250,9 @@ def test_dcf_eval_prg_budget():
     for blocks in (1, 3):
         for p, n in ((P_TEST, 8), (P_WIDE, 30)):
             k0, _ = dcf_gen(p, 5, [1, 2], rng, domain_bits=n, blocks=blocks)
-            prg.reset_call_counter()
+            reset_call_counter()
             dcf_eval(0, k0, 123)
-            assert prg.reset_call_counter() == blocks * (n + 1)
+            assert reset_call_counter() == blocks * (n + 1)
 
 
 def test_dpf_domain_errors():
@@ -355,9 +389,9 @@ def test_walk_prg_calls_count_prefixes_and_points():
         for keys, xs, _ in _kernel_walks(blocks):
             n = keys[0].domain_bits
             nodes = sum(len({x >> (n - i) for x in xs}) for i in range(n))
-            prg.reset_call_counter()
+            reset_call_counter()
             _walk(1, keys[1], xs)
-            assert prg.reset_call_counter() == blocks * (nodes + len(set(xs)))
+            assert reset_call_counter() == blocks * (nodes + len(set(xs)))
 
 
 # -- serialization ----------------------------------------------------------------
@@ -406,6 +440,23 @@ def test_malformed_keys_rejected():
             replace(k0, seed_cws=[s[:-1] for s in k0.seed_cws]).serialize()
         with pytest.raises(ValueError):
             replace(k0, blocks=2).serialize()
+
+
+def test_keys_of_another_lam_rejected():
+    # every deployed key has lam = 128; a header with another lam, and seeds
+    # and correction words of that size, is not a key: a one-block DCF key
+    # with lam = 0 (no seed bytes, 8 levels of flags and 18 zero words) used
+    # to decode and evaluate
+    zero = (Writer().u8(0x04).u8(0).u8(8).u16(2).u64(P_TEST).u16(0).u8(0)
+            .raw(bytes(8)).u64s([0] * 18).getvalue())
+    with pytest.raises(ValueError, match="lam 0"):
+        DcfKey.deserialize(zero)
+    rng = random.Random(30)
+    for gen, cls in ((dpf_gen, DpfKey), (dcf_gen, DcfKey)):
+        for blocks in (1, 3):
+            key = gen(P_TEST, 99, [1, 2], rng, domain_bits=8, lam=64, blocks=blocks)[0]
+            with pytest.raises(ValueError, match="lam 64"):
+                cls.deserialize(key.serialize())
 
 
 def test_key_length_closed_form():
@@ -480,3 +531,26 @@ def test_one_block_key_bytes_and_tables_pinned():
         "7fb6b025d31d10b8", "88b17c5b5332077e"]
     assert [_point_digest(dcf_gen, dcf_eval, s, 1) for s in (4, 5)] == [
         "518d3190eed853c7", "a49085c2041741ad"]
+
+
+def _gen_digest(gen, blocks):
+    # key bytes at an 8-bit domain and at production()'s 52-bit p, for every
+    # payload length the recipes use, at both ends of the domain and inside
+    rng = random.Random(31)
+    h = hashlib.sha256()
+    for p, n in ((P_TEST, 8), (P_PROD, 52)):
+        for L in (1, 2, 3):
+            for point in (0, rng.randrange(1 << n), (1 << n) - 1):
+                point = min(point, p - 1)
+                beta = [rng.randrange(p) for _ in range(L)]
+                for key in gen(p, point, beta, rng, domain_bits=n, blocks=blocks):
+                    h.update(key.serialize())
+    return h.hexdigest()[:16]
+
+
+def test_generated_key_bytes_pinned():
+    # recorded before key generation became one fused kernel call per level
+    assert {(gen.__name__, blocks): _gen_digest(gen, blocks)
+            for gen in (dpf_gen, dcf_gen) for blocks in (1, 3)} == {
+        ("dpf_gen", 1): "a56e578492877bd4", ("dpf_gen", 3): "c8458dbec3ee81ce",
+        ("dcf_gen", 1): "7d54468c072ee94f", ("dcf_gen", 3): "376427132d2b8d1f"}

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from pairml import prg
-from pairml.fss import (DpfKey, _tree_gen, dcf_eval, dcf_eval_all, dcf_gen, dpf_eval_all,
-                        dpf_gen)
+from oracles import dcf_eval_all, dpf_eval_all
+from pairml.fss import DpfKey, _tree_gen, dcf_eval, dcf_gen, dpf_gen
 from pairml.gadgets import (plain_argmax, plain_max, plain_max2, plain_relu, run_pair,
                             serialize_material, tanh_table)
 from pairml.params import ProtocolParams
@@ -418,6 +418,26 @@ def test_single_tee_materials_are_pinned(testing_params, kind, k, seed):
         mat = tee.gadget_material(kind, k=k, table=table)
         got.append(hashlib.sha256(serialize_material(mat)).hexdigest()[:32])
     assert tuple(got) == PINNED_SINGLE[(kind, k, seed)]
+
+
+# the same digests at production() for the materials of the mfnn model
+# (recorded before key generation became one fused kernel call per level)
+PINNED_SINGLE_PROD = {
+    ("relu", 1, 66): ("6a4f5bda969b92f7f36557baf5339c04",
+                      "24b2ca1f8290e49e2407c7e5bf1093a8"),
+    ("argmax", 10, 67): ("36673cf5f44694d29840a356fc76b19e",
+                         "ae52687333409d30e95c4ac92391c67d"),
+}
+
+
+@pytest.mark.parametrize("kind, k, seed", list(PINNED_SINGLE_PROD))
+def test_single_tee_production_materials_are_pinned(kind, k, seed):
+    got = []
+    for server in (0, 1):
+        tee, _ = build_single_tee(server, ProtocolParams.production(), _bundle(seed))
+        mat = tee.gadget_material(kind, k=k)
+        got.append(hashlib.sha256(serialize_material(mat)).hexdigest()[:32])
+    assert tuple(got) == PINNED_SINGLE_PROD[(kind, k, seed)]
 
 
 def _keys(mat):
