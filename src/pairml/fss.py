@@ -95,6 +95,8 @@ def _tree_gen(p: int, alpha: int, beta: list[int], rng, n: int, lam: int,
     seeds of `blocks` lam-bit blocks."""
     if alpha >> n:
         raise FssParameterError(f"point {alpha} outside {n}-bit domain")
+    if lam != LAM:  # the decoder takes no other lam
+        raise FssParameterError(f"lam {lam}, not {LAM}")
     beta = [int(v) % p for v in beta]
     L = len(beta)
     tree = prg.tree(blocks, lam, L, cmp)

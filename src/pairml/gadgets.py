@@ -15,7 +15,10 @@ public constant.  Payload vectors carry (1, r) so that products ind*z =
 w*ind - ind*r stay linear in revealed values.  A wire's output is the sum
 of ind*(a*z + c) over the segments of its spline; ReLU is the one-segment
 spline [0, (p-1)/2] with slope 1 and intercept 0, so one evaluator serves
-every wire.
+every wire.  A sigmoid or tanh table has 15 segments, each one more point on
+the wire's walk: 14 knots, denser where the function bends, plus two flat
+tails, with each segment's integer slope and intercept fitted against
+rounding (`_build_table`).
 
 Each material's layout is written once, as a recipe against a key source.
 A source has three calls: `mask()` draws a mask, `key(kind, point,
@@ -82,6 +85,12 @@ def plain_argmax(values, p: int) -> list[int]:
 # -- spline tables ----------------------------------------------------------------
 
 
+# tanh's knots above 0, mirrored below: 14 knots, 15 segments with the flat
+# tails.  Fitted, every segment errs by about 0.0034, so the knots crowd where
+# tanh bends, and the lines on either side of a knot nearly meet there.
+_KNOTS = (0.3507, 0.6261, 0.8946, 1.1922, 1.5607, 2.0929, 3.1899)
+
+
 @dataclass(frozen=True)
 class SplineTable:
     """Public piecewise-linear table in field encoding.
@@ -90,7 +99,8 @@ class SplineTable:
     the input scale, slope scaled by 2^in_scale, intercept scaled by
     2^(2*in_scale).  Segments partition the full signed range, so exactly
     one indicator fires for any input; gadget output is at twice the input
-    scale and the engine truncates afterwards.
+    scale and the engine truncates afterwards.  `_build_table` places the
+    knots and fits each segment's integers against rounding.
     """
 
     kind: str
@@ -106,37 +116,62 @@ class SplineTable:
         raise GadgetParameterError("spline segments do not cover input")
 
 
-def _build_table(kind: str, fn, knot_step: float, span: float, in_scale: int,
-                 p: int, lo_val: float, hi_val: float) -> SplineTable:
-    """Knots every `knot_step` over [-span, span], flat outside them."""
+def _build_table(kind: str, in_scale: int, p: int, mid: float, height: float,
+                 width: float) -> SplineTable:
+    """The table of f(x) = mid + height * tanh(x / width): knots at width
+    times ±_KNOTS, and flat at mid - height below them, mid + height above.
+
+    A segment's slope a and intercept c are the integers that minimise its
+    largest error |f(z / s) s^2 - a z - c| over the integers z from its knot
+    to the next, both included (s = 2^in_scale): the table is fitted after
+    rounding, not rounded after fitting.  For a given a, c centres the
+    residual R(z) = f(z / s) s^2 - a z between its extremes.  A line through
+    the knots errs to one side only, and rounding its slope tilts it further
+    off its anchor; a centred line errs half as far, to both sides.  R's
+    extremes lie at the two knots and next to the points where
+    f'(z / s) = a / s, so each fit is closed form; the error is convex in a,
+    so a walks downhill from the rounded chord slope.  The middle segment is
+    symmetric about 0, so tanh(0) is exactly 0 and sigmoid(0) exactly 1/2.
+    """
     s = 1 << in_scale
+    f = lambda z: (mid + height * math.tanh(z / s / width)) * s * s
+    enc = [round(width * k * s) for k in (*(-k for k in reversed(_KNOTS)), *_KNOTS)]
     half = _half(p)
-    knots = [round(-span + i * knot_step, 6)
-             for i in range(int(2 * span / knot_step) + 1)]
-    enc = [round(k * s) for k in knots]
     if enc[-1] >= half:
         raise GadgetParameterError("spline knots exceed the signed field range")
-    segs: list[tuple[int, int, int, int]] = []
-    segs.append((-half, enc[0] - 1, 0, round(lo_val * s * s)))
+
+    def fit(a: int, k0: int, k1: int) -> tuple[float, int]:
+        """Slope a's largest error on [k0, k1], and the intercept it needs."""
+        zs = {k0, k1}
+        # f'(x) = height / width * sech(x / width)^2 = a / s
+        q = height * s / (width * a) if a > 0 else 0.0
+        if q >= 1:
+            z = math.floor(width * s * math.acosh(math.sqrt(q)))
+            zs.update(y for y in (z, z + 1, -z, -z - 1) if k0 <= y <= k1)
+        res = [f(z) - a * z for z in zs]
+        c = round((max(res) + min(res)) / 2)
+        return max(max(res) - c, c - min(res)), c
+
+    segs = [(-half, enc[0] - 1, 0, round((mid - height) * s * s))]
     for k0, k1 in zip(enc, enc[1:]):
-        x0, x1 = k0 / s, k1 / s
-        y0, y1 = fn(x0), fn(x1)
-        slope = (y1 - y0) / (x1 - x0)
-        a = round(slope * s)
-        c = round((y0 - slope * x0) * s * s)
+        a = round((f(k1) - f(k0)) / (k1 - k0))
+        err, c = fit(a, k0, k1)
+        for step in (1, -1):
+            while (nxt := fit(a + step, k0, k1))[0] < err:
+                a += step
+                err, c = nxt
         segs.append((k0, k1 - 1, a, c))
-    segs.append((enc[-1], half, 0, round(hi_val * s * s)))
+    segs.append((enc[-1], half, 0, round((mid + height) * s * s)))
     return SplineTable(kind=kind, in_scale=in_scale, segments=tuple(segs))
 
 
 def sigmoid_table(in_scale: int, p: int) -> SplineTable:
-    return _build_table("sigmoid", lambda x: 1.0 / (1.0 + math.exp(-x)),
-                        0.5, 8.0, in_scale, p, lo_val=0.0, hi_val=1.0)
+    # 1 / (1 + e^-x) = (1 + tanh(x / 2)) / 2
+    return _build_table("sigmoid", in_scale, p, 0.5, 0.5, 2.0)
 
 
 def tanh_table(in_scale: int, p: int) -> SplineTable:
-    return _build_table("tanh", math.tanh, 0.25, 4.0, in_scale, p,
-                        lo_val=-1.0, hi_val=1.0)
+    return _build_table("tanh", in_scale, p, 0.0, 1.0, 1.0)
 
 
 # -- materials ---------------------------------------------------------------------
@@ -527,23 +562,6 @@ def drive(sessions, reveal):
                 pending[i] = s.feed(revealed[off:off + len(batch)])
                 off += len(batch)
     return [v for s in sessions for v in s.output]
-
-
-def run_pair(mat0, mat1, shares0, shares1, p: int, reveal_log: list | None = None):
-    """Drive both parties' sessions side by side in one process."""
-    sessions = [make_session(mat0, shares0), make_session(mat1, shares1)]
-
-    def reveal(flat):
-        half = len(flat) // 2
-        revealed = [(a + b) % p for a, b in zip(flat[:half], flat[half:])]
-        if reveal_log is not None:
-            reveal_log.append(revealed)
-        return revealed * 2
-        yield  # a generator that waits on nothing: both halves are at hand
-
-    for _ in drive(sessions, reveal):
-        pass
-    return sessions[0], sessions[1]
 
 
 # -- material serialization -----------------------------------------------------------

@@ -1,8 +1,13 @@
-"""Oracles that only tests use: full-domain FSS tables, and a reset of the
-PRG expansion counters."""
+"""Oracles that only tests use: full-domain FSS tables, a reset of the PRG
+expansion counters, both parties' sessions run in one process, and the
+uniform spline tables that the fitted ones replaced."""
+
+import math
 
 from pairml import prg
 from pairml.fss import DcfKey, DpfKey, _walk
+from pairml.gadgets import (GadgetParameterError, SplineTable, _half, drive,
+                            make_session)
 
 
 def dpf_eval_all(b: int, key: DpfKey) -> list[list[int]]:
@@ -20,3 +25,54 @@ def reset_call_counter() -> int:
     prev = prg.calls
     prg.calls = prg.bytes_expanded = 0
     return prev
+
+
+def run_pair(mat0, mat1, shares0, shares1, p: int, reveal_log: list | None = None):
+    """Drive both parties' sessions side by side in one process."""
+    sessions = [make_session(mat0, shares0), make_session(mat1, shares1)]
+
+    def reveal(flat):
+        half = len(flat) // 2
+        revealed = [(a + b) % p for a, b in zip(flat[:half], flat[half:])]
+        if reveal_log is not None:
+            reveal_log.append(revealed)
+        return revealed * 2
+        yield  # a generator that waits on nothing: both halves are at hand
+
+    for _ in drive(sessions, reveal):
+        pass
+    return sessions[0], sessions[1]
+
+
+def _build_table(kind: str, fn, knot_step: float, span: float, in_scale: int,
+                 p: int, lo_val: float, hi_val: float) -> SplineTable:
+    """Knots every `knot_step` over [-span, span], flat outside them."""
+    s = 1 << in_scale
+    half = _half(p)
+    knots = [round(-span + i * knot_step, 6)
+             for i in range(int(2 * span / knot_step) + 1)]
+    enc = [round(k * s) for k in knots]
+    if enc[-1] >= half:
+        raise GadgetParameterError("spline knots exceed the signed field range")
+    segs: list[tuple[int, int, int, int]] = []
+    segs.append((-half, enc[0] - 1, 0, round(lo_val * s * s)))
+    for k0, k1 in zip(enc, enc[1:]):
+        x0, x1 = k0 / s, k1 / s
+        y0, y1 = fn(x0), fn(x1)
+        slope = (y1 - y0) / (x1 - x0)
+        a = round(slope * s)
+        c = round((y0 - slope * x0) * s * s)
+        segs.append((k0, k1 - 1, a, c))
+    segs.append((enc[-1], half, 0, round(hi_val * s * s)))
+    return SplineTable(kind=kind, in_scale=in_scale, segments=tuple(segs))
+
+
+def uniform_table(kind: str, in_scale: int, p: int) -> SplineTable:
+    """The uniform-knot table: tanh knots every 1/4 on [-4, 4], sigmoid knots
+    every 1/2 on [-8, 8], each segment the chord from its left knot with the
+    slope rounded after."""
+    if kind == "sigmoid":
+        return _build_table("sigmoid", lambda x: 1.0 / (1.0 + math.exp(-x)),
+                            0.5, 8.0, in_scale, p, lo_val=0.0, hi_val=1.0)
+    return _build_table("tanh", math.tanh, 0.25, 4.0, in_scale, p,
+                        lo_val=-1.0, hi_val=1.0)

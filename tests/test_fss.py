@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import dcf_eval_all, dpf_eval_all, reset_call_counter
+from oracles import dcf_eval_all, dpf_eval_all, reset_call_counter, uniform_table
 from pairml import prg
 from pairml.codec import Writer
 from pairml.fss import (
@@ -17,7 +17,7 @@ from pairml.fss import (
     dpf_eval,
     dpf_gen,
 )
-from pairml.gadgets import _interval_points, tanh_table
+from pairml.gadgets import _interval_points
 
 P_TEST = 1009  # > 2^8 so 8-bit-domain payloads stay faithful
 P_WIDE = (1 << 30) - 35  # the width of the testing() modulus
@@ -328,12 +328,13 @@ def test_walk_point_sets_match_pointwise():
 
 def _kernel_walks(blocks=3):
     """Multi-point walks on wide domains, the point sets the sessions walk:
-    tanh spline knots at P_BIG and P_PROD, ReLU point pairs at P_PROD, and
-    single DPF points at both (party b's key, the points, the function)."""
+    uniform tanh spline knots at P_BIG and P_PROD, ReLU point pairs at
+    P_PROD, and single DPF points at both (party b's key, the points, the
+    function)."""
     rng = random.Random(61)
     walks = []
     for p in (P_BIG, P_PROD):
-        table = tanh_table(8, p)
+        table = uniform_table("tanh", 8, p)
         for _ in range(3):
             r, w = rng.randrange(p), rng.randrange(p)
             keys = dcf_gen(p, r, [1, r], rng, blocks=blocks)
@@ -454,9 +455,12 @@ def test_keys_of_another_lam_rejected():
     rng = random.Random(30)
     for gen, cls in ((dpf_gen, DpfKey), (dcf_gen, DcfKey)):
         for blocks in (1, 3):
-            key = gen(P_TEST, 99, [1, 2], rng, domain_bits=8, lam=64, blocks=blocks)[0]
+            buf = gen(P_TEST, 99, [1, 2], rng, domain_bits=8, blocks=blocks)[0].serialize()
+            # the lam field follows the variant, party, n, L and p: bytes 13-14
             with pytest.raises(ValueError, match="lam 64"):
-                cls.deserialize(key.serialize())
+                cls.deserialize(buf[:13] + (64).to_bytes(2, "little") + buf[15:])
+            with pytest.raises(FssParameterError, match="lam 64"):
+                gen(P_TEST, 99, [1, 2], rng, domain_bits=8, lam=64, blocks=blocks)
 
 
 def test_key_length_closed_form():

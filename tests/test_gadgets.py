@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import run_pair
 from pairml.fixedpoint import to_signed
 from pairml import prg
 from pairml.gadgets import (
@@ -19,7 +20,6 @@ from pairml.gadgets import (
     plain_max,
     plain_max2,
     plain_relu,
-    run_pair,
     serialize_material,
     sigmoid_table,
     tanh_table,

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from pairml import prg
-from oracles import dcf_eval_all, dpf_eval_all
+from oracles import dcf_eval_all, dpf_eval_all, run_pair
 from pairml.fss import DpfKey, _tree_gen, dcf_eval, dcf_gen, dpf_gen
-from pairml.gadgets import (plain_argmax, plain_max, plain_max2, plain_relu, run_pair,
+from pairml.gadgets import (plain_argmax, plain_max, plain_max2, plain_relu,
                             serialize_material, tanh_table)
 from pairml.params import ProtocolParams
 from pairml.shares3 import B3, TriadNet
