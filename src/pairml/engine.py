@@ -137,29 +137,6 @@ def im2col_matrix(layer: ConvLayer, p: int) -> np.ndarray:
     return t
 
 
-def direct_conv(layer: ConvLayer, x_flat, p: int) -> list[int]:
-    """Reference convolution for the im2col oracle (tests)."""
-    h, w, c = layer.in_shape
-    kh, kw, _, cout = layer.filters.shape
-    oh, ow, _ = _conv_out_shape(layer)
-    out = []
-    for oy in range(oh):
-        for ox in range(ow):
-            for co in range(cout):
-                acc = 0
-                for fy in range(kh):
-                    for fx in range(kw):
-                        iy = oy * layer.stride + fy - layer.padding
-                        ix = ox * layer.stride + fx - layer.padding
-                        if not (0 <= iy < h and 0 <= ix < w):
-                            continue
-                        for ci in range(c):
-                            acc += int(x_flat[(iy * w + ix) * c + ci]) * \
-                                int(layer.filters[fy, fx, ci, co])
-                out.append(acc % p)
-    return out
-
-
 def avgpool_matrix(layer: AvgPoolLayer, params: ProtocolParams,
                    scale_bits: int) -> np.ndarray:
     """Public linear map: averaging entries are fp_encode(1/pool_size)."""

@@ -24,10 +24,12 @@ each party's payload words as one int; it then forms a DCF level's payload
 correction word by word, reducing only there.  Seeds are ints while a tree
 is generated or walked, and bytes in a key.
 
-A key's seeds are one or three lam-bit blocks (`prg`): one when a single
-party generates the pair, three when three enclaves generate it together,
-each expanding its own block.  A key carries its block count, and its
-variant byte names it.
+A key's seeds are one or three blocks of `prg.LAM` bits, the one security
+parameter: one when a single party generates the pair, three when three
+enclaves generate it together, each expanding its own block.  A key carries
+its block count, and its variant byte names it.  It does not carry what
+the rest of it fixes: its root control bit is its party, and its payload
+length is that of its final correction word.
 """
 
 from __future__ import annotations
@@ -40,31 +42,21 @@ from . import prg
 from .codec import Reader, Writer
 
 
-LAM = 128  # the security parameter of every deployed key, in bits
-
-
 class FssParameterError(ValueError):
     pass
-
-
-def _seed_bytes(lam: int, blocks: int) -> int:
-    return blocks * lam // 8
 
 
 @dataclass
 class DpfKey:
     """Key for f(x) = beta * [x == alpha] over an n-bit domain, with seeds
-    of `blocks` lam-bit blocks."""
+    of `blocks` blocks.  `party`, 0 or 1, is also the root control bit."""
 
     _variants: ClassVar[dict[int, int]] = {3: 0x01, 1: 0x03}  # blocks -> byte
     party: int
     domain_bits: int
     p: int
-    payload_len: int
-    lam: int
     blocks: int
     root_seed: bytes
-    root_t: int
     seed_cws: list[bytes]
     t_cws: list[tuple[int, int]]
     final_cw: list[int]
@@ -89,19 +81,17 @@ class DcfKey(DpfKey):
 # -- the key generator and the walker ---------------------------------------------
 
 
-def _tree_gen(p: int, alpha: int, beta: list[int], rng, n: int, lam: int,
-              cmp: bool, blocks: int = 3):
+def _tree_gen(p: int, alpha: int, beta: list[int], rng, n: int, cmp: bool,
+              blocks: int = 3):
     """Key pair for beta * [x < alpha] (cmp) or beta * [x == alpha], with
-    seeds of `blocks` lam-bit blocks."""
+    seeds of `blocks` blocks."""
     if alpha >> n:
         raise FssParameterError(f"point {alpha} outside {n}-bit domain")
-    if lam != LAM:  # the decoder takes no other lam
-        raise FssParameterError(f"lam {lam}, not {LAM}")
     beta = [int(v) % p for v in beta]
     L = len(beta)
-    tree = prg.tree(blocks, lam, L, cmp)
+    tree = prg.tree(blocks, L, cmp)
     level, at, M = tree.gen_level, tree.at, tree.word_mask
-    sb = _seed_bytes(lam, blocks)
+    sb = blocks * prg.BLOCK
     roots = (rng.randbytes(sb), rng.randbytes(sb))
     s0, s1 = (int.from_bytes(r, "little") for r in roots)
     t0, t1 = 0, 1
@@ -131,10 +121,9 @@ def _tree_gen(p: int, alpha: int, beta: list[int], rng, n: int, lam: int,
     keys = []
     for b in (0, 1):
         extra = dict(v_cws=[list(v) for v in v_cws]) if cmp else {}
-        keys.append(cls(party=b, domain_bits=n, p=p, payload_len=L, lam=lam,
-                        blocks=blocks, root_seed=roots[b], root_t=b,
-                        seed_cws=list(seed_cws), t_cws=list(t_cws),
-                        final_cw=list(final_cw), **extra))
+        keys.append(cls(party=b, domain_bits=n, p=p, blocks=blocks,
+                        root_seed=roots[b], seed_cws=list(seed_cws),
+                        t_cws=list(t_cws), final_cw=list(final_cw), **extra))
     return keys[0], keys[1]
 
 
@@ -142,7 +131,7 @@ def _walk(b: int, key: DpfKey | DcfKey, xs) -> list[list[int]]:
     """Party b's output shares at each point of xs, in the order given."""
     n, p = key.domain_bits, key.p
     cmp = isinstance(key, DcfKey)
-    tree = prg.tree(key.blocks, key.lam, key.payload_len, cmp)
+    tree = prg.tree(key.blocks, len(key.final_cw), cmp)
     expand, child, add = tree.expand, tree.child, tree.add
     pts = sorted(set(xs))
     if pts and (pts[0] < 0 or pts[-1] >> n):
@@ -157,7 +146,7 @@ def _walk(b: int, key: DpfKey | DcfKey, xs) -> list[list[int]]:
     # unreduced), and the slice pts[lo:hi] of the points below it.  A node
     # with points on both sides pushes its right child and descends to its
     # left; with one point below it, a node descends along the point's bits.
-    todo = [(0, int.from_bytes(key.root_seed, "little"), key.root_t, (0, 0),
+    todo = [(0, int.from_bytes(key.root_seed, "little"), key.party, (0, 0),
              0, len(pts))] if pts else []
     out = {}
     while todo:
@@ -188,10 +177,10 @@ def _walk(b: int, key: DpfKey | DcfKey, xs) -> list[list[int]]:
 
 
 def dpf_gen(p: int, alpha: int, beta: list[int], rng, domain_bits: int | None = None,
-            lam: int = LAM, blocks: int = 3) -> tuple[DpfKey, DpfKey]:
+            blocks: int = 3) -> tuple[DpfKey, DpfKey]:
     """Keys k0, k1 with eval0(x) + eval1(x) = beta * [x == alpha] (mod p)."""
     n = domain_bits if domain_bits is not None else (p - 1).bit_length()
-    return _tree_gen(p, alpha, beta, rng, n, lam, False, blocks)
+    return _tree_gen(p, alpha, beta, rng, n, False, blocks)
 
 
 def dpf_eval(b: int, key: DpfKey, x: int) -> list[int]:
@@ -200,11 +189,10 @@ def dpf_eval(b: int, key: DpfKey, x: int) -> list[int]:
 
 
 def dcf_gen(p: int, threshold: int, beta: list[int], rng,
-            domain_bits: int | None = None, lam: int = LAM,
-            blocks: int = 3) -> tuple[DcfKey, DcfKey]:
+            domain_bits: int | None = None, blocks: int = 3) -> tuple[DcfKey, DcfKey]:
     """Comparison keys: share sums equal beta * [x < threshold]."""
     n = domain_bits if domain_bits is not None else (p - 1).bit_length()
-    return _tree_gen(p, threshold, beta, rng, n, lam, True, blocks)
+    return _tree_gen(p, threshold, beta, rng, n, True, blocks)
 
 
 def dcf_eval(b: int, key: DcfKey, x: int) -> list[int]:
@@ -220,26 +208,27 @@ def dcf_eval_many(b: int, key: DcfKey, xs) -> list[list[int]]:
 
 # variant u8 (the key class and its block count: 0x01 DPF and 0x02 DCF with
 # three-block seeds, 0x03 DPF and 0x04 DCF with one-block seeds), party u8,
-# domain_bits u8, L u16, p u64, lam u16, root_t u8; root seed; per level its
-# seed correction word and a flags byte (bit0 = tL, bit1 = tR); final_cw (L
-# words); DCF only: per level v_cw (L words).  All levels' seed correction
-# words and flags go as one raw field, and final_cw and the v_cws as one run
-# of words.
+# domain_bits u8, L u16, p u64, prg.LAM u16, root control bit u8 (the
+# party); root seed; per level its seed correction word and a flags byte
+# (bit0 = tL, bit1 = tR); final_cw (L words); DCF only: per level v_cw (L
+# words).  All levels' seed correction words and flags go as one raw field,
+# and final_cw and the v_cws as one run of words.
 
 
 def _serialize_tree(key: DpfKey | DcfKey) -> bytes:
-    if key.blocks not in key._variants:
-        raise ValueError(f"inconsistent FSS key: {key.blocks} seed blocks")
-    sb, n, L = _seed_bytes(key.lam, key.blocks), key.domain_bits, key.payload_len
+    if key.blocks not in key._variants or key.party not in (0, 1):
+        raise ValueError(f"inconsistent FSS key: {key.blocks} seed blocks, "
+                         f"party {key.party}")
+    sb, n, L = key.blocks * prg.BLOCK, key.domain_bits, len(key.final_cw)
     cmp = isinstance(key, DcfKey)
     v_cws = key.v_cws if cmp else []
-    if not (len(key.root_seed) == sb and len(key.final_cw) == L
+    if not (len(key.root_seed) == sb
             and len(key.seed_cws) == len(key.t_cws) == n
             and all(len(s) == sb for s in key.seed_cws)
             and len(v_cws) == n * cmp and all(len(v) == L for v in v_cws)):
         raise ValueError("inconsistent FSS key: field sizes do not match its header")
     w = Writer().u8(key._variants[key.blocks]).u8(key.party).u8(n).u16(L).u64(key.p)
-    w.u16(key.lam).u8(key.root_t).raw(key.root_seed)
+    w.u16(prg.LAM).u8(key.party).raw(key.root_seed)
     w.raw(b"".join(s_cw + bytes((tl | tr << 1,))
                    for s_cw, (tl, tr) in zip(key.seed_cws, key.t_cws)))
     w.u64s([*key.final_cw, *(v for vc in v_cws for v in vc)])
@@ -254,16 +243,18 @@ def _deserialize_tree(buf: bytes, cls) -> dict:
         if blocks is None:
             raise ValueError(f"not a {cls.__name__}: variant {variant:#04x}")
         lam, root_t = r.u16(), r.u8()
-        if lam != LAM:
-            raise ValueError(f"malformed {cls.__name__}: lam {lam}, not {LAM}")
-        sb = _seed_bytes(lam, blocks)
+        if lam != prg.LAM:
+            raise ValueError(f"malformed {cls.__name__}: lam {lam}, not {prg.LAM}")
+        if party > 1 or root_t != party:  # the root control bit is the party
+            raise ValueError(f"malformed {cls.__name__}: party {party}, "
+                             f"root control bit {root_t}")
+        sb = blocks * prg.BLOCK
         root_seed, levels = r.raw(sb), r.raw(n * (sb + 1))
         flags = levels[sb::sb + 1]
         if flags and max(flags) > 3:
             raise ValueError(f"malformed {cls.__name__}: control flags "
                              f"{max(flags):#04x}")
-        fields = dict(party=party, domain_bits=n, p=p, payload_len=pl, lam=lam,
-                      blocks=blocks, root_seed=root_seed, root_t=root_t,
+        fields = dict(party=party, domain_bits=n, p=p, blocks=blocks, root_seed=root_seed,
                       seed_cws=[levels[i:i + sb] for i in range(0, n * (sb + 1), sb + 1)],
                       t_cws=[(f & 1, f >> 1) for f in flags])
         words = r.u64s(pl * (1 + n * (cls is DcfKey)))

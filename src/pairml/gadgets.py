@@ -139,6 +139,9 @@ def _build_table(kind: str, in_scale: int, p: int, mid: float, height: float,
     half = _half(p)
     if enc[-1] >= half:
         raise GadgetParameterError("spline knots exceed the signed field range")
+    if len(set(enc)) < len(enc):  # a segment with no inputs has no slope
+        raise GadgetParameterError(f"in_scale {in_scale} rounds two {kind} knots "
+                                   "to one input")
 
     def fit(a: int, k0: int, k1: int) -> tuple[float, int]:
         """Slope a's largest error on [k0, k1], and the intercept it needs."""
@@ -256,15 +259,15 @@ class CentralSource:
     """The key source of an enclave that draws every mask and key itself.
     It holds every seed whole, so its keys have one-block seeds."""
 
-    def __init__(self, p: int, rng, lam: int = 128):
-        self.p, self.rng, self.lam = p, rng, lam
+    def __init__(self, p: int, rng):
+        self.p, self.rng = p, rng
 
     def mask(self) -> int:
         return self.rng.randrange(self.p)
 
     def key(self, kind: str, point: int, payload: list[int]):
         gen = dcf_gen if kind == "dcf" else dpf_gen
-        return gen(self.p, point, payload, self.rng, lam=self.lam, blocks=1)
+        return gen(self.p, point, payload, self.rng, blocks=1)
 
     def share(self, mask: int) -> tuple[int, int]:
         s0 = self.rng.randrange(self.p)
@@ -320,9 +323,9 @@ def recipe(kind: str, src, k: int = 1, table: SplineTable | None = None):
 
 
 def material_pair(kind: str, p: int, rng, k: int = 1,
-                  table: SplineTable | None = None, lam: int = 128):
+                  table: SplineTable | None = None):
     """Both parties' halves of one `kind` material, drawn from `rng`."""
-    build = recipe(kind, CentralSource(p, rng, lam), k, table)
+    build = recipe(kind, CentralSource(p, rng), k, table)
     return build(0), build(1)
 
 

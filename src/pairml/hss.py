@@ -170,11 +170,6 @@ def hss_mult(params: ProtocolParams, party: int, y_share: RingPoly,
     return t.round_to_p().data.astype(np.int64)
 
 
-def mult_noise_bound(params: ProtocolParams, ct: LprCiphertext) -> int:
-    """Analytic |y * e_ct| bound used to validate the rounding margin."""
-    return params.n_ring * (params.p // 2) * ct.noise_bound
-
-
 # -- triple generation protocol --------------------------------------------------------
 
 

@@ -1,9 +1,14 @@
-"""Protocol parameter sets: plaintext prime, ring dimension, ciphertext modulus chain."""
+"""Protocol parameter sets: plaintext prime, ring dimension, ciphertext modulus chain.
+
+The security parameter is not one of them: every party takes the one
+`prg.LAM`, and a parameter set's text form records it."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+
+from . import prg
 
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -60,14 +65,12 @@ class ProtocolParams:
     n_ring:    ring dimension N (power of two)
     q_primes:  ciphertext modulus chain; q = prod(q_primes) and q_primes[0] == p
                so that p | q and the HSS rounding conversion is exact
-    lam:       PRG security parameter in bits (seed blocks are lam bits wide)
     fp_scale:  fixed-point fractional bits
     """
 
     p: int
     n_ring: int
     q_primes: tuple[int, ...]
-    lam: int = 128
     fp_scale: int = 12
     noise_margin: int = 40
     test_mode: bool = False
@@ -109,7 +112,7 @@ class ProtocolParams:
 
     @classmethod
     def generate(cls, n_ring: int, p_bits: int, aux_bits: tuple[int, ...] = (60, 60),
-                 lam: int = 128, fp_scale: int = 12, noise_margin: int = 40,
+                 fp_scale: int = 12, noise_margin: int = 40,
                  test_mode: bool = False) -> "ProtocolParams":
         two_n = 2 * n_ring
         p = ntt_prime(p_bits, two_n)
@@ -121,8 +124,8 @@ class ProtocolParams:
                 off += 1
                 q = ntt_prime(b, two_n, offset=off)
             aux.append(q)
-        return cls(p=p, n_ring=n_ring, q_primes=(p, *aux), lam=lam,
-                   fp_scale=fp_scale, noise_margin=noise_margin, test_mode=test_mode)
+        return cls(p=p, n_ring=n_ring, q_primes=(p, *aux), fp_scale=fp_scale,
+                   noise_margin=noise_margin, test_mode=test_mode)
 
     @classmethod
     def production(cls) -> "ProtocolParams":
@@ -142,7 +145,7 @@ class ProtocolParams:
             f"p={self.p}",
             f"N={self.n_ring}",
             "q_primes=" + ",".join(str(q) for q in self.q_primes),
-            f"lambda={self.lam}",
+            f"lambda={prg.LAM}",
             f"fp_scale={self.fp_scale}",
             f"noise_margin={self.noise_margin}",
             f"test_mode={int(self.test_mode)}",

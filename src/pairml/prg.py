@@ -1,6 +1,8 @@
 """Tree PRG and keyed PRF.
 
-A tree seed is one or three lam-bit blocks, and a tree node is expanded
+`LAM` is the security parameter, in bits: the one λ of the package, which
+every key, key generator and enclave takes from here.  A tree seed is one
+or three LAM-bit blocks of `BLOCK` bytes, and a tree node is expanded
 once.  The expansion starts with a seed area (left seed, right seed,
 control-bit byte); after it come L 128-bit payload words per side, so the
 PRG output itself carries the payload group elements (Boyle-Gilboa-Ishai,
@@ -17,10 +19,10 @@ The node's seed area is G'(x) = g(x[0]) ^ g(x[1]) ^ g(x[2]), and its
 payload words are the block-wise sums of theirs mod p; a leaf converts
 likewise, as a block-wise sum.  So each enclave gets an XOR share of the
 seed area and an additive share of every payload word from one local PRG
-call, and revealing any two blocks leaves a full lam bits of seed entropy.
+call, and revealing any two blocks leaves a full LAM bits of seed entropy.
 
-`Tree` holds the layout for one block count, seed size and payload length,
-and the node kernels that every tree walk and key generator runs.  A node's
+`Tree` holds the layout for one block count and payload length, and the
+node kernels that every tree walk and key generator runs.  A node's
 expansions are read into ints once.  In a walk, its payload words are summed
 one side at a time, only for a child that needs them, and stay unreduced and
 packed: the even words of a side in one int and the odd words in another,
@@ -38,6 +40,8 @@ from __future__ import annotations
 import hashlib
 from functools import cache
 
+LAM = 128  # the security parameter, in bits
+BLOCK = LAM // 8  # bytes per seed block
 WORD = 16  # bytes per payload word, before its reduction mod p
 _LANE = 16 * WORD  # bits per lane of a packed sum: a word and room for carries
 _LANE_MASK = (1 << _LANE) - 1
@@ -52,7 +56,7 @@ bytes_expanded = 0
 
 
 def g_expand(block: bytes, out_len: int) -> bytes:
-    """The local node expander g of one lam-bit block."""
+    """The local node expander g of one block."""
     global calls, bytes_expanded
     calls += 1
     bytes_expanded += out_len
@@ -60,7 +64,7 @@ def g_expand(block: bytes, out_len: int) -> bytes:
 
 
 def block_convert(block: bytes, payload_len: int, p: int) -> list[int]:
-    """The local leaf converter of one lam-bit block: lam bits -> Z_p^L."""
+    """The local leaf converter of one block: LAM bits -> Z_p^L."""
     global calls, bytes_expanded
     calls += 1
     bytes_expanded += WORD * payload_len
@@ -69,23 +73,24 @@ def block_convert(block: bytes, payload_len: int, p: int) -> list[int]:
             for i in range(0, WORD * payload_len, WORD)]
 
 
-def _expand1(tag: bytes, seed: int, w: int, n: int) -> int:
-    """n bytes from a one-block seed of w bytes, as an int."""
+def _expand1(tag: bytes, seed: int, n: int) -> int:
+    """n bytes from a one-block seed, as an int."""
     global calls, bytes_expanded
     calls += 1
     bytes_expanded += n
-    return int.from_bytes(_shake(tag + seed.to_bytes(w, "little")).digest(n), "little")
+    return int.from_bytes(_shake(tag + seed.to_bytes(BLOCK, "little")).digest(n),
+                          "little")
 
 
-def _expand3(tag: bytes, seed: int, w: int, n: int) -> tuple[int, int, int]:
-    """n bytes from each of the three w-byte blocks of a seed, as ints."""
+def _expand3(tag: bytes, seed: int, n: int) -> tuple[int, int, int]:
+    """n bytes from each of the three blocks of a seed, as ints."""
     global calls, bytes_expanded
     calls += 3
     bytes_expanded += 3 * n
-    s = seed.to_bytes(3 * w, "little")
-    return (int.from_bytes(_shake(tag + s[:w]).digest(n), "little"),
-            int.from_bytes(_shake(tag + s[w:2 * w]).digest(n), "little"),
-            int.from_bytes(_shake(tag + s[2 * w:]).digest(n), "little"))
+    s = seed.to_bytes(3 * BLOCK, "little")
+    return (int.from_bytes(_shake(tag + s[:BLOCK]).digest(n), "little"),
+            int.from_bytes(_shake(tag + s[BLOCK:2 * BLOCK]).digest(n), "little"),
+            int.from_bytes(_shake(tag + s[2 * BLOCK:]).digest(n), "little"))
 
 
 def _spread(count: int, first: int) -> int:
@@ -98,7 +103,7 @@ _BOTH, _LEAF = 2, 3  # the parts `Tree.add` sums besides side 0 and side 1
 
 
 class Tree:
-    """Node and leaf layout of a tree with seeds of `blocks` lam-bit blocks,
+    """Node and leaf layout of a tree with seeds of `blocks` blocks,
     one or three, and L payload words per leaf and, unless `node_words` is
     off (a DPF), per node side.
 
@@ -111,15 +116,14 @@ class Tree:
     2m + 1) in lane m; `pack` and `unpack` convert from and to L words.
     """
 
-    def __init__(self, blocks: int, lam: int, L: int, node_words: bool = True):
+    def __init__(self, blocks: int, L: int, node_words: bool = True):
         if blocks not in (1, 3):
             raise ValueError(f"a tree seed is 1 or 3 blocks, not {blocks}")
         self.L = L
-        self.block = lam // 8
-        self.seed_bits = blocks * lam
+        self.seed_bits = blocks * LAM
         # a node: sL | sR | flags byte (bit0 = tL, bit1 = tR), the seed area;
         # then L payload words of the left side and L of the right
-        self.area = 2 * blocks * self.block + 1
+        self.area = 2 * blocks * BLOCK + 1
         self.nbytes = self.area + (2 * WORD * L if node_words else 0)
         self._area_mask = (1 << 8 * self.area) - 1
         self._seed_mask = (1 << self.seed_bits) - 1
@@ -145,13 +149,13 @@ class Tree:
 
     def _node1(self, seed: int) -> tuple[int, int]:
         """One node expansion: its seed area, and the one pass of g."""
-        x = _expand1(_G_TAG, seed, self.block, self.nbytes)
+        x = _expand1(_G_TAG, seed, self.nbytes)
         return x & self._area_mask, x
 
     def _node3(self, seed: int) -> tuple[int, tuple[int, int, int]]:
         """One node expansion: its seed area, the XOR of the three block
         expansions there, and the three block expansions."""
-        x0, x1, x2 = x = _expand3(_G_TAG, seed, self.block, self.nbytes)
+        x0, x1, x2 = x = _expand3(_G_TAG, seed, self.nbytes)
         return (x0 ^ x1 ^ x2) & self._area_mask, x
 
     def _add1(self, acc: tuple[int, int], x: int, side: int) -> tuple[int, int]:
@@ -170,14 +174,14 @@ class Tree:
 
     def _level1(self, s0: int, t0: int, s1: int, t1: int, bit: int) -> tuple:
         """One key generation level, path side `bit`: `_correct`'s values, then x0, x1."""
-        x0 = _expand1(_G_TAG, s0, self.block, self.nbytes)
-        x1 = _expand1(_G_TAG, s1, self.block, self.nbytes)
+        x0 = _expand1(_G_TAG, s0, self.nbytes)
+        x1 = _expand1(_G_TAG, s1, self.nbytes)
         return *self._correct(x0, x1, t0, t1, bit), x0, x1
 
     def _level3(self, s0: int, t0: int, s1: int, t1: int, bit: int) -> tuple:
         """`_level1` for three-block seeds: areas are XORs, payloads block-wise sums."""
-        x0 = _expand3(_G_TAG, s0, self.block, self.nbytes)
-        x1 = _expand3(_G_TAG, s1, self.block, self.nbytes)
+        x0 = _expand3(_G_TAG, s0, self.nbytes)
+        x1 = _expand3(_G_TAG, s1, self.nbytes)
         (e0, o0), (e1, o1) = self._add3((0, 0), x0, _BOTH), self._add3((0, 0), x1, _BOTH)
         return (*self._correct(x0[0] ^ x0[1] ^ x0[2], x1[0] ^ x1[1] ^ x1[2], t0, t1, bit),
                 e0 | o0 << _LANE * self.L, e1 | o1 << _LANE * self.L)
@@ -206,8 +210,7 @@ class Tree:
     def leaf(self, seed: int, acc: tuple[int, int]) -> tuple[int, int]:
         """acc plus a leaf's payload: its leaf conversion, block-wise summed
         for a three-block seed."""
-        return self.add(acc, self._draw(_CV_TAG, seed, self.block, WORD * self.L),
-                        _LEAF)
+        return self.add(acc, self._draw(_CV_TAG, seed, WORD * self.L), _LEAF)
 
     def words(self, raw: bytes, side: int) -> list[int]:
         """One block expansion's payload words of one side."""
@@ -229,9 +232,9 @@ class Tree:
 
 
 @cache
-def tree(blocks: int, lam: int, L: int, node_words: bool = True) -> Tree:
+def tree(blocks: int, L: int, node_words: bool = True) -> Tree:
     """The shared `Tree` of one shape."""
-    return Tree(blocks, lam, L, node_words)
+    return Tree(blocks, L, node_words)
 
 
 class Prf:

@@ -198,16 +198,6 @@ def ntt_context(primes: tuple[int, ...], n: int) -> NttContext:
     return NttContext(primes, n)
 
 
-def schoolbook_negacyclic(a, b, m: int) -> list[int]:
-    """Quadratic reference for the NTT paths (tests only)."""
-    n = len(a)
-    t = [0] * (2 * n)
-    for i in range(n):
-        for j in range(n):
-            t[i + j] += int(a[i]) * int(b[j])
-    return [(t[i] - t[i + n]) % m for i in range(n)]
-
-
 # -- RNS helpers -------------------------------------------------------------------
 
 

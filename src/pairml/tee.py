@@ -9,7 +9,7 @@ one PRG pass per node.
 Multiple-TEE mode: three enclaves per server run replicated-sharing 3PC to
 generate the same material without any single enclave learning the masks or
 assembling a full key.  The tree PRG is never evaluated inside the 3PC:
-node seeds are three lam-bit blocks (`prg`), and each enclave learns
+node seeds are three blocks of `prg.LAM` bits, and each enclave learns
 exactly one block in the clear and expands it once, locally.  On the seed
 area the XOR of the three local expansions is the node expansion; the
 payload words after that area sum to the node's payload words mod p, so an
@@ -38,9 +38,9 @@ Both servers' triples execute the identical deterministic protocol from the
 shared pair seeds, so server b ends up with key half k_b of a consistent
 pair without any cross-server traffic.
 
-An enclave's inputs are the prime p, the security parameter lam, its seed
-bundle and its channels; `build_single_tee` and `build_tee_triple`, which
-the host calls, read p and lam off the host's parameter set.
+An enclave's inputs are the prime p, its seed bundle and its channels;
+`build_single_tee` and `build_tee_triple`, which the host calls, read p off
+the host's parameter set.
 """
 
 from __future__ import annotations
@@ -129,11 +129,11 @@ def _deliver(mat, to_host: Channel, host_end: Channel, table: SplineTable | None
 class SingleTee:
     """Single enclave per server: centralized FSS.Gen from the shared seed."""
 
-    def __init__(self, server: int, p: int, lam: int, bundle: SeedBundle,
-                 to_host: Channel, host_end: Channel):
+    def __init__(self, server: int, p: int, bundle: SeedBundle, to_host: Channel,
+                 host_end: Channel):
         self.server = server
         self.source = CentralSource(
-            p, PrfStream(bundle.pair_seeds[0], tag=b"fssgen-single"), lam)
+            p, PrfStream(bundle.pair_seeds[0], tag=b"fssgen-single"))
         self.to_host = to_host
         self.host_end = host_end
 
@@ -184,10 +184,10 @@ class _Batch:
 class TeeTriple:
     """Three enclaves per server with distributed FSS key generation."""
 
-    def __init__(self, server: int, p: int, lam: int, bundle: SeedBundle,
-                 net: TriadNet, to_host: Channel, host_end: Channel):
+    def __init__(self, server: int, p: int, bundle: SeedBundle, net: TriadNet,
+                 to_host: Channel, host_end: Channel):
         self.server = server
-        self.p, self.lam = p, lam
+        self.p = p
         self.parties = [TeeParty(bundle.pair_seeds[i]) for i in range(3)]
         self.net = net
         self.to_host = to_host  # enclave 0 delivers the assembled material
@@ -247,11 +247,10 @@ class TeeTriple:
                   beta_spec: list) -> _KeyPlan:
         """Plan one key into `plans`: its root blocks are drawn now, and
         `_gen_keys` generates it with the rest of the batch."""
-        lamb = self.lam // 8
         name = ("kg", self.parties[0].counter)
         roots = []
         for j, pt in enumerate(self.parties):
-            roots.append([pt.draw_bytes(lamb, tag=b"root") for _ in (0, 1)])
+            roots.append([pt.draw_bytes(prg.BLOCK, tag=b"root") for _ in (0, 1)])
             for party in (0, 1):
                 self._see(j, ("block", (name, "root"), party, j))
         plan = _KeyPlan(kind, alpha_pieces, beta_spec, roots, name)
@@ -262,24 +261,22 @@ class TeeTriple:
                       blocks: list):
         """Block redistribution of both parties' next seeds: enclave k ends
         with clear block k of every lane's seed, in blocks[lane][k][party]."""
-        lam = self.lam
-        lamb, mask = lam // 8, (1 << lam) - 1
-        width = 3 * lam
+        w, mask = prg.LAM, (1 << prg.LAM) - 1  # a block's bits
         ring = [b""] * 3
         for j in range(3):
             # enclave j+1 holds share j+2 (its high share) and hands enclave j
             # block j of it
             ring[(j + 1) % 3] = b"".join(
-                ((s.shares[(j + 2) % 3] >> (l * width + j * lam)) & mask)
-                .to_bytes(lamb, "little")
+                ((s.shares[(j + 2) % 3] >> (3 * l + j) * w) & mask)
+                .to_bytes(prg.BLOCK, "little")
                 for s in seeds for l in range(len(plans)))
         self.net.send(ring, step=2)
         for party, s in enumerate(seeds):
             full = s.value()
             for l, plan in enumerate(plans):
                 for k in range(3):
-                    blocks[l][k][party] = ((full >> (l * width + k * lam)) & mask
-                                           ).to_bytes(lamb, "little")
+                    blocks[l][k][party] = ((full >> (3 * l + k) * w) & mask
+                                           ).to_bytes(prg.BLOCK, "little")
                     self._see(k, ("block", ((plan.name, level), "next", party),
                                   "seed", k))
 
@@ -287,7 +284,7 @@ class TeeTriple:
         """Generate every planned key in one level-synchronous 3PC, lane l
         running the l-th key, DCF lanes first."""
         plans = sorted(plans, key=lambda plan: plan.kind != "dcf")
-        p, lam = self.p, self.lam
+        p = self.p
         n = (p - 1).bit_length()  # the depth of FSS trees over Z_p
         bool3, arith, net = self.bool3, self.arith, self.net
         xor = bool3.xor
@@ -295,8 +292,8 @@ class TeeTriple:
         Kd = sum(plan.kind == "dcf" for plan in plans)
         Ls = [len(plan.beta_spec) for plan in plans]
         Ld = sum(Ls[:Kd])
-        trees = [prg.tree(3, lam, Ls[l], l < Kd) for l in range(K)]
-        sb = 3 * lam // 8
+        trees = [prg.tree(3, Ls[l], l < Kd) for l in range(K)]
+        sb = 3 * prg.BLOCK
         W = 8 * sb  # seed bits per lane
         lanes = (1 << K) - 1
 
@@ -423,11 +420,9 @@ class TeeTriple:
         offs = [sum(Ls[:l]) for l in range(K)]
         for l, plan in enumerate(plans):
             final = words[n * Ld + offs[l]:n * Ld + offs[l] + Ls[l]]
-            common = dict(party=self.server, domain_bits=n, p=p, payload_len=Ls[l],
-                          lam=lam, blocks=3,
+            common = dict(party=self.server, domain_bits=n, p=p, blocks=3,
                           root_seed=b"".join(r[self.server] for r in plan.roots),
-                          root_t=self.server, seed_cws=seed_cws[l], t_cws=t_cws[l],
-                          final_cw=final)
+                          seed_cws=seed_cws[l], t_cws=t_cws[l], final_cw=final)
             if l < Kd:
                 plan.key = DcfKey(v_cws=[words[i * Ld + offs[l]:i * Ld + offs[l] + Ls[l]]
                                          for i in range(n)], **common)
@@ -463,8 +458,7 @@ def build_single_tee(server: int, params: ProtocolParams, bundle: SeedBundle):
     """SingleTee plus the channels the engine should keep for metering."""
     enc_end, host_end = inproc_pair(f"tee{server}-enclave", f"tee{server}-host",
                                     LOCAL)
-    tee = SingleTee(server, params.p, params.lam, bundle, to_host=enc_end,
-                    host_end=host_end)
+    tee = SingleTee(server, params.p, bundle, to_host=enc_end, host_end=host_end)
     return tee, [enc_end, host_end]
 
 
@@ -477,6 +471,5 @@ def build_tee_triple(server: int, params: ProtocolParams, bundle: SeedBundle):
                 f"s{server}-enc{i}->{j}", f"s{server}-enc{j}->{i}", ENCLAVE)
     enc_end, host_end = inproc_pair(f"s{server}-enc0-host", f"s{server}-host-enc0",
                                     LOCAL)
-    tee = TeeTriple(server, params.p, params.lam, bundle, TriadNet(chans), enc_end,
-                    host_end)
+    tee = TeeTriple(server, params.p, bundle, TriadNet(chans), enc_end, host_end)
     return tee, [*chans.values(), enc_end, host_end]

@@ -1,13 +1,17 @@
 """Oracles that only tests use: full-domain FSS tables, a reset of the PRG
-expansion counters, both parties' sessions run in one process, and the
-uniform spline tables that the fitted ones replaced."""
+expansion counters, both parties' sessions run in one process, the uniform
+spline tables that the fitted ones replaced, the schoolbook negacyclic
+product, a direct convolution and the HSS Mult noise bound."""
 
 import math
 
 from pairml import prg
+from pairml.engine import ConvLayer, _conv_out_shape
 from pairml.fss import DcfKey, DpfKey, _walk
 from pairml.gadgets import (GadgetParameterError, SplineTable, _half, drive,
                             make_session)
+from pairml.lpr import LprCiphertext
+from pairml.params import ProtocolParams
 
 
 def dpf_eval_all(b: int, key: DpfKey) -> list[list[int]]:
@@ -76,3 +80,41 @@ def uniform_table(kind: str, in_scale: int, p: int) -> SplineTable:
                             0.5, 8.0, in_scale, p, lo_val=0.0, hi_val=1.0)
     return _build_table("tanh", math.tanh, 0.25, 4.0, in_scale, p,
                         lo_val=-1.0, hi_val=1.0)
+
+
+def schoolbook_negacyclic(a, b, m: int) -> list[int]:
+    """Quadratic reference for the NTT paths."""
+    n = len(a)
+    t = [0] * (2 * n)
+    for i in range(n):
+        for j in range(n):
+            t[i + j] += int(a[i]) * int(b[j])
+    return [(t[i] - t[i + n]) % m for i in range(n)]
+
+
+def direct_conv(layer: ConvLayer, x_flat, p: int) -> list[int]:
+    """Reference convolution for the im2col oracle."""
+    h, w, c = layer.in_shape
+    kh, kw, _, cout = layer.filters.shape
+    oh, ow, _ = _conv_out_shape(layer)
+    out = []
+    for oy in range(oh):
+        for ox in range(ow):
+            for co in range(cout):
+                acc = 0
+                for fy in range(kh):
+                    for fx in range(kw):
+                        iy = oy * layer.stride + fy - layer.padding
+                        ix = ox * layer.stride + fx - layer.padding
+                        if not (0 <= iy < h and 0 <= ix < w):
+                            continue
+                        for ci in range(c):
+                            acc += int(x_flat[(iy * w + ix) * c + ci]) * \
+                                int(layer.filters[fy, fx, ci, co])
+                out.append(acc % p)
+    return out
+
+
+def mult_noise_bound(params: ProtocolParams, ct: LprCiphertext) -> int:
+    """Analytic |y * e_ct| bound used to validate the rounding margin."""
+    return params.n_ring * (params.p // 2) * ct.noise_bound

@@ -3,10 +3,11 @@ import random
 import numpy as np
 import pytest
 
+from oracles import direct_conv
 from pairml.codec import Writer
 from pairml.engine import (ConvLayer, DealerRole, DenseLayer, GadgetLayer,
                            MaxPoolVecLayer, ModelManifest, ServerRole, ShapeError,
-                           direct_conv, im2col_matrix, lower_manifest)
+                           im2col_matrix, lower_manifest)
 from pairml.hss import dealer_setup
 from pairml.params import ProtocolParams
 from pairml.sim import run_parties

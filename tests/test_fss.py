@@ -49,7 +49,7 @@ def test_blockprg_xor_of_three_reconstruction():
     rng = random.Random(1)
     area = 2 * 48 + 1
     for L in (0, 1, 3):
-        tree = prg.tree(3, 128, L)
+        tree = prg.tree(3, L)
         for _ in range(30):
             seed = rng.getrandbits(384)
             whole = tree.expand(seed)[0]
@@ -62,7 +62,7 @@ def test_blockprg_xor_of_three_reconstruction():
 
 def test_blockprg_deterministic_and_avalanche():
     for blocks in (1, 3):
-        tree = prg.tree(blocks, 128, 2)
+        tree = prg.tree(blocks, 2)
         assert tree.expand(0) == tree.expand(0)
         area, x = tree.expand(1)
         other, other_x = tree.expand(0)
@@ -76,7 +76,7 @@ def test_block_convert_sums_match():
     rng = random.Random(2)
     for p in (P_TEST, (1 << 61) - 1):
         for L in (1, 2, 3):
-            tree = prg.tree(3, 128, L)
+            tree = prg.tree(3, L)
             seed = rng.getrandbits(384)
             _, x = tree.expand(seed)
             acc, leaf = [0] * (2 * L), [0] * L
@@ -98,7 +98,7 @@ def test_one_block_node_is_one_pass_of_g():
     rng = random.Random(26)
     for p in (P_TEST, (1 << 61) - 1):
         for L in (0, 1, 3):
-            tree = prg.tree(1, 128, L)
+            tree = prg.tree(1, L)
             assert tree.area == 2 * 16 + 1
             seed = rng.getrandbits(128)
             blk = seed.to_bytes(16, "little")
@@ -122,7 +122,7 @@ def test_gen_level_is_two_node_expansions():
     rng = random.Random(28)
     for blocks in (1, 3):
         for L in (1, 2, 3):
-            tree = prg.tree(blocks, 128, L)
+            tree = prg.tree(blocks, L)
             for _ in range(8):
                 s = [rng.getrandbits(tree.seed_bits) for _ in range(2)]
                 t, bit = [rng.randrange(2) for _ in range(2)], rng.randrange(2)
@@ -190,9 +190,8 @@ def test_dpf_key_symmetry():
 def test_dpf_equal_root_seeds_cancel():
     rng = random.Random(8)
     k0, _ = dpf_gen(P_TEST, 50, [9], rng, domain_bits=8)
-    k1_degenerate = replace(k0, party=1)
-    for x in range(0, 256, 7):
-        assert _sum(P_TEST, dpf_eval(0, k0, x), dpf_eval(1, k1_degenerate, x)) == [0]
+    for x in range(0, 256, 7):  # one key evaluated as both parties
+        assert _sum(P_TEST, dpf_eval(0, k0, x), dpf_eval(1, k0, x)) == [0]
 
 
 def test_dpf_single_key_hides_alpha():
@@ -441,6 +440,16 @@ def test_malformed_keys_rejected():
             replace(k0, seed_cws=[s[:-1] for s in k0.seed_cws]).serialize()
         with pytest.raises(ValueError):
             replace(k0, blocks=2).serialize()
+        with pytest.raises(ValueError):
+            replace(k0, party=2).serialize()
+        # the party byte (byte 1) is 0 or 1, and the root control byte (byte
+        # 15, after the lam field) is the party: no real key has other values
+        for cls, key in ((DpfKey, k0), (DcfKey, c0)):
+            buf = key.serialize()
+            with pytest.raises(ValueError, match="party 2"):
+                cls.deserialize(buf[:1] + b"\2" + buf[2:15] + b"\2" + buf[16:])
+            with pytest.raises(ValueError, match="root control bit 1"):
+                cls.deserialize(buf[:15] + b"\1" + buf[16:])
 
 
 def test_keys_of_another_lam_rejected():
@@ -459,8 +468,6 @@ def test_keys_of_another_lam_rejected():
             # the lam field follows the variant, party, n, L and p: bytes 13-14
             with pytest.raises(ValueError, match="lam 64"):
                 cls.deserialize(buf[:13] + (64).to_bytes(2, "little") + buf[15:])
-            with pytest.raises(FssParameterError, match="lam 64"):
-                gen(P_TEST, 99, [1, 2], rng, domain_bits=8, lam=64, blocks=blocks)
 
 
 def test_key_length_closed_form():

@@ -177,6 +177,23 @@ def test_one_walk_sessions_match_the_per_point_path(kind):
     assert walked < per_point  # knot points share their high tree levels
 
 
+@pytest.mark.parametrize("scale", [0, 1, 2, 3])
+def test_spline_tables_at_coarse_scales_build_or_name_the_scale(scale):
+    # below scale 2 two knots round to one input: the builder says so,
+    # naming the scale, and a table it does build covers every input
+    for build in (sigmoid_table, tanh_table):
+        try:
+            table = build(scale, 1000003)
+        except GadgetParameterError as e:
+            assert scale < 2 and f"in_scale {scale}" in str(e)
+            continue
+        lows = [lo for lo, _, _, _ in table.segments]
+        assert lows == sorted(set(lows))
+        assert all(lo <= hi for lo, hi, _, _ in table.segments)
+        for z in range(-(8 << scale), (8 << scale) + 1):
+            table.reference(z % 1000003, 1000003)
+
+
 def test_sigmoid_symmetry_point():
     p = P_BIG
     scale = 10

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles import mult_noise_bound
 from pairml.lpr import (
     LprCiphertext,
     cbd_poly,
@@ -20,7 +21,6 @@ from pairml.hss import (
     dealer_convert_column,
     dealer_setup,
     hss_mult,
-    mult_noise_bound,
     plan_packing,
 )
 from pairml.params import ProtocolParams

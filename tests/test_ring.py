@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles import schoolbook_negacyclic
 from pairml.params import ProtocolParams, ParameterError, is_prime, ntt_prime
 from pairml.ring import (
     DimensionError,
@@ -10,7 +11,6 @@ from pairml.ring import (
     RingPoly,
     ntt_context,
     poly_to_vec,
-    schoolbook_negacyclic,
     vec_to_poly,
 )
 from pairml.fixedpoint import (

@@ -325,7 +325,7 @@ def test_dist_keygen_enclave_comm_budget(small_params):
     t0.dist_tree_gen("dcf", [_FakePiece(1), _FakePiece(2), _FakePiece(3)],
                      [("const", 1)] * L)
     n = (small_params.p - 1).bit_length()
-    lam_b = small_params.lam // 8
+    lam_b = prg.BLOCK
     sb = 3 * lam_b
     out_len = 2 * (2 * sb) + 1
     hdr = 16
@@ -349,7 +349,7 @@ def test_dist_dcf_payload_blocks_stay_in_their_enclave(small_params):
     t0, _, _ = _triples(small_params, seed=35)
     t0.dist_tree_gen("dcf", [_FakePiece(1), _FakePiece(2), _FakePiece(3)],
                      [("const", 1)] * 2)
-    n, lam_b = (small_params.p - 1).bit_length(), small_params.lam // 8
+    n, lam_b = (small_params.p - 1).bit_length(), prg.BLOCK
     v_block_sends = n * 2 * 3 * 4 * lam_b  # per level: 2 passes, 3 enclaves, 4 fields
     sent = sum(c.meter.sent_bytes for c in t0.net.channels.values())
     assert sent <= 30675 - v_block_sends, sent
@@ -498,7 +498,7 @@ def test_batched_keys_equal_central_keys(testing_params, monkeypatch):
                 for c in plan.beta_spec]
         roots = [b"".join(r[party] for r in plan.roots) for party in (0, 1)]
         central = _tree_gen(p, alpha, beta, _Roots(roots), (p - 1).bit_length(),
-                            testing_params.lam, plan.kind == "dcf")
+                            plan.kind == "dcf")
         assert plan.key == central[1]
 
 
