@@ -18,7 +18,8 @@ for keys):
   preprocessing ciphertext list, in `engine`; `perfbench/lockstep.py`
   builds the same frames by hand;
 * `RingPoly` and `LprCiphertext`, in `ring` and `lpr`;
-* DPF/DCF keys, `fss._serialize_tree`;
+* DPF/DCF keys, which are their bytes; `fss` is the one owner of their
+  layout (`fss.make_key` writes it, `DpfKey.deserialize` checks it);
 * the material blob, `gadgets.serialize_material`, which only crosses the
   local enclave-to-host channel; its layout is versioned by `_MAT_VERSION`;
 * the enclaves' 3PC messages: the u64 runs of `shares3.Arith3Engine` go

@@ -333,7 +333,13 @@ def parse_manifest(buf: bytes) -> ModelManifest:
     lines = head.decode().splitlines()
     if not sep or lines[:1] != ["pairml-model v1"]:
         raise ValueError("bad manifest header")
-    kv = dict(line.split("=", 1) for line in lines[1:4])
+    kv = dict(line.partition("=")[::2] for line in lines[1:4])
+    header = {}
+    for field, conv in (("name", str), ("fp_scale", int), ("input_dim", int)):
+        try:
+            header[field] = conv(kv[field])
+        except (KeyError, ValueError):
+            raise ValueError(f"manifest header field {field} missing or malformed") from None
     layers = []
     specs = [line for line in lines[4:] if line.startswith("layer ")]
     r = Reader(body)
@@ -363,8 +369,7 @@ def parse_manifest(buf: bytes) -> ModelManifest:
                 layers.append(ArgmaxLayer())
             else:
                 raise ValueError(f"unknown layer kind {kind}")
-    return ModelManifest(name=kv["name"], fp_scale=int(kv["fp_scale"]),
-                         input_dim=int(kv["input_dim"]), layers=layers)
+    return ModelManifest(**header, layers=layers)
 
 
 # -- the server role ---------------------------------------------------------------------------

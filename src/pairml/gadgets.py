@@ -569,10 +569,27 @@ def drive(sessions, reveal):
 
 # -- material serialization -----------------------------------------------------------
 # version u8, party u8, p u64, a kind code u8 (index into _MAT_CODECS), then the
-# material's fields with sub-materials inline and FSS keys as blobs.  Spline
-# tables are public and stay with the host, which re-attaches them.
+# material's fields with sub-materials inline and FSS keys as blobs of their
+# bytes.  Spline tables are public and stay with the host, which re-attaches
+# them.  A reader checks every key's party and p, and every share, against
+# the header.
 
 _MAT_VERSION = 2
+
+
+def _read_key(r: Reader, cls, party: int, p: int):
+    key = cls.deserialize(r.blob())
+    if (key.party, key.p) != (party, p):
+        raise ValueError(f"a key of party {key.party} over p {key.p} in a "
+                         f"material of party {party} over p {p}")
+    return key
+
+
+def _read_shares(r: Reader, n: int, p: int) -> list[int]:
+    shares = r.u64s(n)
+    if shares and max(shares) >= p:
+        raise ValueError(f"material share {max(shares)} not below p {p}")
+    return shares
 
 
 def _write_wire(w: Writer, m: WireMaterial):
@@ -580,10 +597,10 @@ def _write_wire(w: Writer, m: WireMaterial):
 
 
 def _read_wire(r: Reader, party: int, p: int) -> WireMaterial:
-    code, mask = r.u8(), r.u64()
+    code, (mask,) = r.u8(), _read_shares(r, 1, p)
     if code >= len(_WIRE_KINDS):
         raise ValueError(f"unknown wire kind code {code}")
-    return WireMaterial(_WIRE_KINDS[code], party, p, mask, DcfKey.deserialize(r.blob()))
+    return WireMaterial(_WIRE_KINDS[code], party, p, mask, _read_key(r, DcfKey, party, p))
 
 
 def _write_max2(w: Writer, m: Max2Material):
@@ -595,8 +612,8 @@ def _write_max2(w: Writer, m: Max2Material):
 
 def _read_max2(r: Reader, party: int, p: int) -> Max2Material:
     relus = [_read_wire(r, party, p) for _ in range(3)]
-    return Max2Material(party, p, *relus, *r.u64s(4),
-                        DpfKey.deserialize(r.blob()), DpfKey.deserialize(r.blob()))
+    return Max2Material(party, p, *relus, *_read_shares(r, 4, p),
+                        _read_key(r, DpfKey, party, p), _read_key(r, DpfKey, party, p))
 
 
 def _write_maxpool(w: Writer, m: MaxPoolMaterial):
@@ -621,8 +638,8 @@ def _write_argmax(w: Writer, m: ArgmaxMaterial):
 
 def _read_argmax(r: Reader, party: int, p: int) -> ArgmaxMaterial:
     pool = _read_maxpool(r, party, p)
-    return ArgmaxMaterial(party, p, pool.k, pool, r.u64s(pool.k),
-                          [DpfKey.deserialize(r.blob()) for _ in range(pool.k)])
+    return ArgmaxMaterial(party, p, pool.k, pool, _read_shares(r, pool.k, p),
+                          [_read_key(r, DpfKey, party, p) for _ in range(pool.k)])
 
 
 _MAT_CODECS = ((WireMaterial, _write_wire, _read_wire),

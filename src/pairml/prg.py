@@ -113,7 +113,8 @@ class Tree:
     one level of key generation; each block count's kernel is bound once, here.
 
     A packed sum is a pair (even words, odd words) of ints, word 2m (resp.
-    2m + 1) in lane m; `pack` and `unpack` convert from and to L words.
+    2m + 1) in lane m; `pack` converts runs of L words to packed sums, and
+    `unpack` one packed sum back to L words.
     """
 
     def __init__(self, blocks: int, L: int, node_words: bool = True):
@@ -201,11 +202,11 @@ class Tree:
         W = self.seed_bits
         return (area >> side * W) & self._seed_mask, (area >> 2 * W + side) & 1
 
-    def cw_area(self, s_cw: int, t_cw: tuple[int, int]) -> int:
-        """A level's correction word laid out as a seed area: XORed into a
-        node's seed area, it corrects both children."""
-        W = self.seed_bits
-        return s_cw | s_cw << W | (t_cw[0] | t_cw[1] << 1) << 2 * W
+    def cw_area(self, cw: int) -> int:
+        """A level's correction word, s_cw | (tL | tR << 1) << seed_bits,
+        laid out as a seed area: XORed into a node's seed area, it corrects
+        both children."""
+        return cw & self._seed_mask | cw << self.seed_bits
 
     def leaf(self, seed: int, acc: tuple[int, int]) -> tuple[int, int]:
         """acc plus a leaf's payload: its leaf conversion, block-wise summed
@@ -218,14 +219,13 @@ class Tree:
         return [int.from_bytes(raw[i:i + WORD], "little")
                 for i in range(start, start + WORD * self.L, WORD)]
 
-    def pack(self, words: list[int]) -> tuple[int, int]:
-        e = o = 0
-        for k in range(len(words) - 1, -1, -1):
-            if k & 1:
-                o = o << _LANE | words[k]
-            else:
-                e = e << _LANE | words[k]
-        return e, o
+    def pack(self, words: list[int], rows: int) -> list[tuple[int, int]]:
+        """The packed sums of `rows` runs of L words, laid end to end in `words`."""
+        halves = [[0] * rows, [0] * rows]
+        for k in range(self.L - 1, -1, -1):
+            halves[k & 1] = [acc << _LANE | w
+                             for acc, w in zip(halves[k & 1], words[k::self.L])]
+        return list(zip(*halves))
 
     def unpack(self, acc: tuple[int, int]) -> list[int]:
         return [(acc[k & 1] >> _LANE * (k >> 1)) & _LANE_MASK for k in range(self.L)]

@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import prg
-from .fss import DcfKey, DpfKey
+from .fss import DcfKey, DpfKey, make_key
 from .gadgets import (CentralSource, SplineTable, deserialize_material, recipe,
                       serialize_material)
 from .params import ProtocolParams
@@ -293,8 +293,7 @@ class TeeTriple:
         Ls = [len(plan.beta_spec) for plan in plans]
         Ld = sum(Ls[:Kd])
         trees = [prg.tree(3, Ls[l], l < Kd) for l in range(K)]
-        sb = 3 * prg.BLOCK
-        W = 8 * sb  # seed bits per lane
+        W = 3 * prg.LAM  # seed bits per lane
         lanes = (1 << K) - 1
 
         alpha = bool3.a2b([[plan.alpha[j].r for plan in plans] for j in range(3)], p)
@@ -302,8 +301,7 @@ class TeeTriple:
         t = [B3([0, 0, 0], K), bool3.xor_const(B3([0, 0, 0], K), lanes)]
         t1s: list[B3] = []  # party 1's control bits entering each level
         cvs: list[A3] = []  # per level: payload words (party, side) x DCF lanes
-        seed_cws: list[list[bytes]] = [[] for _ in plans]
-        t_cws: list[list[tuple[int, int]]] = [[] for _ in plans]
+        cw_levels: list[list[tuple]] = [[] for _ in plans]  # per lane: (s_cw, t_cw)
 
         for level in range(n):
             a = lane_bits(alpha, n, n - 1 - level)
@@ -356,9 +354,8 @@ class TeeTriple:
             s_pub = opened & ((1 << (K * W)) - 1)
             cl, cr = (opened >> (K * W)) & lanes, opened >> (K * W + K)
             for l in range(K):
-                seed_cws[l].append(((s_pub >> (l * W)) & ((1 << W) - 1))
-                                   .to_bytes(sb, "little"))
-                t_cws[l].append(((cl >> l) & 1, (cr >> l) & 1))
+                cw_levels[l].append(((s_pub >> (l * W)) & ((1 << W) - 1),
+                                     ((cl >> l) & 1, (cr >> l) & 1)))
 
             # next seeds: keep side, xor s_cw where the control bit is set
             # (public s_cw, so a local AND); next control bits likewise, with
@@ -419,15 +416,11 @@ class TeeTriple:
 
         offs = [sum(Ls[:l]) for l in range(K)]
         for l, plan in enumerate(plans):
-            final = words[n * Ld + offs[l]:n * Ld + offs[l] + Ls[l]]
-            common = dict(party=self.server, domain_bits=n, p=p, blocks=3,
-                          root_seed=b"".join(r[self.server] for r in plan.roots),
-                          seed_cws=seed_cws[l], t_cws=t_cws[l], final_cw=final)
-            if l < Kd:
-                plan.key = DcfKey(v_cws=[words[i * Ld + offs[l]:i * Ld + offs[l] + Ls[l]]
-                                         for i in range(n)], **common)
-            else:
-                plan.key = DpfKey(**common)
+            at = range(offs[l], offs[l] + Ls[l])
+            plan.key = make_key(
+                self.server, p, b"".join(r[self.server] for r in plan.roots),
+                cw_levels[l], [words[n * Ld + k] for k in at],
+                [words[i * Ld + k] for i in range(n) for k in at] if l < Kd else None)
         self.violations = self.check_view_discipline()
         self.views = {0: [], 1: [], 2: []}
 

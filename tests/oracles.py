@@ -1,9 +1,11 @@
 """Oracles that only tests use: full-domain FSS tables, a reset of the PRG
 expansion counters, both parties' sessions run in one process, the uniform
 spline tables that the fitted ones replaced, the schoolbook negacyclic
-product, a direct convolution and the HSS Mult noise bound."""
+product, a direct convolution, the HSS Mult noise bound and seeded
+mutations of an encoding."""
 
 import math
+import random
 
 from pairml import prg
 from pairml.engine import ConvLayer, _conv_out_shape
@@ -118,3 +120,32 @@ def direct_conv(layer: ConvLayer, x_flat, p: int) -> list[int]:
 def mult_noise_bound(params: ProtocolParams, ct: LprCiphertext) -> int:
     """Analytic |y * e_ct| bound used to validate the rounding margin."""
     return params.n_ring * (params.p // 2) * ct.noise_bound
+
+
+def mutations(buf: bytes, seed: int, count: int):
+    """`count` seeded mutations of buf, each a cut, an append, a bit flip or
+    a byte set at a random place."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        op, at = rng.randrange(4), rng.randrange(len(buf))
+        if op == 0:
+            yield buf[:at]
+        elif op == 1:
+            yield buf + rng.randbytes(rng.randrange(1, 9))
+        else:
+            byte = buf[at] ^ 1 << rng.randrange(8) if op == 2 else rng.randrange(256)
+            yield buf[:at] + bytes([byte]) + buf[at + 1:]
+
+
+def check_mutations(decode, encode, buf: bytes, seed: int, count: int) -> int:
+    """Every mutation of buf either raises ValueError or decodes to a value
+    that encodes to the same bytes; returns how many were rejected."""
+    rejected = 0
+    for bad in mutations(buf, seed, count):
+        try:
+            value = decode(bad)
+        except ValueError:
+            rejected += 1
+            continue
+        assert encode(value) == bad
+    return rejected

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles import check_mutations
 from pairml import models
 from pairml.codec import Reader, Writer
 from pairml.engine import (DealerRole, decode_mat, decode_vec, encode_mat, encode_vec,
@@ -106,6 +107,18 @@ def test_every_cut_of_a_manifest_header_is_rejected():
             parse_manifest(buf[:cut])
 
 
+def test_missing_or_malformed_manifest_header_field_named():
+    # a header without its fp_scale line used to raise KeyError('fp_scale')
+    lines = next(buf for name, _, buf in DECODERS if name == "manifest").split(b"\n")
+    for i, field in enumerate(("name", "fp_scale", "input_dim"), start=1):
+        assert lines[i].startswith(field.encode() + b"=")
+        # a name may be any text; the other fields are ints
+        bad = [[]] if field == "name" else [[], [field.encode() + b"=x"], [field.encode()]]
+        for line in bad:
+            with pytest.raises(ValueError, match=f"field {field} missing or malformed"):
+                parse_manifest(b"\n".join(lines[:i] + line + lines[i + 1:]))
+
+
 def test_short_and_miscounted_buffers_raise_value_error():
     with pytest.raises(ValueError):
         decode_vec(b"\x01" * 9)
@@ -117,6 +130,25 @@ def test_short_and_miscounted_buffers_raise_value_error():
     three_polys = ct[:12] + (3).to_bytes(2, "little") + ct[14:]
     with pytest.raises(ValueError, match="3 polys"):
         LprCiphertext.deserialize(PARAMS, three_polys)
+
+
+def test_mutated_keys_and_materials_decode_exactly_or_are_rejected():
+    # a mutated key or material either raises ValueError or is one that
+    # encodes to exactly the mutated bytes: keys of both block counts, and
+    # one material of each kind
+    p, rng = PARAMS.p, random.Random(53)
+    cases = [(cls.deserialize, cls.serialize, gen(p, 5, [1, 2], rng, blocks=blocks)[b])
+             for b, (cls, gen) in enumerate(((DpfKey, dpf_gen), (DcfKey, dcf_gen)))
+             for blocks in (1, 3)]
+    table = tanh_table(PARAMS.fp_scale, p)
+    cases += [(deserialize_material, serialize_material,
+               material_pair(kind, p, rng, k=k, table=table)[k % 2])
+              for kind, k in (("relu", 1), ("tanh", 1), ("max2", 1), ("maxpool", 3),
+                              ("argmax", 3))]
+    for seed, (decode, encode, value) in enumerate(cases):
+        buf = encode(value)
+        rejected = check_mutations(decode, encode, buf, seed, 1000)
+        assert 0 < rejected < 1000
 
 
 # -- pinned wide-area formats -------------------------------------------------------------

@@ -1,6 +1,5 @@
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -130,7 +129,7 @@ def test_gen_level_is_two_node_expansions():
                 (a0, x0), (a1, x1) = tree.expand(s[0]), tree.expand(s[1])
                 (sl, tl), (sr, tr) = tree.child(a0 ^ a1, 0), tree.child(a0 ^ a1, 1)
                 s_cw, t_cw = (sl if bit else sr), (tl ^ bit ^ 1, tr ^ bit)
-                cw = tree.cw_area(s_cw, t_cw)
+                cw = tree.cw_area(s_cw | (t_cw[0] | t_cw[1] << 1) << tree.seed_bits)
                 nxt = [tree.child(a ^ cw if tc else a, bit)
                        for a, tc in ((a0, t[0]), (a1, t[1]))]
                 assert got[:6] == (*nxt[0], *nxt[1], s_cw, t_cw)
@@ -179,12 +178,17 @@ def test_dpf_zero_payload():
 
 
 def test_dpf_key_symmetry():
+    # the keys of a pair differ only in the party (header bytes 1 and 15)
+    # and the root seed after the 16-byte header; every correction word
+    # after it is shared
     rng = random.Random(7)
     k0, k1 = dpf_gen(P_TEST, 100, [7], rng, domain_bits=8)
-    assert k0.seed_cws == k1.seed_cws
-    assert k0.t_cws == k1.t_cws
-    assert k0.final_cw == k1.final_cw
-    assert k0.root_seed != k1.root_seed
+    b0, b1 = k0.serialize(), k1.serialize()
+    end = 16 + 48  # the header, then a three-block root seed
+    assert (b0[1], b0[15], b1[1], b1[15]) == (0, 0, 1, 1)
+    assert b0[:1] + b0[2:15] == b1[:1] + b1[2:15]
+    assert b0[end:] == b1[end:]
+    assert b0[16:end] != b1[16:end]
 
 
 def test_dpf_equal_root_seeds_cancel():
@@ -434,14 +438,6 @@ def test_malformed_keys_rejected():
                     cls.deserialize(bytes([variant]) + buf[1:])
         with pytest.raises(ValueError):
             DcfKey.deserialize(k0.serialize())  # a DPF key is not a DCF key
-        with pytest.raises(ValueError):
-            replace(c0, v_cws=c0.v_cws[:-1]).serialize()
-        with pytest.raises(ValueError):
-            replace(k0, seed_cws=[s[:-1] for s in k0.seed_cws]).serialize()
-        with pytest.raises(ValueError):
-            replace(k0, blocks=2).serialize()
-        with pytest.raises(ValueError):
-            replace(k0, party=2).serialize()
         # the party byte (byte 1) is 0 or 1, and the root control byte (byte
         # 15, after the lam field) is the party: no real key has other values
         for cls, key in ((DpfKey, k0), (DcfKey, c0)):
@@ -468,6 +464,31 @@ def test_keys_of_another_lam_rejected():
             # the lam field follows the variant, party, n, L and p: bytes 13-14
             with pytest.raises(ValueError, match="lam 64"):
                 cls.deserialize(buf[:13] + (64).to_bytes(2, "little") + buf[15:])
+
+
+def test_payload_correction_word_not_below_p_rejected():
+    # a payload correction word is an element of Z_p: a DCF v_cw of p + 1
+    # used to decode
+    rng = random.Random(32)
+    for blocks in (1, 3):
+        key = dcf_gen(P_TEST, 99, [1, 2], rng, domain_bits=8, blocks=blocks)[0]
+        buf = key.serialize()
+        sb = 16 * blocks
+        at = 16 + sb + 8 * (sb + 1) + 8 * 2  # level 0's first v_cw word, after final_cw
+        bad = buf[:at] + (P_TEST + 1).to_bytes(8, "little") + buf[at + 8:]
+        with pytest.raises(ValueError, match=f"correction word {P_TEST + 1} not below p"):
+            DcfKey.deserialize(bad)
+
+
+def test_domain_wider_than_p_rejected():
+    # a key's domain is Z_p, at most (p - 1).bit_length() bits: a key over a
+    # 30-bit domain with p = 15 used to decode and evaluate
+    rng = random.Random(33)
+    for gen, cls in ((dpf_gen, DpfKey), (dcf_gen, DcfKey)):
+        for blocks in (1, 3):
+            key = gen(15, 7, [1, 2], rng, domain_bits=30, blocks=blocks)[1]
+            with pytest.raises(ValueError, match="30-bit domain over p 15"):
+                cls.deserialize(key.serialize())
 
 
 def test_key_length_closed_form():

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -388,3 +389,37 @@ def test_serialized_material_still_evaluates():
     m0b = deserialize_material(serialize_material(m0))
     got, _ = _run(m0b, m1, [9, p - 2], p, rng)
     assert got[0] == plain_max2(9, p - 2, p)
+
+
+def test_material_holding_a_key_of_the_other_party_rejected():
+    # a party-0 material that holds a party-1 comparison key used to decode
+    m0, m1 = material_pair("relu", P10, random.Random(17))
+    m0.cmp_key = m1.cmp_key
+    with pytest.raises(ValueError, match="key of party 1 .* material of party 0"):
+        deserialize_material(serialize_material(m0))
+
+
+def test_material_over_another_p_than_its_keys_rejected():
+    # the header's p (bytes 2-9) must be its keys' p: a material whose
+    # header p differs from them used to decode
+    buf = serialize_material(material_pair("max2", P10, random.Random(18))[1])
+    bad = buf[:2] + (P10 + 2).to_bytes(8, "little") + buf[10:]
+    with pytest.raises(ValueError, match=f"over p {P10} in a material of party 1 "
+                                         f"over p {P10 + 2}"):
+        deserialize_material(bad)
+
+
+def test_material_share_not_below_p_rejected():
+    # every mask, r3-r6 and rho share is an element of Z_p: a share of p used
+    # to decode
+    rng = random.Random(19)
+    wire = material_pair("relu", P10, rng)[0]
+    max2 = material_pair("max2", P10, rng)[1]
+    argmax = material_pair("argmax", P10, rng, k=3)[0]
+    bad = [replace(wire, mask_share=P10)]
+    bad += [replace(max2, **{f"r{i}_share": P10}) for i in (3, 4, 5, 6)]
+    bad += [replace(argmax, rho_shares=[*argmax.rho_shares[:i], P10,
+                                         *argmax.rho_shares[i + 1:]]) for i in range(3)]
+    for mat in bad:
+        with pytest.raises(ValueError, match=f"share {P10} not below p"):
+            deserialize_material(serialize_material(mat))
