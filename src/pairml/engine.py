@@ -292,10 +292,19 @@ def decode_mat(buf: bytes) -> np.ndarray:
 
 # -- manifest file format ---------------------------------------------------------------------
 # text header lines, a blank line, then one weight block per dense/conv layer:
-# b"WTS1", u64 count, count u64 words
+# b"WTS1", u64 count, count u64 words.  A layer line is `layer <kind>` and its
+# fields, in `_LAYER_FIELDS` order, each `field=value`, all separated by one
+# space.
+
+_LAYER_FIELDS = {"dense": ("in", "out", "act"),
+                 "conv": ("h", "w", "c", "kh", "kw", "cout", "stride", "pad", "act"),
+                 "avgpool": ("h", "w", "c", "ph", "pw"),
+                 "maxpool": ("k",),
+                 "argmax": ()}
 
 
-def serialize_manifest(manifest: ModelManifest) -> bytes:
+def _manifest_parts(manifest: ModelManifest) -> tuple[bytes, list]:
+    """The manifest's text header, blank line included, and its weight blocks."""
     lines = [f"pairml-model v1",
              f"name={manifest.name}",
              f"fp_scale={manifest.fp_scale}",
@@ -321,27 +330,40 @@ def serialize_manifest(manifest: ModelManifest) -> bytes:
             lines.append(f"layer maxpool k={layer.k}")
         elif isinstance(layer, ArgmaxLayer):
             lines.append("layer argmax")
-    head = ("\n".join(lines) + "\n\n").encode()
+    return ("\n".join(lines) + "\n\n").encode(), blobs
+
+
+def serialize_manifest(manifest: ModelManifest) -> bytes:
+    head, blobs = _manifest_parts(manifest)
     w = Writer().raw(head)
     for blob in blobs:
         w.raw(b"WTS1").u64(len(blob)).u64s(blob)
     return w.getvalue()
 
 
+def _fields(kv: dict, names, where: str) -> dict:
+    """The named fields of kv, ints but for `name` and `act`."""
+    out = {}
+    for field in names:
+        try:
+            out[field] = kv[field] if field in ("name", "act") else int(kv[field])
+        except (KeyError, ValueError):
+            raise ValueError(f"manifest {where} field {field} missing or malformed") from None
+    return out
+
+
 def parse_manifest(buf: bytes) -> ModelManifest:
+    """The manifest in `buf`, which must be exactly what `serialize_manifest`
+    writes for it: every line after the header is a layer line, and a header
+    that parses but is not in that form (another separator, a leading zero)
+    is refused."""
     head, sep, body = buf.partition(b"\n\n")
-    lines = head.decode().splitlines()
+    lines = head.decode().split("\n")
     if not sep or lines[:1] != ["pairml-model v1"]:
         raise ValueError("bad manifest header")
-    kv = dict(line.partition("=")[::2] for line in lines[1:4])
-    header = {}
-    for field, conv in (("name", str), ("fp_scale", int), ("input_dim", int)):
-        try:
-            header[field] = conv(kv[field])
-        except (KeyError, ValueError):
-            raise ValueError(f"manifest header field {field} missing or malformed") from None
+    header = _fields(dict(line.partition("=")[::2] for line in lines[1:4]),
+                     ("name", "fp_scale", "input_dim"), "header")
     layers = []
-    specs = [line for line in lines[4:] if line.startswith("layer ")]
     r = Reader(body)
 
     def weights(*shape):
@@ -350,10 +372,13 @@ def parse_manifest(buf: bytes) -> ModelManifest:
         return np.array(r.u64s(r.u64()), dtype=object).reshape(shape)
 
     with r:
-        for spec in specs:
-            _, kind, *parts = spec.split()
-            o = {k: v if k == "act" else int(v)
-                 for k, v in (part.split("=", 1) for part in parts)}
+        for line in lines[4:]:
+            word, _, rest = line.partition(" ")
+            kind, _, rest = rest.partition(" ")
+            if word != "layer" or kind not in _LAYER_FIELDS:
+                raise ValueError(f"manifest line {line!r} is not a layer")
+            o = _fields(dict(part.partition("=")[::2] for part in rest.split(" ")),
+                        _LAYER_FIELDS[kind], f"layer {kind}")
             act = None if o.get("act", "-") == "-" else o["act"]
             if kind == "dense":
                 layers.append(DenseLayer(weights(o["in"], o["out"]), act))
@@ -365,11 +390,12 @@ def parse_manifest(buf: bytes) -> ModelManifest:
                 layers.append(AvgPoolLayer((o["h"], o["w"], o["c"]), (o["ph"], o["pw"])))
             elif kind == "maxpool":
                 layers.append(MaxPoolVecLayer(o["k"]))
-            elif kind == "argmax":
-                layers.append(ArgmaxLayer())
             else:
-                raise ValueError(f"unknown layer kind {kind}")
-    return ModelManifest(**header, layers=layers)
+                layers.append(ArgmaxLayer())
+    manifest = ModelManifest(**header, layers=layers)
+    if _manifest_parts(manifest)[0] != head + sep:
+        raise ValueError("manifest header not in its canonical form")
+    return manifest
 
 
 # -- the server role ---------------------------------------------------------------------------

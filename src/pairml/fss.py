@@ -9,6 +9,8 @@ vector payloads of length L.
 
 A DCF is a DPF walk plus a payload correction at each level, so both kinds
 come from one key generator, `_tree_gen`, and one evaluator, `_walk`.  The
+generator is the single enclave's: it makes keys with one-block seeds over
+the whole (p - 1).bit_length()-bit domain of Z_p, and nothing else.  The
 generator follows the path to the special point; the walker takes a set of
 points down the tree depth first and expands each node on their shared
 prefixes once, so one point costs one node per level and the whole domain
@@ -20,9 +22,9 @@ adds only the words of a side that holds points, unreduced, and reduces each
 payload word once, at its leaf.  The generator makes each level in one fused
 kernel call, `prg.Tree.gen_level`, which expands both parties' nodes on the
 path and returns the next seeds, the seed and control correction words and
-each party's payload words as one int; it then forms a DCF level's payload
-correction word by word, reducing only there.  Seeds are ints while a tree
-is generated or walked.
+both expansions, which hold the payload words; it then forms a DCF level's
+payload correction word by word, reducing only there.  Seeds are ints while
+a tree is generated or walked.
 
 A key is its wire bytes.  `make_key` writes them, for this generator and
 for the enclaves' distributed one in `tee`; `deserialize` checks received
@@ -31,9 +33,12 @@ them.  Only this module knows the layout.
 
 A key's seeds are one or three blocks of `prg.LAM` bits, the one security
 parameter: one when a single party generates the pair, three when three
-enclaves generate it together, each expanding its own block.  A key's
-variant byte names its block count.  Its root control bit is its party:
-the header restates it, and `deserialize` refuses a header that differs.
+enclaves generate it together, each expanding its own block.  Three-block
+keys come only from that 3PC (`tee.TeeTriple`); the walker reads both.  A
+plain reference generator for either block count and any domain lives with
+the tests (`tests/oracles.py`).  A key's variant byte names its block
+count.  Its root control bit is its party: the header restates it, and
+`deserialize` refuses a header that differs.
 """
 
 from __future__ import annotations
@@ -106,17 +111,17 @@ class DcfKey(DpfKey):
 # -- the key generator and the walker ---------------------------------------------
 
 
-def _tree_gen(p: int, alpha: int, beta: list[int], rng, n: int, cmp: bool,
-              blocks: int = 3):
-    """Key pair for beta * [x < alpha] (cmp) or beta * [x == alpha], with
-    seeds of `blocks` blocks."""
+def _tree_gen(p: int, alpha: int, beta: list[int], rng, cmp: bool):
+    """Key pair for beta * [x < alpha] (cmp) or beta * [x == alpha] over
+    Z_p's (p - 1).bit_length()-bit domain, with one-block seeds."""
+    n = (p - 1).bit_length()
     if alpha >> n:
         raise FssParameterError(f"point {alpha} outside {n}-bit domain")
     beta = [int(v) % p for v in beta]
     L = len(beta)
-    tree = prg.tree(blocks, L, cmp)
-    level, at, M = tree.gen_level, tree.at, tree.word_mask
-    roots = (rng.randbytes(blocks * prg.BLOCK), rng.randbytes(blocks * prg.BLOCK))
+    tree = prg.tree(1, L, cmp)
+    level, at, M = tree.gen_level, tree.at, (1 << 8 * prg.WORD) - 1
+    roots = (rng.randbytes(prg.BLOCK), rng.randbytes(prg.BLOCK))
     s0, s1 = (int.from_bytes(r, "little") for r in roots)
     t0, t1 = 0, 1
     # what the leaf correction must still pay out: a DPF pays all of beta
@@ -193,11 +198,9 @@ def _walk(b: int, key: DpfKey | DcfKey, xs) -> list[list[int]]:
     return [out[x] for x in xs]
 
 
-def dpf_gen(p: int, alpha: int, beta: list[int], rng, domain_bits: int | None = None,
-            blocks: int = 3) -> tuple[DpfKey, DpfKey]:
+def dpf_gen(p: int, alpha: int, beta: list[int], rng) -> tuple[DpfKey, DpfKey]:
     """Keys k0, k1 with eval0(x) + eval1(x) = beta * [x == alpha] (mod p)."""
-    n = domain_bits if domain_bits is not None else (p - 1).bit_length()
-    return _tree_gen(p, alpha, beta, rng, n, False, blocks)
+    return _tree_gen(p, alpha, beta, rng, False)
 
 
 def dpf_eval(b: int, key: DpfKey, x: int) -> list[int]:
@@ -205,11 +208,9 @@ def dpf_eval(b: int, key: DpfKey, x: int) -> list[int]:
     return _walk(b, key, [x])[0]
 
 
-def dcf_gen(p: int, threshold: int, beta: list[int], rng,
-            domain_bits: int | None = None, blocks: int = 3) -> tuple[DcfKey, DcfKey]:
+def dcf_gen(p: int, threshold: int, beta: list[int], rng) -> tuple[DcfKey, DcfKey]:
     """Comparison keys: share sums equal beta * [x < threshold]."""
-    n = domain_bits if domain_bits is not None else (p - 1).bit_length()
-    return _tree_gen(p, threshold, beta, rng, n, True, blocks)
+    return _tree_gen(p, threshold, beta, rng, True)
 
 
 def dcf_eval(b: int, key: DcfKey, x: int) -> list[int]:

@@ -267,7 +267,7 @@ class CentralSource:
 
     def key(self, kind: str, point: int, payload: list[int]):
         gen = dcf_gen if kind == "dcf" else dpf_gen
-        return gen(self.p, point, payload, self.rng, blocks=1)
+        return gen(self.p, point, payload, self.rng)
 
     def share(self, mask: int) -> tuple[int, int]:
         s0 = self.rng.randrange(self.p)
@@ -571,8 +571,8 @@ def drive(sessions, reveal):
 # version u8, party u8, p u64, a kind code u8 (index into _MAT_CODECS), then the
 # material's fields with sub-materials inline and FSS keys as blobs of their
 # bytes.  Spline tables are public and stay with the host, which re-attaches
-# them.  A reader checks every key's party and p, and every share, against
-# the header.
+# them.  A reader checks the header's party, 0 or 1, and every key's party
+# and p, and every share, against the header.
 
 _MAT_VERSION = 2
 
@@ -663,6 +663,8 @@ def deserialize_material(buf: bytes):
         ver, party, p, code = r.u8(), r.u8(), r.u64(), r.u8()
         if ver != _MAT_VERSION:
             raise ValueError(f"unsupported material version {ver}")
+        if party > 1:
+            raise ValueError(f"material of party {party}, not 0 or 1")
         if code >= len(_MAT_CODECS):
             raise ValueError(f"unknown material code {code}")
         return _MAT_CODECS[code][2](r, party, p)

@@ -3,8 +3,8 @@
 The ciphertext modulus chain satisfies p | q, so the plaintext scaling
 factor delta = q/p is exact and multiples of delta*p vanish mod q; the HSS
 rounding conversion depends on this.  Every ciphertext carries an analytic
-noise bound that homomorphic operations update, and trusted-test mode can
-measure true noise against it with the secret key.
+noise bound that homomorphic operations update; the tests measure true
+noise against it with the secret key.
 
 Keys and ciphertexts are R_q polys in NTT form, their wire form.  `keygen`
 transforms a, s and e once each; `encrypt` transforms u, e0 + delta*m and
@@ -110,17 +110,3 @@ def encrypt(params: ProtocolParams, pk: tuple[RingPoly, RingPoly], m: RingPoly,
 def decrypt(params: ProtocolParams, s: RingPoly, ct: LprCiphertext) -> RingPoly:
     """Round (c0 + c1*s)/delta coefficient-wise; exact while noise < delta/2."""
     return (ct.c0 + ct.c1 * s).round_to_p()
-
-
-def measure_noise(params: ProtocolParams, s: RingPoly, ct: LprCiphertext,
-                  m: RingPoly) -> int:
-    """Max |c0 + c1*s - delta*m| (centered); trusted-test mode only."""
-    phase = ct.c0 + ct.c1 * s
-    delta_m = m.to_coeffs().lift_to_q(centered=False).scale(params.delta)
-    resid = phase - delta_m
-    q = params.q
-    worst = 0
-    for v in resid.coeff_ints():
-        c = v if v <= q // 2 else v - q
-        worst = max(worst, abs(c))
-    return worst

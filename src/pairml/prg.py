@@ -27,12 +27,17 @@ expansions are read into ints once.  In a walk, its payload words are summed
 one side at a time, only for a child that needs them, and stay unreduced and
 packed: the even words of a side in one int and the odd words in another,
 each word in a 256-bit lane, so a sum's carries stay in its lane.  A walk
-reduces each payload word once, at its leaf.  Key generation runs a level,
-the two parties' nodes on the path, as one fused call, `gen_level`: it
-expands both seeds, and one XOR of the two seed areas gives the level's seed
-and control correction words and both parties' next seeds and control bits.
-It returns each party's payload words, unreduced, as one int: for one block
-the expansion itself, for three the block-wise sums, evens then odds.
+reduces each payload word once, at its leaf.
+
+The one key generator here, the single enclave's, makes one-block keys
+only.  It runs a level, the two parties' nodes on the path, as one fused
+call, `gen_level`: it expands both seeds, and one XOR of the two expansions
+gives the level's seed and control correction words and both parties' next
+seeds and control bits; the expansions carry the payload words, unreduced,
+where `Tree.at` says.  Three-block keys come only from the enclaves' 3PC in
+`tee`, which runs `g_expand` and `block_convert` one block at a time.  A
+plain reference generator for any block count and domain, written from
+those per-block primitives, lives with the tests (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ def _spread(count: int, first: int) -> int:
     return sum(((1 << 8 * WORD) - 1) << 8 * WORD * k for k in range(first, count, 2))
 
 
-_BOTH, _LEAF = 2, 3  # the parts `Tree.add` sums besides side 0 and side 1
+_LEAF = 2  # the part `Tree.add` sums besides side 0 and side 1
 
 
 class Tree:
@@ -109,8 +114,9 @@ class Tree:
 
     `expand` gives a node's seed area and its expansion x: one int for a
     one-block seed, the three block expansions for a three-block seed.
-    `add` and `leaf` read payload words off such an x, and `gen_level` is
-    one level of key generation; each block count's kernel is bound once, here.
+    `add` and `leaf` read payload words off such an x; each block count's
+    kernel is bound once, here.  `gen_level` is one level of key generation
+    on one-block seeds, the only seeds one party generates.
 
     A packed sum is a pair (even words, odd words) of ints, word 2m (resp.
     2m + 1) in lane m; `pack` converts runs of L words to packed sums, and
@@ -133,20 +139,15 @@ class Tree:
         base = 8 * self.area
         self._parts = [
             (_spread(count, 0) << at, at, _spread(count, 1) << at, at + 8 * WORD)
-            for count, at in ((L, base), (L, base + 8 * WORD * L), (2 * L, base),
-                              (L, 0))]
-        # `gen_level`'s payload ints hold word m (left side's L, then right's) at bit
-        # place[m]; at[b][k] is word k's (lose, keep) places when the path bit is b
+            for count, at in ((L, base), (L, base + 8 * WORD * L), (L, 0))]
         if blocks == 1:
             self.expand, self.add, self._draw = self._node1, self._add1, _expand1
-            self.gen_level, self.word_mask = self._level1, (1 << 8 * WORD) - 1
-            place = [base + 8 * WORD * m for m in range(2 * L)]
+            # an expansion holds side s's word k at bit base + 8 WORD (s L + k);
+            # at[b][k] is word k's (lose, keep) places when the path bit is b
+            self.at = [[(base + 8 * WORD * ((1 - b) * L + k),
+                         base + 8 * WORD * (b * L + k)) for k in range(L)] for b in (0, 1)]
         else:
             self.expand, self.add, self._draw = self._node3, self._add3, _expand3
-            self.gen_level, self.word_mask = self._level3, _LANE_MASK
-            place = [_LANE * ((m >> 1) + (m & 1) * L) for m in range(2 * L)]
-        self.at = [[(place[(1 - b) * L + k], place[b * L + k]) for k in range(L)]
-                   for b in (0, 1)]
 
     def _node1(self, seed: int) -> tuple[int, int]:
         """One node expansion: its seed area, and the one pass of g."""
@@ -173,29 +174,19 @@ class Tree:
         return (acc[0] + (((x0 & em) + (x1 & em) + (x2 & em)) >> es),
                 acc[1] + (((x0 & om) + (x1 & om) + (x2 & om)) >> os))
 
-    def _level1(self, s0: int, t0: int, s1: int, t1: int, bit: int) -> tuple:
-        """One key generation level, path side `bit`: `_correct`'s values, then x0, x1."""
+    def gen_level(self, s0: int, t0: int, s1: int, t1: int, bit: int) -> tuple:
+        """One key generation level on one-block seeds, path side `bit`: both
+        parties' next seeds and control bits, then the seed and control
+        correction words, from one XOR of the expansions; then x0, x1."""
         x0 = _expand1(_G_TAG, s0, self.nbytes)
         x1 = _expand1(_G_TAG, s1, self.nbytes)
-        return *self._correct(x0, x1, t0, t1, bit), x0, x1
-
-    def _level3(self, s0: int, t0: int, s1: int, t1: int, bit: int) -> tuple:
-        """`_level1` for three-block seeds: areas are XORs, payloads block-wise sums."""
-        x0 = _expand3(_G_TAG, s0, self.nbytes)
-        x1 = _expand3(_G_TAG, s1, self.nbytes)
-        (e0, o0), (e1, o1) = self._add3((0, 0), x0, _BOTH), self._add3((0, 0), x1, _BOTH)
-        return (*self._correct(x0[0] ^ x0[1] ^ x0[2], x1[0] ^ x1[1] ^ x1[2], t0, t1, bit),
-                e0 | o0 << _LANE * self.L, e1 | o1 << _LANE * self.L)
-
-    def _correct(self, a0: int, a1: int, t0: int, t1: int, bit: int) -> tuple:
-        """Both next seeds and control bits, then both correction words, from one XOR."""
-        W, m, d = self.seed_bits, self._seed_mask, a0 ^ a1
+        W, m, d = self.seed_bits, self._seed_mask, x0 ^ x1
         s_cw = (d >> (1 - bit) * W) & m  # the lose side's seeds' XOR
         t_cw = ((d >> 2 * W) & 1 ^ bit ^ 1, (d >> 2 * W + 1) & 1 ^ bit)
         sh, tk, tc = bit * W, 2 * W + bit, t_cw[bit]
-        return ((a0 >> sh) & m ^ (s_cw if t0 else 0), (a0 >> tk) & 1 ^ (tc & t0),
-                (a1 >> sh) & m ^ (s_cw if t1 else 0), (a1 >> tk) & 1 ^ (tc & t1),
-                s_cw, t_cw)
+        return ((x0 >> sh) & m ^ (s_cw if t0 else 0), (x0 >> tk) & 1 ^ (tc & t0),
+                (x1 >> sh) & m ^ (s_cw if t1 else 0), (x1 >> tk) & 1 ^ (tc & t1),
+                s_cw, t_cw, x0, x1)
 
     def child(self, area: int, side: int) -> tuple[int, int]:
         """The seed and control bit of one side of a seed area."""

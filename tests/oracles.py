@@ -1,19 +1,85 @@
-"""Oracles that only tests use: full-domain FSS tables, a reset of the PRG
-expansion counters, both parties' sessions run in one process, the uniform
-spline tables that the fitted ones replaced, the schoolbook negacyclic
-product, a direct convolution, the HSS Mult noise bound and seeded
-mutations of an encoding."""
+"""Oracles that only tests use: a plain FSS key generator for any block
+count and domain, full-domain FSS tables, a reset of the PRG expansion
+counters, both parties' sessions run in one process, the uniform spline
+tables that the fitted ones replaced, the schoolbook negacyclic product, a
+direct convolution, the HSS Mult noise bound, the measured noise of an LPR
+ciphertext and seeded mutations of an encoding."""
 
 import math
 import random
 
 from pairml import prg
 from pairml.engine import ConvLayer, _conv_out_shape
-from pairml.fss import DcfKey, DpfKey, _walk
+from pairml.fss import DcfKey, DpfKey, FssParameterError, _walk, make_key
 from pairml.gadgets import (GadgetParameterError, SplineTable, _half, drive,
                             make_session)
 from pairml.lpr import LprCiphertext
 from pairml.params import ProtocolParams
+from pairml.ring import RingPoly
+
+
+def tree_gen(p: int, alpha: int, beta: list[int], rng, cmp: bool,
+             domain_bits: int | None = None, blocks: int = 3):
+    """Key pair for beta * [x < alpha] (cmp) or beta * [x == alpha] over an
+    n-bit domain (Z_p's by default), with seeds of `blocks` blocks, drawn
+    from rng as `fss.dpf_gen`/`dcf_gen` draw them.  It follows the path one
+    block at a time, with the per-block primitives the enclaves' 3PC runs:
+    a node's seed area is the XOR of its blocks' expansions there, its
+    payload words the block-wise sums, and a leaf the block-wise sum of the
+    block conversions."""
+    n = (p - 1).bit_length() if domain_bits is None else domain_bits
+    if alpha >> n:
+        raise FssParameterError(f"point {alpha} outside {n}-bit domain")
+    beta = [v % p for v in beta]
+    L, B = len(beta), prg.BLOCK
+    tree = prg.tree(blocks, L, cmp)
+    roots = [rng.randbytes(blocks * B) for _ in (0, 1)]
+    seeds, ts = list(roots), [0, 1]
+    # what the leaf correction must still pay out: a DPF pays all of beta
+    # there, a DCF whatever its last level correction left over
+    v_alpha = [0] * L if cmp else [-v for v in beta]
+    levels, v_cws = [], []
+    for i in range(n - 1, -1, -1):
+        bit, sign = (alpha >> i) & 1, -1 if ts[1] else 1
+        areas, words = [0, 0], [[0] * 2 * L, [0] * 2 * L]
+        for c in (0, 1):
+            for j in range(blocks):
+                raw = prg.g_expand(seeds[c][j * B:(j + 1) * B], tree.nbytes)
+                areas[c] ^= int.from_bytes(raw[:tree.area], "little")
+                words[c] = [a + w for a, w in
+                            zip(words[c], tree.words(raw, 0) + tree.words(raw, 1))]
+        d = areas[0] ^ areas[1]
+        (sl, tl), (sr, tr) = tree.child(d, 0), tree.child(d, 1)
+        s_cw, t_cw = (sl if bit else sr), (tl ^ bit ^ 1, tr ^ bit)
+        levels.append((s_cw, t_cw))
+        for c in (0, 1):  # the keep child, corrected where the control bit is set
+            s, t = tree.child(areas[c], bit)
+            seeds[c] = (s ^ (s_cw if ts[c] else 0)).to_bytes(blocks * B, "little")
+            ts[c] = t ^ (t_cw[bit] & ts[c])
+        if cmp:  # u: the lose side's difference, plus beta left of alpha
+            for k in range(L):
+                lose, keep = (1 - bit) * L + k, bit * L + k
+                u = words[1][lose] - words[0][lose] + bit * beta[k]
+                v_cws.append(sign * (u - v_alpha[k]) % p)
+                v_alpha[k] = u - words[1][keep] + words[0][keep]
+    c0, c1 = ([sum(ws) for ws in zip(*(prg.block_convert(seed[j * B:(j + 1) * B], L, p)
+                                        for j in range(blocks)))] for seed in seeds)
+    sign = -1 if ts[1] else 1
+    final_cw = [sign * (b1 - b0 - va) % p for b1, b0, va in zip(c1, c0, v_alpha)]
+    return tuple(make_key(b, p, roots[b], levels, final_cw, v_cws if cmp else None)
+                 for b in (0, 1))
+
+
+def dpf_gen(p: int, alpha: int, beta: list[int], rng, domain_bits: int | None = None,
+            blocks: int = 3) -> tuple[DpfKey, DpfKey]:
+    """`tree_gen`'s point-function keys."""
+    return tree_gen(p, alpha, beta, rng, False, domain_bits, blocks)
+
+
+def dcf_gen(p: int, threshold: int, beta: list[int], rng,
+            domain_bits: int | None = None, blocks: int = 3) -> tuple[DcfKey, DcfKey]:
+    """`tree_gen`'s comparison keys."""
+    return tree_gen(p, threshold, beta, rng, True, domain_bits, blocks)
 
 
 def dpf_eval_all(b: int, key: DpfKey) -> list[list[int]]:
@@ -120,6 +186,20 @@ def direct_conv(layer: ConvLayer, x_flat, p: int) -> list[int]:
 def mult_noise_bound(params: ProtocolParams, ct: LprCiphertext) -> int:
     """Analytic |y * e_ct| bound used to validate the rounding margin."""
     return params.n_ring * (params.p // 2) * ct.noise_bound
+
+
+def measure_noise(params: ProtocolParams, s: RingPoly, ct: LprCiphertext,
+                  m: RingPoly) -> int:
+    """Max |c0 + c1*s - delta*m| (centered), measured with the secret key."""
+    phase = ct.c0 + ct.c1 * s
+    delta_m = m.to_coeffs().lift_to_q(centered=False).scale(params.delta)
+    resid = phase - delta_m
+    q = params.q
+    worst = 0
+    for v in resid.coeff_ints():
+        c = v if v <= q // 2 else v - q
+        worst = max(worst, abs(c))
+    return worst
 
 
 def mutations(buf: bytes, seed: int, count: int):

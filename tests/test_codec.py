@@ -4,11 +4,13 @@ import random
 import numpy as np
 import pytest
 
+import oracles
 from oracles import check_mutations
 from pairml import models
 from pairml.codec import Reader, Writer
-from pairml.engine import (DealerRole, decode_mat, decode_vec, encode_mat, encode_vec,
-                           parse_manifest, serialize_manifest)
+from pairml.engine import (ArgmaxLayer, AvgPoolLayer, ConvLayer, DealerRole, DenseLayer,
+                           MaxPoolVecLayer, ModelManifest, decode_mat, decode_vec,
+                           encode_mat, encode_vec, parse_manifest, serialize_manifest)
 from pairml.fss import DcfKey, DpfKey, dcf_gen, dpf_gen
 from pairml.gadgets import (deserialize_material, material_pair, serialize_material,
                             tanh_table)
@@ -63,8 +65,8 @@ def _decoders():
          serialize_material(material_pair("maxpool", p, rng, k=3)[1])),
         ("argmax material", deserialize_material,
          serialize_material(material_pair("argmax", p, rng, k=3)[0])),
-        ("dpf key", DpfKey.deserialize, dpf_gen(p, 5, [1, 2], rng)[0].serialize()),
-        ("dcf key", DcfKey.deserialize, dcf_gen(p, 5, [1, 2], rng)[1].serialize()),
+        ("dpf key", DpfKey.deserialize, oracles.dpf_gen(p, 5, [1, 2], rng)[0].serialize()),
+        ("dcf key", DcfKey.deserialize, oracles.dcf_gen(p, 5, [1, 2], rng)[1].serialize()),
         ("poly p", lambda b: RingPoly.deserialize(PARAMS, b),
          RingPoly.random(PARAMS, rng, tag="p").serialize()),
         ("poly q", lambda b: RingPoly.deserialize(PARAMS, b), keys.s.serialize()),
@@ -119,6 +121,42 @@ def test_missing_or_malformed_manifest_header_field_named():
                 parse_manifest(b"\n".join(lines[:i] + line + lines[i + 1:]))
 
 
+def _manifest_with(i: int, line: bytes) -> bytes:
+    """The ifnn manifest of DECODERS with its line i replaced."""
+    lines = next(buf for name, _, buf in DECODERS if name == "manifest").split(b"\n")
+    return b"\n".join(lines[:i] + [line] + lines[i + 1:])
+
+
+DENSE = b"layer dense in=32 out=16 act=tanh"  # the manifest's line 4
+
+
+def test_manifest_layer_line_lacking_a_field_named():
+    # `layer dense in=32 act=tanh` used to raise KeyError('out')
+    assert _manifest_with(4, DENSE) == next(b for n, _, b in DECODERS if n == "manifest")
+    for field, text in (("in", b" in=32"), ("out", b" out=16"), ("act", b" act=tanh")):
+        with pytest.raises(ValueError, match=f"layer dense field {field} missing"):
+            parse_manifest(_manifest_with(4, DENSE.replace(text, b"")))
+
+
+def test_manifest_line_that_is_not_a_layer_rejected():
+    # a line that did not start with "layer " was dropped: `dayer argmax`
+    # decoded to a model with no argmax head
+    for bad in (b"dayer argmax", b"layer argmux", b"layer", b" layer argmax"):
+        with pytest.raises(ValueError, match="is not a layer"):
+            parse_manifest(_manifest_with(6, bad))
+
+
+def test_manifest_fields_are_separated_by_one_space():
+    # any whitespace used to separate fields, and any line break lines:
+    # \x1f or \x0b in place of a space decoded, or raised KeyError
+    for sep in (b"\x1f", b"\x0b", b"\t", b"  "):
+        for count in (1, -1):  # the first space, every space
+            with pytest.raises(ValueError):
+                parse_manifest(_manifest_with(4, DENSE.replace(b" ", sep, count)))
+    with pytest.raises(ValueError, match="canonical"):  # a leading zero
+        parse_manifest(_manifest_with(4, DENSE.replace(b"in=32", b"in=032")))
+
+
 def test_short_and_miscounted_buffers_raise_value_error():
     with pytest.raises(ValueError):
         decode_vec(b"\x01" * 9)
@@ -133,18 +171,31 @@ def test_short_and_miscounted_buffers_raise_value_error():
 
 
 def test_mutated_keys_and_materials_decode_exactly_or_are_rejected():
-    # a mutated key or material either raises ValueError or is one that
-    # encodes to exactly the mutated bytes: keys of both block counts, and
-    # one material of each kind
+    # a mutated key, material or wide-area frame either raises ValueError or
+    # is one that encodes to exactly the mutated bytes: keys of both block
+    # counts (one from the single enclave's generator, three from the
+    # reference), one material of each kind, and every other decoder above
     p, rng = PARAMS.p, random.Random(53)
-    cases = [(cls.deserialize, cls.serialize, gen(p, 5, [1, 2], rng, blocks=blocks)[b])
-             for b, (cls, gen) in enumerate(((DpfKey, dpf_gen), (DcfKey, dcf_gen)))
-             for blocks in (1, 3)]
+    cases = [(cls.deserialize, cls.serialize, gen(p, 5, [1, 2], rng)[b])
+             for b, (cls, gens) in enumerate(((DpfKey, (dpf_gen, oracles.dpf_gen)),
+                                              (DcfKey, (dcf_gen, oracles.dcf_gen))))
+             for gen in gens]
     table = tanh_table(PARAMS.fp_scale, p)
     cases += [(deserialize_material, serialize_material,
                material_pair(kind, p, rng, k=k, table=table)[k % 2])
               for kind, k in (("relu", 1), ("tanh", 1), ("max2", 1), ("maxpool", 3),
                               ("argmax", 3))]
+    encoders = {"poly p": RingPoly.serialize, "poly q": RingPoly.serialize,
+                "ciphertext": LprCiphertext.serialize, "manifest": serialize_manifest,
+                "vector": encode_vec, "matrix": encode_mat}
+    cases += [(decode, encoders[name], decode(buf)) for name, decode, buf in DECODERS
+              if name in encoders]
+    # a manifest with one layer of each kind and few weights, so that most
+    # mutations land in its text
+    w = lambda *shape: np.arange(np.prod(shape), dtype=object).reshape(shape)
+    cases.append((parse_manifest, serialize_manifest, ModelManifest("every-kind", 8, 16, [
+        ConvLayer(w(2, 2, 1, 2), (4, 4, 1), 2, 0, "relu"), AvgPoolLayer((2, 2, 2), (2, 2)),
+        DenseLayer(w(2, 3), "tanh"), MaxPoolVecLayer(3), ArgmaxLayer()])))
     for seed, (decode, encode, value) in enumerate(cases):
         buf = encode(value)
         rejected = check_mutations(decode, encode, buf, seed, 1000)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import oracles
 from oracles import dcf_eval_all, dpf_eval_all, reset_call_counter, uniform_table
 from pairml import prg
 from pairml.codec import Writer
@@ -114,30 +115,49 @@ def test_one_block_node_is_one_pass_of_g():
 
 def test_gen_level_is_two_node_expansions():
     # one fused level of key generation equals the node kernel on both
-    # parties' seeds: the lose side's seed XOR and the control bits' XOR
-    # (the keep side's flipped) are the correction words, each party's next
-    # seed is its keep child, corrected where its control bit is set, and
-    # every payload word of both expansions is where `at` says
+    # parties' one-block seeds: the lose side's seed XOR and the control
+    # bits' XOR (the keep side's flipped) are the correction words, each
+    # party's next seed is its keep child, corrected where its control bit
+    # is set, and every payload word of both expansions is where `at` says
     rng = random.Random(28)
-    for blocks in (1, 3):
-        for L in (1, 2, 3):
-            tree = prg.tree(blocks, L)
-            for _ in range(8):
-                s = [rng.getrandbits(tree.seed_bits) for _ in range(2)]
-                t, bit = [rng.randrange(2) for _ in range(2)], rng.randrange(2)
-                got = tree.gen_level(s[0], t[0], s[1], t[1], bit)
-                (a0, x0), (a1, x1) = tree.expand(s[0]), tree.expand(s[1])
-                (sl, tl), (sr, tr) = tree.child(a0 ^ a1, 0), tree.child(a0 ^ a1, 1)
-                s_cw, t_cw = (sl if bit else sr), (tl ^ bit ^ 1, tr ^ bit)
-                cw = tree.cw_area(s_cw | (t_cw[0] | t_cw[1] << 1) << tree.seed_bits)
-                nxt = [tree.child(a ^ cw if tc else a, bit)
-                       for a, tc in ((a0, t[0]), (a1, t[1]))]
-                assert got[:6] == (*nxt[0], *nxt[1], s_cw, t_cw)
-                for y, x in zip(got[6:], (x0, x1)):
-                    words = _sums(tree, x)
-                    for k, (lo, ke) in enumerate(tree.at[bit]):
-                        assert (y >> lo) & tree.word_mask == words[(1 - bit) * L + k]
-                        assert (y >> ke) & tree.word_mask == words[bit * L + k]
+    word = (1 << 128) - 1
+    for L in (1, 2, 3):
+        tree = prg.tree(1, L)
+        for _ in range(8):
+            s = [rng.getrandbits(tree.seed_bits) for _ in range(2)]
+            t, bit = [rng.randrange(2) for _ in range(2)], rng.randrange(2)
+            got = tree.gen_level(s[0], t[0], s[1], t[1], bit)
+            (a0, x0), (a1, x1) = tree.expand(s[0]), tree.expand(s[1])
+            (sl, tl), (sr, tr) = tree.child(a0 ^ a1, 0), tree.child(a0 ^ a1, 1)
+            s_cw, t_cw = (sl if bit else sr), (tl ^ bit ^ 1, tr ^ bit)
+            cw = tree.cw_area(s_cw | (t_cw[0] | t_cw[1] << 1) << tree.seed_bits)
+            nxt = [tree.child(a ^ cw if tc else a, bit)
+                   for a, tc in ((a0, t[0]), (a1, t[1]))]
+            assert got[:6] == (*nxt[0], *nxt[1], s_cw, t_cw)
+            for y, x in zip(got[6:], (x0, x1)):
+                words = _sums(tree, x)
+                for k, (lo, ke) in enumerate(tree.at[bit]):
+                    assert (y >> lo) & word == words[(1 - bit) * L + k]
+                    assert (y >> ke) & word == words[bit * L + k]
+
+
+# -- the key generator ---------------------------------------------------------
+
+
+def test_one_block_generator_matches_the_reference():
+    # the single enclave's fused generator makes, byte for byte, the keys
+    # that the reference makes one block at a time from the same draws:
+    # DPF and DCF, payloads of 1 to 3 words, both ends of the domain and
+    # inside it, p from 15 to production()'s
+    rng = random.Random(34)
+    for p in (15, P_TEST, P_WIDE, P_BIG, P_PROD):
+        for point in (0, p - 1, rng.randrange(p), rng.randrange(p)):
+            beta = [rng.randrange(p) for _ in range(rng.randrange(1, 4))]
+            seed = rng.getrandbits(32)
+            for gen, ref in ((dpf_gen, oracles.dpf_gen), (dcf_gen, oracles.dcf_gen)):
+                keys = gen(p, point, beta, random.Random(seed))
+                assert keys == ref(p, point, beta, random.Random(seed), blocks=1)
+                assert {key.blocks for key in keys} == {1}
 
 
 # -- DPF ------------------------------------------------------------------------
@@ -148,7 +168,7 @@ def test_dpf_exhaustive_8bit():
     for blocks, trial in [(b, t) for b in (3, 1) for t in range(6)]:
         alpha = rng.randrange(256)
         beta = [rng.randrange(P_TEST), rng.randrange(P_TEST)]
-        k0, k1 = dpf_gen(P_TEST, alpha, beta, rng, domain_bits=8, blocks=blocks)
+        k0, k1 = oracles.dpf_gen(P_TEST, alpha, beta, rng, domain_bits=8, blocks=blocks)
         for x in range(256):
             got = _sum(P_TEST, dpf_eval(0, k0, x), dpf_eval(1, k1, x))
             expect = beta if x == alpha else [0, 0]
@@ -157,7 +177,7 @@ def test_dpf_exhaustive_8bit():
 
 def test_dpf_known_point_case():
     rng = random.Random(4)
-    k0, k1 = dpf_gen(P_TEST, 3, [1], rng, domain_bits=8)
+    k0, k1 = oracles.dpf_gen(P_TEST, 3, [1], rng, domain_bits=8)
     hits = [x for x in range(256)
             if _sum(P_TEST, dpf_eval(0, k0, x), dpf_eval(1, k1, x)) != [0]]
     assert hits == [3]
@@ -166,13 +186,13 @@ def test_dpf_known_point_case():
 
 def test_dpf_payload_five():
     rng = random.Random(5)
-    k0, k1 = dpf_gen(P_TEST, 77, [5], rng, domain_bits=8)
+    k0, k1 = oracles.dpf_gen(P_TEST, 77, [5], rng, domain_bits=8)
     assert _sum(P_TEST, dpf_eval(0, k0, 77), dpf_eval(1, k1, 77)) == [5]
 
 
 def test_dpf_zero_payload():
     rng = random.Random(6)
-    k0, k1 = dpf_gen(P_TEST, 9, [0], rng, domain_bits=8)
+    k0, k1 = oracles.dpf_gen(P_TEST, 9, [0], rng, domain_bits=8)
     for x in range(256):
         assert _sum(P_TEST, dpf_eval(0, k0, x), dpf_eval(1, k1, x)) == [0]
 
@@ -182,7 +202,7 @@ def test_dpf_key_symmetry():
     # and the root seed after the 16-byte header; every correction word
     # after it is shared
     rng = random.Random(7)
-    k0, k1 = dpf_gen(P_TEST, 100, [7], rng, domain_bits=8)
+    k0, k1 = oracles.dpf_gen(P_TEST, 100, [7], rng, domain_bits=8)
     b0, b1 = k0.serialize(), k1.serialize()
     end = 16 + 48  # the header, then a three-block root seed
     assert (b0[1], b0[15], b1[1], b1[15]) == (0, 0, 1, 1)
@@ -193,7 +213,7 @@ def test_dpf_key_symmetry():
 
 def test_dpf_equal_root_seeds_cancel():
     rng = random.Random(8)
-    k0, _ = dpf_gen(P_TEST, 50, [9], rng, domain_bits=8)
+    k0, _ = oracles.dpf_gen(P_TEST, 50, [9], rng, domain_bits=8)
     for x in range(0, 256, 7):  # one key evaluated as both parties
         assert _sum(P_TEST, dpf_eval(0, k0, x), dpf_eval(1, k0, x)) == [0]
 
@@ -205,7 +225,7 @@ def test_dpf_single_key_hides_alpha():
     hits = 0
     for trial in range(100):
         rng = random.Random(1000 + trial)
-        k0, _ = dpf_gen(P_TEST, alpha, [1], rng, domain_bits=8)
+        k0, _ = oracles.dpf_gen(P_TEST, alpha, [1], rng, domain_bits=8)
         table = [dpf_eval(0, k0, x)[0] for x in range(256)]
         centered = [min(v, P_TEST - v) for v in table]
         guess = max(range(256), key=lambda i: centered[i])
@@ -218,7 +238,7 @@ def test_dpf_full_domain_sampled():
     p = (1 << 52) + 21  # stand-in large modulus; domain follows p
     n = (p - 1).bit_length()
     alpha = rng.randrange(p)
-    k0, k1 = dpf_gen(p, alpha, [123], rng, domain_bits=n)
+    k0, k1 = oracles.dpf_gen(p, alpha, [123], rng, domain_bits=n)
     assert _sum(p, dpf_eval(0, k0, alpha), dpf_eval(1, k1, alpha)) == [123]
     for _ in range(50):
         x = rng.randrange(p)
@@ -228,7 +248,7 @@ def test_dpf_full_domain_sampled():
 
 def test_dpf_eval_prg_budget():
     rng = random.Random(10)
-    k0, _ = dpf_gen(P_TEST, 5, [1], rng, domain_bits=8)
+    k0, _ = oracles.dpf_gen(P_TEST, 5, [1], rng, domain_bits=8)
     reset_call_counter()
     dpf_eval(0, k0, 123)
     calls = reset_call_counter()
@@ -238,13 +258,19 @@ def test_dpf_eval_prg_budget():
 
 def test_dcf_gen_prg_budget():
     # one node expansion (a block call per seed block) per party and level,
-    # then one leaf conversion per party: blocks (2n + 2) block calls
+    # then one leaf conversion per party: blocks (2n + 2) block calls, for
+    # the reference generator and for the single enclave's, whose keys have
+    # one block over Z_p's domain
     rng = random.Random(24)
     for blocks in (1, 3):
         for p, n in ((P_TEST, 8), (P_WIDE, 30)):
             reset_call_counter()
-            dcf_gen(p, 5, [1, 2], rng, domain_bits=n, blocks=blocks)
+            oracles.dcf_gen(p, 5, [1, 2], rng, domain_bits=n, blocks=blocks)
             assert reset_call_counter() == blocks * (2 * n + 2)
+    for p in (P_TEST, P_WIDE):
+        reset_call_counter()
+        dcf_gen(p, 5, [1, 2], rng)
+        assert reset_call_counter() == 2 * (p - 1).bit_length() + 2
 
 
 def test_dcf_eval_prg_budget():
@@ -252,7 +278,7 @@ def test_dcf_eval_prg_budget():
     rng = random.Random(25)
     for blocks in (1, 3):
         for p, n in ((P_TEST, 8), (P_WIDE, 30)):
-            k0, _ = dcf_gen(p, 5, [1, 2], rng, domain_bits=n, blocks=blocks)
+            k0, _ = oracles.dcf_gen(p, 5, [1, 2], rng, domain_bits=n, blocks=blocks)
             reset_call_counter()
             dcf_eval(0, k0, 123)
             assert reset_call_counter() == blocks * (n + 1)
@@ -261,8 +287,10 @@ def test_dcf_eval_prg_budget():
 def test_dpf_domain_errors():
     rng = random.Random(11)
     with pytest.raises(FssParameterError):
-        dpf_gen(P_TEST, 256, [1], rng, domain_bits=8)
-    k0, _ = dpf_gen(P_TEST, 1, [1], rng, domain_bits=8)
+        oracles.dpf_gen(P_TEST, 256, [1], rng, domain_bits=8)
+    with pytest.raises(FssParameterError):
+        dpf_gen(P_TEST, 1 << 10, [1], rng)  # Z_p's domain is 10 bits
+    k0, _ = oracles.dpf_gen(P_TEST, 1, [1], rng, domain_bits=8)
     with pytest.raises(FssParameterError):
         dpf_eval(0, k0, 999)
 
@@ -276,7 +304,7 @@ def test_dcf_exhaustive_8bit():
         thr = rng.randrange(257)  # threshold range includes 2^n is excluded; [0,256]
         thr = min(thr, 255)
         beta = [rng.randrange(P_TEST)]
-        k0, k1 = dcf_gen(P_TEST, thr, beta, rng, domain_bits=8, blocks=blocks)
+        k0, k1 = oracles.dcf_gen(P_TEST, thr, beta, rng, domain_bits=8, blocks=blocks)
         for x in range(256):
             got = _sum(P_TEST, dcf_eval(0, k0, x), dcf_eval(1, k1, x))
             expect = beta if x < thr else [0]
@@ -285,10 +313,10 @@ def test_dcf_exhaustive_8bit():
 
 def test_dcf_threshold_zero_and_max():
     rng = random.Random(13)
-    k0, k1 = dcf_gen(P_TEST, 0, [5], rng, domain_bits=8)
+    k0, k1 = oracles.dcf_gen(P_TEST, 0, [5], rng, domain_bits=8)
     for x in range(0, 256, 3):
         assert _sum(P_TEST, dcf_eval(0, k0, x), dcf_eval(1, k1, x)) == [0]
-    k0, k1 = dcf_gen(P_TEST, 255, [5], rng, domain_bits=8)
+    k0, k1 = oracles.dcf_gen(P_TEST, 255, [5], rng, domain_bits=8)
     for x in range(0, 256, 3):
         expect = [5] if x < 255 else [0]
         assert _sum(P_TEST, dcf_eval(0, k0, x), dcf_eval(1, k1, x)) == expect
@@ -297,7 +325,7 @@ def test_dcf_threshold_zero_and_max():
 def test_dcf_vector_payload():
     rng = random.Random(14)
     beta = [3, 1, 4, 1, 5]
-    k0, k1 = dcf_gen(P_TEST, 100, beta, rng, domain_bits=8)
+    k0, k1 = oracles.dcf_gen(P_TEST, 100, beta, rng, domain_bits=8)
     for x in (0, 99, 100, 101, 255):
         got = _sum(P_TEST, dcf_eval(0, k0, x), dcf_eval(1, k1, x))
         assert got == (beta if x < 100 else [0] * 5)
@@ -305,12 +333,12 @@ def test_dcf_vector_payload():
 
 def test_eval_all_matches_pointwise():
     rng = random.Random(21)
-    k0, k1 = dpf_gen(P_TEST, 200, [1, 9], rng, domain_bits=8)
+    k0, k1 = oracles.dpf_gen(P_TEST, 200, [1, 9], rng, domain_bits=8)
     full0, full1 = dpf_eval_all(0, k0), dpf_eval_all(1, k1)
     for x in range(256):
         assert full0[x] == dpf_eval(0, k0, x)
         assert full1[x] == dpf_eval(1, k1, x)
-    c0, c1 = dcf_gen(P_TEST, 77, [4], rng, domain_bits=8)
+    c0, c1 = oracles.dcf_gen(P_TEST, 77, [4], rng, domain_bits=8)
     fc0, fc1 = dcf_eval_all(0, c0), dcf_eval_all(1, c1)
     for x in range(256):
         assert fc0[x] == dcf_eval(0, c0, x)
@@ -320,8 +348,8 @@ def test_eval_all_matches_pointwise():
 def test_walk_point_sets_match_pointwise():
     # sparse, clustered and repeated points share some tree prefixes only
     rng = random.Random(23)
-    keys = [dpf_gen(P_TEST, 200, [1, 9], rng, domain_bits=8)[1],
-            dcf_gen(P_TEST, 77, [4, 2], rng, domain_bits=8)[0]]
+    keys = [oracles.dpf_gen(P_TEST, 200, [1, 9], rng, domain_bits=8)[1],
+            oracles.dcf_gen(P_TEST, 77, [4, 2], rng, domain_bits=8)[0]]
     for key, ev in zip(keys, (dpf_eval, dcf_eval)):
         for xs in ([5], [255, 0, 128], [76, 77, 78, 77, 76], rng.sample(range(256), 40)):
             assert _walk(key.party, key, xs) == [ev(key.party, key, x) for x in xs]
@@ -329,29 +357,30 @@ def test_walk_point_sets_match_pointwise():
         _walk(0, keys[1], [3, 256])
 
 
-def _kernel_walks(blocks=3):
+def _kernel_walks(dpf=oracles.dpf_gen, dcf=oracles.dcf_gen):
     """Multi-point walks on wide domains, the point sets the sessions walk:
     uniform tanh spline knots at P_BIG and P_PROD, ReLU point pairs at
     P_PROD, and single DPF points at both (party b's key, the points, the
-    function)."""
+    function), on keys from the given generators, by default the
+    reference's three-block ones."""
     rng = random.Random(61)
     walks = []
     for p in (P_BIG, P_PROD):
         table = uniform_table("tanh", 8, p)
         for _ in range(3):
             r, w = rng.randrange(p), rng.randrange(p)
-            keys = dcf_gen(p, r, [1, r], rng, blocks=blocks)
+            keys = dcf(p, r, [1, r], rng)
             knots = [y for lo, hi, _, _ in table.segments
                      for y in _interval_points(w, lo, hi, p)]
             walks.append((keys, knots, lambda x, r=r: [1, r] if x < r else [0, 0]))
         for _ in range(3):
             alpha = rng.randrange(p)
-            keys = dpf_gen(p, alpha, [1, 2, 3], rng, blocks=blocks)
+            keys = dpf(p, alpha, [1, 2, 3], rng)
             walks.append((keys, [alpha if rng.randrange(2) else rng.randrange(p)],
                           lambda x, a=alpha: [1, 2, 3] if x == a else [0, 0, 0]))
     for _ in range(4):
         r, w = rng.randrange(P_PROD), rng.randrange(P_PROD)
-        keys = dcf_gen(P_PROD, r, [1, r], rng, blocks=blocks)
+        keys = dcf(P_PROD, r, [1, r], rng)
         walks.append((keys, list(_interval_points(w, 0, (P_PROD - 1) // 2, P_PROD)),
                       lambda x, r=r: [1, r] if x < r else [0, 0]))
     return walks
@@ -376,7 +405,7 @@ def test_multi_point_walks_match_pointwise_and_are_pinned():
 
 
 def test_one_block_walks_match_pointwise():
-    for keys, xs, f in _kernel_walks(blocks=1):
+    for keys, xs, f in _kernel_walks(dpf_gen, dcf_gen):
         assert {key.blocks for key in keys} == {1}
         ev = dcf_eval if isinstance(keys[0], DcfKey) else dpf_eval
         shares = [_walk(b, key, xs) for b, key in enumerate(keys)]
@@ -389,8 +418,8 @@ def test_one_block_walks_match_pointwise():
 def test_walk_prg_calls_count_prefixes_and_points():
     # a walk expands each distinct prefix of its points once per level (a
     # block call per seed block) and converts each distinct point once
-    for blocks in (1, 3):
-        for keys, xs, _ in _kernel_walks(blocks):
+    for blocks, gens in ((1, (dpf_gen, dcf_gen)), (3, (oracles.dpf_gen, oracles.dcf_gen))):
+        for keys, xs, _ in _kernel_walks(*gens):
             n = keys[0].domain_bits
             nodes = sum(len({x >> (n - i) for x in xs}) for i in range(n))
             reset_call_counter()
@@ -408,14 +437,14 @@ VARIANTS = {(DpfKey, 3): 0x01, (DcfKey, 3): 0x02, (DpfKey, 1): 0x03, (DcfKey, 1)
 def test_key_serialization_round_trip():
     rng = random.Random(20)
     for blocks in (3, 1):
-        k0, k1 = dpf_gen(P_TEST, 44, [1, 2], rng, domain_bits=8, blocks=blocks)
+        k0, k1 = oracles.dpf_gen(P_TEST, 44, [1, 2], rng, domain_bits=8, blocks=blocks)
         for k in (k0, k1):
             buf = k.serialize()
             assert buf[0] == VARIANTS[(DpfKey, blocks)]
             again = DpfKey.deserialize(buf)
             assert again == k and again.blocks == blocks
             assert again.serialize() == buf
-        c0, c1 = dcf_gen(P_TEST, 99, [1, 2, 3], rng, domain_bits=8, blocks=blocks)
+        c0, c1 = oracles.dcf_gen(P_TEST, 99, [1, 2, 3], rng, domain_bits=8, blocks=blocks)
         buf = c0.serialize()
         assert buf[0] == VARIANTS[(DcfKey, blocks)]
         assert DcfKey.deserialize(buf) == c0
@@ -425,8 +454,8 @@ def test_key_serialization_round_trip():
 def test_malformed_keys_rejected():
     rng = random.Random(22)
     for blocks in (3, 1):
-        k0, _ = dpf_gen(P_TEST, 44, [1, 2], rng, domain_bits=8, blocks=blocks)
-        c0, _ = dcf_gen(P_TEST, 99, [1, 2, 3], rng, domain_bits=8, blocks=blocks)
+        k0, _ = oracles.dpf_gen(P_TEST, 44, [1, 2], rng, domain_bits=8, blocks=blocks)
+        c0, _ = oracles.dcf_gen(P_TEST, 99, [1, 2, 3], rng, domain_bits=8, blocks=blocks)
         for cls, buf in ((DpfKey, k0.serialize()), (DcfKey, c0.serialize())):
             for bad in (buf[:-8], buf[:-1], buf + b"\0", buf + b"junk", buf[:5], b""):
                 with pytest.raises(ValueError):
@@ -458,7 +487,7 @@ def test_keys_of_another_lam_rejected():
     with pytest.raises(ValueError, match="lam 0"):
         DcfKey.deserialize(zero)
     rng = random.Random(30)
-    for gen, cls in ((dpf_gen, DpfKey), (dcf_gen, DcfKey)):
+    for gen, cls in ((oracles.dpf_gen, DpfKey), (oracles.dcf_gen, DcfKey)):
         for blocks in (1, 3):
             buf = gen(P_TEST, 99, [1, 2], rng, domain_bits=8, blocks=blocks)[0].serialize()
             # the lam field follows the variant, party, n, L and p: bytes 13-14
@@ -471,7 +500,7 @@ def test_payload_correction_word_not_below_p_rejected():
     # used to decode
     rng = random.Random(32)
     for blocks in (1, 3):
-        key = dcf_gen(P_TEST, 99, [1, 2], rng, domain_bits=8, blocks=blocks)[0]
+        key = oracles.dcf_gen(P_TEST, 99, [1, 2], rng, domain_bits=8, blocks=blocks)[0]
         buf = key.serialize()
         sb = 16 * blocks
         at = 16 + sb + 8 * (sb + 1) + 8 * 2  # level 0's first v_cw word, after final_cw
@@ -482,9 +511,10 @@ def test_payload_correction_word_not_below_p_rejected():
 
 def test_domain_wider_than_p_rejected():
     # a key's domain is Z_p, at most (p - 1).bit_length() bits: a key over a
-    # 30-bit domain with p = 15 used to decode and evaluate
+    # 30-bit domain with p = 15, which only the reference can make, used to
+    # decode and evaluate
     rng = random.Random(33)
-    for gen, cls in ((dpf_gen, DpfKey), (dcf_gen, DcfKey)):
+    for gen, cls in ((oracles.dpf_gen, DpfKey), (oracles.dcf_gen, DcfKey)):
         for blocks in (1, 3):
             key = gen(15, 7, [1, 2], rng, domain_bits=30, blocks=blocks)[1]
             with pytest.raises(ValueError, match="30-bit domain over p 15"):
@@ -495,18 +525,19 @@ def test_key_length_closed_form():
     # a 16-byte header, the root seed, per level a seed correction word and
     # a flags byte, then final_cw and, for a DCF, a v_cw per level, 8 bytes
     # a word
+    # the single enclave's keys have one-block seeds, the reference's three
     rng = random.Random(29)
-    for blocks in (1, 3):
+    for blocks, gens in ((1, (dpf_gen, dcf_gen)), (3, (oracles.dpf_gen, oracles.dcf_gen))):
         sb = 16 * blocks
-        for gen, cmp in ((dpf_gen, 0), (dcf_gen, 1)):
+        for gen, cmp in zip(gens, (0, 1)):
             for p, L in ((P_TEST, 1), (P_WIDE, 3), (P_PROD, 2)):
                 n = (p - 1).bit_length()
-                key = gen(p, rng.randrange(p), [1] * L, rng, blocks=blocks)[0]
+                key = gen(p, rng.randrange(p), [1] * L, rng)[0]
                 assert len(key.serialize()) == (16 + sb + n * (sb + 1)
                                                 + 8 * L * (1 + n * cmp))
     # a wire's comparison key at production(): payload (1, r), 52 levels
-    assert [len(dcf_gen(P_PROD, 5, [1, 5], rng, blocks=blocks)[0].serialize())
-            for blocks in (1, 3)] == [1764, 3460]
+    assert [len(gen(P_PROD, 5, [1, 5], rng)[0].serialize())
+            for gen in (dcf_gen, oracles.dcf_gen)] == [1764, 3460]
 
 
 # -- pinned key bytes -----------------------------------------------------------------
@@ -525,10 +556,10 @@ def _table_digest(gen, eval_all, seed, blocks=3):
     return h.hexdigest()[:16]
 
 
-def _point_digest(gen, ev, seed, blocks=3):
+def _point_digest(gen, ev, seed):
     rng = random.Random(seed)
     point = rng.randrange(P_WIDE)
-    keys = gen(P_WIDE, point, [1, point], rng, blocks=blocks)
+    keys = gen(P_WIDE, point, [1, point], rng)
     xs = [point - 1, point, point + 1] + [rng.randrange(P_WIDE) for _ in range(5)]
     h = hashlib.sha256()
     for b, key in enumerate(keys):
@@ -542,26 +573,27 @@ def test_key_bytes_and_tables_pinned():
     # key bytes, full tables and wide-domain point shares on fixed seeds must
     # not drift: deployed keys and the PRG budgets depend on them (recorded
     # when the tree PRG became one SHAKE-128 pass per node)
-    assert [_table_digest(dpf_gen, dpf_eval_all, s) for s in (1, 2, 3)] == [
+    assert [_table_digest(oracles.dpf_gen, dpf_eval_all, s) for s in (1, 2, 3)] == [
         "a59635982ab766f1", "2dbfb9a53aef5bd6", "d84862379ec0113b"]
-    assert [_table_digest(dcf_gen, dcf_eval_all, s) for s in (1, 2, 3)] == [
+    assert [_table_digest(oracles.dcf_gen, dcf_eval_all, s) for s in (1, 2, 3)] == [
         "cefd22722413d271", "da34b64a3e43027f", "156a19eb403bed36"]
-    assert [_point_digest(dpf_gen, dpf_eval, s) for s in (4, 5)] == [
+    assert [_point_digest(oracles.dpf_gen, dpf_eval, s) for s in (4, 5)] == [
         "66a9badc626c190b", "eafc090c6b2824f3"]
-    assert [_point_digest(dcf_gen, dcf_eval, s) for s in (4, 5)] == [
+    assert [_point_digest(oracles.dcf_gen, dcf_eval, s) for s in (4, 5)] == [
         "595e144d73dc98dc", "ea70a82036d7be4a"]
 
 
 def test_one_block_key_bytes_and_tables_pinned():
     # the same digests for keys with one-block seeds, the keys a single
-    # enclave makes (recorded when they were introduced)
-    assert [_table_digest(dpf_gen, dpf_eval_all, s, 1) for s in (1, 2, 3)] == [
+    # enclave makes (recorded when they were introduced): the 8-bit tables
+    # from the reference, the wide-domain points from the enclave's generator
+    assert [_table_digest(oracles.dpf_gen, dpf_eval_all, s, 1) for s in (1, 2, 3)] == [
         "d5cb7be8ea62eb17", "cd771a076556581b", "9547d69c7e4cabfc"]
-    assert [_table_digest(dcf_gen, dcf_eval_all, s, 1) for s in (1, 2, 3)] == [
+    assert [_table_digest(oracles.dcf_gen, dcf_eval_all, s, 1) for s in (1, 2, 3)] == [
         "fcd6a8ee1dc8b668", "bd908a81a2a51e5f", "4894946a1425aba9"]
-    assert [_point_digest(dpf_gen, dpf_eval, s, 1) for s in (4, 5)] == [
+    assert [_point_digest(dpf_gen, dpf_eval, s) for s in (4, 5)] == [
         "7fb6b025d31d10b8", "88b17c5b5332077e"]
-    assert [_point_digest(dcf_gen, dcf_eval, s, 1) for s in (4, 5)] == [
+    assert [_point_digest(dcf_gen, dcf_eval, s) for s in (4, 5)] == [
         "518d3190eed853c7", "a49085c2041741ad"]
 
 
@@ -581,8 +613,9 @@ def _gen_digest(gen, blocks):
 
 
 def test_generated_key_bytes_pinned():
-    # recorded before key generation became one fused kernel call per level
+    # recorded before key generation became one fused kernel call per level;
+    # the reference makes the same keys
     assert {(gen.__name__, blocks): _gen_digest(gen, blocks)
-            for gen in (dpf_gen, dcf_gen) for blocks in (1, 3)} == {
+            for gen in (oracles.dpf_gen, oracles.dcf_gen) for blocks in (1, 3)} == {
         ("dpf_gen", 1): "a56e578492877bd4", ("dpf_gen", 3): "c8458dbec3ee81ce",
         ("dcf_gen", 1): "7d54468c072ee94f", ("dcf_gen", 3): "376427132d2b8d1f"}

@@ -399,6 +399,18 @@ def test_material_holding_a_key_of_the_other_party_rejected():
         deserialize_material(serialize_material(m0))
 
 
+def test_material_header_party_above_one_rejected():
+    # the header's party (byte 1) is 0 or 1 for every kind: a maxpool
+    # material with k = 1, which holds no key to check it against, used to
+    # decode with party 7
+    rng = random.Random(20)
+    for mat in (material_pair("maxpool", P10, rng, k=1)[0],
+                material_pair("relu", P10, rng)[1]):
+        buf = serialize_material(mat)
+        with pytest.raises(ValueError, match="material of party 7"):
+            deserialize_material(buf[:1] + b"\7" + buf[2:])
+
+
 def test_material_over_another_p_than_its_keys_rejected():
     # the header's p (bytes 2-9) must be its keys' p: a material whose
     # header p differs from them used to decode

@@ -3,14 +3,13 @@ import random
 import numpy as np
 import pytest
 
-from oracles import mult_noise_bound
+from oracles import measure_noise, mult_noise_bound
 from pairml.lpr import (
     LprCiphertext,
     cbd_poly,
     decrypt,
     encrypt,
     keygen,
-    measure_noise,
     NOISE_ETA,
 )
 from pairml.hss import (

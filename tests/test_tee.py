@@ -5,8 +5,8 @@ import random
 import pytest
 
 from pairml import prg
-from oracles import dcf_eval_all, dpf_eval_all, run_pair
-from pairml.fss import DpfKey, _tree_gen, dcf_eval, dcf_gen, dpf_gen
+from oracles import dcf_eval_all, dpf_eval_all, run_pair, tree_gen
+from pairml.fss import DpfKey
 from pairml.gadgets import (plain_argmax, plain_max, plain_max2, plain_relu,
                             serialize_material, tanh_table)
 from pairml.params import ProtocolParams
@@ -482,8 +482,8 @@ class _Roots:
 
 def test_batched_keys_equal_central_keys(testing_params, monkeypatch):
     # every key of a batched material (DCF and DPF lanes, payloads of 1 to 3
-    # words) is the one the central generator makes from the same point,
-    # payload and root seeds
+    # words) is the one the reference generator makes from the same point,
+    # payload and three-block root seeds
     p = testing_params.p
     planned = []
     gen_keys = TeeTriple._gen_keys
@@ -501,8 +501,7 @@ def test_batched_keys_equal_central_keys(testing_params, monkeypatch):
         beta = [c[1] if c[0] == "const" else sum(pc.r for pc in c[1])
                 for c in plan.beta_spec]
         roots = [b"".join(r[party] for r in plan.roots) for party in (0, 1)]
-        central = _tree_gen(p, alpha, beta, _Roots(roots), (p - 1).bit_length(),
-                            plan.kind == "dcf")
+        central = tree_gen(p, alpha, beta, _Roots(roots), plan.kind == "dcf")
         assert plan.key == central[1]
 
 
