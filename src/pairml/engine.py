@@ -15,6 +15,7 @@ import numpy as np
 from .codec import Reader, Writer
 from .fixedpoint import FixedPointCodec, exact_truncate, truncate_share_vec
 from .gadgets import (
+    WIRE_KINDS,
     SplineTable,
     drive,
     make_session,
@@ -380,6 +381,9 @@ def parse_manifest(buf: bytes) -> ModelManifest:
             o = _fields(dict(part.partition("=")[::2] for part in rest.split(" ")),
                         _LAYER_FIELDS[kind], f"layer {kind}")
             act = None if o.get("act", "-") == "-" else o["act"]
+            if act not in (None, *WIRE_KINDS):
+                raise ValueError(f"manifest layer {len(layers)} ({kind}) has unknown "
+                                 f"activation {act!r}")
             if kind == "dense":
                 layers.append(DenseLayer(weights(o["in"], o["out"]), act))
             elif kind == "conv":

@@ -180,7 +180,7 @@ def tanh_table(in_scale: int, p: int) -> SplineTable:
 # -- materials ---------------------------------------------------------------------
 
 
-_WIRE_KINDS = ("relu", "sigmoid", "tanh")
+WIRE_KINDS = ("relu", "sigmoid", "tanh")
 
 
 @dataclass
@@ -309,7 +309,7 @@ def _argmax(src, k: int):
 def recipe(kind: str, src, k: int = 1, table: SplineTable | None = None):
     """Draw a `kind` material's masks and keys from `src`; the function of
     the party that assembles its material once the keys exist."""
-    if kind in _WIRE_KINDS:
+    if kind in WIRE_KINDS:
         if kind != "relu" and table is None:
             raise GadgetParameterError(f"{kind} needs a spline table")
         return _wire(src, kind, table)
@@ -593,14 +593,14 @@ def _read_shares(r: Reader, n: int, p: int) -> list[int]:
 
 
 def _write_wire(w: Writer, m: WireMaterial):
-    w.u8(_WIRE_KINDS.index(m.kind)).u64(m.mask_share).blob(m.cmp_key.serialize())
+    w.u8(WIRE_KINDS.index(m.kind)).u64(m.mask_share).blob(m.cmp_key.serialize())
 
 
 def _read_wire(r: Reader, party: int, p: int) -> WireMaterial:
     code, (mask,) = r.u8(), _read_shares(r, 1, p)
-    if code >= len(_WIRE_KINDS):
+    if code >= len(WIRE_KINDS):
         raise ValueError(f"unknown wire kind code {code}")
-    return WireMaterial(_WIRE_KINDS[code], party, p, mask, _read_key(r, DcfKey, party, p))
+    return WireMaterial(WIRE_KINDS[code], party, p, mask, _read_key(r, DcfKey, party, p))
 
 
 def _write_max2(w: Writer, m: Max2Material):

@@ -15,9 +15,17 @@ All R_q values are kept and sent in NTT form (see `ring`).  Per column the
 dealer transforms 3 rows, y's p row back and its other rows forward, and
 draws the random shares as NTT residues.  A server stores a received column
 with no transform, and a triple run sums its own and the peer's ciphertexts
-with none.  Mult is then two pointwise products, one stacked inverse NTT and
-the exact RNS scale-and-round of `RingPoly.round_to_p`: the same shares as
-rounding the CRT-combined big integers, computed without them.
+with none.  Mult is then two pointwise products, a stacked inverse NTT and
+the exact RNS scale-and-round of `RingPoly.rounded_coeffs`: the same shares
+as rounding the CRT-combined big integers, computed without them.
+
+A triple run reads only the sums of its jobs' slot ranges.  Every range
+bound is a multiple of the plan's `sum_stride` b, so each sum is one of
+whole aligned b-slot blocks, and a block's sum is b times one value of the
+short forward NTT of the coefficients at multiples of b (see `ring`).  A
+Mult therefore inverts and rounds only those N/b coefficients, and the run
+transforms them forward at width N/b: the same shares as rounding and
+transforming the whole ring.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import numpy as np
 
 from .lpr import LprCiphertext, LprKeys, encrypt, keygen
 from .params import ProtocolParams
-from .ring import NTT, RingPoly, ntt_context, poly_to_vec, vec_to_poly
+from .ring import NTT, RingPoly, ntt_context, vec_to_poly
 
 
 class PackingError(ValueError):
@@ -79,6 +87,13 @@ class PackPlan:
 
     def bank_columns(self, poly: int) -> int:
         return max((j.m for j in self.jobs if j.poly == poly), default=0)
+
+    @property
+    def sum_stride(self) -> int:
+        """The largest power of two, at most N/2, dividing every slot range
+        bound: each job's slots are whole aligned blocks of this many."""
+        return min([self.n_ring // 2] + [v & -v for job in self.jobs
+                                         for v in self.slot_range(job) if v])
 
 
 def plan_packing(params: ProtocolParams, jobs: list[tuple[int, int]]) -> PackPlan:
@@ -159,15 +174,16 @@ def dealer_convert_column(params: ProtocolParams, s0: RingPoly, s1: RingPoly,
 
 
 def hss_mult(params: ProtocolParams, party: int, y_share: RingPoly,
-             ys_share: RingPoly, ct: LprCiphertext) -> np.ndarray:
+             ys_share: RingPoly, ct: LprCiphertext, stride: int = 1) -> np.ndarray:
     """Party's additive mod-p share of x*y from ct(x) and shares of (y, y*s).
 
     t_b = c0*sh_b(y) + c1*sh_b(y*s) over R_q; rounding each coefficient by
     p/q turns the pair into additive shares of the ring product x*y mod p,
-    up to the configured failure probability.
+    up to the configured failure probability.  Only the N/stride
+    coefficients at multiples of `stride` are computed and returned.
     """
     t = ct.c0 * y_share + ct.c1 * ys_share
-    return t.round_to_p().data.astype(np.int64)
+    return t.rounded_coeffs(stride).astype(np.int64)
 
 
 # -- triple generation protocol --------------------------------------------------------
@@ -243,6 +259,8 @@ class TripleGenSession:
                for mine, blob in zip(self.my_cts, peer_ct_blobs)]
         c_shares = {job.job_id: np.zeros(job.m, dtype=np.int64)
                     for job in plan.jobs}
+        b = plan.sum_stride
+        p_ctx = ntt_context((p,), params.n_ring)
         for poly_idx in range(plan.n_polys):
             bank_jobs = [j for j in plan.jobs if j.poly == poly_idx]
             for t in range(plan.bank_columns(poly_idx)):
@@ -256,12 +274,12 @@ class TripleGenSession:
                         y_share = y_share + conv.y_share
                         ys_share = ys_share + conv.ys_share
                 prod = hss_mult(params, self.party, y_share, ys_share,
-                                cts[poly_idx])
-                slots = poly_to_vec(RingPoly.from_coeffs(params, prod, tag="p"))
+                                cts[poly_idx], b)
+                blocks = p_ctx.ntt(prod[None])[0]  # block sums over b
                 for job in users:
                     lo, hi = plan.slot_range(job)
                     c_shares[job.job_id][t] = int(np.sum(
-                        slots[lo:hi].astype(object))) % p
+                        blocks[lo // b:hi // b].astype(object))) * b % p
         self.output = [
             BeaverShare(job_id=job.job_id, a=self.a_shares[job.job_id],
                         b_mat=self.b_shares[job.job_id],

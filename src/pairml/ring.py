@@ -14,7 +14,12 @@ a poly to its N evaluations, where multiplication is pointwise.
   with no transform.
 
 `NttContext` transforms every row of a stack in one numpy pass, each row mod
-its own prime, multiplying by twiddles with Shoup's method.  Products of two
+its own prime, multiplying by twiddles with Shoup's method.  Both directions
+can stop short when only the sums of aligned slot blocks matter: the slots
+of an aligned block of b slots are the roots of x^b = zeta, so their sum is
+b * g(zeta), where g holds the coefficients at multiples of b.  The inverse
+then returns just those coefficients (`intt(f, b)`), and the forward transform
+of a row of N/b of them gives the block sums over b.  Products of two
 variable residues use Montgomery multiplication.  Both split 64-bit words
 into 32-bit halves (Shoup to estimate a quotient it then corrects,
 Montgomery for the exact high product), so every result is exact in uint64.
@@ -109,12 +114,18 @@ class NttContext:
     Row i of every (rows, N) uint64 array is taken mod primes[i].  Built once
     per (primes, N) and read-only afterwards, so instances are safe to share
     between threads.
+
+    The stage with k blocks pairs positions t and t + N/2k within each block
+    and uses one twiddle per block.  So in the first log2(N/b) forward stages
+    and the last log2(N/b) inverse stages, positions 0 mod b pair only with
+    each other, under the twiddles a row of width N/b sees in the same stages.
     """
 
     def __init__(self, primes: tuple[int, ...], n: int):
         if any(m >> 62 for m in primes):
             raise ModulusError("NTT primes must be below 2^62")
         self.primes = primes
+        self.n = n
         logn = n.bit_length() - 1
         rev = [int(f"{i:0{logn}b}"[::-1], 2) for i in range(n)]
         # per prime: bit-reversed powers of a 2N-th root h; the inverse pass
@@ -152,11 +163,18 @@ class NttContext:
                       _shoup([[(1 << 64) % m] for m in primes], col))
 
     def ntt(self, f: np.ndarray) -> np.ndarray:
-        """Forward negacyclic NTT of every row; output order defines the slot order."""
-        rows = f.shape[0]
+        """Forward negacyclic NTT of every row; output order defines the slot order.
+
+        Rows of width N/b (b a power of two) run only the first log2(N/b)
+        stages.  Given the coefficients at multiples of b of some f, b times
+        the result is the sums of the aligned b-slot blocks of f's slots.
+        """
+        rows, width = f.shape
+        if not 0 < width <= self.n or width & (width - 1):
+            raise DimensionError(f"row width {width} is not a power of two up to N={self.n}")
         a = np.array(f, dtype=np.uint64)
         m = self.mods[:, :, None]
-        for w in self._fwd:
+        for w in self._fwd[:width.bit_length() - 1]:
             v = a.reshape(rows, w[0].shape[1], 2, -1)
             x, y = v[:, :, 0], v[:, :, 1]
             t = _mul_shoup(y, *w, m)
@@ -166,12 +184,23 @@ class NttContext:
             np.minimum(d, d + m, out=y)
         return a
 
-    def intt(self, f: np.ndarray) -> np.ndarray:
+    def intt(self, f: np.ndarray, stride: int = 1) -> np.ndarray:
+        """Inverse NTT of every row, only the (rows, N/stride) coefficients at
+        multiples of `stride`, a power of two below N.  At those positions
+        the first log2(stride) stages only sum each aligned block of stride
+        slots, so the block sums go through the remaining stages alone."""
+        if not 0 < stride < self.n or stride & (stride - 1):
+            raise DimensionError(f"stride {stride} is not a power of two below N={self.n}")
         rows = f.shape[0]
-        a = np.array(f, dtype=np.uint64)
         m = self.mods[:, :, None]
-        last = len(self._inv) - 1
-        for i, w in enumerate(self._inv):
+        a = np.array(f, dtype=np.uint64).reshape(rows, -1, stride)
+        while a.shape[2] > 1:
+            half = a.shape[2] // 2
+            a = _add(a[:, :, :half], a[:, :, half:], m)
+        a = a.reshape(rows, -1)
+        stages = self._inv[stride.bit_length() - 1:]
+        last = len(stages) - 1
+        for i, w in enumerate(stages):
             v = a.reshape(rows, w[0].shape[1], 2, -1)
             x, y = v[:, :, 0], v[:, :, 1]
             s, d = _add(x, y, m), _sub(y, x, m)
@@ -219,11 +248,6 @@ class RnsContext:
         for r, b in zip(residues, self.basis):
             acc += int(r) * b
         return acc % self.q
-
-
-@lru_cache(maxsize=16)
-def rns_context(primes: tuple[int, ...]) -> RnsContext:
-    return RnsContext(primes)
 
 
 @lru_cache(maxsize=16)
@@ -405,10 +429,16 @@ class RingPoly:
 
     def round_to_p(self) -> "RingPoly":
         """round(t * p / q) mod p for every coefficient t, as a mod-p coefficient poly."""
+        return RingPoly(self.params, "p", COEFF, self.rounded_coeffs())
+
+    def rounded_coeffs(self, stride: int = 1) -> np.ndarray:
+        """round(t * p / q) mod p for the coefficients t at multiples of
+        `stride`; from NTT form only those are transformed back."""
         if self.tag != "q":
-            raise ModulusError("round_to_p needs a mod-q polynomial")
-        return RingPoly(self.params, "p", COEFF,
-                        _scale_round(self.params.q_primes, self.to_coeffs().data))
+            raise ModulusError("rounding to p needs a mod-q polynomial")
+        rows = self._ctx.intt(self._rows, stride) if self.form == NTT \
+            else self._rows[:, ::stride]
+        return _scale_round(self.params.q_primes, rows)
 
     # arithmetic ---------------------------------------------------------------
 
@@ -447,14 +477,6 @@ class RingPoly:
     def scale(self, c: int) -> "RingPoly":
         return RingPoly._of(self.params, self.tag, self.form,
                             self._ctx.scale(self._rows, c))
-
-    def coeff_ints(self) -> list[int]:
-        """Coefficients as big ints (CRT-combined for mod-q polys)."""
-        rows = self.to_coeffs()._rows
-        if self.tag == "p":
-            return [int(v) for v in rows[0]]
-        ctx = rns_context(self.params.q_primes)
-        return [ctx.combine(tuple(int(r) for r in col)) for col in rows.T]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingPoly) or self.tag != other.tag:

@@ -15,7 +15,7 @@ from pairml.gadgets import (GadgetParameterError, SplineTable, _half, drive,
                             make_session)
 from pairml.lpr import LprCiphertext
 from pairml.params import ProtocolParams
-from pairml.ring import RingPoly
+from pairml.ring import RingPoly, RnsContext
 
 
 def tree_gen(p: int, alpha: int, beta: list[int], rng, cmp: bool,
@@ -188,6 +188,15 @@ def mult_noise_bound(params: ProtocolParams, ct: LprCiphertext) -> int:
     return params.n_ring * (params.p // 2) * ct.noise_bound
 
 
+def coeff_ints(poly: RingPoly) -> list[int]:
+    """Coefficients as big ints (CRT-combined for mod-q polys)."""
+    rows = poly.to_coeffs().data.reshape(-1, poly.params.n_ring)
+    if poly.tag == "p":
+        return [int(v) for v in rows[0]]
+    ctx = RnsContext(poly.params.q_primes)
+    return [ctx.combine(tuple(int(r) for r in col)) for col in rows.T]
+
+
 def measure_noise(params: ProtocolParams, s: RingPoly, ct: LprCiphertext,
                   m: RingPoly) -> int:
     """Max |c0 + c1*s - delta*m| (centered), measured with the secret key."""
@@ -196,7 +205,7 @@ def measure_noise(params: ProtocolParams, s: RingPoly, ct: LprCiphertext,
     resid = phase - delta_m
     q = params.q
     worst = 0
-    for v in resid.coeff_ints():
+    for v in coeff_ints(resid):
         c = v if v <= q // 2 else v - q
         worst = max(worst, abs(c))
     return worst

@@ -138,6 +138,15 @@ def test_manifest_layer_line_lacking_a_field_named():
             parse_manifest(_manifest_with(4, DENSE.replace(text, b"")))
 
 
+def test_manifest_unknown_activation_rejected_naming_the_layer():
+    # `act=tanx` used to parse, and lower to GadgetLayer('tanx')
+    for act in (b"tanx", b"Relu", b"", b"argmax"):
+        with pytest.raises(ValueError, match="layer 0 \\(dense\\) has unknown activation"):
+            parse_manifest(_manifest_with(4, DENSE.replace(b"tanh", act)))
+    for act in (b"relu", b"sigmoid", b"-"):
+        parse_manifest(_manifest_with(4, DENSE.replace(b"tanh", act)))
+
+
 def test_manifest_line_that_is_not_a_layer_rejected():
     # a line that did not start with "layer " was dropped: `dayer argmax`
     # decoded to a model with no argmax head

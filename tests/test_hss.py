@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 
 import numpy as np
@@ -31,8 +33,8 @@ def pr():
     return ProtocolParams.testing()  # N=256, ~30-bit p, q = p * two 60-bit primes
 
 
-def _run_triples(params, dims, seed, b_override=None):
-    """Full two-party triple run in one process; returns reconstruction data."""
+def _sessions(params, dims, seed, b_override=None):
+    """Both parties' triple sessions for `dims`, before start()."""
     rng_d = random.Random(seed)
     rng0 = random.Random(seed + 1)
     rng1 = random.Random(seed + 2)
@@ -64,10 +66,16 @@ def _run_triples(params, dims, seed, b_override=None):
             conv1[(job.job_id, t)] = c1
     sess0 = TripleGenSession(params, plan, 0, d0, b0s, conv0, rng0)
     sess1 = TripleGenSession(params, plan, 1, d1, b1s, conv1, rng1)
+    return plan, sess0, sess1, (b0s, b1s)
+
+
+def _run_triples(params, dims, seed, b_override=None):
+    """Full two-party triple run in one process; returns reconstruction data."""
+    plan, sess0, sess1, b_shares = _sessions(params, dims, seed, b_override)
     blobs0, blobs1 = sess0.start(), sess1.start()
     sess0.feed(blobs1)
     sess1.feed(blobs0)
-    return plan, sess0.output, sess1.output, (b0s, b1s)
+    return plan, sess0.output, sess1.output, b_shares
 
 
 def _check_triple(p, t0: BeaverShare, t1: BeaverShare, b0, b1):
@@ -266,6 +274,46 @@ def test_triples_packed_pair(pr):
 def test_triples_rectangular(pr):
     plan, out0, out1, (b0s, b1s) = _run_triples(pr, [(16, 5)], 400)
     assert _check_triple(pr.p, out0[0], out1[0], b0s[0], b1s[0])
+
+
+def _reference_c(params, sess, peer_blobs):
+    """A session's c shares as a Mult over the whole ring gives them: every
+    coefficient rounded, every slot transformed, each job's slots summed."""
+    plan = sess.plan
+    c = {job.job_id: [] for job in plan.jobs}
+    for poly in range(plan.n_polys):
+        ct = sess.my_cts[poly] + LprCiphertext.deserialize(params, peer_blobs[poly])
+        for t in range(plan.bank_columns(poly)):
+            users = [j for j in plan.jobs if j.poly == poly and t < j.m]
+            convs = [sess.converted[j.job_id, t] for j in users]
+            y = functools.reduce(operator.add, (cv.y_share for cv in convs))
+            ys = functools.reduce(operator.add, (cv.ys_share for cv in convs))
+            prod = hss_mult(params, sess.party, y, ys, ct)
+            slots = poly_to_vec(RingPoly.from_coeffs(params, prod, tag="p"))
+            for j in users:
+                lo, hi = plan.slot_range(j)
+                c[j.job_id].append(int(np.sum(slots[lo:hi].astype(object))) % params.p)
+    return c
+
+
+N_TEST = ProtocolParams.testing().n_ring
+
+
+@pytest.mark.parametrize("dims, stride", [
+    ([(32, 16), (16, 8)], 16),
+    ([(64, 3), (12, 2), (16, 2)], 4),  # the 12-wide job ends at slot 76
+    ([(10, 3), (5, 2)], 1),
+    ([(N_TEST, 2)], N_TEST // 2),  # a whole-ring job: capped at N/2
+], ids=["b16", "b4", "b1", "cap"])
+def test_session_c_shares_match_full_ring_reference(pr, dims, stride):
+    plan, sess0, sess1, (b0s, b1s) = _sessions(pr, dims, 600)
+    assert plan.sum_stride == stride
+    blobs = sess0.start(), sess1.start()
+    for sess, peer in ((sess0, blobs[1]), (sess1, blobs[0])):
+        sess.feed(peer)
+        assert {t.job_id: list(t.c) for t in sess.output} == _reference_c(pr, sess, peer)
+    for t0, t1 in zip(sess0.output, sess1.output):
+        assert _check_triple(pr.p, t0, t1, b0s[t0.job_id], b1s[t0.job_id])
 
 
 def test_packed_vs_unpacked_ciphertext_economy(pr):

@@ -1,10 +1,11 @@
 """Row-transform budget of the R_q paths, with NTT as the wire form.
 
 Every `NttContext.ntt` / `intt` call is counted as (direction, primes of the
-context) -> rows transformed.  A poly crosses the wire as `serialize` and
-`deserialize` leave it, so each count below includes the (de)serialization
-around the step.  Counts do not depend on N; the testing parameters keep the
-run short.
+context) -> rows transformed, or points (rows times output width) where a
+step transforms rows narrower than N.  A poly crosses the wire as
+`serialize` and `deserialize` leave it, so each count below includes the
+(de)serialization around the step.  Row counts do not depend on N; the
+testing parameters keep the run short.
 """
 
 import random
@@ -32,15 +33,26 @@ Q = PARAMS.q_primes
 AUX = Q[1:]
 
 
-@pytest.fixture
-def rows(monkeypatch) -> Counter:
+def _counter(monkeypatch, size) -> Counter:
+    """Counts size(output) per (direction, primes) of every transform."""
     counts = Counter()
     for name in ("ntt", "intt"):
-        def counted(self, f, _name=name, _orig=getattr(ring.NttContext, name)):
-            counts[_name, self.primes] += len(f)
-            return _orig(self, f)
+        def counted(self, f, *stride, _name=name, _orig=getattr(ring.NttContext, name)):
+            out = _orig(self, f, *stride)
+            counts[_name, self.primes] += size(out)
+            return out
         monkeypatch.setattr(ring.NttContext, name, counted)
     return counts
+
+
+@pytest.fixture
+def rows(monkeypatch) -> Counter:
+    return _counter(monkeypatch, len)
+
+
+@pytest.fixture
+def points(monkeypatch) -> Counter:
+    return _counter(monkeypatch, np.size)
 
 
 def _wire(poly: RingPoly) -> RingPoly:
@@ -95,7 +107,7 @@ def test_encrypt_is_three_forward_transforms(rows):
     assert rows == {("ntt", Q): 3 * len(Q)}
 
 
-def test_triple_feed_does_no_forward_q_transform(rows):
+def test_triple_feed_does_no_forward_q_transform(points):
     rng = random.Random(5)
     _, *setups = dealer_setup(PARAMS, rng)
     plan = plan_packing(PARAMS, [(8, 3), (16, 2)])
@@ -117,9 +129,13 @@ def test_triple_feed_does_no_forward_q_transform(rows):
                                  b_shares[b], converted[b], random.Random(6 + b))
                 for b, d in enumerate(setups)]
     blobs = [s.start() for s in sessions]
-    rows.clear()
+    points.clear()
     sessions[0].feed(blobs[1])
-    # each Mult: one stacked inverse of t for rounding, one p-row forward of
-    # its output into slots; the ciphertext sum and the products need none
+    # every slot bound is a multiple of 8, so each Mult: one stacked inverse
+    # of t to its coefficients at multiples of 8 for rounding, one p-row
+    # forward of those into block sums, both at width N/8 = 32; the
+    # ciphertext sum and the products need none
+    assert plan.sum_stride == 8
+    width = PARAMS.n_ring // 8
     mults = sum(plan.bank_columns(i) for i in range(plan.n_polys))
-    assert rows == {("intt", Q): len(Q) * mults, ("ntt", P): mults}
+    assert points == {("intt", Q): len(Q) * width * mults, ("ntt", P): width * mults}

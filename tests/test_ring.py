@@ -180,6 +180,58 @@ def test_ntt_big_prime():
     assert list(got.data) == schoolbook_negacyclic(a, b, pr.p)
 
 
+# -- partial transforms -----------------------------------------------------------
+
+
+def _stride_cases():
+    """Every stride from 1 to N/2 at testing(); 2, 16 and N/2 at production()."""
+    cases = []
+    for params in (ProtocolParams.testing(), ProtocolParams.production()):
+        n = params.n_ring
+        strides = [1 << i for i in range(n.bit_length() - 1)] if n <= 256 else \
+            [2, 16, n // 2]
+        for tag, primes in (("p", (params.p,)), ("q", params.q_primes)):
+            cases.append(pytest.param(primes, n, strides, id=f"N{n}-{tag}"))
+    return cases
+
+
+def _residue_rows(primes, n, rng):
+    """Random residues, with 0 and m - 1 at the front of every row."""
+    rows = [[0, m - 1] + [rng.randrange(m) for _ in range(n - 2)] for m in primes]
+    return np.array(rows, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("primes, n, strides", _stride_cases())
+def test_strided_intt_is_every_stride_th_coefficient(primes, n, strides):
+    ctx = ntt_context(primes, n)
+    evals = _residue_rows(primes, n, random.Random(16))
+    full = ctx.intt(evals)
+    for b in strides:
+        assert np.array_equal(ctx.intt(evals, b), full[:, ::b]), b
+
+
+@pytest.mark.parametrize("primes, n, strides", _stride_cases())
+def test_short_ntt_gives_block_sums_of_the_full_one(primes, n, strides):
+    ctx = ntt_context(primes, n)
+    f = _residue_rows(primes, n, random.Random(17))
+    full = ctx.ntt(f).astype(object)
+    mods = np.array(primes, dtype=object)[:, None]
+    for b in strides:
+        sums = full.reshape(len(primes), n // b, b).sum(axis=2) % mods
+        assert np.array_equal(ctx.ntt(f[:, ::b]).astype(object) * b % mods, sums), b
+
+
+def test_partial_transform_shapes_checked(small):
+    ctx = ntt_context(small.q_primes, small.n_ring)
+    rows = np.zeros((len(small.q_primes), small.n_ring), dtype=np.uint64)
+    for stride in (0, 3, small.n_ring, 2 * small.n_ring):
+        with pytest.raises(DimensionError):
+            ctx.intt(rows, stride)
+    for width in (12, 2 * small.n_ring):
+        with pytest.raises(DimensionError):
+            ctx.ntt(np.zeros((1, width), dtype=np.uint64))
+
+
 # -- fixed point ---------------------------------------------------------------
 
 
