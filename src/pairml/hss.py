@@ -15,21 +15,27 @@ All R_q values are kept and sent in NTT form (see `ring`).  Per column the
 dealer transforms 3 rows, y's p row back and its other rows forward, and
 draws the random shares as NTT residues.  A server stores a received column
 with no transform, and a triple run sums its own and the peer's ciphertexts
-with none.  Mult is then two pointwise products, a stacked inverse NTT and
-the exact RNS scale-and-round of `RingPoly.rounded_coeffs`: the same shares
-as rounding the CRT-combined big integers, computed without them.
+with none.
 
 A triple run reads only the sums of its jobs' slot ranges.  Every range
 bound is a multiple of the plan's `sum_stride` b, so each sum is one of
 whole aligned b-slot blocks, and a block's sum is b times one value of the
-short forward NTT of the coefficients at multiples of b (see `ring`).  A
-Mult therefore inverts and rounds only those N/b coefficients, and the run
-transforms them forward at width N/b: the same shares as rounding and
-transforming the whole ring.
+short forward NTT of the coefficients at multiples of b (see `ring`).
+
+Mult runs on a bank: all the columns multiplied by one summed ciphertext
+(c0, c1).  It prepares the Shoup constants of c0 and c1 once.  Per column it
+makes two pointwise products, c0*sh(y) + c1*sh(y*s), and sums the result's
+aligned b-slot blocks; then one stacked inverse NTT at width N/b turns every
+column's block sums into its coefficients at multiples of b, and the exact
+RNS scale-and-round of `ring.scale_round` rounds them.  The triple run
+transforms the whole bank forward at width N/b in one p-row NTT.  These are
+the same shares as rounding the CRT-combined big integers of the whole ring
+and transforming them, computed without either.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,7 +43,7 @@ import numpy as np
 
 from .lpr import LprCiphertext, LprKeys, encrypt, keygen
 from .params import ProtocolParams
-from .ring import NTT, RingPoly, ntt_context, vec_to_poly
+from .ring import NTT, DimensionError, RingPoly, ntt_context, scale_round, vec_to_poly
 
 
 class PackingError(ValueError):
@@ -173,17 +179,31 @@ def dealer_convert_column(params: ProtocolParams, s0: RingPoly, s1: RingPoly,
 # -- the Mult instruction -------------------------------------------------------------
 
 
-def hss_mult(params: ProtocolParams, party: int, y_share: RingPoly,
-             ys_share: RingPoly, ct: LprCiphertext, stride: int = 1) -> np.ndarray:
-    """Party's additive mod-p share of x*y from ct(x) and shares of (y, y*s).
+def hss_mult(params: ProtocolParams, y_share: np.ndarray, ys_share: np.ndarray,
+             ct: LprCiphertext, stride: int = 1) -> np.ndarray:
+    """Additive mod-p shares of x*y for a bank of columns, from ct(x) and
+    this party's shares of each column's (y, y*s).
 
-    t_b = c0*sh_b(y) + c1*sh_b(y*s) over R_q; rounding each coefficient by
-    p/q turns the pair into additive shares of the ring product x*y mod p,
-    up to the configured failure probability.  Only the N/stride
-    coefficients at multiples of `stride` are computed and returned.
+    y_share and ys_share are (..., primes, N) stacks of NTT residues of
+    q_primes, one (primes, N) stack per column: a share `RingPoly` passes
+    `.to_ntt().data`, a bank of one.  t = c0*sh(y) + c1*sh(y*s) over R_q;
+    rounding each coefficient by p/q turns the parties' t into additive
+    shares of the ring product x*y mod p, up to the configured failure
+    probability.  Only the N/stride coefficients at multiples of `stride`
+    are computed: (..., N/stride).
     """
-    t = ct.c0 * y_share + ct.c1 * ys_share
-    return t.rounded_coeffs(stride).astype(np.int64)
+    column = (len(params.q_primes), params.n_ring)
+    if y_share.shape != ys_share.shape or y_share.shape[-2:] != column:
+        raise DimensionError(f"share stacks {y_share.shape} and {ys_share.shape} "
+                             f"are not banks of {column} columns")
+    ctx = ntt_context(params.q_primes, params.n_ring)
+    c0, c1 = ctx.shoup(ct.c0.to_ntt().data), ctx.shoup(ct.c1.to_ntt().data)
+    bank = y_share.shape[:-2]
+    sums = np.empty(y_share.shape[:-1] + (params.n_ring // stride,), dtype=np.uint64)
+    for col in np.ndindex(bank):  # a column's temporaries stay in cache
+        t = ctx.add(ctx.mul(y_share[col], c0), ctx.mul(ys_share[col], c1))
+        sums[col] = ctx.block_sums(t, stride)
+    return scale_round(params.q_primes, ctx.intt(sums)).astype(np.int64)
 
 
 # -- triple generation protocol --------------------------------------------------------
@@ -210,7 +230,8 @@ class TripleGenSession:
 
     start() returns serialized ciphertexts of this party's packed a-shares
     (the only wide-area payload); feed() takes the peer's ciphertexts and
-    completes the run locally via Mult.
+    completes the run locally via Mult.  Each runs once, in that order, so
+    a run's triples are handed out once.
     """
 
     def __init__(self, params: ProtocolParams, plan: PackPlan, party: int,
@@ -251,35 +272,35 @@ class TripleGenSession:
         return [ct.serialize() for ct in self.my_cts]
 
     def feed(self, peer_ct_blobs: list[bytes]) -> None:
+        if not self._started:
+            raise TripleStateError("triple session fed before start")
+        if self.output is not None:
+            raise TripleStateError("triple session already fed")
         params, plan = self.params, self.plan
         p = params.p
         if len(peer_ct_blobs) != plan.n_polys:
             raise TripleStateError("ciphertext count mismatch")
         cts = [mine + LprCiphertext.deserialize(params, blob)
                for mine, blob in zip(self.my_cts, peer_ct_blobs)]
-        c_shares = {job.job_id: np.zeros(job.m, dtype=np.int64)
-                    for job in plan.jobs}
+        c_shares = {}
         b = plan.sum_stride
         p_ctx = ntt_context((p,), params.n_ring)
+        q_ctx = ntt_context(params.q_primes, params.n_ring)
+        shape = (len(params.q_primes), params.n_ring)
         for poly_idx in range(plan.n_polys):
             bank_jobs = [j for j in plan.jobs if j.poly == poly_idx]
-            for t in range(plan.bank_columns(poly_idx)):
-                y_share = ys_share = None
-                users = [j for j in bank_jobs if t < j.m]
-                for job in users:
-                    conv = self.converted[(job.job_id, t)]
-                    if y_share is None:
-                        y_share, ys_share = conv.y_share, conv.ys_share
-                    else:
-                        y_share = y_share + conv.y_share
-                        ys_share = ys_share + conv.ys_share
-                prod = hss_mult(params, self.party, y_share, ys_share,
-                                cts[poly_idx], b)
-                blocks = p_ctx.ntt(prod[None])[0]  # block sums over b
-                for job in users:
-                    lo, hi = plan.slot_range(job)
-                    c_shares[job.job_id][t] = int(np.sum(
-                        blocks[lo // b:hi // b].astype(object))) * b % p
+            cols = plan.bank_columns(poly_idx)
+            y, ys = (np.empty((cols, *shape), dtype=np.uint64) for _ in range(2))
+            for t in range(cols):
+                convs = [self.converted[(job.job_id, t)] for job in bank_jobs if t < job.m]
+                y[t] = functools.reduce(q_ctx.add, (c.y_share.to_ntt().data for c in convs))
+                ys[t] = functools.reduce(q_ctx.add, (c.ys_share.to_ntt().data for c in convs))
+            prod = hss_mult(params, y, ys, cts[poly_idx], b)
+            blocks = p_ctx.ntt(prod[:, None])[:, 0]  # block sums over b
+            for job in bank_jobs:
+                lo, hi = plan.slot_range(job)
+                seg = blocks[:job.m, lo // b:hi // b].astype(object).sum(axis=1)
+                c_shares[job.job_id] = (seg * b % p).astype(np.int64)
         self.output = [
             BeaverShare(job_id=job.job_id, a=self.a_shares[job.job_id],
                         b_mat=self.b_shares[job.job_id],

@@ -18,14 +18,23 @@ its own prime, multiplying by twiddles with Shoup's method.  Both directions
 can stop short when only the sums of aligned slot blocks matter: the slots
 of an aligned block of b slots are the roots of x^b = zeta, so their sum is
 b * g(zeta), where g holds the coefficients at multiples of b.  The inverse
-then returns just those coefficients (`intt(f, b)`), and the forward transform
-of a row of N/b of them gives the block sums over b.  Products of two
-variable residues use Montgomery multiplication.  Both split 64-bit words
-into 32-bit halves (Shoup to estimate a quotient it then corrects,
-Montgomery for the exact high product), so every result is exact in uint64.
+of a row of block sums over b (`block_sums`) therefore returns just those
+coefficients, and the forward transform of a row of N/b of them gives the
+block sums over b.
 
-`RingPoly.round_to_p` computes round(t * p / q) mod p from the residues of t
-alone (exact RNS scale-and-round, which needs p | q), with no big integers.
+Every modular product is Shoup's: x * w mod m for a residue w takes the
+quotient w' = floor(w 2^64 / m) and splits the 64-bit words into 32-bit
+halves to estimate x w / m, which it then corrects, so every result is exact
+in uint64.  For w < m, w' m = w 2^64 - (w 2^64 mod m), so
+w' = (w 2^64 mod m)(-m^-1) mod 2^64: one Shoup product by the constant
+2^64 mod m and one wrapping multiply give w' with no big integers.  Twiddles
+are prepared once per context, and `NttContext.shoup(w)` prepares a variable
+w, once for all of its products; preparing w for a single product still
+costs less than a Montgomery product.
+
+`scale_round` computes round(t * p / q) mod p from the residues of t alone
+(exact RNS scale-and-round, which needs p | q), with no big integers, for a
+poly's coefficients (`RingPoly.round_to_p`) or a stack of them.
 """
 
 from __future__ import annotations
@@ -65,17 +74,10 @@ def _sub(a, b, m):
     return np.minimum(d, d + m)
 
 
-def _mulhi(a, b_lo, b_hi):
-    """High 64 bits of the 128-bit products a * b, b given as 32-bit halves (exact)."""
-    a_lo, a_hi = a & _LO32, a >> _32
-    lh, hl = a_lo * b_hi, a_hi * b_lo
-    mid = ((a_lo * b_lo) >> _32) + (lh & _LO32) + (hl & _LO32)
-    return a_hi * b_hi + (lh >> _32) + (hl >> _32) + (mid >> _32)
-
-
 def _shoup(w, m):
     """Constants for multiplying by w mod m: w and the 32-bit halves of
-    floor(w 2^64 / m), as uint64 arrays shaped like w (ints or nested lists)."""
+    floor(w 2^64 / m), as uint64 arrays shaped like w (ints or nested lists),
+    computed with Python ints."""
     w = np.array(w, dtype=object)
     ws = np.array((w << 64) // np.array(m, dtype=object), dtype=object)
     return tuple(np.array(x, dtype=object).astype(np.uint64)
@@ -156,27 +158,31 @@ class NttContext:
         self._n_inv = _shoup([[[v]] for v in n_inv], col3)
         self._inv[-1] = _shoup([[[v * t[1] % m]] for v, t, m in zip(n_inv, tables, primes)],
                                col3)
-        # Montgomery constants: -m^-1 mod 2^64, halves of m, and 2^64 mod m
-        self._mont = (np.array([[(-pow(m, -1, 1 << 64)) % (1 << 64)] for m in primes],
-                               dtype=np.uint64),
-                      self.mods & _LO32, self.mods >> _32,
-                      _shoup([[(1 << 64) % m] for m in primes], col))
+        # for the Shoup quotient of a variable w: 2^64 mod m and -m^-1 mod 2^64
+        self._r64 = _shoup([[(1 << 64) % m] for m in primes], col)
+        self._neg_minv = np.array([[-pow(m, -1, 1 << 64) % (1 << 64)] for m in primes],
+                                  dtype=np.uint64)
+
+    def _check_width(self, width: int, least: int):
+        if not least <= width <= self.n or width & (width - 1):
+            raise DimensionError(f"row width {width} is not a power of two "
+                                 f"from {least} to N={self.n}")
 
     def ntt(self, f: np.ndarray) -> np.ndarray:
-        """Forward negacyclic NTT of every row; output order defines the slot order.
+        """Forward negacyclic NTT of every row of a (..., rows, width) stack;
+        output order defines the slot order.
 
         Rows of width N/b (b a power of two) run only the first log2(N/b)
         stages.  Given the coefficients at multiples of b of some f, b times
         the result is the sums of the aligned b-slot blocks of f's slots.
         """
-        rows, width = f.shape
-        if not 0 < width <= self.n or width & (width - 1):
-            raise DimensionError(f"row width {width} is not a power of two up to N={self.n}")
+        *lead, rows, width = f.shape
+        self._check_width(width, 1)
         a = np.array(f, dtype=np.uint64)
         m = self.mods[:, :, None]
         for w in self._fwd[:width.bit_length() - 1]:
-            v = a.reshape(rows, w[0].shape[1], 2, -1)
-            x, y = v[:, :, 0], v[:, :, 1]
+            v = a.reshape(*lead, rows, w[0].shape[1], 2, -1)
+            x, y = v[..., 0, :], v[..., 1, :]
             t = _mul_shoup(y, *w, m)
             d = x - t
             x += t
@@ -184,42 +190,62 @@ class NttContext:
             np.minimum(d, d + m, out=y)
         return a
 
-    def intt(self, f: np.ndarray, stride: int = 1) -> np.ndarray:
-        """Inverse NTT of every row, only the (rows, N/stride) coefficients at
-        multiples of `stride`, a power of two below N.  At those positions
-        the first log2(stride) stages only sum each aligned block of stride
-        slots, so the block sums go through the remaining stages alone."""
-        if not 0 < stride < self.n or stride & (stride - 1):
-            raise DimensionError(f"stride {stride} is not a power of two below N={self.n}")
-        rows = f.shape[0]
+    def intt(self, f: np.ndarray) -> np.ndarray:
+        """Inverse NTT of every row of a (..., rows, width) stack.
+
+        Rows of width N/b (b a power of two below N) run only the last
+        log2(N/b) stages.  Given the sums of f's aligned b-slot blocks
+        (`block_sums`), the result is f's coefficients at multiples of b:
+        at those positions the first log2(b) stages only sum each block.
+        """
+        *lead, rows, width = f.shape
+        self._check_width(width, 2)
         m = self.mods[:, :, None]
-        a = np.array(f, dtype=np.uint64).reshape(rows, -1, stride)
-        while a.shape[2] > 1:
-            half = a.shape[2] // 2
-            a = _add(a[:, :, :half], a[:, :, half:], m)
-        a = a.reshape(rows, -1)
-        stages = self._inv[stride.bit_length() - 1:]
+        a = np.array(f, dtype=np.uint64)
+        stages = self._inv[len(self._inv) - width.bit_length() + 1:]
         last = len(stages) - 1
         for i, w in enumerate(stages):
-            v = a.reshape(rows, w[0].shape[1], 2, -1)
-            x, y = v[:, :, 0], v[:, :, 1]
+            v = a.reshape(*lead, rows, w[0].shape[1], 2, -1)
+            x, y = v[..., 0, :], v[..., 1, :]
             s, d = _add(x, y, m), _sub(y, x, m)
             x[...] = _mul_shoup(s, *self._n_inv, m) if i == last else s
             y[...] = _mul_shoup(d, *w, m)
         return a
 
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Pointwise a * b: a Montgomery product, then a Shoup product by 2^64."""
-        pinv, m_lo, m_hi, r = self._mont
-        m = self.mods
-        lo = a * b
-        u = _mulhi(a, b & _LO32, b >> _32) + _mulhi(lo * pinv, m_lo, m_hi)
-        u += lo != 0  # the carry out of the (zero) low word of a*b + k*m
-        return _mul_shoup(np.minimum(u, u - m), *r, m)
+    def block_sums(self, f: np.ndarray, stride: int) -> np.ndarray:
+        """Sums of the aligned blocks of `stride` entries, a power of two
+        below N, along the last axis of a (..., rows, N) stack."""
+        if not 0 < stride < self.n or stride & (stride - 1):
+            raise DimensionError(f"stride {stride} is not a power of two below N={self.n}")
+        m = self.mods[:, :, None]
+        a = f.reshape(*f.shape[:-1], -1, stride)
+        while a.shape[-1] > 1:
+            half = a.shape[-1] // 2
+            a = _add(a[..., :half], a[..., half:], m)
+        return a[..., 0]
+
+    def shoup(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Constants for multiplying by the residues w < m: w and the 32-bit
+        halves of w' = floor(w 2^64 / m) = (w 2^64 mod m)(-m^-1) mod 2^64."""
+        q = _mul_shoup(w, *self._r64, self.mods) * self._neg_minv
+        return w, q & _LO32, q >> _32
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Pointwise a + b mod m for residues a, b < m."""
+        return _add(a, b, self.mods)
+
+    def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Pointwise a - b mod m for residues a, b < m."""
+        return _sub(a, b, self.mods)
+
+    def mul(self, a: np.ndarray, b: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+        """Pointwise a * b mod m for any uint64 a, by the constants b =
+        `shoup(w)` of residues w: prepared once, b serves every product by w."""
+        return _mul_shoup(a, *b, self.mods)
 
     def scale(self, a: np.ndarray, c: int) -> np.ndarray:
-        return _mul_shoup(a, *_shoup([[c % m] for m in self.primes],
-                                     [[m] for m in self.primes]), self.mods)
+        return self.mul(a, self.shoup(np.array([[c % m] for m in self.primes],
+                                               dtype=np.uint64)))
 
 
 @lru_cache(maxsize=32)
@@ -266,8 +292,9 @@ def _rounding_constants(primes: tuple[int, ...]):
     return half, garner, radices, _shoup(pow(delta, -1, p), p)
 
 
-def _scale_round(primes: tuple[int, ...], t: np.ndarray) -> np.ndarray:
-    """round(t p / q) mod p per column of coefficient residues t, p = primes[0].
+def scale_round(primes: tuple[int, ...], t: np.ndarray) -> np.ndarray:
+    """round(t p / q) mod p per column of a (..., primes, width) stack of
+    coefficient residues t, p = primes[0].
 
     With delta = q / p and t' = t + floor(delta / 2), the result is
     floor(t' / delta) = (t' - r) / delta mod p for r = t' mod delta.  Garner's
@@ -276,7 +303,8 @@ def _scale_round(primes: tuple[int, ...], t: np.ndarray) -> np.ndarray:
     """
     half, garner, radices, delta_inv = _rounding_constants(primes)
     p, aux = np.uint64(primes[0]), [np.uint64(m) for m in primes[1:]]
-    tp = [_add(row, h, np.uint64(m)) for row, h, m in zip(t, half, primes)]
+    tp = [_add(row, h, np.uint64(m))
+          for row, h, m in zip(np.moveaxis(t, -2, 0), half, primes)]
     digits = []
     for j, qj in enumerate(aux):
         x = tp[j + 1]
@@ -429,16 +457,10 @@ class RingPoly:
 
     def round_to_p(self) -> "RingPoly":
         """round(t * p / q) mod p for every coefficient t, as a mod-p coefficient poly."""
-        return RingPoly(self.params, "p", COEFF, self.rounded_coeffs())
-
-    def rounded_coeffs(self, stride: int = 1) -> np.ndarray:
-        """round(t * p / q) mod p for the coefficients t at multiples of
-        `stride`; from NTT form only those are transformed back."""
         if self.tag != "q":
             raise ModulusError("rounding to p needs a mod-q polynomial")
-        rows = self._ctx.intt(self._rows, stride) if self.form == NTT \
-            else self._rows[:, ::stride]
-        return _scale_round(self.params.q_primes, rows)
+        return RingPoly(self.params, "p", COEFF,
+                        scale_round(self.params.q_primes, self.to_coeffs()._rows))
 
     # arithmetic ---------------------------------------------------------------
 
@@ -457,22 +479,22 @@ class RingPoly:
 
     def __add__(self, other: "RingPoly") -> "RingPoly":
         form, a, b = self._operands(other)
-        return RingPoly._of(self.params, self.tag, form, _add(a, b, self._ctx.mods))
+        return RingPoly._of(self.params, self.tag, form, self._ctx.add(a, b))
 
     def __sub__(self, other: "RingPoly") -> "RingPoly":
         form, a, b = self._operands(other)
-        return RingPoly._of(self.params, self.tag, form, _sub(a, b, self._ctx.mods))
+        return RingPoly._of(self.params, self.tag, form, self._ctx.sub(a, b))
 
     def __neg__(self) -> "RingPoly":
         return RingPoly._of(self.params, self.tag, self.form,
-                            _sub(np.uint64(0), self._rows, self._ctx.mods))
+                            self._ctx.sub(np.uint64(0), self._rows))
 
     def __mul__(self, other: "RingPoly") -> "RingPoly":
         self._check(other)
         form = SLOT if self.tag == "p" else NTT
         a, b = self._in(form), other._in(form)
         return RingPoly._of(self.params, self.tag, form,
-                            self._ctx.mul(a._rows, b._rows))
+                            self._ctx.mul(a._rows, self._ctx.shoup(b._rows)))
 
     def scale(self, c: int) -> "RingPoly":
         return RingPoly._of(self.params, self.tag, self.form,
@@ -533,9 +555,3 @@ def vec_to_poly(params: ProtocolParams, v) -> RingPoly:
     slots[:len(v)] = _residues(v, (params.p,))[0]
     return RingPoly(params, "p", SLOT, slots).to_coeffs()
 
-
-def poly_to_vec(poly: RingPoly) -> np.ndarray:
-    """All N slot values of a mod-p polynomial."""
-    if poly.tag != "p":
-        raise ModulusError("poly_to_vec requires a mod-p polynomial")
-    return poly.to_slots().data.astype(np.int64)

@@ -1,12 +1,14 @@
 """Oracles that only tests use: a plain FSS key generator for any block
 count and domain, full-domain FSS tables, a reset of the PRG expansion
 counters, both parties' sessions run in one process, the uniform spline
-tables that the fitted ones replaced, the schoolbook negacyclic product, a
-direct convolution, the HSS Mult noise bound, the measured noise of an LPR
+tables that the fitted ones replaced, the slot vector of a mod-p poly, the
+schoolbook negacyclic product, a direct convolution, the HSS Mult noise bound, the measured noise of an LPR
 ciphertext and seeded mutations of an encoding."""
 
 import math
 import random
+
+import numpy as np
 
 from pairml import prg
 from pairml.engine import ConvLayer, _conv_out_shape
@@ -15,7 +17,7 @@ from pairml.gadgets import (GadgetParameterError, SplineTable, _half, drive,
                             make_session)
 from pairml.lpr import LprCiphertext
 from pairml.params import ProtocolParams
-from pairml.ring import RingPoly, RnsContext
+from pairml.ring import ModulusError, RingPoly, RnsContext
 
 
 def tree_gen(p: int, alpha: int, beta: list[int], rng, cmp: bool,
@@ -148,6 +150,13 @@ def uniform_table(kind: str, in_scale: int, p: int) -> SplineTable:
                             0.5, 8.0, in_scale, p, lo_val=0.0, hi_val=1.0)
     return _build_table("tanh", math.tanh, 0.25, 4.0, in_scale, p,
                         lo_val=-1.0, hi_val=1.0)
+
+
+def poly_to_vec(poly: RingPoly) -> np.ndarray:
+    """All N slot values of a mod-p polynomial."""
+    if poly.tag != "p":
+        raise ModulusError("poly_to_vec requires a mod-p polynomial")
+    return poly.to_slots().data.astype(np.int64)
 
 
 def schoolbook_negacyclic(a, b, m: int) -> list[int]:

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import measure_noise, mult_noise_bound
+from oracles import measure_noise, mult_noise_bound, poly_to_vec
 from pairml.lpr import (
     LprCiphertext,
     cbd_poly,
@@ -25,7 +25,7 @@ from pairml.hss import (
     plan_packing,
 )
 from pairml.params import ProtocolParams
-from pairml.ring import RingPoly, poly_to_vec, vec_to_poly
+from pairml.ring import DimensionError, RingPoly, vec_to_poly
 
 
 @pytest.fixture(scope="module")
@@ -194,8 +194,8 @@ def test_hss_mult_zero_plaintext(pr):
     sh0 = np.array([rng.randrange(pr.p) for _ in range(pr.n_ring)], dtype=np.int64)
     sh1 = (col - sh0) % pr.p
     c0, c1 = dealer_convert_column(pr, d0.s_share, d1.s_share, sh0, sh1, rng)
-    o0 = hss_mult(pr, 0, c0.y_share, c0.ys_share, ct)
-    o1 = hss_mult(pr, 1, c1.y_share, c1.ys_share, ct)
+    o0 = hss_mult(pr, c0.y_share.data, c0.ys_share.data, ct)
+    o1 = hss_mult(pr, c1.y_share.data, c1.ys_share.data, ct)
     got = (o0.astype(object) + o1.astype(object)) % pr.p
     assert not any(got)
 
@@ -209,12 +209,26 @@ def test_hss_mult_random_product(pr):
     sh0 = np.array([rng.randrange(pr.p) for _ in range(pr.n_ring)], dtype=np.int64)
     sh1 = (np.array(y, dtype=np.int64) - sh0) % pr.p
     c0, c1 = dealer_convert_column(pr, d0.s_share, d1.s_share, sh0, sh1, rng)
-    o0 = hss_mult(pr, 0, c0.y_share, c0.ys_share, ct)
-    o1 = hss_mult(pr, 1, c1.y_share, c1.ys_share, ct)
+    o0 = hss_mult(pr, c0.y_share.data, c0.ys_share.data, ct)
+    o1 = hss_mult(pr, c1.y_share.data, c1.ys_share.data, ct)
     got = poly_to_vec(RingPoly.from_coeffs(
         pr, (o0.astype(object) + o1.astype(object)) % pr.p, tag="p"))
     assert list(got) == [a * b % pr.p for a, b in zip(x, y)]
     assert mult_noise_bound(pr, ct) * 4 < pr.delta
+
+
+def test_hss_mult_checks_share_shapes(pr):
+    # y and ys must be banks of the same (primes, N) columns
+    rng = random.Random(12)
+    keys, d0, d1 = dealer_setup(pr, rng)
+    ct = encrypt(pr, keys.pk, vec_to_poly(pr, [1]), rng)
+    col = RingPoly.random(pr, rng, tag="q").data
+    bank = np.stack([col, col])
+    for y, ys in ((bank, col), (col, bank), (col[:, ::2], col[:, ::2]),
+                  (col[1:], col[1:]), (col[0], col[0])):
+        with pytest.raises(DimensionError):
+            hss_mult(pr, y, ys, ct)
+    assert hss_mult(pr, bank, bank, ct).shape == (2, pr.n_ring)
 
 
 # -- packing ------------------------------------------------------------------------
@@ -288,7 +302,7 @@ def _reference_c(params, sess, peer_blobs):
             convs = [sess.converted[j.job_id, t] for j in users]
             y = functools.reduce(operator.add, (cv.y_share for cv in convs))
             ys = functools.reduce(operator.add, (cv.ys_share for cv in convs))
-            prod = hss_mult(params, sess.party, y, ys, ct)
+            prod = hss_mult(params, y.data, ys.data, ct)
             slots = poly_to_vec(RingPoly.from_coeffs(params, prod, tag="p"))
             for j in users:
                 lo, hi = plan.slot_range(j)
@@ -339,6 +353,25 @@ def test_session_double_start_raises(pr):
     sess.start()
     with pytest.raises(TripleStateError):
         sess.start()
+
+
+def test_session_feed_before_start_raises(pr):
+    _, sess0, sess1, _ = _sessions(pr, [(8, 2)], 13)
+    with pytest.raises(TripleStateError):
+        sess0.feed(sess1.start())
+    assert sess0.output is None
+
+
+def test_session_second_feed_raises(pr):
+    # a second feed must not hand out the consumed triples again as new ones
+    _, sess0, sess1, _ = _sessions(pr, [(8, 2)], 14)
+    blobs0, blobs1 = sess0.start(), sess1.start()
+    sess0.feed(blobs1)
+    first = sess0.output
+    first[0].consume()
+    with pytest.raises(TripleStateError):
+        sess0.feed(blobs1)
+    assert sess0.output is first and first[0].consumed
 
 
 def test_beaver_share_consume_once(pr):

@@ -85,8 +85,8 @@ def _pipeline_digests(params: ProtocolParams, jobs, seed: int) -> dict[str, str]
     ct = encrypt(params, d0.pk, vec_to_poly(params, x), rng_d)
     out["encrypt"] = _digest([ct.serialize()])
     out["ct_values"] = _digest([_coeff_rows(ct.c0), _coeff_rows(ct.c1)])
-    mults = [hss_mult(params, b, conv.y_share, conv.ys_share, ct)
-             for b, conv in enumerate(c[(0, 0)] for c in converted)]
+    mults = [hss_mult(params, conv.y_share.data, conv.ys_share.data, ct)
+             for conv in (c[(0, 0)] for c in converted)]
     out["hss_mult"] = _digest([_words(m) for m in mults])
     sessions = [TripleGenSession(params, plan, b, d, b_shares[b], converted[b],
                                  rngs[b]) for b, d in enumerate((d0, d1))]

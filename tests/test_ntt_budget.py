@@ -2,9 +2,10 @@
 
 Every `NttContext.ntt` / `intt` call is counted as (direction, primes of the
 context) -> rows transformed, or points (rows times output width) where a
-step transforms rows narrower than N.  A poly crosses the wire as
-`serialize` and `deserialize` leave it, so each count below includes the
-(de)serialization around the step.  Row counts do not depend on N; the
+step transforms rows narrower than N, or calls where a test bounds how often
+a step transforms.  A poly crosses the wire as `serialize` and `deserialize`
+leave it, so each count below includes the (de)serialization around the
+step.  Row counts do not depend on N; the
 testing parameters keep the run short.
 """
 
@@ -107,10 +108,9 @@ def test_encrypt_is_three_forward_transforms(rows):
     assert rows == {("ntt", Q): 3 * len(Q)}
 
 
-def test_triple_feed_does_no_forward_q_transform(points):
-    rng = random.Random(5)
+def _triple_sessions(rng, plan) -> list[TripleGenSession]:
+    """Both servers' sessions for `plan`, with their setup and columns as received."""
     _, *setups = dealer_setup(PARAMS, rng)
-    plan = plan_packing(PARAMS, [(8, 3), (16, 2)])
     b_shares = ({}, {})
     converted = ({}, {})
     for job in plan.jobs:
@@ -124,10 +124,15 @@ def test_triple_feed_does_no_forward_q_transform(points):
             for b, sh in enumerate(shares):
                 converted[b][job.job_id, t] = ConvertedColumn(_wire(sh.y_share),
                                                               _wire(sh.ys_share))
-    sessions = [TripleGenSession(PARAMS, plan, b,
-                                 DealerSetup(tuple(_wire(x) for x in d.pk), _wire(d.s_share)),
-                                 b_shares[b], converted[b], random.Random(6 + b))
-                for b, d in enumerate(setups)]
+    return [TripleGenSession(PARAMS, plan, b,
+                             DealerSetup(tuple(_wire(x) for x in d.pk), _wire(d.s_share)),
+                             b_shares[b], converted[b], random.Random(6 + b))
+            for b, d in enumerate(setups)]
+
+
+def test_triple_feed_does_no_forward_q_transform(points):
+    plan = plan_packing(PARAMS, [(8, 3), (16, 2)])
+    sessions = _triple_sessions(random.Random(5), plan)
     blobs = [s.start() for s in sessions]
     points.clear()
     sessions[0].feed(blobs[1])
@@ -139,3 +144,16 @@ def test_triple_feed_does_no_forward_q_transform(points):
     width = PARAMS.n_ring // 8
     mults = sum(plan.bank_columns(i) for i in range(plan.n_polys))
     assert points == {("intt", Q): len(Q) * width * mults, ("ntt", P): width * mults}
+
+
+def test_triple_feed_transforms_each_bank_once(monkeypatch):
+    # two polys of 3 and 2 columns: one inverse on Q and one p-row forward
+    # per poly, each over all of its columns, not one per column
+    calls = _counter(monkeypatch, lambda out: 1)
+    plan = plan_packing(PARAMS, [(128, 3), (128, 2), (64, 2)])
+    sessions = _triple_sessions(random.Random(7), plan)
+    blobs = [s.start() for s in sessions]
+    calls.clear()
+    sessions[0].feed(blobs[1])
+    assert [plan.bank_columns(i) for i in range(plan.n_polys)] == [3, 2]
+    assert calls == {("intt", Q): plan.n_polys, ("ntt", P): plan.n_polys}

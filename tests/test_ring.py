@@ -3,14 +3,13 @@ import random
 import numpy as np
 import pytest
 
-from oracles import schoolbook_negacyclic
+from oracles import poly_to_vec, schoolbook_negacyclic
 from pairml.params import ProtocolParams, ParameterError, is_prime, ntt_prime
 from pairml.ring import (
     DimensionError,
     ModulusError,
     RingPoly,
     ntt_context,
-    poly_to_vec,
     vec_to_poly,
 )
 from pairml.fixedpoint import (
@@ -203,11 +202,13 @@ def _residue_rows(primes, n, rng):
 
 @pytest.mark.parametrize("primes, n, strides", _stride_cases())
 def test_strided_intt_is_every_stride_th_coefficient(primes, n, strides):
+    # narrow rows of block sums, batched as a bank's columns are
     ctx = ntt_context(primes, n)
-    evals = _residue_rows(primes, n, random.Random(16))
+    rng = random.Random(16)
+    evals = np.stack([_residue_rows(primes, n, rng) for _ in range(2)])
     full = ctx.intt(evals)
     for b in strides:
-        assert np.array_equal(ctx.intt(evals, b), full[:, ::b]), b
+        assert np.array_equal(ctx.intt(ctx.block_sums(evals, b)), full[..., ::b]), b
 
 
 @pytest.mark.parametrize("primes, n, strides", _stride_cases())
@@ -226,10 +227,70 @@ def test_partial_transform_shapes_checked(small):
     rows = np.zeros((len(small.q_primes), small.n_ring), dtype=np.uint64)
     for stride in (0, 3, small.n_ring, 2 * small.n_ring):
         with pytest.raises(DimensionError):
-            ctx.intt(rows, stride)
+            ctx.block_sums(rows, stride)
     for width in (12, 2 * small.n_ring):
         with pytest.raises(DimensionError):
             ctx.ntt(np.zeros((1, width), dtype=np.uint64))
+    for width in (1, 12, 2 * small.n_ring):  # a width-1 row has no 1/N stage
+        with pytest.raises(DimensionError):
+            ctx.intt(np.zeros((len(small.q_primes), width), dtype=np.uint64))
+
+
+# -- Shoup products ------------------------------------------------------------
+
+BOTH = pytest.mark.parametrize("params", [ProtocolParams.testing(),
+                                          ProtocolParams.production()],
+                               ids=["testing", "production"])
+
+
+def _ints(rows) -> list[list[int]]:
+    return [[int(v) for v in row] for row in rows]
+
+
+@BOTH
+def test_shoup_quotient_is_the_big_int_floor(params):
+    # floor(w 2^64 / m) from uint64 alone, at 0, 1, m - 1 and random w, every prime
+    ctx = ntt_context(params.q_primes, params.n_ring)
+    w = _residue_rows(params.q_primes, params.n_ring, random.Random(18))
+    w[:, 2] = 1
+    same, lo, hi = ctx.shoup(w)
+    assert same is w
+    got = _ints(lo | (hi << np.uint64(32)))
+    assert got == [[(v << 64) // m for v in row] for row, m in zip(_ints(w), params.q_primes)]
+
+
+@BOTH
+def test_mul_is_the_big_int_product(params):
+    ctx = ntt_context(params.q_primes, params.n_ring)
+    rng = random.Random(19)
+    a = _residue_rows(params.q_primes, params.n_ring, rng)
+    b = _residue_rows(params.q_primes, params.n_ring, rng)[:, ::-1].copy()
+    expect = [[x * y % m for x, y in zip(ra, rb)]
+              for ra, rb, m in zip(_ints(a), _ints(b), params.q_primes)]
+    assert _ints(ctx.mul(a, ctx.shoup(b))) == expect
+
+
+@BOTH
+def test_mul_of_the_largest_uint64_is_exact(params):
+    # a Shoup product takes any uint64 first operand, not only residues
+    ctx = ntt_context(params.q_primes, params.n_ring)
+    w = _residue_rows(params.q_primes, params.n_ring, random.Random(20))
+    x = np.full_like(w, 2**64 - 1)
+    assert _ints(ctx.mul(x, ctx.shoup(w))) == \
+        [[(2**64 - 1) * v % m for v in row] for row, m in zip(_ints(w), params.q_primes)]
+
+
+@BOTH
+def test_batched_transforms_equal_row_by_row(params):
+    # a (bank, primes, width) stack transforms as its (primes, width) stacks do,
+    # at full width and at the narrow widths a bank uses
+    primes, n = params.q_primes, params.n_ring
+    ctx = ntt_context(primes, n)
+    rng = random.Random(21)
+    for width in (n, n // 16, 2):
+        f = np.stack([_residue_rows(primes, width, rng) for _ in range(3)])
+        assert np.array_equal(ctx.ntt(f), np.stack([ctx.ntt(x) for x in f])), width
+        assert np.array_equal(ctx.intt(f), np.stack([ctx.intt(x) for x in f])), width
 
 
 # -- fixed point ---------------------------------------------------------------
