@@ -443,7 +443,7 @@ class ServerRole:
 
     def run_setup(self):
         yield from self.peer.exchange(KIND_HELLO, PHASE_SETUP, b"")
-        size = RingPoly.wire_size(self.params, "q")
+        size = RingPoly.wire_size(self.params)
         with Reader((yield from self.dealer.wait()).payload) as r:
             seeds = [r.raw(32) for _ in range(r.u32())]
             pk0, pk1, s_share = (RingPoly.deserialize(self.params, r.raw(size))
@@ -464,6 +464,10 @@ class ServerRole:
     def run_load(self):
         with Reader((yield from self.owner.wait()).payload) as r:
             self.manifest = parse_manifest(r.blob())
+        for idx, layer in enumerate(self.manifest.layers):
+            if isinstance(layer, (DenseLayer, ConvLayer)):
+                self._field(layer.weights if isinstance(layer, DenseLayer) else layer.filters,
+                            f"the owner's weight shares of layer {idx}")
         self.lowered = lower_manifest(self.manifest, self.params)
         p = self.params.p
         # replace manifest weights (they arrived as this server's shares)
@@ -481,8 +485,9 @@ class ServerRole:
                 [[self.rng.randrange(p) for _ in range(step.m)]
                  for _ in range(step.n)], dtype=object)
             f_share = (y_share - b_share) % p
-            peer_f = decode_mat((yield from self.peer.exchange(
-                KIND_MASKED_REVEAL, PHASE_LOAD, encode_mat(f_share))).payload)
+            peer_f = self._field(decode_mat((yield from self.peer.exchange(
+                KIND_MASKED_REVEAL, PHASE_LOAD, encode_mat(f_share))).payload),
+                f"the peer's F of job {step.job_id}")
             self.f_public[step.job_id] = (f_share + peer_f) % p
             self.b_shares[step.job_id] = b_share
         # dealer conversion of every packed column of B
@@ -494,7 +499,7 @@ class ServerRole:
                 req.u32(job.job_id).u32(t).u32(bmat.shape[0]).u64s(bmat[:, t])
         reply = yield from self.dealer.exchange(KIND_DEALER, PHASE_LOAD,
                                                 req.getvalue())
-        size = RingPoly.wire_size(self.params, "q")
+        size = RingPoly.wire_size(self.params)
         with Reader(reply.payload) as r:
             for _ in range(r.u32()):
                 jid, t = r.u32(), r.u32()
@@ -535,7 +540,8 @@ class ServerRole:
         mat.consumed = True
         p = self.params.p
         scale = self.manifest.fp_scale
-        x = decode_vec((yield from self.owner.wait()).payload)
+        x = self._field(decode_vec((yield from self.owner.wait()).payload),
+                        "the owner's input shares")
         gadget_idx = 0
         for idx, step in enumerate(self.lowered):
             self.layer = idx
@@ -564,12 +570,18 @@ class ServerRole:
     def _reveal(self, flat: list[int]):
         """Exchange masked shares with the peer; the revealed values.  A
         reveal of another length is rejected, not cut to fit."""
-        peer = decode_vec((yield from self.peer.exchange(
-            KIND_MASKED_REVEAL, PHASE_ONLINE, encode_vec(flat))).payload)
+        peer = self._field(decode_vec((yield from self.peer.exchange(
+            KIND_MASKED_REVEAL, PHASE_ONLINE, encode_vec(flat))).payload), "the peer's reveal")
         if len(peer) != len(flat):
             raise EngineError(f"the peer revealed {len(peer)} values, "
                               f"expected {len(flat)}")
         return [(a + b) % self.params.p for a, b in zip(flat, peer)]
+
+    def _field(self, values, message: str):
+        """values, received in `message`, unless one is not below p."""
+        if any(v >= self.params.p for v in np.ravel(values)):
+            raise EngineError(f"{message} holds a value not below p")
+        return values
 
     def _run_gadget(self, step: GadgetLayer, materials: list,
                     x: list[int]) -> list[int]:

@@ -11,11 +11,12 @@ The dealer here is an ideal stand-in for the garbled-circuit steps of the
 original setup/model-loading flow: stateless, takes both parties' inputs,
 returns fresh random sharings.
 
-All R_q values are kept and sent in NTT form (see `ring`).  Per column the
-dealer transforms 3 rows, y's p row back and its other rows forward, and
-draws the random shares as NTT residues.  A server stores a received column
-with no transform, and a triple run sums its own and the peer's ciphertexts
-with none.
+Every R_q value is a `RingPoly`, held and sent as NTT residues (see
+`ring`); a packed vector is a plain mod-p vector until `encrypt`.  Per
+column the dealer transforms 3 rows, y's p row back and its other rows
+forward, and draws the random shares as NTT residues.  A server stores a
+received column with no transform, and a triple run sums its own and the
+peer's ciphertexts with none.
 
 A triple run reads only the sums of its jobs' slot ranges.  Every range
 bound is a multiple of the plan's `sum_stride` b, so each sum is one of
@@ -43,7 +44,8 @@ import numpy as np
 
 from .lpr import LprCiphertext, LprKeys, encrypt, keygen
 from .params import ProtocolParams
-from .ring import NTT, DimensionError, RingPoly, ntt_context, scale_round, vec_to_poly
+from .ring import (DimensionError, RingPoly, ntt_context, residues, scale_round,
+                   slots_to_coeffs)
 
 
 class PackingError(ValueError):
@@ -136,8 +138,8 @@ class DealerSetup:
 class ConvertedColumn(NamedTuple):
     """Per-party output of the column conversion: shares of (y, y*s) over R_q,
     where y is the slot-placed polynomial encoding of one matrix column.  A
-    server stores the shares it receives as they are: in NTT form, the form
-    Mult consumes."""
+    server stores the shares it receives as they are: Mult consumes their
+    NTT residues."""
 
     y_share: RingPoly
     ys_share: RingPoly
@@ -150,8 +152,8 @@ def dealer_setup(params: ProtocolParams, rng) -> tuple[LprKeys, DealerSetup, Dea
     the protocol parties receive just their DealerSetup.
     """
     keys = keygen(params, rng)
-    sh0 = RingPoly.random(params, rng, tag="q", form=NTT)
-    sh1 = keys.s.to_ntt() - sh0
+    sh0 = RingPoly.random(params, rng)
+    sh1 = keys.s - sh0
     return keys, DealerSetup(keys.pk, sh0), DealerSetup(keys.pk, sh1)
 
 
@@ -165,15 +167,18 @@ def dealer_convert_column(params: ProtocolParams, s0: RingPoly, s1: RingPoly,
     the callers' key shares for the duration of the call only.
     """
     s = s0 + s1
-    slots = (np.asarray(col0, dtype=np.int64) + np.asarray(col1, dtype=np.int64)) % params.p
-    y = vec_to_poly(params, slots).lift_to_q(centered=True)
-    # y's NTT row mod p = q_primes[0] is the slot vector: transform the others
-    aux = ntt_context(params.q_primes[1:], params.n_ring).ntt(y.data[1:])
-    y_q = RingPoly(params, "q", NTT, np.vstack([slots.astype(np.uint64), aux]))
-    ys = y_q * s
-    y_sh0 = RingPoly.random(params, rng, tag="q", form=NTT)
-    ys_sh0 = RingPoly.random(params, rng, tag="q", form=NTT)
-    return ConvertedColumn(y_sh0, ys_sh0), ConvertedColumn(y_q - y_sh0, ys - ys_sh0)
+    p, aux = params.p, params.q_primes[1:]
+    slots = (np.asarray(col0, dtype=np.int64) + np.asarray(col1, dtype=np.int64)) % p
+    coeffs = slots_to_coeffs(params, slots).astype(np.int64)
+    # y's NTT row mod p = q_primes[0] is the slot vector: lift the centered
+    # coefficients to the other primes and transform those rows only
+    centered = np.where(coeffs > p // 2, coeffs - p, coeffs)
+    y = RingPoly(params, np.vstack([slots.astype(np.uint64), ntt_context(
+        aux, params.n_ring).ntt(residues(centered, aux))]))
+    ys = y * s
+    y_sh0 = RingPoly.random(params, rng)
+    ys_sh0 = RingPoly.random(params, rng)
+    return ConvertedColumn(y_sh0, ys_sh0), ConvertedColumn(y - y_sh0, ys - ys_sh0)
 
 
 # -- the Mult instruction -------------------------------------------------------------
@@ -186,7 +191,7 @@ def hss_mult(params: ProtocolParams, y_share: np.ndarray, ys_share: np.ndarray,
 
     y_share and ys_share are (..., primes, N) stacks of NTT residues of
     q_primes, one (primes, N) stack per column: a share `RingPoly` passes
-    `.to_ntt().data`, a bank of one.  t = c0*sh(y) + c1*sh(y*s) over R_q;
+    its `.data`, a bank of one.  t = c0*sh(y) + c1*sh(y*s) over R_q;
     rounding each coefficient by p/q turns the parties' t into additive
     shares of the ring product x*y mod p, up to the configured failure
     probability.  Only the N/stride coefficients at multiples of `stride`
@@ -197,7 +202,7 @@ def hss_mult(params: ProtocolParams, y_share: np.ndarray, ys_share: np.ndarray,
         raise DimensionError(f"share stacks {y_share.shape} and {ys_share.shape} "
                              f"are not banks of {column} columns")
     ctx = ntt_context(params.q_primes, params.n_ring)
-    c0, c1 = ctx.shoup(ct.c0.to_ntt().data), ctx.shoup(ct.c1.to_ntt().data)
+    c0, c1 = ctx.shoup(ct.c0.data), ctx.shoup(ct.c1.data)
     bank = y_share.shape[:-2]
     sums = np.empty(y_share.shape[:-1] + (params.n_ring // stride,), dtype=np.uint64)
     for col in np.ndindex(bank):  # a column's temporaries stay in cache
@@ -266,7 +271,7 @@ class TripleGenSession:
             lo, hi = plan.slot_range(job)
             slot_vecs[job.poly][lo:hi] = a
         self.my_cts = [
-            encrypt(params, self.setup.pk, vec_to_poly(params, vec), self.rng)
+            encrypt(params, self.setup.pk, slots_to_coeffs(params, vec), self.rng)
             for vec in slot_vecs
         ]
         return [ct.serialize() for ct in self.my_cts]
@@ -293,8 +298,8 @@ class TripleGenSession:
             y, ys = (np.empty((cols, *shape), dtype=np.uint64) for _ in range(2))
             for t in range(cols):
                 convs = [self.converted[(job.job_id, t)] for job in bank_jobs if t < job.m]
-                y[t] = functools.reduce(q_ctx.add, (c.y_share.to_ntt().data for c in convs))
-                ys[t] = functools.reduce(q_ctx.add, (c.ys_share.to_ntt().data for c in convs))
+                y[t] = functools.reduce(q_ctx.add, (c.y_share.data for c in convs))
+                ys[t] = functools.reduce(q_ctx.add, (c.ys_share.data for c in convs))
             prod = hss_mult(params, y, ys, cts[poly_idx], b)
             blocks = p_ctx.ntt(prod[:, None])[:, 0]  # block sums over b
             for job in bank_jobs:

@@ -6,12 +6,14 @@ rounding conversion depends on this.  Every ciphertext carries an analytic
 noise bound that homomorphic operations update; the tests measure true
 noise against it with the secret key.
 
-Keys and ciphertexts are R_q polys in NTT form, their wire form.  `keygen`
-transforms a, s and e once each; `encrypt` transforms u, e0 + delta*m and
-e1, and nothing back, so a ciphertext is ready to serialize or to sum with a
-received one.  `decrypt` rounds with the exact RNS scale-and-round of
-`RingPoly.round_to_p`.  Secrets and noise are sampled in bulk with
-`ring.draw_below`, which reproduces per-coefficient `randrange`.
+A plaintext is a vector of N mod-p coefficients (`ring.slots_to_coeffs`
+packs one); keys and ciphertexts are `RingPoly`s, held and sent as NTT
+residues.  `keygen` transforms a, s and e once each, and `encrypt`
+transforms u, e0 + delta*m and e1, so a ciphertext is ready to serialize or
+to sum with a received one.  `decrypt` rounds with the exact RNS
+scale-and-round of `RingPoly.round_to_p` and returns mod-p coefficients.
+Secrets and noise are sampled in bulk with `ring.draw_below`, which
+reproduces per-coefficient `randrange`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .codec import Reader, Writer
 from .params import ProtocolParams
-from .ring import RingPoly, draw_below
+from .ring import RingPoly, draw_below, ntt_context, residues
 
 NOISE_ETA = 8  # centered-binomial width, sigma = 2
 
@@ -34,29 +36,31 @@ def params_digest(params: ProtocolParams) -> bytes:
 
 def ternary_poly(params: ProtocolParams, rng) -> RingPoly:
     coeffs = draw_below(rng, 3, params.n_ring).astype(np.int64) - 1
-    return RingPoly.from_coeffs(params, coeffs, tag="q")
+    return RingPoly.from_coeffs(params, coeffs)
 
 
-def cbd_poly(params: ProtocolParams, rng, eta: int = NOISE_ETA) -> RingPoly:
+def cbd_coeffs(params: ProtocolParams, rng, eta: int = NOISE_ETA) -> np.ndarray:
+    """N centered-binomial noise coefficients in [-eta, eta]."""
     bits = draw_below(rng, 1 << (2 * eta), params.n_ring)
     a = np.bitwise_count(bits & np.uint64((1 << eta) - 1))
     b = np.bitwise_count(bits >> np.uint64(eta))
-    return RingPoly.from_coeffs(params, a.astype(np.int64) - b, tag="q")
+    return a.astype(np.int64) - b
 
 
 @dataclass
 class LprKeys:
-    params: ProtocolParams
     pk: tuple[RingPoly, RingPoly]  # (b, a) with b = -(a*s + e)
     s: RingPoly                    # ternary secret over R_q
 
 
 def keygen(params: ProtocolParams, rng) -> LprKeys:
     s = ternary_poly(params, rng)
-    a = RingPoly.random(params, rng, tag="q")
-    e = cbd_poly(params, rng)
-    b = -(a * s + e.to_ntt())
-    return LprKeys(params=params, pk=(b, a.to_ntt()), s=s)
+    # a is uniform either way; reading its drawn residues as coefficients
+    # keeps every seed's keys
+    a = RingPoly(params, ntt_context(params.q_primes, params.n_ring).ntt(
+        RingPoly.random(params, rng).data))
+    e = RingPoly.from_coeffs(params, cbd_coeffs(params, rng))
+    return LprKeys(pk=(-(a * s + e), a), s=s)
 
 
 @dataclass
@@ -78,7 +82,7 @@ class LprCiphertext:
 
     @classmethod
     def deserialize(cls, params: ProtocolParams, buf: bytes) -> "LprCiphertext":
-        size = RingPoly.wire_size(params, "q")
+        size = RingPoly.wire_size(params)
         with Reader(buf) as r:
             magic, digest, count, noise = r.raw(4), r.raw(8), r.u16(), r.u64()
             if magic != b"LPR1":
@@ -92,21 +96,25 @@ class LprCiphertext:
                    RingPoly.deserialize(params, c1), noise)
 
 
-def encrypt(params: ProtocolParams, pk: tuple[RingPoly, RingPoly], m: RingPoly,
+def encrypt(params: ProtocolParams, pk: tuple[RingPoly, RingPoly], m,
             rng) -> LprCiphertext:
-    """Encrypt m in R_p as (u*b + e0 + delta*m, u*a + e1)."""
-    if m.tag != "p":
-        raise ValueError("plaintext must be a mod-p polynomial")
+    """Encrypt the N mod-p coefficients m as (u*b + e0 + delta*m, u*a + e1)."""
+    m = np.asarray(m)
+    if m.shape != (params.n_ring,) or ((m < 0) | (m >= params.p)).any():
+        raise ValueError(f"a plaintext is {params.n_ring} coefficients mod p")
     u = ternary_poly(params, rng)
-    e0 = cbd_poly(params, rng)
-    e1 = cbd_poly(params, rng)
-    delta_m = m.to_coeffs().lift_to_q(centered=False).scale(params.delta)
-    c0 = pk[0] * u + (e0 + delta_m).to_ntt()
-    c1 = pk[1] * u + e1.to_ntt()
+    # e0 + delta*m is summed in coefficients, so it takes one transform
+    primes = params.q_primes
+    ctx = ntt_context(primes, params.n_ring)
+    e0_dm = ctx.add(residues(cbd_coeffs(params, rng), primes),
+                    ctx.scale(residues(m, primes), params.delta))
+    c0 = pk[0] * u + RingPoly(params, ctx.ntt(e0_dm))
+    c1 = pk[1] * u + RingPoly.from_coeffs(params, cbd_coeffs(params, rng))
     bound = NOISE_ETA * (2 * params.n_ring + 1)
     return LprCiphertext(params, c0, c1, bound)
 
 
-def decrypt(params: ProtocolParams, s: RingPoly, ct: LprCiphertext) -> RingPoly:
-    """Round (c0 + c1*s)/delta coefficient-wise; exact while noise < delta/2."""
+def decrypt(params: ProtocolParams, s: RingPoly, ct: LprCiphertext) -> np.ndarray:
+    """Round (c0 + c1*s)/delta coefficient-wise to the N mod-p coefficients
+    of the plaintext; exact while noise < delta/2."""
     return (ct.c0 + ct.c1 * s).round_to_p()

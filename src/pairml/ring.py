@@ -1,17 +1,17 @@
-"""Negacyclic ring arithmetic: slot packing over Z_p, RNS polys in NTT form over Z_q.
+"""Negacyclic ring arithmetic: R_q polys as RNS residues in NTT form, and
+vectors packed into the slots of R_p.
 
 Polynomials live in R_m = Z_m[x]/(x^N + 1).  Every modulus here is a prime
 1 mod 2N, so x^N + 1 splits into N linear factors and the negacyclic NTT maps
 a poly to its N evaluations, where multiplication is pointwise.
 
-* An R_p poly is in COEFF or SLOT form; SLOT is the NTT form, whose entries
-  are the packed vector.
-* An R_q poly is a (primes, N) uint64 stack with one residue row per prime of
-  q, in COEFF or NTT form.  `*` is pointwise in NTT form; `+` and `-` keep the
-  operands' form when they share one and work on coefficients otherwise.  A
-  poly remembers the other form once it has been converted.  NTT is its only
-  wire form, so an R_q poly made in NTT form is sent, received and multiplied
-  with no transform.
+* An R_q poly (`RingPoly`) is held only as its NTT residues: a (primes, N)
+  uint64 stack with one row per prime of q.  `+`, `-` and `*` are
+  pointwise; `from_coeffs` transforms on the way in and `coeffs` on the way
+  out.  The residues are also its wire form, so a poly is made, sent,
+  received and multiplied with no transform.
+* An R_p plaintext is a plain vector of N mod-p coefficients.  Its NTT mod p
+  is the vector of its slots, and `slots_to_coeffs` packs a vector into them.
 
 `NttContext` transforms every row of a stack in one numpy pass, each row mod
 its own prime, multiplying by twiddles with Shoup's method.  Both directions
@@ -39,7 +39,7 @@ poly's coefficients (`RingPoly.round_to_p`) or a stack of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -349,7 +349,7 @@ def draw_below(rng, bound: int, count: int) -> np.ndarray:
     return out
 
 
-def _residues(values, primes: tuple[int, ...]) -> np.ndarray:
+def residues(values, primes: tuple[int, ...]) -> np.ndarray:
     """(primes, N) uint64 residues of integer coefficients."""
     try:
         v = np.asarray(values, dtype=np.int64)
@@ -361,197 +361,103 @@ def _residues(values, primes: tuple[int, ...]) -> np.ndarray:
 
 # -- ring elements --------------------------------------------------------------
 
-COEFF = "coeff"
-SLOT = "slot"  # R_p in NTT form: the entries are the packed vector
-NTT = "ntt"    # R_q in NTT form
 
-
-@dataclass
+@dataclass(eq=False)
 class RingPoly:
-    """Element of R_p (COEFF or SLOT form) or R_q (RNS residues, COEFF or NTT form).
+    """Element of R_q, held as its NTT residues: a (len(q_primes), N) uint64
+    stack whose row i holds the poly's N evaluations mod q_primes[i].
 
     Instances are treated as immutable; every operation returns a new poly.
-    The only state that changes is `_alt`, the same poly in its other form,
-    kept once a conversion has computed it.
     """
 
     params: ProtocolParams
-    tag: str  # "p" | "q"
-    form: str  # COEFF | SLOT (p) | NTT (q)
-    data: np.ndarray  # uint64: (N,) for p, (len(q_primes), N) for q
-    _alt: RingPoly | None = field(default=None, repr=False)
-
-    # construction ----------------------------------------------------------
-
-    @staticmethod
-    def _primes(params: ProtocolParams, tag: str) -> tuple[int, ...]:
-        return (params.p,) if tag == "p" else params.q_primes
+    data: np.ndarray
 
     @classmethod
-    def _of(cls, params: ProtocolParams, tag: str, form: str,
-            rows: np.ndarray) -> "RingPoly":
-        return cls(params, tag, form, rows[0] if tag == "p" else rows)
+    def zero(cls, params: ProtocolParams, tag: str = "q") -> "RingPoly":
+        """Zero; `tag` names the ring, which can only be R_q."""
+        if tag != "q":
+            raise ModulusError(f"a RingPoly is an element of R_q, not R_{tag}")
+        return cls(params, np.zeros((len(params.q_primes), params.n_ring), dtype=np.uint64))
 
     @classmethod
-    def zero(cls, params: ProtocolParams, tag: str = "p") -> "RingPoly":
-        """Zero in every form; an R_q zero is made in NTT form, its wire form."""
-        rows = np.zeros((len(cls._primes(params, tag)), params.n_ring), dtype=np.uint64)
-        return cls._of(params, tag, COEFF if tag == "p" else NTT, rows)
-
-    @classmethod
-    def from_coeffs(cls, params: ProtocolParams, coeffs, tag: str = "p") -> "RingPoly":
+    def from_coeffs(cls, params: ProtocolParams, coeffs) -> "RingPoly":
+        """The poly with these N integer coefficients."""
         n = params.n_ring
         if len(coeffs) != n:
             raise DimensionError(f"expected {n} coefficients, got {len(coeffs)}")
-        return cls._of(params, tag, COEFF, _residues(coeffs, cls._primes(params, tag)))
+        primes = params.q_primes
+        return cls(params, ntt_context(primes, n).ntt(residues(coeffs, primes)))
 
     @classmethod
-    def random(cls, params: ProtocolParams, rng, tag: str = "p",
-               form: str = COEFF) -> "RingPoly":
-        """Uniform in every form, since the transform is a bijection."""
-        rows = np.stack([draw_below(rng, m, params.n_ring)
-                         for m in cls._primes(params, tag)])
-        return cls._of(params, tag, form, rows)
-
-    # representation ----------------------------------------------------------
+    def random(cls, params: ProtocolParams, rng) -> "RingPoly":
+        """Uniform, with its NTT residues drawn directly."""
+        return cls(params, np.stack([draw_below(rng, m, params.n_ring)
+                                     for m in params.q_primes]))
 
     @property
     def _ctx(self) -> NttContext:
-        return ntt_context(self._primes(self.params, self.tag), self.params.n_ring)
+        return ntt_context(self.params.q_primes, self.params.n_ring)
 
-    @property
-    def _rows(self) -> np.ndarray:
-        return self.data.reshape(-1, self.params.n_ring)
+    def coeffs(self) -> np.ndarray:
+        """The (primes, N) residues of the coefficients."""
+        return self._ctx.intt(self.data)
 
-    def _in(self, form: str) -> "RingPoly":
-        if self.form == form:
-            return self
-        if self._alt is None:
-            ctx = self._ctx
-            rows = ctx.intt(self._rows) if form == COEFF else ctx.ntt(self._rows)
-            self._alt = RingPoly._of(self.params, self.tag, form, rows)
-        return self._alt
-
-    def to_slots(self) -> "RingPoly":
-        if self.tag != "p":
-            raise ModulusError("slot form exists only for mod-p polynomials")
-        return self._in(SLOT)
-
-    def to_ntt(self) -> "RingPoly":
-        if self.tag != "q":
-            raise ModulusError("NTT form is for mod-q polynomials; use to_slots")
-        return self._in(NTT)
-
-    def to_coeffs(self) -> "RingPoly":
-        return self._in(COEFF)
-
-    def lift_to_q(self, centered: bool = True) -> "RingPoly":
-        """Embed a mod-p coefficient poly into R_q (centered lift keeps noise small)."""
-        if self.tag != "p" or self.form != COEFF:
-            raise ModulusError("lift_to_q needs a mod-p coefficient poly")
-        p = self.params.p
-        vals = self.data.astype(np.int64)
-        if centered:
-            vals = np.where(vals > p // 2, vals - p, vals)
-        return RingPoly(self.params, "q", COEFF, _residues(vals, self.params.q_primes))
-
-    def round_to_p(self) -> "RingPoly":
-        """round(t * p / q) mod p for every coefficient t, as a mod-p coefficient poly."""
-        if self.tag != "q":
-            raise ModulusError("rounding to p needs a mod-q polynomial")
-        return RingPoly(self.params, "p", COEFF,
-                        scale_round(self.params.q_primes, self.to_coeffs()._rows))
-
-    # arithmetic ---------------------------------------------------------------
-
-    def _check(self, other: "RingPoly"):
-        if self.tag != other.tag:
-            raise ModulusError(f"modulus mismatch: {self.tag} vs {other.tag}")
-        if self.tag == "p" and self.form != other.form:
-            raise ModulusError(f"representation mismatch: {self.form} vs {other.form}")
-
-    def _operands(self, other: "RingPoly") -> tuple[str, np.ndarray, np.ndarray]:
-        """The form both operands share, else COEFF, and their rows in it."""
-        self._check(other)
-        if self.form == other.form:
-            return self.form, self._rows, other._rows
-        return COEFF, self.to_coeffs()._rows, other.to_coeffs()._rows
+    def round_to_p(self) -> np.ndarray:
+        """round(t * p / q) mod p for every coefficient t: the N mod-p coefficients."""
+        return scale_round(self.params.q_primes, self.coeffs())
 
     def __add__(self, other: "RingPoly") -> "RingPoly":
-        form, a, b = self._operands(other)
-        return RingPoly._of(self.params, self.tag, form, self._ctx.add(a, b))
+        return RingPoly(self.params, self._ctx.add(self.data, other.data))
 
     def __sub__(self, other: "RingPoly") -> "RingPoly":
-        form, a, b = self._operands(other)
-        return RingPoly._of(self.params, self.tag, form, self._ctx.sub(a, b))
+        return RingPoly(self.params, self._ctx.sub(self.data, other.data))
 
     def __neg__(self) -> "RingPoly":
-        return RingPoly._of(self.params, self.tag, self.form,
-                            self._ctx.sub(np.uint64(0), self._rows))
+        return RingPoly(self.params, self._ctx.sub(np.uint64(0), self.data))
 
     def __mul__(self, other: "RingPoly") -> "RingPoly":
-        self._check(other)
-        form = SLOT if self.tag == "p" else NTT
-        a, b = self._in(form), other._in(form)
-        return RingPoly._of(self.params, self.tag, form,
-                            self._ctx.mul(a._rows, self._ctx.shoup(b._rows)))
-
-    def scale(self, c: int) -> "RingPoly":
-        return RingPoly._of(self.params, self.tag, self.form,
-                            self._ctx.scale(self._rows, c))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RingPoly) or self.tag != other.tag:
-            return False
-        a, b = (self, other) if self.form == other.form else \
-            (self.to_coeffs(), other.to_coeffs())
-        return bool(np.array_equal(a.data, b.data))
+        return RingPoly(self.params, self._ctx.mul(self.data, self._ctx.shoup(other.data)))
 
     # serialization ---------------------------------------------------------------
-    # magic, tag, form, n_primes (u16), N (u64): 16 bytes, then the u64 words;
-    # form byte 0 is COEFF and 1 SLOT (R_p) or NTT (R_q, its only wire form)
+    # magic, R_q tag 1, NTT form 1, n_primes (u16), N (u64): 16 bytes, then
+    # the u64 residues row by row
 
     @staticmethod
-    def wire_size(params: ProtocolParams, tag: str) -> int:
-        """Serialized length of one poly of this tag."""
-        return 16 + 8 * params.n_ring * (len(params.q_primes) if tag == "q" else 1)
+    def wire_size(params: ProtocolParams) -> int:
+        """Serialized length of one poly."""
+        return 16 + 8 * params.n_ring * len(params.q_primes)
 
     def serialize(self) -> bytes:
-        poly = self if self.tag == "p" else self.to_ntt()
-        rows = poly._rows
-        w = Writer().raw(b"RPL1").u8(0 if self.tag == "p" else 1)
-        w.u8(0 if poly.form == COEFF else 1).u16(len(rows)).u64(self.params.n_ring)
-        return w.raw(rows.astype("<u8").tobytes()).getvalue()
+        w = Writer().raw(b"RPL1").u8(1).u8(1).u16(len(self.data)).u64(self.params.n_ring)
+        return w.raw(self.data.astype("<u8").tobytes()).getvalue()
 
     @classmethod
     def deserialize(cls, params: ProtocolParams, buf: bytes) -> "RingPoly":
+        primes = params.q_primes
         with Reader(buf) as r:
-            magic, tag_code, form_code, n_primes, n = (r.raw(4), r.u8(), r.u8(),
-                                                       r.u16(), r.u64())
-            if magic != b"RPL1" or tag_code > 1 or not tag_code <= form_code <= 1:
+            magic, tag, form, n_primes, n = r.raw(4), r.u8(), r.u8(), r.u16(), r.u64()
+            if (magic, tag, form) != (b"RPL1", 1, 1):
                 raise ValueError("bad polynomial header")
             if n != params.n_ring:
                 raise DimensionError(f"serialized N={n} != params N={params.n_ring}")
-            tag = "q" if tag_code else "p"
-            primes = cls._primes(params, tag)
             if n_primes != len(primes):
                 raise ValueError(f"bad prime count {n_primes}")
             rows = np.frombuffer(r.raw(8 * n * n_primes), dtype="<u8").reshape(n_primes, n)
         if (rows >= np.array(primes, dtype=np.uint64)[:, None]).any():
             raise ValueError("polynomial residue out of range")
-        return cls._of(params, tag, (NTT if tag_code else SLOT) if form_code else COEFF,
-                       rows)
+        return cls(params, rows)
 
 
-# -- vector <-> slot packing ------------------------------------------------------
+# -- slot packing ------------------------------------------------------------------
 
 
-def vec_to_poly(params: ProtocolParams, v) -> RingPoly:
-    """Unique polynomial whose leading CRT slots equal v (rest zero)."""
+def slots_to_coeffs(params: ProtocolParams, v) -> np.ndarray:
+    """The mod-p coefficients of the unique R_p poly whose leading slots are
+    v and whose other slots are zero."""
     n = params.n_ring
     if len(v) > n:
         raise DimensionError(f"vector length {len(v)} exceeds ring dimension {n}")
-    slots = np.zeros(n, dtype=np.uint64)
-    slots[:len(v)] = _residues(v, (params.p,))[0]
-    return RingPoly(params, "p", SLOT, slots).to_coeffs()
-
+    slots = np.zeros((1, n), dtype=np.uint64)
+    slots[0, :len(v)] = residues(v, (params.p,))[0]
+    return ntt_context((params.p,), n).intt(slots)[0]

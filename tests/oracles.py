@@ -1,7 +1,7 @@
 """Oracles that only tests use: a plain FSS key generator for any block
 count and domain, full-domain FSS tables, a reset of the PRG expansion
 counters, both parties' sessions run in one process, the uniform spline
-tables that the fitted ones replaced, the slot vector of a mod-p poly, the
+tables that the fitted ones replaced, the slots of a mod-p poly, the
 schoolbook negacyclic product, a direct convolution, the HSS Mult noise bound, the measured noise of an LPR
 ciphertext and seeded mutations of an encoding."""
 
@@ -17,7 +17,7 @@ from pairml.gadgets import (GadgetParameterError, SplineTable, _half, drive,
                             make_session)
 from pairml.lpr import LprCiphertext
 from pairml.params import ProtocolParams
-from pairml.ring import ModulusError, RingPoly, RnsContext
+from pairml.ring import RingPoly, RnsContext, ntt_context
 
 
 def tree_gen(p: int, alpha: int, beta: list[int], rng, cmp: bool,
@@ -152,11 +152,10 @@ def uniform_table(kind: str, in_scale: int, p: int) -> SplineTable:
                         lo_val=-1.0, hi_val=1.0)
 
 
-def poly_to_vec(poly: RingPoly) -> np.ndarray:
-    """All N slot values of a mod-p polynomial."""
-    if poly.tag != "p":
-        raise ModulusError("poly_to_vec requires a mod-p polynomial")
-    return poly.to_slots().data.astype(np.int64)
+def coeffs_to_slots(params: ProtocolParams, coeffs) -> np.ndarray:
+    """All N slot values of the mod-p poly with these coefficients."""
+    rows = (np.array([coeffs], dtype=object) % params.p).astype(np.uint64)
+    return ntt_context((params.p,), params.n_ring).ntt(rows)[0].astype(np.int64)
 
 
 def schoolbook_negacyclic(a, b, m: int) -> list[int]:
@@ -198,25 +197,18 @@ def mult_noise_bound(params: ProtocolParams, ct: LprCiphertext) -> int:
 
 
 def coeff_ints(poly: RingPoly) -> list[int]:
-    """Coefficients as big ints (CRT-combined for mod-q polys)."""
-    rows = poly.to_coeffs().data.reshape(-1, poly.params.n_ring)
-    if poly.tag == "p":
-        return [int(v) for v in rows[0]]
+    """Coefficients as CRT-combined big ints."""
     ctx = RnsContext(poly.params.q_primes)
-    return [ctx.combine(tuple(int(r) for r in col)) for col in rows.T]
+    return [ctx.combine(tuple(int(r) for r in col)) for col in poly.coeffs().T]
 
 
-def measure_noise(params: ProtocolParams, s: RingPoly, ct: LprCiphertext,
-                  m: RingPoly) -> int:
-    """Max |c0 + c1*s - delta*m| (centered), measured with the secret key."""
-    phase = ct.c0 + ct.c1 * s
-    delta_m = m.to_coeffs().lift_to_q(centered=False).scale(params.delta)
-    resid = phase - delta_m
-    q = params.q
-    worst = 0
-    for v in coeff_ints(resid):
-        c = v if v <= q // 2 else v - q
-        worst = max(worst, abs(c))
+def measure_noise(params: ProtocolParams, s: RingPoly, ct: LprCiphertext, m) -> int:
+    """Max |c0 + c1*s - delta*m| (centered), measured with the secret key,
+    for the mod-p plaintext coefficients m."""
+    q, worst = params.q, 0
+    for v, mv in zip(coeff_ints(ct.c0 + ct.c1 * s), m):
+        c = (v - params.delta * int(mv)) % q
+        worst = max(worst, min(c, q - c))
     return worst
 
 

@@ -16,7 +16,7 @@ from pairml.gadgets import (deserialize_material, material_pair, serialize_mater
                             tanh_table)
 from pairml.lpr import LprCiphertext, encrypt, keygen
 from pairml.params import ProtocolParams
-from pairml.ring import RingPoly
+from pairml.ring import RingPoly, draw_below, ntt_context
 from pairml.transport import WIDE_AREA, inproc_pair
 
 PARAMS = ProtocolParams.testing()
@@ -53,7 +53,7 @@ def _decoders():
     rng = random.Random(50)
     wire = material_pair("tanh", p, rng, table=tanh_table(PARAMS.fp_scale, p))[0]
     keys = keygen(PARAMS, rng)
-    ct = encrypt(PARAMS, keys.pk, RingPoly.random(PARAMS, rng, tag="p"), rng)
+    ct = encrypt(PARAMS, keys.pk, draw_below(rng, p, PARAMS.n_ring), rng)
     mat = np.array([[rng.randrange(p) for _ in range(3)] for _ in range(4)],
                    dtype=object)
     manifest = models.gen_ifnn(PARAMS, random.Random(51))
@@ -67,8 +67,6 @@ def _decoders():
          serialize_material(material_pair("argmax", p, rng, k=3)[0])),
         ("dpf key", DpfKey.deserialize, oracles.dpf_gen(p, 5, [1, 2], rng)[0].serialize()),
         ("dcf key", DcfKey.deserialize, oracles.dcf_gen(p, 5, [1, 2], rng)[1].serialize()),
-        ("poly p", lambda b: RingPoly.deserialize(PARAMS, b),
-         RingPoly.random(PARAMS, rng, tag="p").serialize()),
         ("poly q", lambda b: RingPoly.deserialize(PARAMS, b), keys.s.serialize()),
         ("ciphertext", lambda b: LprCiphertext.deserialize(PARAMS, b), ct.serialize()),
         ("manifest", parse_manifest, serialize_manifest(manifest)),
@@ -89,10 +87,12 @@ def test_decoder_rejects_cut_and_padded_input(name, decode, buf):
 
 
 def test_bad_poly_header_or_residue_rejected():
-    # NTT (form byte 1) is the only wire form of an R_q poly
-    for name, form_byte in (("poly q", 0), ("poly q", 2), ("poly p", 2)):
-        buf = bytearray(next(buf for n, _, buf in DECODERS if n == name))
-        buf[5] = form_byte
+    # an R_q poly in NTT form (tag byte 1, form byte 1) is the only wire
+    # form: an R_p header (tag byte 0) in either of its forms is rejected
+    poly_q = next(buf for n, _, buf in DECODERS if n == "poly q")
+    for tag_byte, form_byte in ((1, 0), (1, 2), (0, 0), (0, 1), (0, 2)):
+        buf = bytearray(poly_q)
+        buf[4:6] = bytes([tag_byte, form_byte])
         with pytest.raises(ValueError, match="header"):
             RingPoly.deserialize(PARAMS, bytes(buf))
     # a residue equal to its prime is not a canonical coefficient
@@ -194,7 +194,7 @@ def test_mutated_keys_and_materials_decode_exactly_or_are_rejected():
                material_pair(kind, p, rng, k=k, table=table)[k % 2])
               for kind, k in (("relu", 1), ("tanh", 1), ("max2", 1), ("maxpool", 3),
                               ("argmax", 3))]
-    encoders = {"poly p": RingPoly.serialize, "poly q": RingPoly.serialize,
+    encoders = {"poly q": RingPoly.serialize,
                 "ciphertext": LprCiphertext.serialize, "manifest": serialize_manifest,
                 "vector": encode_vec, "matrix": encode_mat}
     cases += [(decode, encoders[name], decode(buf)) for name, decode, buf in DECODERS
@@ -225,7 +225,6 @@ PINNED = {
     "mfnn": "c0a87fed431b4942",
     "ifnn": "0e26a91386d59943",
     "mcnn": "da34e362c0b38111",
-    "poly_p": "45df14cb8a3d5774",
     "poly_q": "f5a8f1cb111da6db",
     "poly_q_values": "7a281905b9f5e6b1",
     "ct": "f7ad13ec13eeb4f9",
@@ -240,8 +239,8 @@ def _digest(buf: bytes) -> str:
 
 
 def _coeff_digest(*polys) -> str:
-    """Digest of the polys' values, whatever form they are held or sent in."""
-    return _digest(b"".join(p.to_coeffs().data.astype("<u8").tobytes() for p in polys))
+    """Digest of the polys' coefficient values, whatever their wire form."""
+    return _digest(b"".join(p.coeffs().astype("<u8").tobytes() for p in polys))
 
 
 def test_wide_area_formats_pinned():
@@ -256,13 +255,17 @@ def test_wide_area_formats_pinned():
         manifest = getattr(models, f"gen_{name}")(PARAMS, random.Random(f"pin/{name}"))
         got[name] = _digest(serialize_manifest(manifest))
     rng = random.Random(43)
-    got["poly_p"] = _digest(RingPoly.random(PARAMS, rng, tag="p").serialize())
-    poly_q = RingPoly.random(PARAMS, rng, tag="q")
+    # replay the draws of the R_p poly pinned here before its format was
+    # retired, and read poly_q's drawn residues as coefficients, so that the
+    # pins below keep their values
+    draw_below(rng, p, PARAMS.n_ring)
+    coeffs = RingPoly.random(PARAMS, rng).data
+    poly_q = RingPoly(PARAMS, ntt_context(PARAMS.q_primes, PARAMS.n_ring).ntt(coeffs))
     got["poly_q"] = _digest(poly_q.serialize())
     got["poly_q_values"] = _coeff_digest(poly_q)
     rng = random.Random(44)
     keys = keygen(PARAMS, rng)
-    ct = encrypt(PARAMS, keys.pk, RingPoly.random(PARAMS, rng, tag="p"), rng)
+    ct = encrypt(PARAMS, keys.pk, draw_below(rng, p, PARAMS.n_ring), rng)
     got["ct"] = _digest(ct.serialize())
     got["ct_values"] = _coeff_digest(ct.c0, ct.c1)
     (d0, s0), (d1, s1) = (inproc_pair("d0", "s0", WIDE_AREA),

@@ -25,10 +25,11 @@ def test_setup_frame_round_trip():
     dealer.run_setup()
     run_parties({f"server{s.b}": s.run_setup() for s in servers})
     for s in servers:
-        assert s.setup.pk == dealer.keys.pk
+        for got, sent in zip(s.setup.pk, dealer.keys.pk):
+            assert np.array_equal(got.data, sent.data)
         assert s.tee is not None
     s_sum = servers[0].setup.s_share + servers[1].setup.s_share
-    assert s_sum == dealer.keys.s
+    assert np.array_equal(s_sum.data, dealer.keys.s.data)
 
 
 def _convert(params, cols0, cols1):

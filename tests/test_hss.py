@@ -5,10 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from oracles import measure_noise, mult_noise_bound, poly_to_vec
+from oracles import coeffs_to_slots, measure_noise, mult_noise_bound
 from pairml.lpr import (
     LprCiphertext,
-    cbd_poly,
+    cbd_coeffs,
     decrypt,
     encrypt,
     keygen,
@@ -25,12 +25,17 @@ from pairml.hss import (
     plan_packing,
 )
 from pairml.params import ProtocolParams
-from pairml.ring import DimensionError, RingPoly, vec_to_poly
+from pairml.ring import DimensionError, RingPoly, draw_below, slots_to_coeffs
 
 
 @pytest.fixture(scope="module")
 def pr():
     return ProtocolParams.testing()  # N=256, ~30-bit p, q = p * two 60-bit primes
+
+
+def _plaintext(params, rng) -> np.ndarray:
+    """Uniform mod-p coefficients."""
+    return draw_below(rng, params.p, params.n_ring)
 
 
 def _sessions(params, dims, seed, b_override=None):
@@ -93,22 +98,35 @@ def test_keygen_secret_ternary(pr):
     rng = random.Random(1)
     keys = keygen(pr, rng)
     q0 = pr.q_primes[0]
-    for v in keys.s.data[0]:
+    for v in keys.s.coeffs()[0]:
         assert int(v) in (0, 1, q0 - 1)
 
 
 def test_encrypt_decrypt_round_trip(pr):
     rng = random.Random(2)
     keys = keygen(pr, rng)
-    m = RingPoly.random(pr, rng, tag="p")
+    m = _plaintext(pr, rng)
     ct = encrypt(pr, keys.pk, m, rng)
-    assert decrypt(pr, keys.s, ct) == m
+    assert np.array_equal(decrypt(pr, keys.s, ct), m)
+
+
+@pytest.mark.parametrize("bad", ["p", "negative", "short", "long"])
+def test_encrypt_rejects_a_plaintext_not_mod_p(pr, bad):
+    rng = random.Random(2)
+    keys = keygen(pr, rng)
+    m = _plaintext(pr, rng).astype(np.int64)
+    if bad in ("p", "negative"):
+        m[5] = pr.p if bad == "p" else -1
+    else:
+        m = m[:-1] if bad == "short" else np.append(m, 0)
+    with pytest.raises(ValueError, match="coefficients mod p"):
+        encrypt(pr, keys.pk, m, rng)
 
 
 def test_fresh_noise_under_bound(pr):
     rng = random.Random(3)
     keys = keygen(pr, rng)
-    m = RingPoly.random(pr, rng, tag="p")
+    m = _plaintext(pr, rng)
     ct = encrypt(pr, keys.pk, m, rng)
     assert measure_noise(pr, keys.s, ct, m) <= ct.noise_bound
 
@@ -116,33 +134,31 @@ def test_fresh_noise_under_bound(pr):
 def test_homomorphic_add(pr):
     rng = random.Random(4)
     keys = keygen(pr, rng)
-    z = RingPoly.zero(pr, tag="p")
+    z = np.zeros(pr.n_ring, dtype=np.uint64)
     csum = encrypt(pr, keys.pk, z, rng) + encrypt(pr, keys.pk, z, rng)
-    assert decrypt(pr, keys.s, csum) == z
-    ma, mb = RingPoly.random(pr, rng, tag="p"), RingPoly.random(pr, rng, tag="p")
+    assert not decrypt(pr, keys.s, csum).any()
+    ma, mb = _plaintext(pr, rng), _plaintext(pr, rng)
     ca, cb = encrypt(pr, keys.pk, ma, rng), encrypt(pr, keys.pk, mb, rng)
     csum = ca + cb
-    assert decrypt(pr, keys.s, csum) == ma + mb
-    assert measure_noise(pr, keys.s, csum, ma + mb) <= ca.noise_bound + cb.noise_bound
+    m_sum = (ma + mb) % np.uint64(pr.p)
+    assert np.array_equal(decrypt(pr, keys.s, csum), m_sum)
+    assert measure_noise(pr, keys.s, csum, m_sum) <= ca.noise_bound + cb.noise_bound
 
 
 def test_cbd_range(pr):
     rng = random.Random(5)
-    e = cbd_poly(pr, rng)
-    q0 = pr.q_primes[0]
-    for v in e.data[0]:
-        c = int(v) if int(v) <= q0 // 2 else int(v) - q0
-        assert abs(c) <= NOISE_ETA
+    e = cbd_coeffs(pr, rng)
+    assert e.shape == (pr.n_ring,) and np.abs(e).max() <= NOISE_ETA
 
 
 def test_ciphertext_serialization(pr):
     rng = random.Random(6)
     keys = keygen(pr, rng)
-    ct = encrypt(pr, keys.pk, RingPoly.random(pr, rng, tag="p"), rng)
+    ct = encrypt(pr, keys.pk, _plaintext(pr, rng), rng)
     buf = ct.serialize()
     again = LprCiphertext.deserialize(pr, buf)
     assert again.serialize() == buf
-    assert decrypt(pr, keys.s, again) == decrypt(pr, keys.s, ct)
+    assert np.array_equal(decrypt(pr, keys.s, again), decrypt(pr, keys.s, ct))
     other = ProtocolParams.testing(n_ring=512)
     with pytest.raises(ValueError):
         LprCiphertext.deserialize(other, buf)
@@ -154,9 +170,9 @@ def test_ciphertext_serialization(pr):
 def test_dealer_setup_share_identity(pr):
     rng = random.Random(7)
     keys, d0, d1 = dealer_setup(pr, rng)
-    assert d0.s_share + d1.s_share == keys.s
-    m = RingPoly.random(pr, rng, tag="p")
-    assert decrypt(pr, keys.s, encrypt(pr, d0.pk, m, rng)) == m
+    assert np.array_equal((d0.s_share + d1.s_share).data, keys.s.data)
+    m = _plaintext(pr, rng)
+    assert np.array_equal(decrypt(pr, keys.s, encrypt(pr, d0.pk, m, rng)), m)
 
 
 def test_dealer_convert_column_zero(pr):
@@ -164,8 +180,8 @@ def test_dealer_convert_column_zero(pr):
     keys, d0, d1 = dealer_setup(pr, rng)
     z = np.zeros(pr.n_ring, dtype=np.int64)
     c0, c1 = dealer_convert_column(pr, d0.s_share, d1.s_share, z, z, rng)
-    assert c0.ys_share + c1.ys_share == RingPoly.zero(pr, tag="q")
-    assert c0.y_share + c1.y_share == RingPoly.zero(pr, tag="q")
+    assert not (c0.ys_share + c1.ys_share).data.any()
+    assert not (c0.y_share + c1.y_share).data.any()
 
 
 def test_dealer_convert_column_matches_direct(pr):
@@ -175,12 +191,14 @@ def test_dealer_convert_column_matches_direct(pr):
     sh0 = np.array([rng.randrange(pr.p) for _ in range(pr.n_ring)], dtype=np.int64)
     sh1 = (col - sh0) % pr.p
     c0, c1 = dealer_convert_column(pr, d0.s_share, d1.s_share, sh0, sh1, rng)
-    direct = vec_to_poly(pr, col).lift_to_q(centered=True) * keys.s
-    assert c0.ys_share + c1.ys_share == direct
+    y = slots_to_coeffs(pr, col).astype(np.int64)
+    y = RingPoly.from_coeffs(pr, np.where(y > pr.p // 2, y - pr.p, y))  # centered lift
+    direct = (y * keys.s).data
+    assert np.array_equal((c0.ys_share + c1.ys_share).data, direct)
     # rerandomization: same input, different shares, same sum
     c0b, c1b = dealer_convert_column(pr, d0.s_share, d1.s_share, sh0, sh1, rng)
-    assert c0b.ys_share != c0.ys_share
-    assert c0b.ys_share + c1b.ys_share == direct
+    assert not np.array_equal(c0b.ys_share.data, c0.ys_share.data)
+    assert np.array_equal((c0b.ys_share + c1b.ys_share).data, direct)
 
 
 # -- Mult -----------------------------------------------------------------------
@@ -189,7 +207,7 @@ def test_dealer_convert_column_matches_direct(pr):
 def test_hss_mult_zero_plaintext(pr):
     rng = random.Random(10)
     keys, d0, d1 = dealer_setup(pr, rng)
-    ct = encrypt(pr, keys.pk, RingPoly.zero(pr, tag="p"), rng)
+    ct = encrypt(pr, keys.pk, np.zeros(pr.n_ring, dtype=np.uint64), rng)
     col = np.array([rng.randrange(pr.p) for _ in range(pr.n_ring)], dtype=np.int64)
     sh0 = np.array([rng.randrange(pr.p) for _ in range(pr.n_ring)], dtype=np.int64)
     sh1 = (col - sh0) % pr.p
@@ -205,14 +223,13 @@ def test_hss_mult_random_product(pr):
     keys, d0, d1 = dealer_setup(pr, rng)
     x = [rng.randrange(pr.p) for _ in range(pr.n_ring)]
     y = [rng.randrange(pr.p) for _ in range(pr.n_ring)]
-    ct = encrypt(pr, keys.pk, vec_to_poly(pr, x), rng)
+    ct = encrypt(pr, keys.pk, slots_to_coeffs(pr, x), rng)
     sh0 = np.array([rng.randrange(pr.p) for _ in range(pr.n_ring)], dtype=np.int64)
     sh1 = (np.array(y, dtype=np.int64) - sh0) % pr.p
     c0, c1 = dealer_convert_column(pr, d0.s_share, d1.s_share, sh0, sh1, rng)
     o0 = hss_mult(pr, c0.y_share.data, c0.ys_share.data, ct)
     o1 = hss_mult(pr, c1.y_share.data, c1.ys_share.data, ct)
-    got = poly_to_vec(RingPoly.from_coeffs(
-        pr, (o0.astype(object) + o1.astype(object)) % pr.p, tag="p"))
+    got = coeffs_to_slots(pr, o0.astype(object) + o1.astype(object))
     assert list(got) == [a * b % pr.p for a, b in zip(x, y)]
     assert mult_noise_bound(pr, ct) * 4 < pr.delta
 
@@ -221,8 +238,8 @@ def test_hss_mult_checks_share_shapes(pr):
     # y and ys must be banks of the same (primes, N) columns
     rng = random.Random(12)
     keys, d0, d1 = dealer_setup(pr, rng)
-    ct = encrypt(pr, keys.pk, vec_to_poly(pr, [1]), rng)
-    col = RingPoly.random(pr, rng, tag="q").data
+    ct = encrypt(pr, keys.pk, slots_to_coeffs(pr, [1]), rng)
+    col = RingPoly.random(pr, rng).data
     bank = np.stack([col, col])
     for y, ys in ((bank, col), (col, bank), (col[:, ::2], col[:, ::2]),
                   (col[1:], col[1:]), (col[0], col[0])):
@@ -303,7 +320,7 @@ def _reference_c(params, sess, peer_blobs):
             y = functools.reduce(operator.add, (cv.y_share for cv in convs))
             ys = functools.reduce(operator.add, (cv.ys_share for cv in convs))
             prod = hss_mult(params, y.data, ys.data, ct)
-            slots = poly_to_vec(RingPoly.from_coeffs(params, prod, tag="p"))
+            slots = coeffs_to_slots(params, prod)
             for j in users:
                 lo, hi = plan.slot_range(j)
                 c[j.job_id].append(int(np.sum(slots[lo:hi].astype(object))) % params.p)

@@ -29,7 +29,7 @@ from pairml.hss import (
 )
 from pairml.lpr import encrypt
 from pairml.params import ProtocolParams
-from pairml.ring import vec_to_poly
+from pairml.ring import slots_to_coeffs
 
 
 def _digest(parts) -> str:
@@ -46,7 +46,7 @@ def _words(vec) -> bytes:
 
 def _coeff_rows(poly) -> bytes:
     """A poly's value, whatever form it is held or serialized in."""
-    return poly.to_coeffs().data.astype("<u8").tobytes()
+    return poly.coeffs().astype("<u8").tobytes()
 
 
 def _pipeline_digests(params: ProtocolParams, jobs, seed: int) -> dict[str, str]:
@@ -82,7 +82,7 @@ def _pipeline_digests(params: ProtocolParams, jobs, seed: int) -> dict[str, str]
     out["convert"] = _digest(conv_parts)
     out["convert_values"] = _digest(conv_values)
     x = [rng_d.randrange(p) for _ in range(params.n_ring)]
-    ct = encrypt(params, d0.pk, vec_to_poly(params, x), rng_d)
+    ct = encrypt(params, d0.pk, slots_to_coeffs(params, x), rng_d)
     out["encrypt"] = _digest([ct.serialize()])
     out["ct_values"] = _digest([_coeff_rows(ct.c0), _coeff_rows(ct.c1)])
     mults = [hss_mult(params, conv.y_share.data, conv.ys_share.data, ct)

@@ -26,7 +26,7 @@ from pairml.hss import (
 )
 from pairml.lpr import encrypt
 from pairml.params import ProtocolParams
-from pairml.ring import RingPoly, vec_to_poly
+from pairml.ring import RingPoly, slots_to_coeffs
 
 PARAMS = ProtocolParams.testing()
 P = (PARAMS.p,)
@@ -101,7 +101,7 @@ def test_encrypt_is_three_forward_transforms(rows):
     rng = random.Random(4)
     _, d0, _ = dealer_setup(PARAMS, rng)
     pk = tuple(_wire(poly) for poly in d0.pk)
-    m = vec_to_poly(PARAMS, [rng.randrange(PARAMS.p) for _ in range(5)])
+    m = slots_to_coeffs(PARAMS, [rng.randrange(PARAMS.p) for _ in range(5)])
     rows.clear()
     encrypt(PARAMS, pk, m, rng).serialize()
     # u, e0 + delta*m and e1; the ciphertext leaves in NTT form

@@ -3,14 +3,14 @@ import random
 import numpy as np
 import pytest
 
-from oracles import poly_to_vec, schoolbook_negacyclic
+from oracles import coeffs_to_slots, schoolbook_negacyclic
 from pairml.params import ProtocolParams, ParameterError, is_prime, ntt_prime
 from pairml.ring import (
     DimensionError,
     ModulusError,
     RingPoly,
     ntt_context,
-    vec_to_poly,
+    slots_to_coeffs,
 )
 from pairml.fixedpoint import (
     FixedPointCodec,
@@ -54,44 +54,48 @@ def test_param_rejects_bad_modulus():
         ProtocolParams(p=17, n_ring=8, q_primes=(17, 97))
 
 
+def _slot_product(p, a, b) -> list[int]:
+    """The negacyclic product of two coefficient vectors mod p, taken
+    pointwise in slots."""
+    ctx = ntt_context((p,), len(a))
+    fa, fb = (ctx.ntt(np.array([x], dtype=np.uint64)) for x in (a, b))
+    return [int(v) for v in ctx.intt(ctx.mul(fa, ctx.shoup(fb)))[0]]
+
+
 def test_ntt_matches_schoolbook(tiny):
     rng = random.Random(7)
     p, n = tiny.p, tiny.n_ring
     for _ in range(50):
         a = [rng.randrange(p) for _ in range(n)]
         b = [rng.randrange(p) for _ in range(n)]
-        pa = RingPoly.from_coeffs(tiny, a)
-        pb = RingPoly.from_coeffs(tiny, b)
-        via_slots = (pa.to_slots() * pb.to_slots()).to_coeffs()
-        expect = schoolbook_negacyclic(a, b, p)
-        assert list(via_slots.data) == expect
+        assert _slot_product(p, a, b) == schoolbook_negacyclic(a, b, p)
 
 
 def test_rq_mul_matches_schoolbook(tiny):
     rng = random.Random(8)
     n = tiny.n_ring
     for _ in range(30):
-        a = RingPoly.random(tiny, rng, tag="q")
-        b = RingPoly.random(tiny, rng, tag="q")
-        got = (a * b).to_coeffs()
-        for row_a, row_b, row, m in zip(a.data, b.data, got.data, tiny.q_primes):
+        a = RingPoly.random(tiny, rng)
+        b = RingPoly.random(tiny, rng)
+        got = (a * b).coeffs()
+        for row_a, row_b, row, m in zip(a.coeffs(), b.coeffs(), got, tiny.q_primes):
             assert list(row) == schoolbook_negacyclic(row_a, row_b, m)
-    assert len(got.data) == len(tiny.q_primes) and len(got.data[0]) == n
+    assert got.shape == (len(tiny.q_primes), n)
 
 
 def test_rq_mul_large_modulus_stress(small):
     # 60-bit primes at a realistic dimension: identity and a negacyclic shift
     rng = random.Random(9)
     n = small.n_ring
-    a = RingPoly.random(small, rng, tag="q")
+    a = RingPoly.random(small, rng)
     one = [0] * n
     one[0] = 1
-    assert (a * RingPoly.from_coeffs(small, one, tag="q")).to_coeffs() == a
+    assert np.array_equal((a * RingPoly.from_coeffs(small, one)).data, a.data)
     # x^k rotation: multiply by x^(n/2), coefficients shift negacyclically
     c = [0] * n
     c[n // 2] = 1
-    got = (a * RingPoly.from_coeffs(small, c, tag="q")).to_coeffs()
-    for row, arow, m in zip(got.data, a.data, small.q_primes):
+    got = (a * RingPoly.from_coeffs(small, c)).coeffs()
+    for row, arow, m in zip(got, a.coeffs(), small.q_primes):
         expect = [(-int(arow[(i - n // 2) % n])) % m if i < n // 2
                   else int(arow[i - n // 2]) for i in range(n)]
         assert list(row) == expect
@@ -103,8 +107,7 @@ def test_vec_poly_round_trip_exhaustive_small(tiny):
         rng = random.Random(trial)
         ln = rng.randrange(n + 1)
         v = [rng.randrange(p) for _ in range(ln)]
-        poly = vec_to_poly(tiny, v)
-        back = poly_to_vec(poly)
+        back = coeffs_to_slots(tiny, slots_to_coeffs(tiny, v))
         assert list(back[:ln]) == v
         assert all(x == 0 for x in back[ln:])
 
@@ -112,7 +115,7 @@ def test_vec_poly_round_trip_exhaustive_small(tiny):
 def test_vec_poly_round_trip_large(small):
     rng = random.Random(11)
     v = [rng.randrange(small.p) for _ in range(small.n_ring)]
-    assert list(poly_to_vec(vec_to_poly(small, v))) == v
+    assert list(coeffs_to_slots(small, slots_to_coeffs(small, v))) == v
 
 
 def test_slot_homomorphism(tiny):
@@ -120,52 +123,39 @@ def test_slot_homomorphism(tiny):
     p, n = tiny.p, tiny.n_ring
     u = [rng.randrange(p) for _ in range(n)]
     v = [rng.randrange(p) for _ in range(n)]
-    prod = vec_to_poly(tiny, u) * vec_to_poly(tiny, v)
-    slots = poly_to_vec(prod)
-    assert list(slots) == [a * b % p for a, b in zip(u, v)]
-    # against the schoolbook negacyclic product as an independent oracle
-    direct = schoolbook_negacyclic(vec_to_poly(tiny, u).data,
-                                   vec_to_poly(tiny, v).data, p)
-    assert list(prod.to_coeffs().data) == direct
+    cu, cv = slots_to_coeffs(tiny, u), slots_to_coeffs(tiny, v)
+    prod = schoolbook_negacyclic(cu, cv, p)
+    assert list(coeffs_to_slots(tiny, prod)) == [a * b % p for a, b in zip(u, v)]
+    assert _slot_product(p, cu, cv) == prod
 
 
 def test_vec_to_poly_zero_and_ones(small):
-    zero = vec_to_poly(small, [0] * small.n_ring)
-    assert not any(zero.data)
-    ones = vec_to_poly(small, [1] * small.n_ring)
-    rng = random.Random(3)
-    a = RingPoly.random(small, rng)
-    assert list(poly_to_vec(a * ones.to_coeffs() if a.form == "coeff" else a)) == \
-        list(poly_to_vec(a))
+    n = small.n_ring
+    assert not slots_to_coeffs(small, [0] * n).any()
+    # every slot 1 is the constant poly 1
+    assert list(slots_to_coeffs(small, [1] * n)) == [1] + [0] * (n - 1)
 
 
 def test_vec_to_poly_dimension_error(small):
     with pytest.raises(DimensionError):
-        vec_to_poly(small, [0] * (small.n_ring + 1))
-
-
-def test_poly_to_vec_rejects_mod_q(small):
-    q = RingPoly.zero(small, tag="q")
-    with pytest.raises(ModulusError):
-        poly_to_vec(q)
+        slots_to_coeffs(small, [0] * (small.n_ring + 1))
 
 
 def test_modulus_mismatch_raises(small):
-    a = RingPoly.zero(small, tag="p")
-    b = RingPoly.zero(small, tag="q")
+    # a RingPoly is an element of R_q; an R_p plaintext is a plain vector
+    assert not RingPoly.zero(small, tag="q").data.any()
     with pytest.raises(ModulusError):
-        _ = a * b
+        RingPoly.zero(small, tag="p")
 
 
 def test_serialization_round_trip(small):
     rng = random.Random(4)
-    for tag in ("p", "q"):
-        poly = RingPoly.random(small, rng, tag=tag)
-        buf = poly.serialize()
-        assert len(buf) >= 16
-        again = RingPoly.deserialize(small, buf)
-        assert again == poly
-        assert again.serialize() == buf
+    poly = RingPoly.random(small, rng)
+    buf = poly.serialize()
+    assert len(buf) == RingPoly.wire_size(small)
+    again = RingPoly.deserialize(small, buf)
+    assert np.array_equal(again.data, poly.data)
+    assert again.serialize() == buf
 
 
 def test_ntt_big_prime():
@@ -174,9 +164,7 @@ def test_ntt_big_prime():
     rng = random.Random(5)
     a = [rng.randrange(pr.p) for _ in range(8)]
     b = [rng.randrange(pr.p) for _ in range(8)]
-    pa, pb = RingPoly.from_coeffs(pr, a), RingPoly.from_coeffs(pr, b)
-    got = (pa.to_slots() * pb.to_slots()).to_coeffs()
-    assert list(got.data) == schoolbook_negacyclic(a, b, pr.p)
+    assert _slot_product(pr.p, a, b) == schoolbook_negacyclic(a, b, pr.p)
 
 
 # -- partial transforms -----------------------------------------------------------
@@ -381,5 +369,5 @@ def test_round_to_p_matches_big_int_rounding_at_the_edges(params):
     for k in (0, 1, params.p // 2, params.p - 1):
         edges += [k * delta + delta // 2 + e for e in (-1, 0, 1)]
     vals = [(edges[i] if i < len(edges) else rng.randrange(q)) % q for i in range(n)]
-    got = RingPoly.from_coeffs(params, vals, tag="q").round_to_p()
-    assert list(got.data) == [(v + delta // 2) // delta % params.p for v in vals]
+    got = RingPoly.from_coeffs(params, vals).round_to_p()
+    assert list(got) == [(v + delta // 2) // delta % params.p for v in vals]

@@ -19,7 +19,8 @@ from pairml.fixedpoint import FixedPointCodec
 from pairml.hss import TripleGenSession
 from pairml.params import ProtocolParams
 from pairml.sim import PartyError, RunConfig, Simulation, encode_inputs
-from pairml.transport import KIND_MASKED_REVEAL, KIND_SHARE_DELIVERY, PHASE_ONLINE
+from pairml.transport import (KIND_MASKED_REVEAL, KIND_SHARE_DELIVERY, PHASE_LOAD,
+                              PHASE_ONLINE)
 
 PARAMS = ProtocolParams.testing()
 
@@ -147,6 +148,34 @@ def test_an_output_share_of_the_wrong_length_fails_the_run(monkeypatch):
     err = _failed_run("mfnn", patch)
     assert (err.party, err.phase, err.layer) == ("owner", PHASE_ONLINE, None)
     assert "server 0 sent 10 output shares, server 1 sent 11" in str(err)
+
+
+@pytest.mark.parametrize("sender, kind, phase, word, message", [
+    ("peer", KIND_MASKED_REVEAL, PHASE_ONLINE, lambda buf: 0, "the peer's reveal"),
+    ("peer", KIND_MASKED_REVEAL, PHASE_LOAD, lambda buf: 8, "the peer's F of job 0"),
+    ("owner", KIND_SHARE_DELIVERY, PHASE_ONLINE, lambda buf: 0, "the owner's input shares"),
+    ("owner", KIND_SHARE_DELIVERY, PHASE_LOAD, lambda buf: buf.index(b"WTS1") + 12,
+     "the owner's weight shares of layer 0"),
+], ids=["reveal", "F", "input", "weights"])
+def test_a_received_value_not_below_p_fails_the_run(monkeypatch, sender, kind, phase,
+                                                    word, message):
+    # the first value of the message server 0 receives is p: the server
+    # rejects it rather than reduce it, naming the message
+    def patch(sim):
+        chan = sim.roles[1].peer if sender == "peer" else sim.owner_chans[0]
+        send = chan.send
+
+        def bad_send(k, ph, payload):
+            if (k, ph) == (kind, phase):
+                at = word(payload)
+                payload = payload[:at] + PARAMS.p.to_bytes(8, "little") + payload[at + 8:]
+            send(k, ph, payload)
+
+        monkeypatch.setattr(chan, "send", bad_send)
+
+    err = _failed_run("mfnn", patch)
+    assert (err.party, err.phase) == ("server0", phase)
+    assert f"{message} holds a value not below p" in str(err)
 
 
 def test_corrupted_beaver_share_fails_the_run(monkeypatch):
