@@ -7,9 +7,9 @@ decoders read inside `with Reader(buf) as r:`, which calls `end()`, so each
 accepts exactly one encoding.  Polynomial arrays pass through `raw` as numpy
 bytes.  Transport frame headers keep their own `transport.HEADER`.
 
-Formats carried.  All but the last two are pinned, since they cross a wide-area
-channel or a test pins them (`tests/test_codec.py`, and `tests/test_fss.py`
-for keys):
+Formats carried.  Each is pinned, since it crosses a wide-area channel or a
+test pins it (`tests/test_codec.py`; `tests/test_fss.py` for keys;
+`tests/test_tee.py` for materials and the enclaves' 3PC byte streams):
 
 * field-element vectors and matrices, `engine.encode_vec`/`encode_mat`;
 * the manifest's `WTS1` weight blocks (`engine.serialize_manifest`) and the
@@ -22,9 +22,9 @@ for keys):
   layout (`fss.make_key` writes it, `DpfKey.deserialize` checks it);
 * the material blob, `gadgets.serialize_material`, which only crosses the
   local enclave-to-host channel; its layout is versioned by `_MAT_VERSION`;
-* the enclaves' 3PC messages: the u64 runs of `shares3.Arith3Engine` go
-  through `Writer`, and boolean sharings travel as single little-endian ints
-  of their width.
+* the enclaves' 3PC messages: the u64 runs of `shares3.Arith3Engine` are
+  its share arrays' little-endian bytes, and boolean sharings travel as
+  single little-endian ints of their width.
 """
 
 from __future__ import annotations

@@ -35,7 +35,8 @@ call, `gen_level`: it expands both seeds, and one XOR of the two expansions
 gives the level's seed and control correction words and both parties' next
 seeds and control bits; the expansions carry the payload words, unreduced,
 where `Tree.at` says.  Three-block keys come only from the enclaves' 3PC in
-`tee`, which runs `g_expand` and `block_convert` one block at a time.  A
+`tee`, which runs `g_expand` and `block_convert` one block at a time and
+reads a level's seed areas, every lane's at once, with `children`.  A
 plain reference generator for any block count and domain, written from
 those per-block primitives, lives with the tests (`tests/oracles.py`).
 """
@@ -44,6 +45,8 @@ from __future__ import annotations
 
 import hashlib
 from functools import cache
+
+import numpy as np
 
 LAM = 128  # the security parameter, in bits
 BLOCK = LAM // 8  # bytes per seed block
@@ -105,6 +108,8 @@ def _spread(count: int, first: int) -> int:
 
 
 _LEAF = 2  # the part `Tree.add` sums besides side 0 and side 1
+# per control bit: a flags byte to the ASCII digit of that bit
+_FLAG_BIT = [bytes(ord("0") + (f >> i & 1) for f in range(256)) for i in (0, 1)]
 
 
 class Tree:
@@ -204,12 +209,6 @@ class Tree:
         for a three-block seed."""
         return self.add(acc, self._draw(_CV_TAG, seed, WORD * self.L), _LEAF)
 
-    def words(self, raw: bytes, side: int) -> list[int]:
-        """One block expansion's payload words of one side."""
-        start = self.area + WORD * self.L * side
-        return [int.from_bytes(raw[i:i + WORD], "little")
-                for i in range(start, start + WORD * self.L, WORD)]
-
     def pack(self, words: list[int], rows: int) -> list[tuple[int, int]]:
         """The packed sums of `rows` runs of L words, laid end to end in `words`."""
         halves = [[0] * rows, [0] * rows]
@@ -220,6 +219,18 @@ class Tree:
 
     def unpack(self, acc: tuple[int, int]) -> list[int]:
         return [(acc[k & 1] >> _LANE * (k >> 1)) & _LANE_MASK for k in range(self.L)]
+
+
+def children(tree: Tree, areas: bytes) -> tuple[int, int, int, int]:
+    """The left seeds, right seeds, left control bits and right control bits
+    of `tree`'s seed areas laid end to end, one per lane, each as one int:
+    lane l's seed at bit seed_bits * l, its control bit at bit l."""
+    a = np.frombuffer(areas, np.uint8).reshape(-1, tree.area)
+    sb, W = tree.seed_bits // 8, len(a) * tree.seed_bits
+    s = int.from_bytes(a[:, :2 * sb].reshape(-1, 2, sb).swapaxes(0, 1).tobytes(), "little")
+    flags = b"0" + areas[2 * sb::tree.area][::-1]  # lane 0's last, as in a numeral
+    return (s & (1 << W) - 1, s >> W, int(flags.translate(_FLAG_BIT[0]), 2),
+            int(flags.translate(_FLAG_BIT[1]), 2))
 
 
 @cache

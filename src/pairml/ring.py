@@ -22,15 +22,9 @@ of a row of block sums over b (`block_sums`) therefore returns just those
 coefficients, and the forward transform of a row of N/b of them gives the
 block sums over b.
 
-Every modular product is Shoup's: x * w mod m for a residue w takes the
-quotient w' = floor(w 2^64 / m) and splits the 64-bit words into 32-bit
-halves to estimate x w / m, which it then corrects, so every result is exact
-in uint64.  For w < m, w' m = w 2^64 - (w 2^64 mod m), so
-w' = (w 2^64 mod m)(-m^-1) mod 2^64: one Shoup product by the constant
-2^64 mod m and one wrapping multiply give w' with no big integers.  Twiddles
-are prepared once per context, and `NttContext.shoup(w)` prepares a variable
-w, once for all of its products; preparing w for a single product still
-costs less than a Montgomery product.
+Every modular product is Shoup's, by the exact uint64 kernels of `mod64`.
+Twiddles are prepared once per context, and `NttContext.shoup(w)` prepares
+a variable w, once for all of its products.
 
 `scale_round` computes round(t * p / q) mod p from the residues of t alone
 (exact RNS scale-and-round, which needs p | q), with no big integers, for a
@@ -44,6 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import mod64
 from .codec import Reader, Writer
 from .params import ProtocolParams
 
@@ -54,47 +49,6 @@ class DimensionError(ValueError):
 
 class ModulusError(ValueError):
     pass
-
-
-# -- exact uint64 modular arithmetic -------------------------------------------
-# Residues are < m < 2^62, so a sum of two stays below 2^64 and a wrapped
-# difference is recognised by being larger than the unwrapped one.
-
-_LO32 = np.uint64(0xFFFFFFFF)
-_32 = np.uint64(32)
-
-
-def _add(a, b, m):
-    s = a + b
-    return np.minimum(s, s - m)
-
-
-def _sub(a, b, m):
-    d = a - b
-    return np.minimum(d, d + m)
-
-
-def _shoup(w, m):
-    """Constants for multiplying by w mod m: w and the 32-bit halves of
-    floor(w 2^64 / m), as uint64 arrays shaped like w (ints or nested lists),
-    computed with Python ints."""
-    w = np.array(w, dtype=object)
-    ws = np.array((w << 64) // np.array(m, dtype=object), dtype=object)
-    return tuple(np.array(x, dtype=object).astype(np.uint64)
-                 for x in (w, ws & 0xFFFFFFFF, ws >> 32))
-
-
-def _mul_shoup(x, w, w_lo, w_hi, m):
-    """x * w mod m for any uint64 x and a constant w < m.
-
-    The quotient estimate drops the carries of the low partial products, so
-    it is at most 3 short: r lies in [0, 4m) before the two subtractions.
-    """
-    x_lo, x_hi = x & _LO32, x >> _32
-    q = x_hi * w_hi + ((x_lo * w_hi) >> _32) + ((x_hi * w_lo) >> _32)
-    r = x * w - q * m
-    r = np.minimum(r, r - (m + m))
-    return np.minimum(r, r - m)
 
 
 # -- number theoretic transform -------------------------------------------------
@@ -140,7 +94,7 @@ class NttContext:
                 x = x * h % m
             tables.append([powers[r] for r in rev])
         col = [[m] for m in primes]
-        w = _shoup(tables, col)
+        w = mod64.shoup(tables, col)
         self.mods = np.array(col, dtype=np.uint64)  # (rows, 1)
         # stage with k blocks: forward uses w[k:2k], inverse w[2k-1] .. w[k];
         # the inverse runs its stages from k = N/2 down to k = 1
@@ -155,13 +109,10 @@ class NttContext:
         # twiddle w[1]: its sum is scaled by 1/N and its difference by w[1]/N
         n_inv = [pow(n, -1, m) for m in primes]
         col3 = [[[m]] for m in primes]
-        self._n_inv = _shoup([[[v]] for v in n_inv], col3)
-        self._inv[-1] = _shoup([[[v * t[1] % m]] for v, t, m in zip(n_inv, tables, primes)],
-                               col3)
-        # for the Shoup quotient of a variable w: 2^64 mod m and -m^-1 mod 2^64
-        self._r64 = _shoup([[(1 << 64) % m] for m in primes], col)
-        self._neg_minv = np.array([[-pow(m, -1, 1 << 64) % (1 << 64)] for m in primes],
-                                  dtype=np.uint64)
+        self._n_inv = mod64.shoup([[[v]] for v in n_inv], col3)
+        self._inv[-1] = mod64.shoup(
+            [[[v * t[1] % m]] for v, t, m in zip(n_inv, tables, primes)], col3)
+        self._recip = mod64.reciprocal(col)  # for the quotients of variable w
 
     def _check_width(self, width: int, least: int):
         if not least <= width <= self.n or width & (width - 1):
@@ -183,7 +134,7 @@ class NttContext:
         for w in self._fwd[:width.bit_length() - 1]:
             v = a.reshape(*lead, rows, w[0].shape[1], 2, -1)
             x, y = v[..., 0, :], v[..., 1, :]
-            t = _mul_shoup(y, *w, m)
+            t = mod64.mul_shoup(y, *w, m)
             d = x - t
             x += t
             np.minimum(x, x - m, out=x)
@@ -207,9 +158,9 @@ class NttContext:
         for i, w in enumerate(stages):
             v = a.reshape(*lead, rows, w[0].shape[1], 2, -1)
             x, y = v[..., 0, :], v[..., 1, :]
-            s, d = _add(x, y, m), _sub(y, x, m)
-            x[...] = _mul_shoup(s, *self._n_inv, m) if i == last else s
-            y[...] = _mul_shoup(d, *w, m)
+            s, d = mod64.add(x, y, m), mod64.sub(y, x, m)
+            x[...] = mod64.mul_shoup(s, *self._n_inv, m) if i == last else s
+            y[...] = mod64.mul_shoup(d, *w, m)
         return a
 
     def block_sums(self, f: np.ndarray, stride: int) -> np.ndarray:
@@ -221,27 +172,25 @@ class NttContext:
         a = f.reshape(*f.shape[:-1], -1, stride)
         while a.shape[-1] > 1:
             half = a.shape[-1] // 2
-            a = _add(a[..., :half], a[..., half:], m)
+            a = mod64.add(a[..., :half], a[..., half:], m)
         return a[..., 0]
 
     def shoup(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Constants for multiplying by the residues w < m: w and the 32-bit
-        halves of w' = floor(w 2^64 / m) = (w 2^64 mod m)(-m^-1) mod 2^64."""
-        q = _mul_shoup(w, *self._r64, self.mods) * self._neg_minv
-        return w, q & _LO32, q >> _32
+        """Constants for multiplying by the residues w < m (`mod64.prepare`)."""
+        return mod64.prepare(w, self._recip, self.mods)
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Pointwise a + b mod m for residues a, b < m."""
-        return _add(a, b, self.mods)
+        return mod64.add(a, b, self.mods)
 
     def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Pointwise a - b mod m for residues a, b < m."""
-        return _sub(a, b, self.mods)
+        return mod64.sub(a, b, self.mods)
 
     def mul(self, a: np.ndarray, b: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
         """Pointwise a * b mod m for any uint64 a, by the constants b =
         `shoup(w)` of residues w: prepared once, b serves every product by w."""
-        return _mul_shoup(a, *b, self.mods)
+        return mod64.mul_shoup(a, *b, self.mods)
 
     def scale(self, a: np.ndarray, c: int) -> np.ndarray:
         return self.mul(a, self.shoup(np.array([[c % m] for m in self.primes],
@@ -283,13 +232,13 @@ def _rounding_constants(primes: tuple[int, ...]):
     for qj in aux:
         delta *= qj
     half = [np.uint64(delta // 2 % m) for m in primes]
-    garner = [[(_shoup(1, qj), _shoup(pow(qi, -1, qj), qj)) for qi in aux[:j]]
+    garner = [[(mod64.shoup(1, qj), mod64.shoup(pow(qi, -1, qj), qj)) for qi in aux[:j]]
               for j, qj in enumerate(aux)]
     radix, radices = 1, []
     for qj in aux:
-        radices.append(_shoup(radix % p, p))
+        radices.append(mod64.shoup(radix % p, p))
         radix *= qj
-    return half, garner, radices, _shoup(pow(delta, -1, p), p)
+    return half, garner, radices, mod64.shoup(pow(delta, -1, p), p)
 
 
 def scale_round(primes: tuple[int, ...], t: np.ndarray) -> np.ndarray:
@@ -303,18 +252,18 @@ def scale_round(primes: tuple[int, ...], t: np.ndarray) -> np.ndarray:
     """
     half, garner, radices, delta_inv = _rounding_constants(primes)
     p, aux = np.uint64(primes[0]), [np.uint64(m) for m in primes[1:]]
-    tp = [_add(row, h, np.uint64(m))
+    tp = [mod64.add(row, h, np.uint64(m))
           for row, h, m in zip(np.moveaxis(t, -2, 0), half, primes)]
     digits = []
     for j, qj in enumerate(aux):
         x = tp[j + 1]
         for d, (one, inv) in zip(digits, garner[j]):
-            x = _mul_shoup(_sub(x, _mul_shoup(d, *one, qj), qj), *inv, qj)
+            x = mod64.mul_shoup(mod64.sub(x, mod64.mul_shoup(d, *one, qj), qj), *inv, qj)
         digits.append(x)
     r = np.zeros_like(tp[0])
     for d, radix in zip(digits, radices):
-        r = _add(r, _mul_shoup(d, *radix, p), p)
-    return _mul_shoup(_sub(tp[0], r, p), *delta_inv, p)
+        r = mod64.add(r, mod64.mul_shoup(d, *radix, p), p)
+    return mod64.mul_shoup(mod64.sub(tp[0], r, p), *delta_inv, p)
 
 
 # -- sampling ---------------------------------------------------------------------
@@ -341,7 +290,7 @@ def draw_below(rng, bound: int, count: int) -> np.ndarray:
             4 * words * need, "little"), dtype="<u4").reshape(need, words)
         cand = raw[:, -1].astype(np.uint64) >> np.uint64(32 * words - k)
         if words == 2:
-            cand = (cand << _32) | raw[:, 0]
+            cand = (cand << np.uint64(32)) | raw[:, 0]
         cand = cand[cand < bound]
         out[filled:filled + len(cand)] = cand
         filled += len(cand)

@@ -5,8 +5,11 @@ high share); any two enclaves reconstruct, one alone sees uniform noise.
 XOR/addition are local; AND and multiplication cost one reshare message per
 enclave, drawn against pairwise zero-sharing PRF streams.
 
-Many values travel as one sharing: a B3 packs lanes side by side into its
-ints and an A3 concatenates vectors, so one gate call covers every lane.
+Many values travel as one sharing, so one gate call covers every lane: a B3
+packs lanes side by side into its ints, and an A3 is one (3, n) uint64
+array, row j share j, on which every operation runs whole.  Its products
+are Shoup's, exact for every p < 2^62, by the kernels of `mod64`, which the
+host's ring arithmetic runs too (an enclave reaches no host module).
 Gates that do not depend on each other can also share a communication
 round: inside `TriadNet.round()` every send is queued and goes out as one
 message per enclave and direction when the block ends.
@@ -21,8 +24,11 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 
-from .codec import Writer
+import numpy as np
+
+from . import mod64
 from .prg import PrfStream
 from .transport import Channel, KIND_B3PC, PHASE_PREPROCESS
 
@@ -57,49 +63,41 @@ class B3:
         return out
 
 
-@dataclass
-class A3:
-    """Arithmetic replicated sharing mod p: component-wise vectors."""
-
-    shares: list[list[int]]  # three share vectors, sum mod p is the value
-
-    def __len__(self) -> int:
-        return len(self.shares[0])
-
-    def __getitem__(self, sl: slice) -> "A3":
-        return A3([s[sl] for s in self.shares])
-
-    @staticmethod
-    def cat(*xs: "A3") -> "A3":
-        return A3([[v for x in xs for v in x.shares[j]] for j in range(3)])
-
-    def repeat(self, counts: list[int]) -> "A3":
-        """Element i repeated counts[i] times: a lane's bit over its payload."""
-        return A3([[v for v, c in zip(s, counts) for _ in range(c)]
-                   for s in self.shares])
+# An arithmetic replicated sharing mod p: a (3, ...) uint64 array, row j
+# share j, every entry below p; the three rows sum to the value mod p.
+A3 = np.ndarray
 
 
 # -- lane layout helpers: local, share by share ---------------------------------------
 
 
-def lane_bits(x: B3, stride: int, k: int) -> B3:
-    """Bit k of every stride-bit lane of x, one bit per lane."""
-    lanes = x.width // stride
-    return B3([sum(((s >> (l * stride + k)) & 1) << l for l in range(lanes))
-               for s in x.shares], lanes)
+def _bits(x: B3) -> np.ndarray:
+    """The bits of x's three shares, a (3, width) uint8 array."""
+    nb = (x.width + 7) // 8
+    raw = np.frombuffer(b"".join(s.to_bytes(nb, "little") for s in x.shares), np.uint8)
+    return np.unpackbits(raw.reshape(3, nb), axis=1, count=x.width, bitorder="little")
+
+
+def _b3(bits: np.ndarray) -> B3:
+    """The B3 whose shares have the bits of the rows of a (3, width) array."""
+    rows = np.packbits(bits, axis=1, bitorder="little")
+    return B3([int.from_bytes(r.tobytes(), "little") for r in rows], bits.shape[1])
+
+
+def lane_bits(x: B3, stride: int, ks) -> list[B3]:
+    """For each k in ks, bit k of every stride-bit lane of x, one bit per lane."""
+    return [_b3(b) for b in _bits(x).reshape(3, -1, stride)[:, :, ks].transpose(2, 0, 1)]
 
 
 def spread(bits: B3, stride: int) -> B3:
     """Each bit of `bits` copied across a stride-bit lane of its own."""
-    ones = (1 << stride) - 1
-    return B3([sum(ones << (l * stride) for l in range(bits.width) if (s >> l) & 1)
-               for s in bits.shares], bits.width * stride)
+    return _b3(np.repeat(_bits(bits), stride, axis=1))
 
 
 def _lanes(x: B3, w: int) -> int:
-    """A 1 at the bottom of every w-bit lane of x: a w-bit pattern times it
-    repeats the pattern in every lane."""
-    return sum(1 << (l * w) for l in range(x.width // w))
+    """A 1 at the bottom of every w-bit lane of x, so a w-bit pattern times
+    it repeats the pattern in every lane: (2^width - 1) / (2^w - 1)."""
+    return ((1 << x.width) - 1) // ((1 << w) - 1)
 
 
 def _shift(x: B3, d: int, w: int) -> B3:
@@ -174,8 +172,8 @@ class Bool3Engine:
         return B3(shares, width)
 
     def xor(self, a: B3, b: B3) -> B3:
-        return B3([x ^ y for x, y in zip(a.shares, b.shares)],
-                  max(a.width, b.width))
+        (a0, a1, a2), (b0, b1, b2) = a.shares, b.shares
+        return B3([a0 ^ b0, a1 ^ b1, a2 ^ b2], max(a.width, b.width))
 
     def xor_const(self, a: B3, c: int) -> B3:
         out = list(a.shares)
@@ -239,19 +237,15 @@ class Bool3Engine:
         three pieces into two, a parallel-prefix adder sums them, and p and
         2p are subtracted side by side: AND depth 3 + 2*ceil(log2(n + 2)).
         """
-        lanes = [x if isinstance(x, list) else [x] for x in pieces]
         n = (p - 1).bit_length()
         w = n + 2  # 3p < 2^w
-        full = (1 << w) - 1
-        width = len(lanes[0]) * w
-
-        def pack(vals):
-            return sum((v & full) << (l * w) for l, v in enumerate(vals))
-
+        # piece j's lanes side by side, w bits each
+        x = _b3(np.unpackbits(np.array(pieces, dtype="<u8").reshape(3, -1, 1).view(np.uint8),
+                              axis=2, count=w, bitorder="little").reshape(3, -1))
+        width = x.width
         # replicate each piece to its co-holder before treating it as a share
-        self.net.send([pack(lanes[j]).to_bytes((width + 7) // 8, "little")
-                       for j in range(3)], step=2)
-        x0, x1, x2 = (self.input_known(j, pack(lanes[j]), width) for j in range(3))
+        self.net.send([s.to_bytes((width + 7) // 8, "little") for s in x.shares], step=2)
+        x0, x1, x2 = (self.input_known(j, s, width) for j, s in enumerate(x.shares))
         # full adders: x0 + x1 + x2 = s + 2 maj
         maj = self.xor(x0, self.and_(self.xor(x0, x1), self.xor(x0, x2)))
         total, _ = self._add(self.xor(self.xor(x0, x1), x2), _shift(maj, 1, w), w)
@@ -261,89 +255,82 @@ class Bool3Engine:
         diffs, G = self._add(B3.cat(total, total),
                              ((1 << w) - p) * reps | (((1 << w) - 2 * p) * reps) << width,
                              w)
-        ge = spread(lane_bits(G, w, w - 1), w)
+        ge = spread(lane_bits(G, w, [w - 1])[0], w)
         d1, d2 = diffs.split(width, width)
         # keep total below p, total - p below 2p, total - 2p above
         picks = self.and_(ge, B3.cat(self.xor(total, d1), self.xor(d1, d2)))
         lo, hi = picks.split(width, width)
         out = self.xor(self.xor(total, lo), hi)
-        keep = (1 << n) - 1
-        return B3([sum(((s >> (l * w)) & keep) << (l * n)
-                       for l in range(len(lanes[0]))) for s in out.shares],
-                  len(lanes[0]) * n)
+        return _b3(_bits(out).reshape(3, -1, w)[:, :, :n].reshape(3, -1))
 
 
 class Arith3Engine:
-    """Arithmetic replicated 3PC mod p over a TriadNet."""
+    """Arithmetic replicated 3PC mod p over a TriadNet, on whole arrays."""
 
     def __init__(self, net: TriadNet, pair_streams: list[PrfStream], p: int):
-        self.net = net
-        self.pair = pair_streams
-        self.p = p
-        self.mults = 0
+        self.net, self.pair, self.p, self.mults = net, pair_streams, p, 0
+        self._m = np.array([p], dtype=np.uint64)
 
-    def _zeros(self, ln: int) -> list[list[int]]:
-        """One PRF draw per stream for all ln elements; 128 bits each."""
-        vs = []
-        for j in range(3):
-            raw = self.pair[j].expand(16 * ln)
-            vs.append([int.from_bytes(raw[16 * i:16 * i + 16], "little") % self.p
-                       for i in range(ln)])
-        return [[(a - b) % self.p for a, b in zip(vs[j], vs[j - 1])]
-                for j in range(3)]
+    @cached_property
+    def _recip(self) -> tuple:
+        return mod64.reciprocal([self.p])  # at first use, so a new enclave costs little
 
-    def input_known(self, holder: int, vec: list[int]) -> A3:
-        shares = [[0] * len(vec) for _ in range(3)]
-        shares[holder] = [v % self.p for v in vec]
-        return A3(shares)
+    def words(self, raw: bytes) -> np.ndarray:
+        """The 128-bit little-endian words of raw, each mod p: lo + hi 2^64."""
+        x, m = np.frombuffer(raw, "<u8").reshape(-1, 2), self._m
+        return mod64.add(x[:, 0] % m, mod64.mul_shoup(x[:, 1], *self._recip[0], m), m)
 
-    def input_additive(self, pieces: list[list[int]]) -> A3:
-        """Lift 1-of-3 additive pieces (piece j known only to enclave j) into
-        replicated form; one reshare message per enclave."""
-        shares = [[v % self.p for v in piece] for piece in pieces]
-        # j -> j-1 learns share j
-        self.net.send([Writer().u64s(s).getvalue() for s in shares], step=2)
-        return A3(shares)
+    def _zeros(self, shape: tuple) -> A3:
+        """One PRF draw per stream for all elements; 128 bits each."""
+        raw = b"".join(s.expand(16 * int(np.prod(shape))) for s in self.pair)
+        v = self.words(raw).reshape(3, *shape)
+        return mod64.sub(v, np.roll(v, 1, axis=0), self._m)  # zeta_j = F_j - F_j-1
 
-    def const(self, vec: list[int]) -> A3:
-        return self.input_known(0, vec)
+    def _send(self, x: A3, step: int):
+        self.net.send([row.tobytes() for row in x.astype("<u8", copy=False)], step)
+
+    def input_additive(self, pieces) -> A3:
+        """Lift 1-of-3 additive pieces (piece j known only to enclave j, each
+        below 2^64) into replicated form; one reshare message per enclave."""
+        shares = np.asarray(pieces, dtype=np.uint64) % self._m
+        self._send(shares, step=2)  # j -> j-1 learns share j
+        return shares
 
     def add(self, a: A3, b: A3) -> A3:
-        return A3([[(x + y) % self.p for x, y in zip(sa, sb)]
-                   for sa, sb in zip(a.shares, b.shares)])
+        return mod64.add(a, b, self._m)
 
     def sub(self, a: A3, b: A3) -> A3:
-        return A3([[(x - y) % self.p for x, y in zip(sa, sb)]
-                   for sa, sb in zip(a.shares, b.shares)])
+        return mod64.sub(a, b, self._m)
 
     def scale(self, a: A3, c: int) -> A3:
-        return A3([[x * c % self.p for x in sa] for sa in a.shares])
+        return mod64.mul_shoup(a, *mod64.shoup(c % self.p, self.p), self._m)
 
     def mult(self, a: A3, b: A3) -> A3:
-        ln = len(a)
-        self.mults += ln
-        zeta = self._zeros(ln)
-        raw = [[0] * ln for _ in range(3)]
-        for j in range(3):
-            aj, aj1 = a.shares[j], a.shares[(j + 1) % 3]
-            bj, bj1 = b.shares[j], b.shares[(j + 1) % 3]
-            raw[j] = [(aj[i] * bj[i] + aj[i] * bj1[i] + aj1[i] * bj[i]
-                       + zeta[j][i]) % self.p for i in range(ln)]
-        self.net.send([Writer().u64s(r).getvalue() for r in raw], step=2)
-        return A3(raw)
+        """Share j is a_j b_j + a_j b_j+1 + a_j+1 b_j = a_j (b_j + b_j+1) + a_j+1 b_j
+        plus a zero sharing; one reshare message per enclave."""
+        self.mults += a[0].size
+        zeta = self._zeros(a.shape[1:])
+        a1, b1 = np.roll(a, -1, axis=0), np.roll(b, -1, axis=0)
+        w = mod64.prepare(np.concatenate([self.add(b, b1), b]), self._recip, self._m)
+        prods = mod64.mul_shoup(np.concatenate([a, a1]), *w, self._m)
+        raw = self.add(self.add(prods[:3], prods[3:]), zeta)
+        self._send(raw, step=2)
+        return raw
 
     def xor_bits(self, a: A3, b: A3) -> A3:
         """a XOR b for 0/1 vectors: a + b - 2ab, one multiply per element."""
         return self.sub(self.add(a, b), self.scale(self.mult(a, b), 2))
 
-    def bit2a(self, bit: B3) -> A3:
+    def bit2a(self, bit: B3, along=lambda: None) -> A3:
         """Arithmetic 0/1 sharing of every bit of a boolean-shared vector:
-        the XOR of its three shares, two rounds of one multiply each."""
-        b = [self.input_known(j, [(bit.shares[j] >> i) & 1
-                                  for i in range(bit.width)]) for j in range(3)]
-        return self.xor_bits(self.xor_bits(b[0], b[1]), b[2])
+        the XOR of its three shares, two rounds of one multiply each.  The
+        first round needs only the shares, so `along()` may send in it."""
+        b = np.eye(3, dtype=np.uint64)[:, :, None] * _bits(bit)  # b[j]: share j, input by j
+        with self.net.round():
+            along()
+            half = self.xor_bits(b[0], b[1])
+        return self.xor_bits(half, b[2])
 
     def reveal(self, a: A3) -> list[int]:
-        self.net.send([Writer().u64s(s).getvalue() for s in a.shares], step=1)
-        return [(x + y + z) % self.p
-                for x, y, z in zip(a.shares[0], a.shares[1], a.shares[2])]
+        self._send(a, step=1)
+        return self.add(self.add(a[0], a[1]), a[2]).ravel().tolist()

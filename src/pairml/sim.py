@@ -191,8 +191,11 @@ class Simulation:
                         chan.send(KIND_SHARE_DELIVERY, PHASE_ONLINE, encode_vec(sh))
                 for _ in range(n_sessions):
                     outs = []
-                    for chan in self.owner_chans:
+                    for b, chan in enumerate(self.owner_chans):
                         outs.append(decode_vec((yield from chan.wait()).payload))
+                        if any(v >= p for v in outs[b]):
+                            raise ValueError(f"server {b}'s output vector holds a value "
+                                             f"not below p")
                     if len(outs[0]) != len(outs[1]):
                         raise ValueError(f"server 0 sent {len(outs[0])} output "
                                          f"shares, server 1 sent {len(outs[1])}")

@@ -27,12 +27,12 @@ arithmetic ones, so one gate call serves every key.  A tree level costs four
 communication rounds whatever the number of keys: the seed-area reshare
 with the payload-word input, one AND layer, the correction-word reveal, and
 the redistribution of the next seeds' blocks.  The payload corrections of
-all levels wait for the end, where they take six rounds (five when the
-batch holds no DCF key): the leaf and payload input, the two multiplies of
-the bit conversion, the muxes with the payload products, the signs, and the
-reveal.  Each revealed correction word is a fixed function of the root
-blocks, the point and the payload, so the keys do not depend on how the
-gates are batched.
+all levels wait for the end, where they take five rounds (four when the
+batch holds no DCF key): the leaf and payload input with the bit
+conversion's first multiply, its second, the muxes with the payload
+products, the signs, and the reveal.  Each revealed correction word is a
+fixed function of the root blocks, the point and the payload, so the keys
+do not depend on how the gates are batched.
 
 Both servers' triples execute the identical deterministic protocol from the
 shared pair seeds, so server b ends up with key half k_b of a consistent
@@ -46,6 +46,8 @@ the host's parameter set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import prg
 from .fss import DcfKey, DpfKey, make_key
@@ -204,19 +206,20 @@ class TeeTriple:
 
     # -- view ledger --------------------------------------------------------
 
-    def _see(self, enclave: int, tag: tuple):
-        self.views[enclave].append(tag)
+    def _see(self, enclave: int, nodes: list, party, blk: int):
+        """The enclave saw block blk of the seed of `party` at every node."""
+        self.views[enclave].append((nodes, party, blk))
 
     def check_view_discipline(self) -> list[str]:
         """No enclave may see two distinct blocks of one seed."""
         bad = list(self.violations)
-        for enclave, tags in self.views.items():
+        for enclave, entries in self.views.items():
+            if all(blk == enclave for *_, blk in entries):
+                continue  # only its own block of any seed
             seen: dict[tuple, set[int]] = {}
-            for tag in tags:
-                if tag[0] != "block":
-                    continue
-                _, node, party, blk = tag
-                seen.setdefault((node, party), set()).add(blk)
+            for nodes, party, blk in entries:
+                for node in nodes:
+                    seen.setdefault((node, party), set()).add(blk)
             for key, blocks in seen.items():
                 if len(blocks) > 1:
                     bad.append(f"enclave {enclave} saw blocks {sorted(blocks)} "
@@ -230,16 +233,8 @@ class TeeTriple:
     def _beta_pieces(self, plans: list[_KeyPlan]) -> list[list[int]]:
         """Enclave j's additive pieces of every lane's payload: constants
         with enclave 0, mask components as their GenRand pieces."""
-        p = self.p
-        pieces = [[], [], []]
-        for plan in plans:
-            for comp in plan.beta_spec:
-                for j in range(3):
-                    if comp[0] == "const":
-                        pieces[j].append(comp[1] % p if j == 0 else 0)
-                    else:  # ("mask", genrand pieces)
-                        pieces[j].append(comp[1][j].r % p)
-        return pieces
+        return [[(c[1] % self.p if j == 0 else 0) if c[0] == "const" else c[1][j].r
+                 for plan in plans for c in plan.beta_spec] for j in range(3)]
 
     # -- distributed key generation -------------------------------------------
 
@@ -252,33 +247,28 @@ class TeeTriple:
         for j, pt in enumerate(self.parties):
             roots.append([pt.draw_bytes(prg.BLOCK, tag=b"root") for _ in (0, 1)])
             for party in (0, 1):
-                self._see(j, ("block", (name, "root"), party, j))
+                self._see(j, [(name, "root")], party, j)
         plan = _KeyPlan(kind, alpha_pieces, beta_spec, roots, name)
         plans.append(plan)
         return plan
 
-    def _redistribute(self, plans: list[_KeyPlan], level: int, seeds: list[B3],
-                      blocks: list):
+    def _redistribute(self, plans: list[_KeyPlan], level: int, seeds: list[B3]) -> list[bytes]:
         """Block redistribution of both parties' next seeds: enclave k ends
-        with clear block k of every lane's seed, in blocks[lane][k][party]."""
-        w, mask = prg.LAM, (1 << prg.LAM) - 1  # a block's bits
-        ring = [b""] * 3
-        for j in range(3):
-            # enclave j+1 holds share j+2 (its high share) and hands enclave j
-            # block j of it
-            ring[(j + 1) % 3] = b"".join(
-                ((s.shares[(j + 2) % 3] >> (3 * l + j) * w) & mask)
-                .to_bytes(prg.BLOCK, "little")
-                for s in seeds for l in range(len(plans)))
-        self.net.send(ring, step=2)
-        for party, s in enumerate(seeds):
-            full = s.value()
-            for l, plan in enumerate(plans):
-                for k in range(3):
-                    blocks[l][k][party] = ((full >> (3 * l + k) * w) & mask
-                                           ).to_bytes(prg.BLOCK, "little")
-                    self._see(k, ("block", ((plan.name, level), "next", party),
-                                  "seed", k))
+        with clear block k of every lane's seed.  Returns each party's seeds
+        as bytes, block k of lane l the (3 l + k)-th `prg.BLOCK` bytes."""
+        nb = len(plans) * 3 * prg.BLOCK
+        # (party, share, lane, block, byte)
+        cut = np.frombuffer(b"".join(x.to_bytes(nb, "little") for s in seeds for x in s.shares),
+                            np.uint8).reshape(2, 3, -1, 3, prg.BLOCK)
+        # enclave e holds share e+1 (its high share) and hands enclave e-1
+        # block e-1 of it
+        self.net.send([cut[:, (e + 1) % 3, :, (e - 1) % 3].tobytes() for e in range(3)],
+                      step=2)
+        for party in (0, 1):
+            nodes = [((plan.name, level), "next", party) for plan in plans]
+            for k in range(3):
+                self._see(k, nodes, "seed", k)
+        return [s.value().to_bytes(nb, "little") for s in seeds]
 
     def _gen_keys(self, plans: list[_KeyPlan]):
         """Generate every planned key in one level-synchronous 3PC, lane l
@@ -287,60 +277,57 @@ class TeeTriple:
         p = self.p
         n = (p - 1).bit_length()  # the depth of FSS trees over Z_p
         bool3, arith, net = self.bool3, self.arith, self.net
-        xor = bool3.xor
+        xor, add, sub = bool3.xor, arith.add, arith.sub
         K = len(plans)
         Kd = sum(plan.kind == "dcf" for plan in plans)
         Ls = [len(plan.beta_spec) for plan in plans]
-        Ld = sum(Ls[:Kd])
+        Ld, offs = sum(Ls[:Kd]), [sum(Ls[:l]) for l in range(K)]
         trees = [prg.tree(3, Ls[l], l < Kd) for l in range(K)]
-        W = 3 * prg.LAM  # seed bits per lane
+        A = prg.tree(3, 0).area  # the seed area of every three-block tree
+        B, W = prg.BLOCK, 3 * prg.LAM  # bytes per block, seed bits per lane
         lanes = (1 << K) - 1
+        # a level's DCF payload words come per (party, lane, side); the 3PC
+        # takes them per (party, side, lane)
+        order = np.array([2 * (c * Ld + offs[l]) + side * Ls[l] + k
+                          for c in (0, 1) for side in (0, 1) for l in range(Kd)
+                          for k in range(Ls[l])], dtype=np.intp)
 
         alpha = bool3.a2b([[plan.alpha[j].r for plan in plans] for j in range(3)], p)
-        blocks = [[list(r) for r in plan.roots] for plan in plans]
+        blocks = [b"".join(plan.roots[j][c] for plan in plans for j in range(3))
+                  for c in (0, 1)]
         t = [B3([0, 0, 0], K), bool3.xor_const(B3([0, 0, 0], K), lanes)]
         t1s: list[B3] = []  # party 1's control bits entering each level
         cvs: list[A3] = []  # per level: payload words (party, side) x DCF lanes
-        cw_levels: list[list[tuple]] = [[] for _ in plans]  # per lane: (s_cw, t_cw)
+        cws: list[tuple] = []  # per level: the seed and control correction words
 
-        for level in range(n):
-            a = lane_bits(alpha, n, n - 1 - level)
+        for level, a in enumerate(lane_bits(alpha, n, range(n - 1, -1, -1))):
             t1s.append(t[1])
-            # raw[c][l][j]: enclave j's expansion of its block of party c's seed
-            raw = [[[prg.g_expand(blocks[l][j][c], tree.nbytes) for j in range(3)]
-                    for l, tree in enumerate(trees)] for c in (0, 1)]
-
+            # the alpha bits and both parties' control bits across their seeds
+            aw, *tw = spread(B3.cat(a, *t), W).split(K * W, K * W, K * W)
+            # raw[c][j][l]: enclave j's expansion of its block of party c's seed
+            raw = [[[prg.g_expand(blocks[c][B * (3 * l + j):B * (3 * l + j + 1)], tree.nbytes)
+                     for l, tree in enumerate(trees)] for j in range(3)] for c in (0, 1)]
+            areas = [[b"".join([x[:A] for x in raw[c][j]]) for j in range(3)] for c in (0, 1)]
             # enclave j's shares of party c's next seeds and control bits on
-            # either side, lane l at bit W*l resp. l: read off its own
-            # expansions' seed areas
-            s_l, s_r, t_l, t_r = ([[0] * 3, [0] * 3] for _ in range(4))
-            for c in (0, 1):
-                for l, tree in enumerate(trees):
-                    for j in range(3):
-                        area = int.from_bytes(raw[c][l][j][:tree.area], "little")
-                        (sl, tl), (sr, tr) = tree.child(area, 0), tree.child(area, 1)
-                        s_l[c][j] |= sl << W * l
-                        s_r[c][j] |= sr << W * l
-                        t_l[c][j] |= tl << l
-                        t_r[c][j] |= tr << l
-            s_l, s_r = ([B3(x, K * W) for x in xs] for xs in (s_l, s_r))
-            t_l, t_r = ([B3(x, K) for x in xs] for xs in (t_l, t_r))
+            # either side, lane l at bit W l resp. l: read off its own
+            # expansions' seed areas, the (party, enclave) runs of K lanes
+            kids = prg.children(prg.tree(3, 0), b"".join(areas[0] + areas[1]))
+            s_l, s_r, t_l, t_r = (
+                [B3([x >> (3 * c + j) * w & (1 << w) - 1 for j in range(3)], w) for c in (0, 1)]
+                for x, w in zip(kids, (K * W, K * W, K, K)))
             # enclave j's additive piece of the DCF lanes' payload words, per
-            # (party, side, lane): read off its own expansion
-            pieces = [[w for c in (0, 1) for side in (0, 1) for l in range(Kd)
-                       for w in trees[l].words(raw[c][l][j], side)] for j in range(3)]
+            # (party, side, lane): read off its own expansions
+            pieces = arith.words(b"".join(raw[c][j][l][A:] for j in range(3) for c in (0, 1)
+                                          for l in range(Kd))).reshape(3, -1)[:, order]
 
             with net.round():  # seed areas resharing, payload words input
-                net.send([b"".join(raw[c][l][j][:tree.area] for c in (0, 1)
-                                   for l, tree in enumerate(trees))
-                          for j in range(3)], step=2)
+                net.send([areas[0][j] + areas[1][j] for j in range(3)], step=2)
                 cvs.append(arith.input_additive(pieces))
 
             # one AND layer: the lose-side seed XOR (lose = L iff the alpha
             # bit is set), both parties' keep-side seeds and control bits,
             # and each party's control bit times the alpha bit
             xl, xr = xor(s_l[0], s_l[1]), xor(s_r[0], s_r[1])
-            aw = spread(a, W)
             prods = bool3.and_(
                 B3.cat(aw, aw, aw, a, a, t[0], t[1]),
                 B3.cat(xor(xl, xr), xor(s_l[0], s_r[0]), xor(s_l[1], s_r[1]),
@@ -353,73 +340,70 @@ class TeeTriple:
             opened = bool3.reveal(B3.cat(s_cw, t_cw_l, t_cw_r))
             s_pub = opened & ((1 << (K * W)) - 1)
             cl, cr = (opened >> (K * W)) & lanes, opened >> (K * W + K)
-            for l in range(K):
-                cw_levels[l].append(((s_pub >> (l * W)) & ((1 << W) - 1),
-                                     ((cl >> l) & 1, (cr >> l) & 1)))
+            cws.append((s_pub, cl, cr))
 
             # next seeds: keep side, xor s_cw where the control bit is set
             # (public s_cw, so a local AND); next control bits likewise, with
             # t_cw_keep = cl ^ alpha (cl ^ cr)
-            seeds = [xor(xor(s_l[c], m_s[c]), bool3.and_const(spread(t[c], W), s_pub))
-                     for c in (0, 1)]
+            seeds = [xor(xor(s_l[c], m_s[c]), bool3.and_const(tw[c], s_pub)) for c in (0, 1)]
             t = [xor(xor(t_l[c], m_t), xor(bool3.and_const(t[c], cl),
                                            bool3.and_const(ta, cl ^ cr)))
                  for c, m_t, ta in ((0, m_t0, ta0), (1, m_t1, ta1))]
-            self._redistribute(plans, level, seeds, blocks)  # next seed blocks
+            blocks = self._redistribute(plans, level, seeds)  # next seed blocks
 
         t1s.append(t[1])
-        leaf = [[x for c in (0, 1) for l in range(K)
-                 for x in prg.block_convert(blocks[l][j][c], Ls[l], p)]
-                for j in range(3)]
-        with net.round():
-            leaf = arith.input_additive(leaf)
-            beta = arith.input_additive(self._beta_pieces(plans))
-        LT = sum(Ls)
-        cv0, cv1 = leaf[:LT], leaf[LT:]
-
+        leaf = [[x for c in (0, 1) for l in range(K) for x in prg.block_convert(
+            blocks[c][B * (3 * l + j):B * (3 * l + j + 1)], Ls[l], p)] for j in range(3)]
+        inputs = []  # the leaf and payload inputs, sent in bit2a's first round
         # arithmetic alpha bits and party-1 control bits of the DCF lanes at
         # every level, and every lane's control bit at the leaves
-        bits = arith.bit2a(B3.cat(alpha.split(Kd * n)[0],
-                                  *(tb.split(Kd)[0] for tb in t1s[:n]), t1s[n]))
-        signs = [bits[Kd * (n + i):Kd * (n + i + 1)].repeat(Ls[:Kd])
-                 for i in range(n)] + [bits[Kd * 2 * n:].repeat(Ls)]
+        bits = arith.bit2a(
+            B3.cat(alpha.split(Kd * n)[0], *(tb.split(Kd)[0] for tb in t1s[:n]), t1s[n]),
+            along=lambda: inputs.extend(map(arith.input_additive,
+                                            (leaf, self._beta_pieces(plans)))))
+        leaf, beta = inputs
+        LT = sum(Ls)
+        cv0, cv1 = leaf[:, :LT], leaf[:, LT:]
+        dcf = np.repeat(np.arange(Kd), Ls[:Kd])  # the DCF lane of each payload word
+        signs = np.hstack([bits[:, Kd * n:2 * Kd * n].reshape(3, n, Kd)[:, :, dcf].reshape(3, -1),
+                           np.repeat(bits[:, 2 * Kd * n:], Ls, axis=1)])
 
-        brackets, v_alpha = arith.const([]), arith.const([0] * Ld)
+        brackets = v_alpha = np.zeros((3, 0), dtype=np.uint64)
         if Kd:
-            a_ar = [bits[n - 1 - i:Kd * n:n].repeat(Ls[:Kd]) for i in range(n)]
-            l0, r0, l1, r1 = (A3.cat(*(cv[f * Ld:(f + 1) * Ld] for cv in cvs))
-                              for f in range(4))
+            # per (level, DCF payload word): the alpha bit, and the payload
+            # words of (party, side)
+            a_ar = bits[:, :Kd * n].reshape(3, Kd, n)[:, dcf, ::-1].swapaxes(1, 2)
+            l0, r0, l1, r1 = np.stack(cvs, axis=1).reshape(3, n, 4, Ld).transpose(2, 0, 1, 3)
             # per level and party, lose = mux(a, vL, vR) and keep = vL + vR - lose,
             # from d = a (vL - vR); and the payload term a * beta
-            dv0, dv1 = arith.sub(l0, r0), arith.sub(l1, r1)
             prods = arith.mult(
-                A3.cat(*(a_ar[i] for i in range(n) for _ in range(3))),
-                A3.cat(*(x for i in range(n) for x in (
-                    dv0[i * Ld:(i + 1) * Ld], dv1[i * Ld:(i + 1) * Ld], beta[:Ld]))))
-            d0, d1, ab = (A3.cat(*(prods[(3 * i + m) * Ld:(3 * i + m + 1) * Ld]
-                                   for i in range(n))) for m in range(3))
+                np.repeat(a_ar[:, :, None], 3, axis=2),
+                np.stack([sub(l0, r0), sub(l1, r1),
+                          np.broadcast_to(beta[:, None, :Ld], l0.shape)], axis=2))
+            d0, d1, ab = np.moveaxis(prods, 2, 0)
             # a level's bracket is (r1 + d1) - (r0 + d0) + ab less what the
             # payload still owes entering it, v_alpha; leaving it, v_alpha is
             # l0 - l1 + (d1 - d0) plus the bracket's first terms, whatever it
             # was before, so every level's comes in closed form
-            x = arith.add(arith.sub(arith.add(r1, d1), arith.add(r0, d0)), ab)
-            v_out = arith.add(arith.add(arith.sub(l0, l1), arith.sub(d1, d0)), x)
-            brackets = arith.sub(x, A3.cat(v_alpha, v_out[:(n - 1) * Ld]))
-            v_alpha = v_out[(n - 1) * Ld:]
+            x = add(sub(add(r1, d1), add(r0, d0)), ab)
+            v_out = add(add(sub(l0, l1), sub(d1, d0)), x)
+            brackets = sub(x, np.concatenate([np.zeros_like(x[:, :1]), v_out[:, :-1]],
+                                             axis=1)).reshape(3, -1)
+            v_alpha = v_out[:, -1]
         # leaf payload: what a DCF's levels left over, all of beta for a DPF
-        base = A3.cat(arith.sub(arith.sub(cv1[:Ld], cv0[:Ld]), v_alpha),
-                      arith.add(arith.sub(beta[Ld:], cv0[Ld:]), cv1[Ld:]))
-        xs = A3.cat(brackets, base)
+        base = np.hstack([sub(sub(cv1[:, :Ld], cv0[:, :Ld]), v_alpha),
+                          add(sub(beta[:, Ld:], cv0[:, Ld:]), cv1[:, Ld:])])
+        xs = np.hstack([brackets, base])
         # every correction word is its term times (-1)^t1
-        words = arith.reveal(arith.sub(xs, arith.scale(
-            arith.mult(A3.cat(*signs), xs), 2)))
+        words = arith.reveal(sub(xs, arith.scale(arith.mult(signs, xs), 2)))
 
-        offs = [sum(Ls[:l]) for l in range(K)]
         for l, plan in enumerate(plans):
             at = range(offs[l], offs[l] + Ls[l])
+            levels = [(s >> l * W & (1 << W) - 1, (cl >> l & 1, cr >> l & 1))
+                      for s, cl, cr in cws]
             plan.key = make_key(
                 self.server, p, b"".join(r[self.server] for r in plan.roots),
-                cw_levels[l], [words[n * Ld + k] for k in at],
+                levels, [words[n * Ld + k] for k in at],
                 [words[i * Ld + k] for i in range(n) for k in at] if l < Kd else None)
         self.violations = self.check_view_discipline()
         self.views = {0: [], 1: [], 2: []}

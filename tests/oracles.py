@@ -20,6 +20,13 @@ from pairml.params import ProtocolParams
 from pairml.ring import RingPoly, RnsContext, ntt_context
 
 
+def block_words(tree: prg.Tree, raw: bytes, side: int) -> list[int]:
+    """One block expansion's payload words of one side, unreduced."""
+    start = tree.area + prg.WORD * tree.L * side
+    return [int.from_bytes(raw[i:i + prg.WORD], "little")
+            for i in range(start, start + prg.WORD * tree.L, prg.WORD)]
+
+
 def tree_gen(p: int, alpha: int, beta: list[int], rng, cmp: bool,
              domain_bits: int | None = None, blocks: int = 3):
     """Key pair for beta * [x < alpha] (cmp) or beta * [x == alpha] over an
@@ -48,8 +55,8 @@ def tree_gen(p: int, alpha: int, beta: list[int], rng, cmp: bool,
             for j in range(blocks):
                 raw = prg.g_expand(seeds[c][j * B:(j + 1) * B], tree.nbytes)
                 areas[c] ^= int.from_bytes(raw[:tree.area], "little")
-                words[c] = [a + w for a, w in
-                            zip(words[c], tree.words(raw, 0) + tree.words(raw, 1))]
+                words[c] = [a + w for a, w in zip(
+                    words[c], block_words(tree, raw, 0) + block_words(tree, raw, 1))]
         d = areas[0] ^ areas[1]
         (sl, tl), (sr, tr) = tree.child(d, 0), tree.child(d, 1)
         s_cw, t_cw = (sl if bit else sr), (tl ^ bit ^ 1, tr ^ bit)

@@ -82,7 +82,8 @@ def test_block_convert_sums_match():
             acc, leaf = [0] * (2 * L), [0] * L
             for blk in _blocks(seed):
                 raw = prg.g_expand(blk, tree.nbytes)
-                acc = [a + w for a, w in zip(acc, tree.words(raw, 0) + tree.words(raw, 1))]
+                acc = [a + w for a, w in zip(acc, oracles.block_words(tree, raw, 0)
+                                             + oracles.block_words(tree, raw, 1))]
                 leaf = [a + w for a, w in zip(leaf, prg.block_convert(blk, L, p))]
             assert _sums(tree, x) == acc
             assert [tree.unpack(tree.add((0, 0), x, side))
@@ -109,8 +110,29 @@ def test_one_block_node_is_one_pass_of_g():
             raw = prg.g_expand(blk, tree.nbytes)
             assert x == int.from_bytes(raw, "little")
             assert area == int.from_bytes(raw[:tree.area], "little")
-            assert _sums(tree, x) == tree.words(raw, 0) + tree.words(raw, 1)
+            assert _sums(tree, x) == (oracles.block_words(tree, raw, 0)
+                                      + oracles.block_words(tree, raw, 1))
             assert [w % p for w in leaf] == prg.block_convert(blk, L, p)
+
+
+def test_children_read_every_lane_of_a_run_of_seed_areas():
+    # the 3PC reads all lanes' seeds and control bits at once: lane l's
+    # seed at bit seed_bits * l and its control bit at bit l, each side as
+    # one int, as `Tree.child` reads them from one area
+    rng = random.Random(29)
+    for blocks in (1, 3):
+        tree = prg.tree(blocks, 2)
+        for lanes in (0, 1, 2, 9):
+            areas = [rng.getrandbits(8 * tree.area) for _ in range(lanes)]
+            want = [0, 0, 0, 0]
+            for l, area in enumerate(areas):
+                for side in (0, 1):
+                    s, t = tree.child(area, side)
+                    want[side] |= s << tree.seed_bits * l
+                    want[2 + side] |= t << l
+            got = prg.children(tree, b"".join(a.to_bytes(tree.area, "little")
+                                              for a in areas))
+            assert list(got) == want
 
 
 def test_gen_level_is_two_node_expansions():

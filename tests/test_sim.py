@@ -150,19 +150,24 @@ def test_an_output_share_of_the_wrong_length_fails_the_run(monkeypatch):
     assert "server 0 sent 10 output shares, server 1 sent 11" in str(err)
 
 
-@pytest.mark.parametrize("sender, kind, phase, word, message", [
-    ("peer", KIND_MASKED_REVEAL, PHASE_ONLINE, lambda buf: 0, "the peer's reveal"),
-    ("peer", KIND_MASKED_REVEAL, PHASE_LOAD, lambda buf: 8, "the peer's F of job 0"),
-    ("owner", KIND_SHARE_DELIVERY, PHASE_ONLINE, lambda buf: 0, "the owner's input shares"),
+@pytest.mark.parametrize("sender, kind, phase, word, receiver, message", [
+    ("peer", KIND_MASKED_REVEAL, PHASE_ONLINE, lambda buf: 0, "server0", "the peer's reveal"),
+    ("peer", KIND_MASKED_REVEAL, PHASE_LOAD, lambda buf: 8, "server0",
+     "the peer's F of job 0"),
+    ("owner", KIND_SHARE_DELIVERY, PHASE_ONLINE, lambda buf: 0, "server0",
+     "the owner's input shares"),
     ("owner", KIND_SHARE_DELIVERY, PHASE_LOAD, lambda buf: buf.index(b"WTS1") + 12,
-     "the owner's weight shares of layer 0"),
-], ids=["reveal", "F", "input", "weights"])
+     "server0", "the owner's weight shares of layer 0"),
+    ("server", KIND_SHARE_DELIVERY, PHASE_ONLINE, lambda buf: 0, "owner",
+     "server 1's output vector"),
+], ids=["reveal", "F", "input", "weights", "output"])
 def test_a_received_value_not_below_p_fails_the_run(monkeypatch, sender, kind, phase,
-                                                    word, message):
-    # the first value of the message server 0 receives is p: the server
-    # rejects it rather than reduce it, naming the message
+                                                    word, receiver, message):
+    # the first value of the message the receiver gets is p: it rejects the
+    # value rather than reduce it, naming the message
     def patch(sim):
-        chan = sim.roles[1].peer if sender == "peer" else sim.owner_chans[0]
+        chan = {"peer": sim.roles[1].peer, "owner": sim.owner_chans[0],
+                "server": sim.roles[1].owner}[sender]
         send = chan.send
 
         def bad_send(k, ph, payload):
@@ -174,7 +179,7 @@ def test_a_received_value_not_below_p_fails_the_run(monkeypatch, sender, kind, p
         monkeypatch.setattr(chan, "send", bad_send)
 
     err = _failed_run("mfnn", patch)
-    assert (err.party, err.phase) == ("server0", phase)
+    assert (err.party, err.phase) == (receiver, phase)
     assert f"{message} holds a value not below p" in str(err)
 
 

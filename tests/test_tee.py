@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from pairml import prg
@@ -9,8 +10,9 @@ from oracles import dcf_eval_all, dpf_eval_all, run_pair, tree_gen
 from pairml.fss import DpfKey
 from pairml.gadgets import (plain_argmax, plain_max, plain_max2, plain_relu,
                             serialize_material, tanh_table)
-from pairml.params import ProtocolParams
-from pairml.shares3 import B3, TriadNet
+from pairml.params import ProtocolParams, is_prime
+from pairml.prg import PrfStream
+from pairml.shares3 import B3, Arith3Engine, TriadNet, lane_bits, spread
 from pairml.tee import (
     CounterOverflowError,
     SeedBundle,
@@ -19,6 +21,7 @@ from pairml.tee import (
     build_single_tee,
     build_tee_triple,
 )
+from pairml.transport import Channel
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +163,62 @@ def test_bit2a(small_params):
             s.append(bit ^ s[0] ^ s[1])
             got = t0.arith.reveal(t0.arith.bit2a(B3(s, 1)))
             assert got == [bit]
+
+
+def test_lane_helpers_match_their_loops():
+    # the numpy bit passes of lane_bits and spread against the per-lane
+    # loops they replaced, on every share
+    rng = random.Random(5)
+    for lanes, stride in ((0, 3), (1, 30), (7, 32), (43, 30)):
+        x = B3([rng.getrandbits(lanes * stride) for _ in range(3)], lanes * stride)
+        for k in (0, stride // 2, stride - 1):
+            got = lane_bits(x, stride, [k])[0]
+            assert got.width == lanes and got.shares == [
+                sum((s >> (l * stride + k) & 1) << l for l in range(lanes)) for s in x.shares]
+        got = spread(x, stride)
+        assert got.width == x.width * stride and got.shares == [
+            sum(((1 << stride) - 1) << (l * stride) for l in range(x.width) if s >> l & 1)
+            for s in x.shares]
+
+
+P61 = (1 << 61) - (1 << 21) + 1  # a 61-bit prime, 1 mod 2^21
+
+
+@pytest.mark.parametrize("p", [ProtocolParams.testing().p, ProtocolParams.production().p,
+                               P61], ids=["testing", "production", "61-bit"])
+def test_arith3_engine_is_exact_mod_p(small_params, p):
+    # every operation on uint64 share arrays reconstructs to what Python
+    # ints give mod p, at the extremes 0 and p - 1 too, and every share
+    # stays below p
+    assert is_prime(p) and p.bit_length() <= 61
+    t0, _, _ = _triples(small_params)
+    eng = Arith3Engine(t0.net, [PrfStream(bytes([j]) * 32, tag=b"zero3a")
+                                for j in range(3)], p)
+    rng = random.Random(p)
+    xs = [0, 0, 1, p - 1, p - 1, p - 2] + [rng.randrange(p) for _ in range(10)]
+    ys = [0, p - 1, p - 1, 0, p - 1, p - 1] + [rng.randrange(p) for _ in range(10)]
+
+    def share(vals):
+        s0, s1 = ([rng.randrange(p) for _ in vals] for _ in range(2))
+        return np.array([s0, s1, [(v - a - b) % p for v, a, b in zip(vals, s0, s1)]],
+                        dtype=np.uint64)
+
+    def opened(x):
+        assert x.dtype == np.uint64 and (x < p).all()
+        return [sum(int(v) for v in col) % p for col in x.T]
+
+    a, b = share(xs), share(ys)
+    assert opened(eng.add(a, b)) == [(x + y) % p for x, y in zip(xs, ys)]
+    assert opened(eng.sub(a, b)) == [(x - y) % p for x, y in zip(xs, ys)]
+    for c in (2, p - 1, rng.randrange(p)):
+        assert opened(eng.scale(a, c)) == [x * c % p for x in xs]
+    assert opened(eng.mult(a, b)) == [x * y % p for x, y in zip(xs, ys)]
+    assert eng.reveal(a) == xs
+    assert opened(eng._zeros((20,))) == [0] * 20
+    bits = [rng.randrange(2) for _ in range(40)]
+    s = [rng.getrandbits(40), rng.getrandbits(40)]
+    shared = B3(s + [s[0] ^ s[1] ^ sum(v << i for i, v in enumerate(bits))], 40)
+    assert opened(eng.bit2a(shared)) == bits
 
 
 # -- single-TEE key generation --------------------------------------------------------
@@ -343,6 +402,22 @@ def test_dist_keygen_enclave_comm_budget(small_params):
     assert enclave_bytes <= budget, (enclave_bytes, budget)
 
 
+@pytest.mark.parametrize("kind, passes", [("dcf", 57), ("dpf", 56)])
+def test_bit2a_starts_in_the_leaf_input_round(small_params, kind, passes):
+    # a one-key batch at n = 10 levels: 12 ring passes of the a2b, 4 per
+    # level, then the final rounds: the leaf and payload input with bit2a's
+    # first multiply, its second, the muxes (DCF only), the signs and the
+    # reveal; 3 messages a pass.  meter.rounds counts direction flips, not
+    # passes, and every final round but the reveal goes the same way, so a
+    # final round more or less leaves it at 63.
+    t0, _, _ = _triples(small_params, seed=38)
+    t0.dist_tree_gen(kind, [_FakePiece(3), _FakePiece(9), _FakePiece(20)],
+                     [("const", 1)])
+    meters = [c.meter for c in t0.net.channels.values()]
+    assert sum(m.msgs_sent for m in meters) == 3 * passes
+    assert sum(m.rounds for m in meters) == 63
+
+
 def test_dist_dcf_payload_blocks_stay_in_their_enclave(small_params):
     # A payload word's additive share comes from its enclave's own block
     # expansion, so no payload block crosses an enclave boundary and only
@@ -444,6 +519,57 @@ def test_single_tee_production_materials_are_pinned(kind, k, seed):
     assert tuple(got) == PINNED_SINGLE_PROD[(kind, k, seed)]
 
 
+# the batched materials' digests at production(), whose 52-bit p is where a
+# 3PC product that is not exact in uint64 would first show (recorded before
+# the arithmetic sharings became numpy arrays)
+PINNED_PROD = {
+    ("relu", 1, 81): ("2ee77973b84765184c0383836654d4c4",
+                      "06ac952459a9b442e8c8b95ca5cc3f61"),
+    ("tanh", 1, 82): ("4c1603937a3cd6d13c996f121c24c2cd",
+                      "dce1232ffdfb21d21b2a464f006c44b3"),
+    ("max2", 1, 83): ("74d9ad3e05768b8e3acaa98803ab07b7",
+                      "bf82c993fb5acf869abefae65c1cd2ad"),
+    ("maxpool", 4, 84): ("f1fce7a86dd131508870810eba5be7df",
+                         "200abfbd98a9c818168c74b1b17c5f59"),
+    ("argmax", 10, 85): ("013c8e2cb5c1d65b57e3174d9a6894bf",
+                         "d67a575673e2ad8ef8fea44f9a6e4dda"),
+}
+
+
+@pytest.mark.parametrize("kind, k, seed", list(PINNED_PROD))
+def test_batched_production_materials_are_pinned(kind, k, seed):
+    params = ProtocolParams.production()
+    table = tanh_table(params.fp_scale, params.p) if kind == "tanh" else None
+    got = []
+    for server in (0, 1):
+        tee, _ = build_tee_triple(server, params, _bundle(seed))
+        mat = tee.gadget_material(kind, k=k, table=table)
+        assert tee.check_view_discipline() == []
+        got.append(hashlib.sha256(serialize_material(mat)).hexdigest()[:32])
+    assert tuple(got) == PINNED_PROD[(kind, k, seed)]
+
+
+def test_enclave_byte_streams_are_pinned(monkeypatch):
+    # what each enclave sends each other enclave, as one byte stream per
+    # channel: a change may merge messages of one round, but not change a
+    # byte (recorded before the arithmetic sharings became numpy arrays)
+    streams = {}
+    send = Channel.send
+
+    def spy(self, kind, phase, payload):
+        streams.setdefault(self.name, hashlib.sha256()).update(payload)
+        send(self, kind, phase, payload)
+
+    monkeypatch.setattr(Channel, "send", spy)
+    for params, kind, k in ((ProtocolParams.testing(), "tanh", 1),
+                            (ProtocolParams.production(), "argmax", 4)):
+        table = tanh_table(params.fp_scale, params.p) if kind == "tanh" else None
+        tee, _ = build_tee_triple(1, params, _bundle(39))
+        tee.gadget_material(kind, k=k, table=table)
+    digest = hashlib.sha256(b"".join(streams[name].digest() for name in sorted(streams)))
+    assert digest.hexdigest()[:32] == "7d37e9aa38dfe0603b86a3a664898507"
+
+
 def _keys(mat):
     """Every FSS key a material holds, its sub-materials' included."""
     if isinstance(mat, DpfKey):
@@ -543,6 +669,15 @@ def test_batched_maxpool_material(testing_params):
         assert (s0.output[0] + s1.output[0]) % p == plain_max(vals, p)
 
 
+def test_a_batch_of_no_keys(testing_params):
+    # a maxpool over one input holds no key, so its batch runs no lane;
+    # each of its 138 ring passes then carries empty sharings
+    t0, _ = build_tee_triple(0, testing_params, _bundle(46))
+    mat = t0.gadget_material("maxpool", k=1)
+    assert _keys(mat) == [] and t0.check_view_discipline() == []
+    assert sum(c.meter.msgs_sent for c in t0.net.channels.values()) == 3 * 138
+
+
 def test_batched_argmax_material(testing_params):
     p = testing_params.p
     m0, m1 = _batched_pair(testing_params, "argmax", k=8, seed=55)
@@ -579,8 +714,8 @@ def test_view_ledger_does_not_grow(small_params):
     assert held == [0, 0, 0]
     assert t0.check_view_discipline() == []
     seed = (("kg", -1), "root")
-    t0._see(1, ("block", seed, 0, 1))
-    t0._see(1, ("block", seed, 0, 2))
+    t0._see(1, [seed], 0, 1)
+    t0._see(1, [seed], 0, 2)
     t0.gadget_material("relu")
     assert sum(len(tags) for tags in t0.views.values()) == 0
     assert t0.check_view_discipline() == [
