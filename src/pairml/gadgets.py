@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .codec import Reader, Writer
 from .fss import DcfKey, DpfKey, dcf_eval, dcf_eval_many, dcf_gen, dpf_eval, dpf_gen
@@ -204,6 +205,7 @@ class WireMaterial:
 
 @dataclass
 class Max2Material:
+    kind: ClassVar[str] = "max2"
     party: int
     p: int
     relu_xy: WireMaterial
@@ -225,6 +227,7 @@ class Max2Material:
 
 @dataclass
 class MaxPoolMaterial:
+    kind: ClassVar[str] = "maxpool"
     party: int
     p: int
     k: int
@@ -236,6 +239,7 @@ class MaxPoolMaterial:
 
 @dataclass
 class ArgmaxMaterial:
+    kind: ClassVar[str] = "argmax"
     party: int
     p: int
     k: int

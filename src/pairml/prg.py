@@ -21,24 +21,23 @@ likewise, as a block-wise sum.  So each enclave gets an XOR share of the
 seed area and an additive share of every payload word from one local PRG
 call, and revealing any two blocks leaves a full LAM bits of seed entropy.
 
-`Tree` holds the layout for one block count and payload length, and the
-node kernels that every tree walk and key generator runs.  A node's
-expansions are read into ints once.  In a walk, its payload words are summed
-one side at a time, only for a child that needs them, and stay unreduced and
-packed: the even words of a side in one int and the odd words in another,
-each word in a 256-bit lane, so a sum's carries stay in its lane.  A walk
-reduces each payload word once, at its leaf.
+Every pass of g hashes from `NODE` and every leaf conversion from `LEAF`,
+SHAKE-128 states that have absorbed their tag once: `copy()`,
+`update(block)` and `digest(n)` give the bytes of shake_128(tag + block).
+The enclaves' 3PC in `tee` expands one block at a time with `g_expand` and
+`block_convert`, and reads a level's seed areas, every lane's at once, with
+`children`.  Every other node is expanded inline by one of two loops in
+`fss`, the host's walk `_walk` and the single enclave's one-block key
+generator `_tree_gen`, which add their PRG work to `calls` and
+`bytes_expanded` once per walk or key pair.
 
-The one key generator here, the single enclave's, makes one-block keys
-only.  It runs a level, the two parties' nodes on the path, as one fused
-call, `gen_level`: it expands both seeds, and one XOR of the two expansions
-gives the level's seed and control correction words and both parties' next
-seeds and control bits; the expansions carry the payload words, unreduced,
-where `Tree.at` says.  Three-block keys come only from the enclaves' 3PC in
-`tee`, which runs `g_expand` and `block_convert` one block at a time and
-reads a level's seed areas, every lane's at once, with `children`.  A
-plain reference generator for any block count and domain, written from
-those per-block primitives, lives with the tests (`tests/oracles.py`).
+`Tree` is the layout those loops read, and the leaf conversion.  A node is
+read into one int x: the pass of g for a one-block seed; for a three-block
+seed, the passes' XOR on the seed area and, above it, the block-wise sums
+of the payload words, each with room for its carries.  A walk keeps its
+payload sums unreduced and packed, and reduces each word once, at its leaf.
+A plain reference generator and walker, written from the per-block
+primitives, live with the tests (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -54,9 +53,9 @@ WORD = 16  # bytes per payload word, before its reduction mod p
 _LANE = 16 * WORD  # bits per lane of a packed sum: a word and room for carries
 _LANE_MASK = (1 << _LANE) - 1
 
-_G_TAG = b"pairml.prg.node.v2:"
-_CV_TAG = b"pairml.prg.leaf.v2:"
-_shake = hashlib.shake_128
+# the states of g and of the leaf converter, each with its tag absorbed
+NODE = hashlib.shake_128(b"pairml.prg.node.v2:")
+LEAF = hashlib.shake_128(b"pairml.prg.leaf.v2:")
 
 # global expansion counters so tests can assert PRG-call budgets
 calls = 0
@@ -68,7 +67,9 @@ def g_expand(block: bytes, out_len: int) -> bytes:
     global calls, bytes_expanded
     calls += 1
     bytes_expanded += out_len
-    return _shake(_G_TAG + block).digest(out_len)
+    h = NODE.copy()
+    h.update(block)
+    return h.digest(out_len)
 
 
 def block_convert(block: bytes, payload_len: int, p: int) -> list[int]:
@@ -76,56 +77,34 @@ def block_convert(block: bytes, payload_len: int, p: int) -> list[int]:
     global calls, bytes_expanded
     calls += 1
     bytes_expanded += WORD * payload_len
-    raw = _shake(_CV_TAG + block).digest(WORD * payload_len)
+    h = LEAF.copy()
+    h.update(block)
+    raw = h.digest(WORD * payload_len)
     return [int.from_bytes(raw[i:i + WORD], "little") % p
             for i in range(0, WORD * payload_len, WORD)]
 
 
-def _expand1(tag: bytes, seed: int, n: int) -> int:
-    """n bytes from a one-block seed, as an int."""
-    global calls, bytes_expanded
-    calls += 1
-    bytes_expanded += n
-    return int.from_bytes(_shake(tag + seed.to_bytes(BLOCK, "little")).digest(n),
-                          "little")
-
-
-def _expand3(tag: bytes, seed: int, n: int) -> tuple[int, int, int]:
-    """n bytes from each of the three blocks of a seed, as ints."""
-    global calls, bytes_expanded
-    calls += 3
-    bytes_expanded += 3 * n
-    s = seed.to_bytes(3 * BLOCK, "little")
-    return (int.from_bytes(_shake(tag + s[:BLOCK]).digest(n), "little"),
-            int.from_bytes(_shake(tag + s[BLOCK:2 * BLOCK]).digest(n), "little"),
-            int.from_bytes(_shake(tag + s[2 * BLOCK:]).digest(n), "little"))
-
-
-def _spread(count: int, first: int) -> int:
-    """A mask over words first, first + 2, ... of `count` packed words: the
-    words it keeps sit in 256-bit lanes."""
-    return sum(((1 << 8 * WORD) - 1) << 8 * WORD * k for k in range(first, count, 2))
-
-
-_LEAF = 2  # the part `Tree.add` sums besides side 0 and side 1
 # per control bit: a flags byte to the ASCII digit of that bit
 _FLAG_BIT = [bytes(ord("0") + (f >> i & 1) for f in range(256)) for i in (0, 1)]
 
 
 class Tree:
-    """Node and leaf layout of a tree with seeds of `blocks` blocks,
-    one or three, and L payload words per leaf and, unless `node_words` is
-    off (a DPF), per node side.
+    """The layout of a tree with seeds of `blocks` blocks, one or three,
+    and L payload words per leaf and, unless `node_words` is off (a DPF),
+    per node side.
 
-    `expand` gives a node's seed area and its expansion x: one int for a
-    one-block seed, the three block expansions for a three-block seed.
-    `add` and `leaf` read payload words off such an x; each block count's
-    kernel is bound once, here.  `gen_level` is one level of key generation
-    on one-block seeds, the only seeds one party generates.
+    In a node's x, side s's seed sits at bit s * seed_bits and its control
+    bit at bit 2 * seed_bits + s.  A three-block x is the passes' XOR under
+    `area_mask`, plus (x0 & even) + (x1 & even) + (x2 & even) and the same
+    sum of the odd words shifted up by `odd_shift`.  `parts[s]` moves side
+    s's even and odd words from x to lane 0 of a packed sum, and `parts[2]`
+    a leaf conversion's; `at[b][k]` is the place in a one-block x of word k
+    of the lose side and of the keep side when the path bit is b.
 
     A packed sum is a pair (even words, odd words) of ints, word 2m (resp.
-    2m + 1) in lane m; `pack` converts runs of L words to packed sums, and
-    `unpack` one packed sum back to L words.
+    2m + 1) in 256-bit lane m, so a sum's carries stay in its lane; `pack`
+    converts runs of L words to packed sums, and `unpack` one packed sum
+    back to L words.
     """
 
     def __init__(self, blocks: int, L: int, node_words: bool = True):
@@ -133,92 +112,54 @@ class Tree:
             raise ValueError(f"a tree seed is 1 or 3 blocks, not {blocks}")
         self.L = L
         self.seed_bits = blocks * LAM
+        self.seed_mask = (1 << self.seed_bits) - 1
         # a node: sL | sR | flags byte (bit0 = tL, bit1 = tR), the seed area;
         # then L payload words of the left side and L of the right
         self.area = 2 * blocks * BLOCK + 1
         self.nbytes = self.area + (2 * WORD * L if node_words else 0)
-        self._area_mask = (1 << 8 * self.area) - 1
-        self._seed_mask = (1 << self.seed_bits) - 1
-        # per part: the masks of its even and odd words, and the shifts that
-        # bring both down to lane 0
-        base = 8 * self.area
-        self._parts = [
-            (_spread(count, 0) << at, at, _spread(count, 1) << at, at + 8 * WORD)
-            for count, at in ((L, base), (L, base + 8 * WORD * L), (L, 0))]
-        if blocks == 1:
-            self.expand, self.add, self._draw = self._node1, self._add1, _expand1
-            # an expansion holds side s's word k at bit base + 8 WORD (s L + k);
-            # at[b][k] is word k's (lose, keep) places when the path bit is b
-            self.at = [[(base + 8 * WORD * ((1 - b) * L + k),
-                         base + 8 * WORD * (b * L + k)) for k in range(L)] for b in (0, 1)]
-        else:
-            self.expand, self.add, self._draw = self._node3, self._add3, _expand3
-
-    def _node1(self, seed: int) -> tuple[int, int]:
-        """One node expansion: its seed area, and the one pass of g."""
-        x = _expand1(_G_TAG, seed, self.nbytes)
-        return x & self._area_mask, x
-
-    def _node3(self, seed: int) -> tuple[int, tuple[int, int, int]]:
-        """One node expansion: its seed area, the XOR of the three block
-        expansions there, and the three block expansions."""
-        x0, x1, x2 = x = _expand3(_G_TAG, seed, self.nbytes)
-        return (x0 ^ x1 ^ x2) & self._area_mask, x
-
-    def _add1(self, acc: tuple[int, int], x: int, side: int) -> tuple[int, int]:
-        """acc plus one side's payload words of a one-block expansion."""
-        em, es, om, os = self._parts[side]
-        return acc[0] + ((x & em) >> es), acc[1] + ((x & om) >> os)
-
-    def _add3(self, acc: tuple[int, int], x: tuple[int, int, int],
-              side: int) -> tuple[int, int]:
-        """acc plus the block-wise sums of one side's payload words, from a
-        node's three block expansions."""
-        x0, x1, x2 = x
-        em, es, om, os = self._parts[side]
-        return (acc[0] + (((x0 & em) + (x1 & em) + (x2 & em)) >> es),
-                acc[1] + (((x0 & om) + (x1 & om) + (x2 & om)) >> os))
-
-    def gen_level(self, s0: int, t0: int, s1: int, t1: int, bit: int) -> tuple:
-        """One key generation level on one-block seeds, path side `bit`: both
-        parties' next seeds and control bits, then the seed and control
-        correction words, from one XOR of the expansions; then x0, x1."""
-        x0 = _expand1(_G_TAG, s0, self.nbytes)
-        x1 = _expand1(_G_TAG, s1, self.nbytes)
-        W, m, d = self.seed_bits, self._seed_mask, x0 ^ x1
-        s_cw = (d >> (1 - bit) * W) & m  # the lose side's seeds' XOR
-        t_cw = ((d >> 2 * W) & 1 ^ bit ^ 1, (d >> 2 * W + 1) & 1 ^ bit)
-        sh, tk, tc = bit * W, 2 * W + bit, t_cw[bit]
-        return ((x0 >> sh) & m ^ (s_cw if t0 else 0), (x0 >> tk) & 1 ^ (tc & t0),
-                (x1 >> sh) & m ^ (s_cw if t1 else 0), (x1 >> tk) & 1 ^ (tc & t1),
-                s_cw, t_cw, x0, x1)
-
-    def child(self, area: int, side: int) -> tuple[int, int]:
-        """The seed and control bit of one side of a seed area."""
-        W = self.seed_bits
-        return (area >> side * W) & self._seed_mask, (area >> 2 * W + side) & 1
-
-    def cw_area(self, cw: int) -> int:
-        """A level's correction word, s_cw | (tL | tR << 1) << seed_bits,
-        laid out as a seed area: XORed into a node's seed area, it corrects
-        both children."""
-        return cw & self._seed_mask | cw << self.seed_bits
+        self.area_mask = (1 << 8 * self.area) - 1
+        base, w = 8 * self.area, 8 * WORD
+        self.even = _mask(w, range(base, base + 2 * w * L, 2 * w))
+        self.odd = self.even << w
+        self.odd_shift = 2 * w * L
+        # the place in x of payload word k (side k // L), and the bits that
+        # hold its sum
+        S, width = (0, w) if blocks == 1 else (self.odd_shift, _LANE)
+        at = [base + w * k + (S if k & 1 else 0) for k in range(2 * L + 2)]
+        self.parts = [(_mask(width, at[s * L:s * L + L:2]), at[s * L],
+                       _mask(width, at[s * L + 1:s * L + L:2]), at[s * L + 1]) for s in (0, 1)]
+        self.parts.append((_mask(w, range(0, w * L, 2 * w)), 0,
+                           _mask(w, range(w, w * L, 2 * w)), w))
+        self.at = [[(at[(1 - b) * L + k], at[b * L + k]) for k in range(L)] for b in (0, 1)]
 
     def leaf(self, seed: int, acc: tuple[int, int]) -> tuple[int, int]:
-        """acc plus a leaf's payload: its leaf conversion, block-wise summed
-        for a three-block seed."""
-        return self.add(acc, self._draw(_CV_TAG, seed, WORD * self.L), _LEAF)
+        """acc plus a leaf's payload words, unreduced: its leaf conversion,
+        block-wise summed for a three-block seed; its caller counts it."""
+        em, _, om, os = self.parts[2]
+        y, (a0, a1) = seed.to_bytes(self.seed_bits // 8, "little"), acc
+        for j in range(0, len(y), BLOCK):
+            h = LEAF.copy()
+            h.update(y[j:j + BLOCK])
+            x = int.from_bytes(h.digest(WORD * self.L), "little")
+            a0, a1 = a0 + (x & em), a1 + ((x & om) >> os)
+        return a0, a1
 
     def pack(self, words: list[int], rows: int) -> list[tuple[int, int]]:
         """The packed sums of `rows` runs of L words, laid end to end in `words`."""
-        halves = [[0] * rows, [0] * rows]
-        for k in range(self.L - 1, -1, -1):
-            halves[k & 1] = [acc << _LANE | w
-                             for acc, w in zip(halves[k & 1], words[k::self.L])]
+        L, halves = self.L, [[0] * rows, [0] * rows]
+        for k in range(L - 1, -1, -1):  # the top word of each half starts it
+            col = words[k::L]
+            halves[k & 1] = col if k >= L - 2 else [
+                acc << _LANE | w for acc, w in zip(halves[k & 1], col)]
         return list(zip(*halves))
 
     def unpack(self, acc: tuple[int, int]) -> list[int]:
         return [(acc[k & 1] >> _LANE * (k >> 1)) & _LANE_MASK for k in range(self.L)]
+
+
+def _mask(width: int, places) -> int:
+    """A mask of `width` bits from each of `places`."""
+    return sum(((1 << width) - 1) << at for at in places)
 
 
 def children(tree: Tree, areas: bytes) -> tuple[int, int, int, int]:

@@ -118,11 +118,17 @@ class TeeParty:
         return GenRandPiece(r=r, sh0=sh0, sh1=(r - sh0) % p)
 
 
-def _deliver(mat, to_host: Channel, host_end: Channel, table: SplineTable | None):
-    """Pass an enclave's material to its host as a blob; the host re-attaches
-    the public spline table, which the blob leaves out."""
+def _deliver(mat, to_host: Channel, host_end: Channel, kind: str, k: int,
+             table: SplineTable | None):
+    """Pass an enclave's material to its host as a blob; the host checks it
+    against its request and re-attaches the public spline table, which the
+    blob leaves out."""
     to_host.send(KIND_TEE_MATERIAL, PHASE_PREPROCESS, serialize_material(mat))
     mat = deserialize_material(host_end.recv().payload)
+    want = f"{kind} (k={k})" if kind in ("maxpool", "argmax") else kind
+    got = f"{mat.kind} (k={mat.k})" if hasattr(mat, "k") else mat.kind
+    if got != want:
+        raise ValueError(f"asked the enclave for a {want} material, got a {got} one")
     if table is not None:
         mat.table = table
     return mat
@@ -143,7 +149,7 @@ class SingleTee:
                         table: SplineTable | None = None):
         """Build the key pair deterministically; deliver this server's half."""
         build = recipe(kind, self.source, k, table)
-        return _deliver(build(self.server), self.to_host, self.host_end, table)
+        return _deliver(build(self.server), self.to_host, self.host_end, kind, k, table)
 
 
 @dataclass
@@ -427,8 +433,9 @@ class TeeTriple:
         then assemble and deliver it."""
         batch = _Batch(self)
         build = recipe(kind, batch, k, table)
-        self._gen_keys(batch.plans)
-        return _deliver(build(self.server), self.to_host, self.host_end, table)
+        if batch.plans:  # a batch of no keys runs no 3PC
+            self._gen_keys(batch.plans)
+        return _deliver(build(self.server), self.to_host, self.host_end, kind, k, table)
 
 
 def build_single_tee(server: int, params: ProtocolParams, bundle: SeedBundle):

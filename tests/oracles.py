@@ -1,9 +1,10 @@
 """Oracles that only tests use: a plain FSS key generator for any block
-count and domain, full-domain FSS tables, a reset of the PRG expansion
-counters, both parties' sessions run in one process, the uniform spline
-tables that the fitted ones replaced, the slots of a mod-p poly, the
-schoolbook negacyclic product, a direct convolution, the HSS Mult noise bound, the measured noise of an LPR
-ciphertext and seeded mutations of an encoding."""
+count and domain, a plain walker of one point, full-domain FSS tables, a
+reset of the PRG expansion counters, both parties' sessions run in one
+process, the uniform spline tables that the fitted ones replaced, the slots
+of a mod-p poly, the schoolbook negacyclic product, a direct convolution,
+the HSS Mult noise bound, the measured noise of an LPR ciphertext and
+seeded mutations of an encoding."""
 
 import math
 import random
@@ -25,6 +26,12 @@ def block_words(tree: prg.Tree, raw: bytes, side: int) -> list[int]:
     start = tree.area + prg.WORD * tree.L * side
     return [int.from_bytes(raw[i:i + prg.WORD], "little")
             for i in range(start, start + prg.WORD * tree.L, prg.WORD)]
+
+
+def child(tree: prg.Tree, area: int, side: int) -> tuple[int, int]:
+    """The seed and control bit of one side of a seed area."""
+    W = tree.seed_bits
+    return (area >> side * W) & (1 << W) - 1, (area >> 2 * W + side) & 1
 
 
 def tree_gen(p: int, alpha: int, beta: list[int], rng, cmp: bool,
@@ -58,11 +65,11 @@ def tree_gen(p: int, alpha: int, beta: list[int], rng, cmp: bool,
                 words[c] = [a + w for a, w in zip(
                     words[c], block_words(tree, raw, 0) + block_words(tree, raw, 1))]
         d = areas[0] ^ areas[1]
-        (sl, tl), (sr, tr) = tree.child(d, 0), tree.child(d, 1)
+        (sl, tl), (sr, tr) = child(tree, d, 0), child(tree, d, 1)
         s_cw, t_cw = (sl if bit else sr), (tl ^ bit ^ 1, tr ^ bit)
         levels.append((s_cw, t_cw))
         for c in (0, 1):  # the keep child, corrected where the control bit is set
-            s, t = tree.child(areas[c], bit)
+            s, t = child(tree, areas[c], bit)
             seeds[c] = (s ^ (s_cw if ts[c] else 0)).to_bytes(blocks * B, "little")
             ts[c] = t ^ (t_cw[bit] & ts[c])
         if cmp:  # u: the lose side's difference, plus beta left of alpha
@@ -77,6 +84,38 @@ def tree_gen(p: int, alpha: int, beta: list[int], rng, cmp: bool,
     final_cw = [sign * (b1 - b0 - va) % p for b1, b0, va in zip(c1, c0, v_alpha)]
     return tuple(make_key(b, p, roots[b], levels, final_cw, v_cws if cmp else None)
                  for b in (0, 1))
+
+
+def walk(p: int, root: bytes, party: int, levels: list, final_cw: list[int],
+         v_cws: list[int] | None, x: int) -> list[int]:
+    """Party `party`'s share at x of the key that `fss.make_key` makes from
+    these fields, walked one block at a time with the per-block primitives:
+    a node's seed area is the XOR of its blocks' expansions there, its
+    payload words the block-wise sums, and a leaf the block-wise sum of the
+    block conversions."""
+    B, L, n, cmp = prg.BLOCK, len(final_cw), len(levels), v_cws is not None
+    blocks = len(root) // B
+    tree = prg.tree(blocks, L, cmp)
+    seed, t, acc = root, party, [0] * L
+    for i, (s_cw, t_cw) in enumerate(levels):
+        side = (x >> (n - 1 - i)) & 1
+        area, words = 0, [0] * L
+        for j in range(blocks):
+            raw = prg.g_expand(seed[j * B:(j + 1) * B], tree.nbytes)
+            area ^= int.from_bytes(raw[:tree.area], "little")
+            if cmp:
+                words = [a + w for a, w in zip(words, block_words(tree, raw, side))]
+        s, t_next = child(tree, area, side)
+        if t:  # the correction word, and a DCF's payload correction
+            s, t_next = s ^ s_cw, t_next ^ t_cw[side]
+            words = [w + v for w, v in zip(words, v_cws[i * L:(i + 1) * L])] if cmp else words
+        acc = [a + w for a, w in zip(acc, words)]
+        seed, t = s.to_bytes(blocks * B, "little"), t_next
+    for j in range(blocks):
+        acc = [a + c for a, c in zip(acc, prg.block_convert(seed[j * B:(j + 1) * B], L, p))]
+    if t:
+        acc = [a + c for a, c in zip(acc, final_cw)]
+    return [(-a if party else a) % p for a in acc]
 
 
 def dpf_gen(p: int, alpha: int, beta: list[int], rng, domain_bits: int | None = None,

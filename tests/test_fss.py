@@ -16,6 +16,7 @@ from pairml.fss import (
     dcf_gen,
     dpf_eval,
     dpf_gen,
+    make_key,
 )
 from pairml.gadgets import _interval_points
 
@@ -32,10 +33,25 @@ def _sum(p, a, b):
 # -- tree PRG -----------------------------------------------------------------
 
 
-def _sums(tree, x) -> list[int]:
-    """Both sides' payload words of a node expansion x, unreduced: the left
-    side's L, then the right side's."""
-    return [w for side in (0, 1) for w in tree.unpack(tree.add((0, 0), x, side))]
+def _random_key(rng, p: int, blocks: int, L: int, n: int, cmp: bool, party: int):
+    """A key over an n-bit domain with random fields, and the fields:
+    (root, party, levels, final_cw, v_cws), as `oracles.walk` takes them."""
+    fields = (rng.randbytes(16 * blocks), party,
+              [(rng.getrandbits(128 * blocks), (rng.randrange(2), rng.randrange(2)))
+               for _ in range(n)],
+              [rng.randrange(p) for _ in range(L)],
+              [rng.randrange(p) for _ in range(n * L)] if cmp else None)
+    root, _, levels, final_cw, v_cws = fields
+    return make_key(party, p, root, levels, final_cw, v_cws), fields
+
+
+def _walks_match_the_reference(rng, p: int, blocks: int, L: int, cmp: bool, n: int = 4):
+    """Both parties' keys with random fields, walked over their whole n-bit
+    domain, give what the per-block reference walker gives at each point."""
+    for party in (0, 1):
+        key, fields = _random_key(rng, p, blocks, L, n, cmp, party)
+        xs = range(1 << n)
+        assert _walk(party, key, xs) == [oracles.walk(p, *fields, x) for x in xs]
 
 
 def _blocks(seed: int) -> list[bytes]:
@@ -45,28 +61,27 @@ def _blocks(seed: int) -> list[bytes]:
 
 def test_blockprg_xor_of_three_reconstruction():
     # a node's seed area (sL | sR | flags) is the XOR of its three block
-    # expansions there
+    # expansions there: a three-block walk follows the seeds and control
+    # bits that the per-block expansions give, at every node of the tree
     rng = random.Random(1)
-    area = 2 * 48 + 1
-    for L in (0, 1, 3):
-        tree = prg.tree(3, L)
-        for _ in range(30):
-            seed = rng.getrandbits(384)
-            whole = tree.expand(seed)[0]
-            acc = 0
-            for blk in _blocks(seed):
-                raw = prg.g_expand(blk, tree.nbytes)
-                acc ^= int.from_bytes(raw[:area], "little")
-            assert acc == whole
+    for L in (1, 3):
+        for _ in range(4):
+            _walks_match_the_reference(rng, P_TEST, 3, L, False)
 
 
 def test_blockprg_deterministic_and_avalanche():
+    # a walk is a function of its key, and one flipped root bit changes the
+    # output at every point
+    rng = random.Random(27)
     for blocks in (1, 3):
-        tree = prg.tree(blocks, 2)
-        assert tree.expand(0) == tree.expand(0)
-        area, x = tree.expand(1)
-        other, other_x = tree.expand(0)
-        assert area != other and _sums(tree, x) != _sums(tree, other_x)
+        for cmp in (False, True):
+            key, (root, party, levels, final_cw, v_cws) = _random_key(
+                rng, P_WIDE, blocks, 2, 4, cmp, 0)
+            flipped = make_key(party, P_WIDE, bytes([root[0] ^ 1]) + root[1:], levels,
+                               final_cw, v_cws)
+            xs = range(16)
+            assert _walk(0, key, xs) == _walk(0, key, xs)
+            assert all(a != b for a, b in zip(_walk(0, key, xs), _walk(0, flipped, xs)))
 
 
 def test_block_convert_sums_match():
@@ -76,18 +91,11 @@ def test_block_convert_sums_match():
     rng = random.Random(2)
     for p in (P_TEST, (1 << 61) - 1):
         for L in (1, 2, 3):
-            tree = prg.tree(3, L)
-            seed = rng.getrandbits(384)
-            _, x = tree.expand(seed)
-            acc, leaf = [0] * (2 * L), [0] * L
+            _walks_match_the_reference(rng, p, 3, L, True)
+            tree, seed = prg.tree(3, L), rng.getrandbits(384)
+            leaf = [0] * L
             for blk in _blocks(seed):
-                raw = prg.g_expand(blk, tree.nbytes)
-                acc = [a + w for a, w in zip(acc, oracles.block_words(tree, raw, 0)
-                                             + oracles.block_words(tree, raw, 1))]
                 leaf = [a + w for a, w in zip(leaf, prg.block_convert(blk, L, p))]
-            assert _sums(tree, x) == acc
-            assert [tree.unpack(tree.add((0, 0), x, side))
-                    for side in (0, 1)] == [acc[:L], acc[L:]]
             assert ([w % p for w in tree.unpack(tree.leaf(seed, (0, 0)))]
                     == [a % p for a in leaf])
 
@@ -95,30 +103,28 @@ def test_block_convert_sums_match():
 def test_one_block_node_is_one_pass_of_g():
     # a one-block seed is a plain 128-bit GGM seed: its node is one pass of g,
     # with the seed area and both sides' payload words read straight off it,
-    # and its leaf is one leaf conversion
+    # and its leaf is one leaf conversion; a walk counts just those
     rng = random.Random(26)
     for p in (P_TEST, (1 << 61) - 1):
-        for L in (0, 1, 3):
+        for L in (1, 3):
             tree = prg.tree(1, L)
             assert tree.area == 2 * 16 + 1
+            for cmp in (False, True):
+                _walks_match_the_reference(rng, p, 1, L, cmp)
+                key, _ = _random_key(rng, p, 1, L, 6, cmp, 1)
+                reset_call_counter()
+                _walk(1, key, [rng.randrange(64)])
+                assert (prg.calls, prg.bytes_expanded) == (
+                    7, 6 * prg.tree(1, L, cmp).nbytes + 16 * L)
             seed = rng.getrandbits(128)
-            blk = seed.to_bytes(16, "little")
-            reset_call_counter()
-            area, x = tree.expand(seed)
-            leaf = tree.unpack(tree.leaf(seed, (0, 0)))
-            assert reset_call_counter() == 2
-            raw = prg.g_expand(blk, tree.nbytes)
-            assert x == int.from_bytes(raw, "little")
-            assert area == int.from_bytes(raw[:tree.area], "little")
-            assert _sums(tree, x) == (oracles.block_words(tree, raw, 0)
-                                      + oracles.block_words(tree, raw, 1))
-            assert [w % p for w in leaf] == prg.block_convert(blk, L, p)
+            assert ([w % p for w in tree.unpack(tree.leaf(seed, (0, 0)))]
+                    == prg.block_convert(seed.to_bytes(16, "little"), L, p))
 
 
 def test_children_read_every_lane_of_a_run_of_seed_areas():
     # the 3PC reads all lanes' seeds and control bits at once: lane l's
     # seed at bit seed_bits * l and its control bit at bit l, each side as
-    # one int, as `Tree.child` reads them from one area
+    # one int, as a walk reads them from one area
     rng = random.Random(29)
     for blocks in (1, 3):
         tree = prg.tree(blocks, 2)
@@ -127,7 +133,7 @@ def test_children_read_every_lane_of_a_run_of_seed_areas():
             want = [0, 0, 0, 0]
             for l, area in enumerate(areas):
                 for side in (0, 1):
-                    s, t = tree.child(area, side)
+                    s, t = oracles.child(tree, area, side)
                     want[side] |= s << tree.seed_bits * l
                     want[2 + side] |= t << l
             got = prg.children(tree, b"".join(a.to_bytes(tree.area, "little")
@@ -136,31 +142,25 @@ def test_children_read_every_lane_of_a_run_of_seed_areas():
 
 
 def test_gen_level_is_two_node_expansions():
-    # one fused level of key generation equals the node kernel on both
-    # parties' one-block seeds: the lose side's seed XOR and the control
-    # bits' XOR (the keep side's flipped) are the correction words, each
-    # party's next seed is its keep child, corrected where its control bit
-    # is set, and every payload word of both expansions is where `at` says
+    # each level of the single enclave's generator is both parties' node
+    # expansions: the lose side's seed XOR and the control bits' XOR (the
+    # keep side's flipped) are the correction words, each party's next seed
+    # is its keep child, corrected where its control bit is set, and a DCF
+    # level's payload correction reads both expansions' words.  So its keys
+    # are the reference's, made two node expansions per level, and it counts
+    # two passes of g per level and two leaf conversions
     rng = random.Random(28)
-    word = (1 << 128) - 1
     for L in (1, 2, 3):
-        tree = prg.tree(1, L)
-        for _ in range(8):
-            s = [rng.getrandbits(tree.seed_bits) for _ in range(2)]
-            t, bit = [rng.randrange(2) for _ in range(2)], rng.randrange(2)
-            got = tree.gen_level(s[0], t[0], s[1], t[1], bit)
-            (a0, x0), (a1, x1) = tree.expand(s[0]), tree.expand(s[1])
-            (sl, tl), (sr, tr) = tree.child(a0 ^ a1, 0), tree.child(a0 ^ a1, 1)
-            s_cw, t_cw = (sl if bit else sr), (tl ^ bit ^ 1, tr ^ bit)
-            cw = tree.cw_area(s_cw | (t_cw[0] | t_cw[1] << 1) << tree.seed_bits)
-            nxt = [tree.child(a ^ cw if tc else a, bit)
-                   for a, tc in ((a0, t[0]), (a1, t[1]))]
-            assert got[:6] == (*nxt[0], *nxt[1], s_cw, t_cw)
-            for y, x in zip(got[6:], (x0, x1)):
-                words = _sums(tree, x)
-                for k, (lo, ke) in enumerate(tree.at[bit]):
-                    assert (y >> lo) & word == words[(1 - bit) * L + k]
-                    assert (y >> ke) & word == words[bit * L + k]
+        for _ in range(4):
+            point, beta = rng.randrange(P_WIDE), [rng.randrange(P_WIDE) for _ in range(L)]
+            seed = rng.getrandbits(32)
+            for gen, ref, cmp in ((dpf_gen, oracles.dpf_gen, False),
+                                  (dcf_gen, oracles.dcf_gen, True)):
+                reset_call_counter()
+                keys = gen(P_WIDE, point, beta, random.Random(seed))
+                assert (prg.calls, prg.bytes_expanded) == (
+                    2 * 30 + 2, 2 * (30 * prg.tree(1, L, cmp).nbytes + 16 * L))
+                assert keys == ref(P_WIDE, point, beta, random.Random(seed), blocks=1)
 
 
 # -- the key generator ---------------------------------------------------------

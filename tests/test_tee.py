@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pairml import prg
+from pairml import tee as tee_module
 from oracles import dcf_eval_all, dpf_eval_all, run_pair, tree_gen
 from pairml.fss import DpfKey
 from pairml.gadgets import (plain_argmax, plain_max, plain_max2, plain_relu,
@@ -670,12 +671,31 @@ def test_batched_maxpool_material(testing_params):
 
 
 def test_a_batch_of_no_keys(testing_params):
-    # a maxpool over one input holds no key, so its batch runs no lane;
-    # each of its 138 ring passes then carries empty sharings
+    # a maxpool over one input holds no key, so its batch runs no 3PC and
+    # the enclaves send one another nothing
     t0, _ = build_tee_triple(0, testing_params, _bundle(46))
     mat = t0.gadget_material("maxpool", k=1)
     assert _keys(mat) == [] and t0.check_view_discipline() == []
-    assert sum(c.meter.msgs_sent for c in t0.net.channels.values()) == 3 * 138
+    assert sum(c.meter.msgs_sent for c in t0.net.channels.values()) == 0
+
+
+def test_a_material_of_another_kind_is_rejected(testing_params, monkeypatch):
+    # the host checks a delivered material against its request: a relu
+    # material delivered for a tanh wire would have the wire compute ReLU,
+    # and a maxpool over another number of inputs would misread its shares
+    table = tanh_table(testing_params.fp_scale, testing_params.p)
+    recipe = tee_module.recipe
+    for build in (build_single_tee, build_tee_triple):
+        monkeypatch.setattr(tee_module, "recipe",
+                            lambda kind, src, k=1, table=None: recipe("relu", src))
+        t0, _ = build(0, testing_params, _bundle(47))
+        with pytest.raises(ValueError, match=r"a tanh material, got a relu one"):
+            t0.gadget_material("tanh", table=table)
+        monkeypatch.setattr(tee_module, "recipe",
+                            lambda kind, src, k=1, table=None: recipe(kind, src, k + 1))
+        with pytest.raises(ValueError, match=r"maxpool \(k=2\) material, got a "
+                                             r"maxpool \(k=3\) one"):
+            t0.gadget_material("maxpool", k=2)
 
 
 def test_batched_argmax_material(testing_params):
