@@ -11,7 +11,8 @@ Formats carried.  Each is pinned, since it crosses a wide-area channel or a
 test pins it (`tests/test_codec.py`; `tests/test_fss.py` for keys;
 `tests/test_tee.py` for materials and the enclaves' 3PC byte streams):
 
-* field-element vectors and matrices, `engine.encode_vec`/`encode_mat`;
+* field-element vectors and matrices, `engine.encode_vec`/`encode_mat`,
+  written from uint64 arrays or ints; `decode_mat` gives uint64, `decode_vec` ints;
 * the manifest's `WTS1` weight blocks (`engine.serialize_manifest`) and the
   owner's model delivery, one blob (`sim`);
 * the setup frame, the dealer conversion request and reply, and the

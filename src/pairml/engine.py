@@ -8,10 +8,12 @@ with its protocol phase so the meters can audit phase separation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import mod64
 from .codec import Reader, Writer
 from .fixedpoint import FixedPointCodec, exact_truncate, truncate_share_vec
 from .gadgets import (
@@ -37,7 +39,7 @@ from .hss import (
 )
 from .lpr import LprKeys
 from .params import ProtocolParams
-from .ring import RingPoly
+from .ring import RingPoly, draw_below
 from .tee import SeedBundle, build_single_tee, build_tee_triple
 from .transport import (
     Channel,
@@ -66,13 +68,13 @@ class ShapeError(ValueError):
 
 @dataclass
 class DenseLayer:
-    weights: np.ndarray  # (n, m) field elements, dtype object
+    weights: np.ndarray  # (n, m) field elements, uint64
     activation: str | None = None
 
 
 @dataclass
 class ConvLayer:
-    filters: np.ndarray  # (kh, kw, cin, cout) field elements
+    filters: np.ndarray  # (kh, kw, cin, cout) field elements, uint64
     in_shape: tuple[int, int, int]  # (H, W, C)
     stride: int = 1
     padding: int = 0
@@ -121,20 +123,14 @@ def im2col_matrix(layer: ConvLayer, p: int) -> np.ndarray:
     if cin != c:
         raise ShapeError("filter channel mismatch")
     oh, ow, _ = _conv_out_shape(layer)
-    t = np.zeros((h * w * c, oh * ow * cout), dtype=object)
-    for oy in range(oh):
-        for ox in range(ow):
-            for fy in range(kh):
-                for fx in range(kw):
-                    iy = oy * layer.stride + fy - layer.padding
-                    ix = ox * layer.stride + fx - layer.padding
-                    if not (0 <= iy < h and 0 <= ix < w):
-                        continue
-                    for ci in range(c):
-                        row = (iy * w + ix) * c + ci
-                        for co in range(cout):
-                            col = (oy * ow + ox) * cout + co
-                            t[row, col] = int(layer.filters[fy, fx, ci, co]) % p
+    filters = np.asarray(layer.filters, dtype=np.uint64) % p
+    t = np.zeros((h * w * c, oh * ow * cout), dtype=np.uint64)
+    for oy, ox, fy, fx in itertools.product(range(oh), range(ow), range(kh), range(kw)):
+        iy = oy * layer.stride + fy - layer.padding
+        ix = ox * layer.stride + fx - layer.padding
+        if 0 <= iy < h and 0 <= ix < w:  # input pixel (iy, ix) feeds output (oy, ox)
+            row, col = (iy * w + ix) * c, (oy * ow + ox) * cout
+            t[row:row + c, col:col + cout] = filters[fy, fx]
     return t
 
 
@@ -146,14 +142,10 @@ def avgpool_matrix(layer: AvgPoolLayer, params: ProtocolParams,
     oh, ow = h // ph, w // pw
     codec = FixedPointCodec(params, scale_bits=scale_bits)
     inv = codec.encode(1.0 / (ph * pw))
-    t = np.zeros((h * w * c, oh * ow * c), dtype=object)
-    for oy in range(oh):
-        for ox in range(ow):
-            for dy in range(ph):
-                for dx in range(pw):
-                    iy, ix = oy * ph + dy, ox * pw + dx
-                    for ci in range(c):
-                        t[(iy * w + ix) * c + ci, (oy * ow + ox) * c + ci] = inv
+    t = np.zeros((h * w * c, oh * ow * c), dtype=np.uint64)
+    ch = np.arange(c)
+    for oy, ox, dy, dx in itertools.product(range(oh), range(ow), range(ph), range(pw)):
+        t[((oy * ph + dy) * w + ox * pw + dx) * c + ch, (oy * ow + ox) * c + ch] = inv
     return t
 
 
@@ -183,6 +175,9 @@ class GadgetLayer:
     table: SplineTable | None = None
 
 
+_SPLINES = {"sigmoid": sigmoid_table, "tanh": tanh_table}  # the tables of spline gadgets
+
+
 def lower_manifest(manifest: ModelManifest, params: ProtocolParams) -> list:
     """Lower manifest layers to linear + gadget steps."""
     lowered = []
@@ -191,21 +186,18 @@ def lower_manifest(manifest: ModelManifest, params: ProtocolParams) -> list:
     job = 0
     for idx, layer in enumerate(manifest.layers):
         if isinstance(layer, (DenseLayer, ConvLayer)):
-            if isinstance(layer, DenseLayer):
-                y = layer.weights
-            else:
-                y = im2col_matrix(layer, params.p)
+            y = layer.weights if isinstance(layer, DenseLayer) else im2col_matrix(layer, params.p)
             if y.shape[0] != dim:
                 raise ShapeError(
                     f"layer {idx}: expects input {y.shape[0]}, got {dim}")
-            lowered.append(LinearSecret(y=np.array(y, dtype=object) % params.p,
+            lowered.append(LinearSecret(y=np.asarray(y, dtype=np.uint64) % params.p,
                                         n=y.shape[0], m=y.shape[1], job_id=job))
             job += 1
             dim = y.shape[1]
             if layer.activation:
-                table = _spline_for(layer.activation, scale, params)
+                spline = _SPLINES.get(layer.activation)
                 lowered.append(GadgetLayer(layer.activation, width=dim,
-                                           table=table))
+                                           table=spline and spline(scale, params.p)))
         elif isinstance(layer, AvgPoolLayer):
             mat = avgpool_matrix(layer, params, scale)
             if mat.shape[0] != dim:
@@ -225,32 +217,23 @@ def lower_manifest(manifest: ModelManifest, params: ProtocolParams) -> list:
     return lowered
 
 
-def _spline_for(kind: str, scale: int, params: ProtocolParams) -> SplineTable | None:
-    if kind == "sigmoid":
-        return sigmoid_table(scale, params.p)
-    if kind == "tanh":
-        return tanh_table(scale, params.p)
-    return None
-
-
 # -- plaintext reference oracle -----------------------------------------------------------
 
 
 def reference_infer(manifest: ModelManifest, params: ProtocolParams,
                     x_field) -> list[int]:
-    """Fixed-point plaintext mirror of the protocol; the correctness oracle."""
+    """Fixed-point plaintext mirror of the protocol; the correctness oracle.
+    Its output is Python ints, like `decode_vec`'s."""
     p = params.p
     scale = manifest.fp_scale
-    lowered = lower_manifest(manifest, params)
-    x = [int(v) % p for v in x_field]
-    for step in lowered:
+    x = np.array([int(v) % p for v in x_field], dtype=np.uint64)
+    for step in lower_manifest(manifest, params):
         if isinstance(step, (LinearSecret, LinearPublic)):
-            mat = step.y if isinstance(step, LinearSecret) else step.mat
-            z = (np.array(x, dtype=object) @ mat) % p
-            x = [exact_truncate(int(v), scale, p) for v in z]
+            z = mod64.vecmat(x, step.y if isinstance(step, LinearSecret) else step.mat, p)
+            x = np.array([exact_truncate(int(v), scale, p) for v in z], dtype=np.uint64)
         else:
-            x = _reference_gadget(step, x, p, scale)
-    return x
+            x = np.array(_reference_gadget(step, x.tolist(), p, scale), dtype=np.uint64)
+    return x.tolist()
 
 
 def _reference_gadget(step: GadgetLayer, x: list[int], p: int,
@@ -275,6 +258,7 @@ def encode_vec(v) -> bytes:
 
 
 def decode_vec(buf: bytes) -> list[int]:
+    """Python ints: `perfbench/lockstep.py` adds ints of its own to them."""
     with Reader(buf) as r:
         return r.u64s(len(buf) // 8)
 
@@ -287,8 +271,7 @@ def encode_mat(m: np.ndarray) -> bytes:
 def decode_mat(buf: bytes) -> np.ndarray:
     with Reader(buf) as r:
         rows, cols = r.u32(), r.u32()
-        vals = r.u64s(rows * cols)
-    return np.array(vals, dtype=object).reshape(rows, cols)
+        return np.frombuffer(r.raw(8 * rows * cols), "<u8").astype(np.uint64).reshape(rows, cols)
 
 
 # -- manifest file format ---------------------------------------------------------------------
@@ -370,7 +353,7 @@ def parse_manifest(buf: bytes) -> ModelManifest:
     def weights(*shape):
         if r.raw(4) != b"WTS1":
             raise ValueError("bad weight block")
-        return np.array(r.u64s(r.u64()), dtype=object).reshape(shape)
+        return np.frombuffer(r.raw(8 * r.u64()), "<u8").astype(np.uint64).reshape(shape)
 
     with r:
         for line in lines[4:]:
@@ -470,33 +453,24 @@ class ServerRole:
                             f"the owner's weight shares of layer {idx}")
         self.lowered = lower_manifest(self.manifest, self.params)
         p = self.params.p
-        # replace manifest weights (they arrived as this server's shares)
-        jobs = []
-        for step in self.lowered:
-            if isinstance(step, LinearSecret):
-                jobs.append((step.n, step.m))
-        self.plan = plan_packing(self.params, jobs)
+        # the manifest's weights are this server's shares of Y
+        secret = [step for step in self.lowered if isinstance(step, LinearSecret)]
+        self.plan = plan_packing(self.params, [(step.n, step.m) for step in secret])
         # sample B shares, reveal F = Y - B per linear layer
-        for step in self.lowered:
-            if not isinstance(step, LinearSecret):
-                continue
-            y_share = step.y
-            b_share = np.array(
-                [[self.rng.randrange(p) for _ in range(step.m)]
-                 for _ in range(step.n)], dtype=object)
-            f_share = (y_share - b_share) % p
+        for step in secret:
+            b_share = draw_below(self.rng, p, step.n * step.m).reshape(step.n, step.m)
+            f_share = mod64.sub(step.y, b_share, p)
             peer_f = self._field(decode_mat((yield from self.peer.exchange(
                 KIND_MASKED_REVEAL, PHASE_LOAD, encode_mat(f_share))).payload),
                 f"the peer's F of job {step.job_id}")
-            self.f_public[step.job_id] = (f_share + peer_f) % p
+            self.f_public[step.job_id] = mod64.add(f_share, peer_f, p)
             self.b_shares[step.job_id] = b_share
         # dealer conversion of every packed column of B
         req = Writer().blob(self.setup.s_share.serialize())
         req.u32(sum(job.m for job in self.plan.jobs))
         for job in self.plan.jobs:
-            bmat = self.b_shares[job.job_id]
-            for t in range(job.m):
-                req.u32(job.job_id).u32(t).u32(bmat.shape[0]).u64s(bmat[:, t])
+            for t, col in enumerate(self.b_shares[job.job_id].T):
+                req.u32(job.job_id).u32(t).u32(len(col)).u64s(col)
         reply = yield from self.dealer.exchange(KIND_DEALER, PHASE_LOAD,
                                                 req.getvalue())
         size = RingPoly.wire_size(self.params)
@@ -548,17 +522,12 @@ class ServerRole:
             if isinstance(step, LinearSecret):
                 triple = mat.triples[step.job_id]
                 triple.consume()
-                e_share = [(int(xv) - int(av)) % p
-                           for xv, av in zip(x, triple.a)]
-                e = np.array((yield from self._reveal(e_share)), dtype=object)
-                xs = np.array(x, dtype=object)
-                z = (xs @ self.f_public[step.job_id]
-                     + e @ triple.b_mat
-                     + triple.c.astype(object)) % p
+                e = yield from self._reveal(mod64.sub(x, triple.a, p))
+                z = mod64.add(mod64.vecmat(x, self.f_public[step.job_id], p),
+                              mod64.add(mod64.vecmat(e, triple.b_mat, p), triple.c, p), p)
                 x = truncate_share_vec(z, scale, self.b, p)
             elif isinstance(step, LinearPublic):
-                z = (np.array(x, dtype=object) @ step.mat) % p
-                x = truncate_share_vec(z, scale, self.b, p)
+                x = truncate_share_vec(mod64.vecmat(x, step.mat, p), scale, self.b, p)
             else:
                 x = yield from self._run_gadget(step, mat.gadgets[gadget_idx], x)
                 gadget_idx += 1
@@ -567,27 +536,32 @@ class ServerRole:
         self.layer = None
         self.owner.send(KIND_SHARE_DELIVERY, PHASE_ONLINE, encode_vec(x))
 
-    def _reveal(self, flat: list[int]):
-        """Exchange masked shares with the peer; the revealed values.  A
-        reveal of another length is rejected, not cut to fit."""
+    def _reveal(self, flat: np.ndarray):
+        """Exchange masked shares (uint64) with the peer; the revealed values.
+        A reveal of another length is rejected, not cut to fit."""
         peer = self._field(decode_vec((yield from self.peer.exchange(
             KIND_MASKED_REVEAL, PHASE_ONLINE, encode_vec(flat))).payload), "the peer's reveal")
         if len(peer) != len(flat):
             raise EngineError(f"the peer revealed {len(peer)} values, "
                               f"expected {len(flat)}")
-        return [(a + b) % self.params.p for a, b in zip(flat, peer)]
+        return mod64.add(flat, peer, self.params.p)
 
-    def _field(self, values, message: str):
-        """values, received in `message`, unless one is not below p."""
-        if any(v >= self.params.p for v in np.ravel(values)):
+    def _field(self, values, message: str) -> np.ndarray:
+        """values, received in `message`, as uint64, unless one is not below p."""
+        values = np.asarray(values, dtype=np.uint64)
+        if (values >= self.params.p).any():
             raise EngineError(f"{message} holds a value not below p")
         return values
 
-    def _run_gadget(self, step: GadgetLayer, materials: list,
-                    x: list[int]) -> list[int]:
-        k = step.k
-        return (yield from drive([make_session(m, x[i * k:(i + 1) * k])
-                                  for i, m in enumerate(materials)], self._reveal))
+    def _run_gadget(self, step: GadgetLayer, materials: list, x: np.ndarray):
+        """The layer's output shares; its sessions work on Python ints."""
+        def reveal(flat):
+            return (yield from self._reveal(np.array(flat, dtype=np.uint64))).tolist()
+
+        k, x = step.k, x.tolist()
+        return np.array((yield from drive([make_session(m, x[i * k:(i + 1) * k])
+                                           for i, m in enumerate(materials)], reveal)),
+                        dtype=np.uint64)
 
     # ---- closed-form online budget -------------------------------------------
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import mod64
 from .params import ProtocolParams
 
 
@@ -57,9 +60,13 @@ def truncate_share(share: int, f: int, party: int, p: int) -> int:
     return (p - ((p - share) >> f)) % p
 
 
-def truncate_share_vec(shares, f: int, party: int, p: int) -> list[int]:
-    """Python ints, so object-dtype matrix products on them stay exact."""
-    return [truncate_share(int(s), f, party, p) for s in shares]
+def truncate_share_vec(shares, f: int, party: int, p: int) -> np.ndarray:
+    """`truncate_share` of each share (a uint64 vector, or ints below 2^64),
+    as a uint64 vector."""
+    share = np.asarray(shares, dtype=np.uint64) % p
+    if party == 0:
+        return share >> np.uint64(f)
+    return mod64.sub(np.uint64(0), (p - share) >> np.uint64(f), p)
 
 
 def exact_truncate(v: int, f: int, p: int) -> int:

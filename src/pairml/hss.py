@@ -42,10 +42,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import mod64
 from .lpr import LprCiphertext, LprKeys, encrypt, keygen
 from .params import ProtocolParams
-from .ring import (DimensionError, RingPoly, ntt_context, residues, scale_round,
-                   slots_to_coeffs)
+from .ring import (DimensionError, RingPoly, draw_below, ntt_context, residues,
+                   scale_round, slots_to_coeffs)
 
 
 class PackingError(ValueError):
@@ -216,11 +217,11 @@ def hss_mult(params: ProtocolParams, y_share: np.ndarray, ys_share: np.ndarray,
 
 @dataclass
 class BeaverShare:
-    """One server's share of (a, B, c = a*B) for one job."""
+    """One server's share of (a, B, c = a*B) for one job; a and c are uint64."""
 
     job_id: int
     a: np.ndarray  # (n,) mod-p
-    b_mat: np.ndarray  # (n, m) mod-p, dtype object
+    b_mat: np.ndarray  # (n, m) mod-p
     c: np.ndarray  # (m,) mod-p
     consumed: bool = False
 
@@ -261,19 +262,13 @@ class TripleGenSession:
             raise TripleStateError("triple session already started")
         self._started = True
         params, plan = self.params, self.plan
-        p = params.p
-        slot_vecs = [np.zeros(params.n_ring, dtype=np.int64)
-                     for _ in range(plan.n_polys)]
+        slot_vecs = np.zeros((plan.n_polys, params.n_ring), dtype=np.uint64)
         for job in plan.jobs:
-            a = np.array([self.rng.randrange(p) for _ in range(job.n)],
-                         dtype=np.int64)
-            self.a_shares[job.job_id] = a
             lo, hi = plan.slot_range(job)
-            slot_vecs[job.poly][lo:hi] = a
-        self.my_cts = [
-            encrypt(params, self.setup.pk, slots_to_coeffs(params, vec), self.rng)
-            for vec in slot_vecs
-        ]
+            slot_vecs[job.poly, lo:hi] = self.a_shares[job.job_id] = draw_below(
+                self.rng, params.p, job.n)
+        self.my_cts = [encrypt(params, self.setup.pk, slots_to_coeffs(params, vec), self.rng)
+                       for vec in slot_vecs]
         return [ct.serialize() for ct in self.my_cts]
 
     def feed(self, peer_ct_blobs: list[bytes]) -> None:
@@ -302,10 +297,10 @@ class TripleGenSession:
                 ys[t] = functools.reduce(q_ctx.add, (c.ys_share.data for c in convs))
             prod = hss_mult(params, y, ys, cts[poly_idx], b)
             blocks = p_ctx.ntt(prod[:, None])[:, 0]  # block sums over b
-            for job in bank_jobs:
+            for job in bank_jobs:  # b times the sum of the job's blocks
                 lo, hi = plan.slot_range(job)
-                seg = blocks[:job.m, lo // b:hi // b].astype(object).sum(axis=1)
-                c_shares[job.job_id] = (seg * b % p).astype(np.int64)
+                c_shares[job.job_id] = mod64.vecmat(np.full((hi - lo) // b, b),
+                                                    blocks[:job.m, lo // b:hi // b].T, p)
         self.output = [
             BeaverShare(job_id=job.job_id, a=self.a_shares[job.job_id],
                         b_mat=self.b_shares[job.job_id],

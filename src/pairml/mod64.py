@@ -1,7 +1,7 @@
-"""Exact modular arithmetic on uint64 numpy arrays, for any modulus m < 2^62,
-which the host's R_q arithmetic (`ring`) and the enclaves' 3PC mod p
-(`shares3`) both run.  Residues are < m, so a sum of two stays below 2^64
-and a wrapped difference is larger than the unwrapped one.
+"""Exact modular arithmetic on uint64 numpy arrays, for any modulus m < 2^62:
+the host's R_q arithmetic (`ring`) and products mod p (`vecmat`), and the
+enclaves' 3PC mod p (`shares3`).  Residues are < m, so a sum of two stays
+below 2^64 and a wrapped difference is larger than the unwrapped one.
 
 Every product is Shoup's: x * w mod m for a residue w estimates x w / m
 from 32-bit halves of w' = floor(w 2^64 / m), then corrects.  Constants
@@ -11,6 +11,8 @@ Shoup product by 2^64 mod m and one wrapping multiply.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -64,3 +66,22 @@ def prepare(w, recip, m):
     r64, neg_inv = recip
     q = mul_shoup(w, *r64, m) * neg_inv
     return w, q & _LO32, q >> _32
+
+
+@cache
+def _reciprocal(m: int):
+    return reciprocal([m])
+
+
+def vecmat(x, w, m):
+    """x @ w mod m for a vector x and an (n, k) matrix w of residues < m: row
+    i of w times the Shoup constant of x[i], the rows then summed pairwise,
+    each sum reduced, so the product is exact at any row count."""
+    x, w = np.asarray(x, dtype=np.uint64), np.asarray(w, dtype=np.uint64)
+    if x.shape != w.shape[:1]:
+        raise ValueError(f"a vector of {x.shape} times a matrix of {w.shape}")
+    prods = mul_shoup(w, *(c[:, None] for c in prepare(x, _reciprocal(m), m)), m)
+    while len(prods) > 1:  # row i plus row i + ceil(n/2); an odd middle row waits
+        n, h = len(prods), len(prods) // 2
+        prods = np.concatenate([add(prods[:h], prods[n - h:], m), prods[h:n - h]])
+    return prods.sum(axis=0)  # the one row left, or zeros for none

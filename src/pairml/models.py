@@ -8,6 +8,8 @@ end in an argmax head so the protocol output is a label vector.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .engine import (
@@ -21,12 +23,15 @@ from .fixedpoint import FixedPointCodec
 from .params import ProtocolParams
 
 
+def _uniform(codec: FixedPointCodec, rng, lim: float, *shape: int) -> np.ndarray:
+    """Encoded weights uniform in [-lim, lim], drawn in row-major order."""
+    return np.array([codec.encode(rng.uniform(-lim, lim)) for _ in range(math.prod(shape))],
+                    dtype=np.uint64).reshape(shape)
+
+
 def _dense(codec: FixedPointCodec, rng, n: int, m: int, act: str | None
            ) -> DenseLayer:
-    lim = 1.0 / max(n, 1) ** 0.5
-    w = np.array([[codec.encode(rng.uniform(-lim, lim)) for _ in range(m)]
-                  for _ in range(n)], dtype=object)
-    return DenseLayer(weights=w, activation=act)
+    return DenseLayer(_uniform(codec, rng, 1.0 / max(n, 1) ** 0.5, n, m), act)
 
 
 def gen_mfnn(params: ProtocolParams, rng,
@@ -56,12 +61,7 @@ def gen_mcnn(params: ProtocolParams, rng, side: int = 8,
              filters: int = 3) -> ModelManifest:
     """One 5x5 convolution, 2x2 average pooling, two dense ReLU layers."""
     codec = FixedPointCodec(params)
-    lim = 0.2
-    filt = np.array([[[[codec.encode(rng.uniform(-lim, lim))
-                        for _ in range(filters)]
-                       for _ in range(1)]
-                      for _ in range(5)]
-                     for _ in range(5)], dtype=object)
+    filt = _uniform(codec, rng, 0.2, 5, 5, 1, filters)
     conv = ConvLayer(filters=filt, in_shape=(side, side, 1), stride=1,
                      padding=0, activation="relu")
     conv_side = side - 4

@@ -103,8 +103,7 @@ class Tree:
 
     A packed sum is a pair (even words, odd words) of ints, word 2m (resp.
     2m + 1) in 256-bit lane m, so a sum's carries stay in its lane; `pack`
-    converts runs of L words to packed sums, and `unpack` one packed sum
-    back to L words.
+    converts runs of L words to packed sums, and `unpack` one back to words.
     """
 
     def __init__(self, blocks: int, L: int, node_words: bool = True):
@@ -113,10 +112,7 @@ class Tree:
         self.L = L
         self.seed_bits = blocks * LAM
         self.seed_mask = (1 << self.seed_bits) - 1
-        # a node: sL | sR | flags byte (bit0 = tL, bit1 = tR), the seed area;
-        # then L payload words of the left side and L of the right
-        self.area = 2 * blocks * BLOCK + 1
-        self.nbytes = self.area + (2 * WORD * L if node_words else 0)
+        self.area, self.nbytes = layout(blocks, L, node_words)
         self.area_mask = (1 << 8 * self.area) - 1
         base, w = 8 * self.area, 8 * WORD
         self.even = _mask(w, range(base, base + 2 * w * L, 2 * w))
@@ -162,14 +158,20 @@ def _mask(width: int, places) -> int:
     return sum(((1 << width) - 1) << at for at in places)
 
 
-def children(tree: Tree, areas: bytes) -> tuple[int, int, int, int]:
+def layout(blocks: int, L: int, node_words: bool = True) -> tuple[int, int]:
+    """Bytes of a node's seed area (sL | sR | flags) and of its expansion."""
+    area = 2 * blocks * BLOCK + 1
+    return area, area + (2 * WORD * L if node_words else 0)
+
+
+def children(blocks: int, areas: bytes) -> tuple[int, int, int, int]:
     """The left seeds, right seeds, left control bits and right control bits
-    of `tree`'s seed areas laid end to end, one per lane, each as one int:
-    lane l's seed at bit seed_bits * l, its control bit at bit l."""
-    a = np.frombuffer(areas, np.uint8).reshape(-1, tree.area)
-    sb, W = tree.seed_bits // 8, len(a) * tree.seed_bits
+    of seed areas of `blocks` blocks laid end to end, one per lane, each as
+    one int: lane l's seed at bit blocks * LAM * l, its control bit at bit l."""
+    a = np.frombuffer(areas, np.uint8).reshape(-1, layout(blocks, 0)[0])
+    sb, W = blocks * BLOCK, len(a) * blocks * LAM
     s = int.from_bytes(a[:, :2 * sb].reshape(-1, 2, sb).swapaxes(0, 1).tobytes(), "little")
-    flags = b"0" + areas[2 * sb::tree.area][::-1]  # lane 0's last, as in a numeral
+    flags = b"0" + areas[2 * sb::a.shape[1]][::-1]  # lane 0's last, as in a numeral
     return (s & (1 << W) - 1, s >> W, int(flags.translate(_FLAG_BIT[0]), 2),
             int(flags.translate(_FLAG_BIT[1]), 2))
 

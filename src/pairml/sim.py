@@ -5,10 +5,11 @@ reconstruction checks."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import mod64
 from .engine import (
     DealerRole,
     DenseLayer,
@@ -24,6 +25,7 @@ from .engine import (
 from .codec import Writer
 from .fixedpoint import FixedPointCodec
 from .params import ProtocolParams
+from .ring import draw_below
 from .transport import (
     Channel,
     KIND_SHARE_DELIVERY,
@@ -87,23 +89,20 @@ class RunConfig:
 
 def split_weights(manifest: ModelManifest, p: int, rng) -> tuple[ModelManifest,
                                                                  ModelManifest]:
-    """Additive share split of every weight tensor; structure stays public."""
-    import copy
-    m0 = copy.deepcopy(manifest)
-    m1 = copy.deepcopy(manifest)
-    for l0, l1, orig in zip(m0.layers, m1.layers, manifest.layers):
-        if isinstance(orig, DenseLayer):
-            sh0 = np.array([[rng.randrange(p) for _ in range(orig.weights.shape[1])]
-                            for _ in range(orig.weights.shape[0])], dtype=object)
-            l0.weights = sh0
-            l1.weights = (np.array(orig.weights, dtype=object) - sh0) % p
-        elif isinstance(orig, ConvLayer):
-            flat = orig.filters.reshape(-1)
-            sh0 = np.array([rng.randrange(p) for _ in flat], dtype=object)
-            l0.filters = sh0.reshape(orig.filters.shape)
-            l1.filters = ((np.array(flat, dtype=object) - sh0) % p).reshape(
-                orig.filters.shape)
-    return m0, m1
+    """Additive share split of every weight tensor; structure stays public,
+    and the two manifests share every layer that has no weights."""
+    shares = ([], [])
+    for layer in manifest.layers:
+        field = {DenseLayer: "weights", ConvLayer: "filters"}.get(type(layer))
+        if field is None:
+            for layers in shares:
+                layers.append(layer)
+            continue
+        w = np.asarray(getattr(layer, field), dtype=np.uint64) % p
+        sh0 = draw_below(rng, p, w.size).reshape(w.shape)
+        for layers, sh in zip(shares, (sh0, mod64.sub(w, sh0, p))):
+            layers.append(replace(layer, **{field: sh}))
+    return tuple(replace(manifest, layers=layers) for layers in shares)
 
 
 @dataclass
@@ -185,8 +184,8 @@ class Simulation:
                               Writer().blob(serialize_manifest(man)).getvalue())
                 phase = PHASE_ONLINE
                 for x in inputs_field:
-                    sh0 = [self.owner_rng.randrange(p) for _ in x]
-                    sh1 = [(int(v) - a) % p for v, a in zip(x, sh0)]
+                    sh0 = draw_below(self.owner_rng, p, len(x))
+                    sh1 = mod64.sub(np.array([int(v) % p for v in x], dtype=np.uint64), sh0, p)
                     for chan, sh in zip(self.owner_chans, (sh0, sh1)):
                         chan.send(KIND_SHARE_DELIVERY, PHASE_ONLINE, encode_vec(sh))
                 for _ in range(n_sessions):
@@ -226,22 +225,19 @@ class Simulation:
         secret_layers = [s for s in lowered if isinstance(s, LinearSecret)]
         for step in secret_layers:
             jid = step.job_id
-            b_full = (r0.b_shares[jid] + r1.b_shares[jid]) % p
+            b_full = mod64.add(r0.b_shares[jid], r1.b_shares[jid], p)
             f_pub = r0.f_public[jid]
             if not np.array_equal(f_pub, r1.f_public[jid]):
                 raise RuntimeError(f"the servers disagree on F at job {jid}")
-            y_full = (f_pub + b_full) % p
-            if not np.array_equal(y_full, np.array(step.y, dtype=object) % p):
+            if not np.array_equal(mod64.add(f_pub, b_full, p), step.y):
                 raise RuntimeError(f"F + B != Y at job {jid}")
         flagged = []
         for sid in r0.sessions:
             t0s, t1s = r0.sessions[sid].triples, r1.sessions[sid].triples
             for jid in (s.job_id for s in secret_layers):
-                a = (t0s[jid].a.astype(object) + t1s[jid].a.astype(object)) % p
-                b_full = (t0s[jid].b_mat + t1s[jid].b_mat) % p
-                c = (t0s[jid].c.astype(object) + t1s[jid].c.astype(object)) % p
-                expect = (a @ b_full) % p
-                if list(c) != list(expect):
+                t0, t1 = t0s[jid], t1s[jid]
+                a, c = mod64.add(t0.a, t1.a, p), mod64.add(t0.c, t1.c, p)
+                if not np.array_equal(c, mod64.vecmat(a, mod64.add(t0.b_mat, t1.b_mat, p), p)):
                     flagged.append(f"flagged triple: session {sid} job {jid}")
         if flagged:
             raise RuntimeError(f"trusted-test checks failed: {flagged}")

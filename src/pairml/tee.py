@@ -288,8 +288,8 @@ class TeeTriple:
         Kd = sum(plan.kind == "dcf" for plan in plans)
         Ls = [len(plan.beta_spec) for plan in plans]
         Ld, offs = sum(Ls[:Kd]), [sum(Ls[:l]) for l in range(K)]
-        trees = [prg.tree(3, Ls[l], l < Kd) for l in range(K)]
-        A = prg.tree(3, 0).area  # the seed area of every three-block tree
+        nbytes = [prg.layout(3, Ls[l], l < Kd)[1] for l in range(K)]  # per lane's node
+        A = prg.layout(3, 0)[0]  # the seed area of every three-block tree
         B, W = prg.BLOCK, 3 * prg.LAM  # bytes per block, seed bits per lane
         lanes = (1 << K) - 1
         # a level's DCF payload words come per (party, lane, side); the 3PC
@@ -311,13 +311,13 @@ class TeeTriple:
             # the alpha bits and both parties' control bits across their seeds
             aw, *tw = spread(B3.cat(a, *t), W).split(K * W, K * W, K * W)
             # raw[c][j][l]: enclave j's expansion of its block of party c's seed
-            raw = [[[prg.g_expand(blocks[c][B * (3 * l + j):B * (3 * l + j + 1)], tree.nbytes)
-                     for l, tree in enumerate(trees)] for j in range(3)] for c in (0, 1)]
+            raw = [[[prg.g_expand(blocks[c][B * (3 * l + j):B * (3 * l + j + 1)], nb)
+                     for l, nb in enumerate(nbytes)] for j in range(3)] for c in (0, 1)]
             areas = [[b"".join([x[:A] for x in raw[c][j]]) for j in range(3)] for c in (0, 1)]
             # enclave j's shares of party c's next seeds and control bits on
             # either side, lane l at bit W l resp. l: read off its own
             # expansions' seed areas, the (party, enclave) runs of K lanes
-            kids = prg.children(prg.tree(3, 0), b"".join(areas[0] + areas[1]))
+            kids = prg.children(3, b"".join(areas[0] + areas[1]))
             s_l, s_r, t_l, t_r = (
                 [B3([x >> (3 * c + j) * w & (1 << w) - 1 for j in range(3)], w) for c in (0, 1)]
                 for x, w in zip(kids, (K * W, K * W, K, K)))

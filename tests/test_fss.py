@@ -136,8 +136,8 @@ def test_children_read_every_lane_of_a_run_of_seed_areas():
                     s, t = oracles.child(tree, area, side)
                     want[side] |= s << tree.seed_bits * l
                     want[2 + side] |= t << l
-            got = prg.children(tree, b"".join(a.to_bytes(tree.area, "little")
-                                              for a in areas))
+            got = prg.children(blocks, b"".join(a.to_bytes(tree.area, "little")
+                                                for a in areas))
             assert list(got) == want
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import coeffs_to_slots, schoolbook_negacyclic
+from pairml import mod64
 from pairml.params import ProtocolParams, ParameterError, is_prime, ntt_prime
 from pairml.ring import (
     DimensionError,
@@ -347,14 +348,38 @@ def test_truncation_named_cases():
             assert abs(to_signed(got - expect, p)) <= 1
 
 
-def test_truncate_share_vec_stays_exact_at_production_p():
-    # object-dtype matrix products on truncated shares must not wrap at 64 bits
-    p = ProtocolParams.production().p
-    out = truncate_share_vec([p - 1, p // 2, 12345], 12, 1, p)
-    assert all(type(v) is int for v in out)
-    mat = np.full((3, 2), p - 1, dtype=object)
-    got = (np.array(out, dtype=object) @ mat) % p
-    assert list(got) == [sum(v * (p - 1) for v in out) % p] * 2
+@pytest.mark.parametrize("p", [ProtocolParams.testing().p, ProtocolParams.production().p],
+                         ids=["testing", "production"])
+def test_truncate_share_vec_is_truncate_share_of_each(p):
+    rng = random.Random(p)
+    shares = [0, 1, p // 2, p - 2, p - 1] + [rng.randrange(p) for _ in range(64)]
+    for f in (0, 12, 16):
+        for party in (0, 1):
+            want = [truncate_share(s, f, party, p) for s in shares]
+            for given in (shares, np.array(shares, dtype=np.uint64)):
+                got = truncate_share_vec(given, f, party, p)
+                assert got.dtype == np.uint64 and got.tolist() == want
+
+
+@pytest.mark.parametrize("p", [ProtocolParams.testing().p, ProtocolParams.production().p,
+                               (1 << 61) - 1], ids=["testing", "production", "61-bit"])
+@pytest.mark.parametrize("n", [1, 17, 64, 784])
+def test_vecmat_matches_python_ints(p, n):
+    # exact at any row count: all-(p - 1) rows sum far past 2^64
+    assert is_prime(p)
+    rng = random.Random(n)
+    for k, fill in ((3, None), (17, p - 1)):
+        x = [fill if fill is not None else rng.randrange(p) for _ in range(n)]
+        w = [[fill if fill is not None else rng.randrange(p) for _ in range(k)]
+             for _ in range(n)]
+        got = mod64.vecmat(np.array(x, dtype=np.uint64), np.array(w, dtype=np.uint64), p)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [sum(x[i] * w[i][j] for i in range(n)) % p for j in range(k)]
+
+
+def test_vecmat_rejects_a_vector_of_another_length():
+    with pytest.raises(ValueError):
+        mod64.vecmat(np.zeros(1, dtype=np.uint64), np.zeros((3, 2), dtype=np.uint64), 1009)
 
 
 @pytest.mark.parametrize("params", [ProtocolParams.testing(),
